@@ -33,7 +33,7 @@ from .determinant import (
     rank_over_rationals,
 )
 from .enumeration import ResidueData, SideCondition, enumerate_points
-from .errors import ContractViolation, HypothesisViolation
+from .errors import ContractViolation, HypothesisViolation, SoundnessError
 from .exponents import (
     BoxBounds,
     ExactLog,
@@ -66,6 +66,25 @@ def _int_field(cfg: dict, key: str, default=None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise UsageError(f"field '{key}' must be an integer")
     return v
+
+
+def _int_list_field(cfg: dict, key: str, length: int | None = None) -> list:
+    v = _require(cfg, key)
+    if (not isinstance(v, list)
+            or any(isinstance(x, bool) or not isinstance(x, int) for x in v)
+            or (length is not None and len(v) != length)):
+        what = "integers" if length is None else f"{length} integers"
+        raise UsageError(f"field '{key}' must be a list of {what}")
+    return v
+
+
+def _float_field(cfg: dict, key: str, default: float | None = None) -> float:
+    if key not in cfg and default is not None:
+        return default
+    v = _require(cfg, key)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise UsageError(f"field '{key}' must be a finite number")
+    return float(v)
 
 
 def _poly_field(cfg: dict, key: str) -> IntegerPolynomial:
@@ -337,10 +356,10 @@ def _run_aux(cfg: dict, seed: int) -> dict:
     g = _poly_field(cfg, "g")
     q = _int_field(cfg, "q")
     box = _box_field(cfg)
-    epsilon = float(_require(cfg, "epsilon"))
+    epsilon = _float_field(cfg, "epsilon")
     residues = None
     if "residue_primes" in cfg:
-        residues = ResidueData(tuple(int(p) for p in cfg["residue_primes"]))
+        residues = ResidueData(tuple(_int_list_field(cfg, "residue_primes")))
     floor_const = cfg.get("floor_const")
     if floor_const is not None:
         floor_const = int(floor_const)
@@ -380,16 +399,14 @@ def _run_aux(cfg: dict, seed: int) -> dict:
 
 
 def _run_quadric(cfg: dict, seed: int) -> dict:
-    a = _require(cfg, "a")
-    if not isinstance(a, list) or len(a) != 3:
-        raise UsageError("field 'a' must be a list of three coefficients")
+    a = _int_list_field(cfg, "a", 3)
     n = _int_field(cfg, "n")
     B = _int_field(cfg, "B")
     mode = cfg.get("mode", "brute")
     inst = QuadricInstance(a[0], a[1], a[2], n, B)
     kwargs = {}
     if mode == "pipeline":
-        kwargs["epsilon"] = float(cfg.get("epsilon", 0.5))
+        kwargs["epsilon"] = _float_field(cfg, "epsilon", 0.5)
         if cfg.get("floor_const") is not None:
             kwargs["floor_const"] = int(cfg["floor_const"])
         kwargs["seed"] = seed
@@ -507,7 +524,7 @@ def _run_fit(cfg: dict, seed: int) -> dict:
     if "quadric" in cfg:
         sub = cfg["quadric"]
         inst = QuadricInstance(
-            *(_require(sub, "a")), _int_field(sub, "n"), _int_field(sub, "B", 2)
+            *_int_list_field(sub, "a", 3), _int_field(sub, "n"), _int_field(sub, "B", 2)
         )
         exps = predicted_exponents(inst)
         diagnostics["predicted_box_powers"] = [_frac(v) for v in exps.box_powers]
@@ -617,6 +634,9 @@ def main(argv=None) -> int:
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 2
+    except SoundnessError as exc:
+        print(f"soundness failure (bug): {exc}", file=sys.stderr)
+        return 3
 
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:

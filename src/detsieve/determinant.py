@@ -4,7 +4,9 @@ The engine builds the matrix of monomial values at surface points,
 factors a guaranteed power of the congruence modulus out of every full
 minor by explicit column operations, and extracts integer kernel
 polynomials that vanish on all the points of a class.  All determinants,
-ranks, and valuations are computed exactly.
+ranks, and valuations are computed exactly.  Ranks, pivot rows and kernel
+vectors come from one fraction-free (Bareiss) integer elimination; there
+is no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .arith import factorize, is_prime, prime_power_decompose
@@ -105,30 +106,44 @@ def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
 
 
 def _row_reduce(grid: Sequence[Sequence[int]]):
-    """Gaussian elimination over the rationals.
+    """Fraction-free (Bareiss) forward elimination over the integers.
 
-    Returns (rank, pivot_cols, pivot_rows, reduced) where pivot_rows are
+    Returns (rank, pivot_cols, pivot_rows, echelon) where pivot_rows are
     indices of original rows forming an independent spanning subset and
-    reduced is the RREF restricted to the pivot rows.
+    echelon is the integer row echelon form restricted to the pivot rows.
+    The pivot of column c is the first remaining row with a nonzero entry
+    there.  After k pivots every entry at or below row k is a (k+1)-minor
+    of the row-permuted matrix, so dividing by the previous pivot (the
+    k-minor) is exact, and each row is a nonzero multiple of the row that
+    rational elimination would give: ranks, pivots and row swaps agree.
     """
-    rows = [[Fraction(v) for v in r] for r in grid]
+    rows = [list(map(int, r)) for r in grid]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     origin = list(range(nrows))
     pivot_cols: list[int] = []
     r = 0
+    prev = 1
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         origin[r], origin[piv] = origin[piv], origin[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        pivot = top[c]
+        tail = top[c + 1:]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            a = row[c]
+            if a:
+                row[c + 1:] = [
+                    (x * pivot - a * y) // prev for x, y in zip(row[c + 1:], tail)
+                ]
+                row[c] = 0
+            elif pivot != prev:
+                row[c + 1:] = [x * pivot // prev for x in row[c + 1:]]
+        prev = pivot
         pivot_cols.append(c)
         r += 1
         if r == nrows:
@@ -211,7 +226,6 @@ class DivisibilityCertificate:
     multiplicities: tuple
     det_transform: int
     columns: tuple
-    row_points: tuple
     reduced_entries: tuple
     checked_minors: tuple
 
@@ -383,7 +397,6 @@ def congruence_reduce(
         multiplicities=mus,
         det_transform=det_transform,
         columns=E.members,
-        row_points=M.rows,
         reduced_entries=reduced_entries,
         checked_minors=tuple(checked),
     )
@@ -437,29 +450,34 @@ class AuxiliaryPolynomial:
     role: str = "class-cover"
 
 
-def null_space_polynomial(M: MonomialMatrix, f: IntegerPolynomial) -> AuxiliaryPolynomial:
-    """Primitive integer kernel vector of M, read as a polynomial.
+def _kernel_polynomial(
+    M: MonomialMatrix, f: IntegerPolynomial, pivot_cols: Sequence[int], echelon
+) -> AuxiliaryPolynomial:
+    """Kernel polynomial of M read off its echelon form.
 
-    The kernel is taken for the first free column, denominators cleared,
-    content divided out, leading sign normalized.  Vanishing at every row
-    point is re-verified exactly; coprimality with f is checked and
-    recorded.
+    The vector is supported on the first free column and the pivot
+    columns before it; it is unique up to scale there.  Taking the free
+    entry to be the leading minor of those pivots makes every other
+    entry an integer by Cramer's rule, so back-substitution divides
+    exactly.  Content divided out, leading sign normalized; vanishing at
+    every row point is re-verified exactly; coprimality with f is
+    checked and recorded.
     """
-    rank, pivot_cols, _, rref = _row_reduce(M.entries)
     ncols = len(M.cols)
-    if rank >= ncols:
-        raise ContractViolation("no null vector: the matrix has full column rank")
     pivot_set = set(pivot_cols)
     free = next(c for c in range(ncols) if c not in pivot_set)
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for k, c in enumerate(pivot_cols):
-        vec[c] = -rref[k][free]
-    denom = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
-    content = math.gcd(*ints)
-    if content:
-        ints = [v // content for v in ints]
+    used = [c for c in pivot_cols if c < free]
+    vec = [0] * ncols
+    vec[free] = echelon[len(used) - 1][used[-1]] if used else 1
+    for k in range(len(used) - 1, -1, -1):
+        row = echelon[k]
+        num = -sum(row[c] * vec[c] for c in used[k + 1:]) - row[free] * vec[free]
+        val, rem = divmod(num, row[used[k]])
+        if rem:
+            raise SoundnessError("kernel back-substitution left a remainder")
+        vec[used[k]] = val
+    content = math.gcd(*vec)
+    ints = [v // content for v in vec]
     lead = next(v for v in ints if v)
     if lead < 0:
         ints = [-v for v in ints]
@@ -476,6 +494,19 @@ def null_space_polynomial(M: MonomialMatrix, f: IntegerPolynomial) -> AuxiliaryP
         coprime_to_f=is_coprime(poly, f),
         degree_bound=poly.total_degree(),
     )
+
+
+def null_space_polynomial(M: MonomialMatrix, f: IntegerPolynomial) -> AuxiliaryPolynomial:
+    """Primitive integer kernel vector of M, read as a polynomial.
+
+    The kernel is taken for the first free column, content divided out,
+    leading sign normalized.  Vanishing at every row point is re-verified
+    exactly; coprimality with f is checked and recorded.
+    """
+    rank, pivot_cols, _, echelon = _row_reduce(M.entries)
+    if rank >= len(M.cols):
+        raise ContractViolation("no null vector: the matrix has full column rank")
+    return _kernel_polynomial(M, f, pivot_cols, echelon)
 
 
 # -- the cover pipeline -----------------------------------------------------------
@@ -690,13 +721,13 @@ def aux_pipeline(
         class_points = classes[label].points
         M = build_matrix(class_points, E_set)
         counts["matrices_built"] += 1
-        rank, _, pivot_rows, _ = _row_reduce(M.entries)
+        rank, pivot_cols, pivot_rows, echelon = _row_reduce(M.entries)
         counts["rank_computations"] += 1
         J = len(class_points)
 
         certs: tuple = ()
         if rank < e_count:
-            aux = null_space_polynomial(M, f)
+            aux = _kernel_polynomial(M, f, pivot_cols, echelon)
             if aux.poly.total_degree() > cap:
                 raise SoundnessError(
                     "kernel polynomial exceeds the cutoff degree cap"

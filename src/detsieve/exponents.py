@@ -209,15 +209,6 @@ class ExponentSet:
         return len(self.members)
 
 
-def cutoff_allows(box: BoxBounds, cutoff: ExactLog, e: Sequence[int]) -> bool:
-    """Exact test of log B^e <= cutoff."""
-    e = tuple(int(v) for v in e)
-    if box.integral and cutoff.height is not None:
-        return box.height(e) <= cutoff.height
-    with workprec():
-        return box.log_height(e) <= cutoff.value
-
-
 def satisfies_dominant_condition(e: Sequence[int], m: Sequence[int]) -> bool:
     return any(ei < mi for ei, mi in zip(e, m))
 
@@ -381,11 +372,6 @@ class MethodParams:
     cover_scale: object
     cover_scale_eps: object
     modulus_gain: object
-
-    @property
-    def needs_single_cover(self) -> bool:
-        """True when the threshold is at most 1, forcing the one-curve branch."""
-        return self.cover_scale_eps <= 1
 
 
 def side_log_height(g: IntegerPolynomial, box: BoxBounds) -> tuple[ExponentVector, ExactLog]:

@@ -276,17 +276,6 @@ class IntegerPolynomial:
         acc = {e[:i] + e[i + 1 :]: c for e, c in self._terms.items()}
         return IntegerPolynomial(self.nvars - 1, acc)
 
-    def insert_variable(self, i: int) -> "IntegerPolynomial":
-        """Embed into one more variable, the new one unused at index ``i``."""
-        acc = {e[:i] + (0,) + e[i:]: c for e, c in self._terms.items()}
-        return IntegerPolynomial(self.nvars + 1, acc)
-
-    def primitive_part(self) -> "IntegerPolynomial":
-        c = self.content()
-        if c in (0, 1):
-            return self
-        return IntegerPolynomial(self.nvars, {e: v // c for e, v in self._terms.items()})
-
 
 # -- module level operation wrappers -------------------------------------
 

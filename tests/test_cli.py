@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+import detsieve.cli
 from detsieve.cli import UsageError, fit_exponent, main, run
-from detsieve.errors import ContractViolation
+from detsieve.errors import ContractViolation, SoundnessError
 
 SPHERE5 = {
     "nvars": 3,
@@ -77,6 +78,17 @@ class TestExitCodes:
 
     def test_unknown_command(self, capsys):
         assert main(["transmute", "--config", "x.json"]) == 1
+
+    def test_soundness_failure_has_its_own_code(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise SoundnessError("kernel polynomial fails to vanish")
+
+        monkeypatch.setattr(detsieve.cli, "enumerate_points", broken)
+        cfg = {"f": SPHERE5, "g": TRIVIAL_G, "box": [10, 10, 10]}
+        assert invoke(tmp_path, "enumerate", cfg) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("soundness failure (bug):")
+        assert "fails to vanish" in err
 
 
 class TestReportSchema:
@@ -200,6 +212,39 @@ class TestPolynomialConfigs:
     def test_boolean_int_fields_rejected(self, tmp_path, capsys):
         cfg = {"a": [1, 1, 1], "n": True, "B": 10}
         assert invoke(tmp_path, "quadric", cfg) == 1
+
+
+class TestTypedFields:
+    AUX = {"f": CONG_F, "g": CONG_G, "q": 5, "box": [2, 2, 2],
+           "epsilon": 0.5, "floor_const": 10}
+
+    def usage_error(self, tmp_path, capsys, command, cfg, field):
+        assert invoke(tmp_path, command, cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert f"'{field}'" in err
+
+    def test_residue_primes_string_rejected(self, tmp_path, capsys):
+        # a string used to be read digit by digit, as the primes [5, 7]
+        cfg = dict(self.AUX, residue_primes="57")
+        self.usage_error(tmp_path, capsys, "aux", cfg, "residue_primes")
+
+    def test_residue_primes_list_accepted(self, tmp_path, capsys):
+        report = invoke_json(tmp_path, capsys, "aux", dict(self.AUX, residue_primes=[3]))
+        assert report["diagnostics"]["residue_primes"] == [3]
+
+    def test_quadric_coefficients_must_be_integers(self, tmp_path, capsys):
+        for a in (["x", 1, 1], [1.5, 1, 1], [1, 1]):
+            cfg = {"a": a, "n": 5, "B": 10}
+            self.usage_error(tmp_path, capsys, "quadric", cfg, "a")
+        cfg = {"counts": [[10, 1], [20, 2], [40, 4]],
+               "quadric": {"a": ["x", 1, 1], "n": 5}}
+        self.usage_error(tmp_path, capsys, "fit", cfg, "a")
+
+    def test_epsilon_must_be_a_number(self, tmp_path, capsys):
+        self.usage_error(tmp_path, capsys, "aux", dict(self.AUX, epsilon="abc"), "epsilon")
+        cfg = {"a": [5, 1, 1], "n": 6, "B": 2, "mode": "pipeline", "epsilon": "abc"}
+        self.usage_error(tmp_path, capsys, "quadric", cfg, "epsilon")
 
 
 class TestFitExponent:

@@ -2,12 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from detsieve.determinant import (
     AuxiliaryPolynomial,
     MonomialMatrix,
+    _row_reduce,
     aux_pipeline,
     build_matrix,
     congruence_certificates,
@@ -471,3 +473,162 @@ class TestAuxPipeline:
         b = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=10, seed=9)
         assert [c.outcome for c in a.classes] == [c.outcome for c in b.classes]
         assert a.auxiliaries[0].poly.terms == b.auxiliaries[0].poly.terms
+
+
+# -- the fraction-free elimination against the rational one it replaced -----------
+
+
+def reference_row_reduce(grid):
+    """Gauss-Jordan elimination over Fraction: the oracle for _row_reduce.
+
+    Returns (rank, pivot_cols, pivot_rows, rref restricted to the pivot rows).
+    """
+    rows = [[Fraction(v) for v in r] for r in grid]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    origin = list(range(nrows))
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        origin[r], origin[piv] = origin[piv], origin[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivot_cols, origin[:r], rows[:r]
+
+
+def reference_kernel_terms(M):
+    """Primitive, sign-normalized kernel vector for the first free column,
+    from the rational RREF, as polynomial terms."""
+    _, pivot_cols, _, rref = reference_row_reduce(M.entries)
+    ncols = len(M.cols)
+    pivot_set = set(pivot_cols)
+    free = next(c for c in range(ncols) if c not in pivot_set)
+    vec = [Fraction(0)] * ncols
+    vec[free] = Fraction(1)
+    for k, c in enumerate(pivot_cols):
+        vec[c] = -rref[k][free]
+    denom = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * denom) for v in vec]
+    content = math.gcd(*ints)
+    ints = [v // content for v in ints]
+    if next(v for v in ints if v) < 0:
+        ints = [-v for v in ints]
+    return {e: c for e, c in zip(M.cols, ints) if c}
+
+
+def low_rank_grid(rng, nrows, ncols, rank, bits, sparse):
+    """Product of random nrows x rank and rank x ncols factors; sparse
+    factors put zeros in the way of the pivot search."""
+
+    def entry():
+        if sparse and rng.random() < 0.6:
+            return 0
+        return rng.randrange(-(2**bits), 2**bits + 1)
+
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    return [
+        [sum(a * right[k][j] for k, a in enumerate(row)) for j in range(ncols)]
+        for row in left
+    ]
+
+
+SHAPES = [(1, 1), (1, 7), (7, 1), (3, 3), (5, 9), (9, 5), (12, 4), (4, 12), (8, 8)]
+
+
+def oracle_grids():
+    """Seeded grids over every shape: full and deficient rank, small and
+    200-bit-plus entries, dense and sparse, with zero rows, zero columns
+    and duplicate rows mixed in."""
+    rng = random.Random(20240821)
+    out = [[], [[], []], [[0, 0, 0]], [[0], [0], [0]]]
+    for nrows, ncols in SHAPES:
+        small = min(nrows, ncols)
+        for rank in sorted({0, 1, max(small - 1, 0), small}):
+            for bits in (3, 105):
+                for sparse in (False, True):
+                    grid = low_rank_grid(rng, nrows, ncols, rank, bits, sparse)
+                    out.append(grid)
+                    if nrows > 1:
+                        zero_row = [list(r) for r in grid]
+                        zero_row[rng.randrange(nrows)] = [0] * ncols
+                        out.append(zero_row)
+                        dup = [list(r) for r in grid]
+                        i, j = rng.sample(range(nrows), 2)
+                        dup[j] = list(dup[i])
+                        out.append(dup)
+                    if ncols > 1:
+                        col = rng.randrange(ncols)
+                        out.append([[0 if j == col else v for j, v in enumerate(r)]
+                                    for r in grid])
+    return out
+
+
+class TestEliminationOracle:
+    def test_grids_cover_the_cases(self):
+        grids = oracle_grids()
+        ranks = [reference_row_reduce(g)[0] for g in grids]
+        assert any(r < min(len(g), len(g[0])) for g, r in zip(grids, ranks) if g and g[0])
+        assert any(abs(v).bit_length() > 200 for g in grids for row in g for v in row)
+        assert any(len(set(map(tuple, g))) < len(g) for g in grids if any(map(any, g)))
+
+    def test_rank_and_pivots_match_rational_elimination(self):
+        for grid in oracle_grids():
+            rank, pivot_cols, pivot_rows, echelon = _row_reduce(grid)
+            want = reference_row_reduce(grid)
+            assert (rank, pivot_cols, pivot_rows) == want[:3], grid
+            assert len(echelon) == rank
+            for k, c in enumerate(pivot_cols):
+                # the k-th pivot is the leading (k+1)-minor on the pivot rows
+                minor = [[grid[i][j] for j in pivot_cols[:k + 1]]
+                         for i in pivot_rows[:k + 1]]
+                assert echelon[k][c] == integer_determinant(minor)
+                assert not any(echelon[k][:c])
+
+    def test_rank_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for grid in oracle_grids():
+            if grid and grid[0]:
+                assert _row_reduce(grid)[0] == sympy.Matrix(grid).rank()
+
+    def test_empty_grids(self):
+        assert _row_reduce([]) == (0, [], [], [])
+        assert _row_reduce([[], []]) == (0, [], [], [])
+
+    def test_kernel_polynomial_matches_rational_kernel(self):
+        f = P(3, {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1001})
+        rng = random.Random(1968)
+        cases = 0
+        for trial in range(45):
+            E = staircase(2, 4) if trial % 3 == 0 else staircase(rng.choice((2, 3)), 3)
+            J = rng.randrange(1, 21)
+            if trial % 3 == 0:
+                # coordinates near 2^55: entries of degree four pass 200 bits
+                pts = [tuple(rng.randrange(-(2**55), 2**55) for _ in range(3))
+                       for _ in range(J)]
+            elif trial % 3 == 1:
+                # a plane and repeated points: rank below min(J, E)
+                pts = [(0, rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(J)]
+            else:
+                pts = [tuple(rng.randrange(-4, 5) for _ in range(3)) for _ in range(J)]
+            M = build_matrix(pts, E)
+            if rank_over_rationals(M) == len(E.members):
+                with pytest.raises(ContractViolation, match="no null vector"):
+                    null_space_polynomial(M, f)
+                continue
+            aux = null_space_polynomial(M, f)
+            assert aux.poly.terms == reference_kernel_terms(M)
+            cases += 1
+        assert cases >= 30
