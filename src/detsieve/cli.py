@@ -87,6 +87,16 @@ def _float_field(cfg: dict, key: str, default: float | None = None) -> float:
     return float(v)
 
 
+def _floor_const_field(cfg: dict) -> int | None:
+    """Optional nonnegative 'floor_const'; absent or null means the default."""
+    if cfg.get("floor_const") is None:
+        return None
+    v = _int_field(cfg, "floor_const")
+    if v < 0:
+        raise UsageError("field 'floor_const' must be a nonnegative integer")
+    return v
+
+
 def _poly_field(cfg: dict, key: str) -> IntegerPolynomial:
     obj = _require(cfg, key)
     if not isinstance(obj, dict) or "nvars" not in obj or "terms" not in obj:
@@ -360,10 +370,10 @@ def _run_aux(cfg: dict, seed: int) -> dict:
     residues = None
     if "residue_primes" in cfg:
         residues = ResidueData(tuple(_int_list_field(cfg, "residue_primes")))
-    floor_const = cfg.get("floor_const")
-    if floor_const is not None:
-        floor_const = int(floor_const)
-    scale_override = cfg.get("scale_override")
+    floor_const = _floor_const_field(cfg)
+    scale_override = None
+    if cfg.get("scale_override") is not None:
+        scale_override = _float_field(cfg, "scale_override")
     samples = _int_field(cfg, "minor_samples", 32)
     pts = enumerate_points(f, SideCondition(g, q), box)
     report = aux_pipeline(
@@ -372,12 +382,7 @@ def _run_aux(cfg: dict, seed: int) -> dict:
         floor_const=floor_const, scale_override=scale_override,
     )
     result, certificates, diagnostics = _cover_json(report)
-    dev_count, dev_sum = main_term_deviation(
-        build_exponent_set(
-            report.cutoff, report.params.dominant, box,
-            MonomialOrder.weighted(box.bounds),
-        )
-    )
+    dev_count, dev_sum = main_term_deviation(report.exponent_set)
     diagnostics["main_term_deviation_count"] = _num(
         float(dev_count), "main-term-diagnostic"
     )
@@ -407,8 +412,7 @@ def _run_quadric(cfg: dict, seed: int) -> dict:
     kwargs = {}
     if mode == "pipeline":
         kwargs["epsilon"] = _float_field(cfg, "epsilon", 0.5)
-        if cfg.get("floor_const") is not None:
-            kwargs["floor_const"] = int(cfg["floor_const"])
+        kwargs["floor_const"] = _floor_const_field(cfg)
         kwargs["seed"] = seed
         kwargs["minor_samples"] = _int_field(cfg, "minor_samples", 32)
     out = count_quadric(inst, mode, **kwargs)

@@ -25,11 +25,13 @@ from .exponents import (
     ExactLog,
     ExponentSet,
     MethodParams,
+    _ilog,
     build_exponent_set,
     choose_Y,
     compute_params,
     default_floor_constant,
     shift_multiplicity,
+    staircase_size,
 )
 from .polynomials import (
     IntegerPolynomial,
@@ -550,9 +552,8 @@ class CoverReport:
     threshold: object
     residue_primes: tuple
     residue_product: int
-    cutoff: ExactLog
+    exponent_set: ExponentSet  # the staircase E(Y) at the chosen cutoff
     floor_constant: int
-    set_size: int
     degree_cap: int
     classes: tuple
     auxiliaries: tuple
@@ -561,15 +562,19 @@ class CoverReport:
     coverage_complete: bool
     counts: Mapping[str, int]
 
+    @property
+    def cutoff(self) -> ExactLog:
+        return self.exponent_set.cutoff
+
+    @property
+    def set_size(self) -> int:
+        return len(self.exponent_set)
+
 
 def _degree_cap(box: BoxBounds, cutoff: ExactLog) -> int:
     bmin = box.bmin
     if box.integral and cutoff.height is not None:
-        d, h = 0, 1
-        while h * bmin <= cutoff.height:
-            h *= bmin
-            d += 1
-        return d
+        return _ilog(bmin, cutoff.height)
     with workprec():
         return int(math.floor(float(cutoff.value / mplog(bmin))))
 
@@ -660,18 +665,8 @@ def aux_pipeline(
         classes = residue_split(point_set, residues, f)
         excluded = split_leftover(point_set, classes)
 
-    set_cache: dict = {}
-
-    def staircase(cutoff: ExactLog) -> ExponentSet:
-        key = cutoff.height if cutoff.height is not None else cutoff.value
-        got = set_cache.get(key)
-        if got is None:
-            got = build_exponent_set(cutoff, params.dominant, box, order)
-            set_cache[key] = got
-        return got
-
     def constraint(cutoff: ExactLog) -> bool:
-        count = len(staircase(cutoff))
+        count = staircase_size(cutoff, params.dominant, box)
         with workprec():
             return to_mpf(count) * r * r > threshold * threshold
 
@@ -698,7 +693,7 @@ def aux_pipeline(
                 "no cutoff satisfied the cover constraint after repeated doubling"
             )
 
-    E_set = staircase(cutoff)
+    E_set = build_exponent_set(cutoff, params.dominant, box, order)
     e_count = len(E_set)
     cap = _degree_cap(box, cutoff)
     S = params.side
@@ -828,9 +823,8 @@ def aux_pipeline(
         threshold=threshold,
         residue_primes=residues.primes,
         residue_product=r,
-        cutoff=cutoff,
+        exponent_set=E_set,
         floor_constant=c_floor,
-        set_size=e_count,
         degree_cap=cap,
         classes=tuple(outcomes),
         auxiliaries=tuple(auxiliaries),

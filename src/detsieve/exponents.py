@@ -213,16 +213,23 @@ def satisfies_dominant_condition(e: Sequence[int], m: Sequence[int]) -> bool:
     return any(ei < mi for ei, mi in zip(e, m))
 
 
+def _ilog(b: int, T: int) -> int:
+    """Largest k >= 0 with b^k <= T, for integers b >= 2 and T >= 1."""
+    # b < 2^bitlen(b), so b^k < 2^(bitlen(T) - 1) <= T at this start
+    k = (T.bit_length() - 1) // b.bit_length()
+    h = b ** k
+    while h * b <= T:
+        h *= b
+        k += 1
+    return k
+
+
 def coordinate_caps(box: BoxBounds, cutoff: ExactLog) -> tuple[int, int, int]:
     """Largest k per coordinate with B_i^k <= the cutoff height."""
     caps = []
-    for i, b in enumerate(box.bounds):
+    for b in box.bounds:
         if box.integral and cutoff.height is not None:
-            k, h = 0, 1
-            while h * b <= cutoff.height:
-                h *= b
-                k += 1
-            caps.append(k)
+            caps.append(_ilog(b, cutoff.height))
         else:
             with workprec():
                 caps.append(int(mp.floor(cutoff.value / mplog(b))))
@@ -292,6 +299,42 @@ def build_exponent_set(
         members=tuple(members),
         restricted_members=restricted,
     )
+
+
+def _count_below(T: int, bounds: tuple) -> int:
+    """N(T): the number of e >= 0 with B1^e1 * B2^e2 * B3^e3 <= T."""
+    b1, b2, b3 = bounds
+    total = 0
+    h1 = 1
+    while h1 <= T:
+        T1 = T // h1
+        # two-pointer walk: p = B2^e2 * B3^k with k the largest e3 that fits
+        k = _ilog(b3, T1)
+        p = b3 ** k
+        while k >= 0:
+            total += k + 1
+            p *= b2
+            while k >= 0 and p > T1:
+                p //= b3
+                k -= 1
+        h1 *= b1
+    return total
+
+
+def staircase_size(Y, m: Sequence[int], box: BoxBounds) -> int:
+    """|E(Y)|, the member count of build_exponent_set(Y, m, box), without
+    building a member.
+
+    Members are the e with B^e <= T, the cutoff height, minus those with
+    e >= m in every coordinate, which are m + e' with B^e' <= T // B^m:
+    |E(T)| = N(T) - N(T // B^m).
+    """
+    cutoff = ExactLog.coerce(Y)
+    m = _dominant_vector(m)
+    if not (box.integral and cutoff.height is not None):
+        return len(build_exponent_set(cutoff, m, box))
+    T = cutoff.height
+    return _count_below(T, box.bounds) - _count_below(T // box.height(m), box.bounds)
 
 
 class SetStatistics(tuple):
@@ -563,14 +606,22 @@ def choose_Y(
 ) -> ExactLog:
     """Smallest admissible cutoff of the requested shape.
 
+    The constraint must be monotone in the cutoff: once it holds at a
+    candidate it holds at every larger one.  A constraint on the size of
+    E(Y) is, since E(Y) only grows with Y.  The search probes O(log)
+    candidates and returns the cutoff a scan in increasing order would.
+
     mode 'equal-box': candidates n * log B for integers n, requiring an
-    equal integral box; returns the first n at or above the floor
-    constant whose cutoff satisfies the constraint.
+    equal integral box; returns the first n in [floor constant, hard_cap]
+    whose cutoff satisfies the constraint.  It gallops up from the floor
+    (n, n+1, n+3, n+7, ...), clamped at hard_cap, then bisects, so large
+    n are probed only when the small ones fail.
 
     mode 'grid-scan': grid_points candidates evenly spaced in
     [grid_low, 2*grid_low]; returns the smallest candidate meeting both
     the floor and the constraint.  Candidates snap to exact integer
-    heights when the box is integral.
+    heights when the box is integral.  The last candidate is probed
+    first, so an unsatisfiable grid costs one probe; then it bisects.
     """
     c_floor = floor_const if floor_const is not None else default_floor_constant(epsilon)
     if c_floor < 0:
@@ -580,18 +631,26 @@ def choose_Y(
         if not (box.equal and box.integral):
             raise ContractViolation("equal-box cutoffs need an equal integral box")
         base = box.b1
-        for n in range(max(c_floor, 0), hard_cap + 1):
-            cand = ExactLog.power(base, n)
-            if constraint(cand):
-                return cand
-        raise ContractViolation(
-            f"no cutoff n*log({base}) with n in [{c_floor}, {hard_cap}] "
-            "satisfies the constraint; raise the cap or loosen the constraint"
-        )
+
+        def holds(n: int) -> bool:
+            return constraint(ExactLog.power(base, n))
+
+        lo, hi, step = c_floor, c_floor, 1
+        while hi <= hard_cap and not holds(hi):
+            lo = hi + 1
+            hi = hard_cap + 1 if hi == hard_cap else min(hi + step, hard_cap)
+            step *= 2
+        if hi > hard_cap:
+            raise ContractViolation(
+                f"no cutoff n*log({base}) with n in [{c_floor}, {hard_cap}] "
+                "satisfies the constraint; raise the cap or loosen the constraint"
+            )
+        return ExactLog.power(base, _first_holding(holds, lo, hi))
 
     if mode == "grid-scan":
         if grid_low is None:
             raise ContractViolation("grid-scan needs grid_low")
+        candidates = []
         with workprec():
             low = to_mpf(grid_low)
             if low <= 0:
@@ -614,13 +673,26 @@ def choose_Y(
                     cand = ExactLog.from_height(height)
                 else:
                     cand = ExactLog.from_value(y)
-                if cand.value < floor_value:
-                    continue
-                if constraint(cand):
-                    return cand
-        raise ContractViolation(
-            "no grid candidate in [Z, 2Z] satisfies the floor and the "
-            "constraint; raise Z"
-        )
+                if cand.value >= floor_value:
+                    candidates.append(cand)
+        if not candidates or not constraint(candidates[-1]):
+            raise ContractViolation(
+                "no grid candidate in [Z, 2Z] satisfies the floor and the "
+                "constraint; raise Z"
+            )
+        last = len(candidates) - 1
+        return candidates[_first_holding(lambda i: constraint(candidates[i]), 0, last)]
 
     raise ContractViolation(f"unknown cutoff mode {mode!r}")
+
+
+def _first_holding(holds: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest i in [lo, hi] with holds(i), for a monotone holds that is
+    known true at hi and not probed there again."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi

@@ -310,7 +310,7 @@ class MonomialOrder:
     and prod(height_i^b_i) do.
     """
 
-    __slots__ = ("kind", "heights", "_logs")
+    __slots__ = ("kind", "heights", "exact", "_logs")
 
     def __init__(self, kind: str, heights: tuple | None = None):
         if kind not in ("lex", "weighted"):
@@ -319,8 +319,13 @@ class MonomialOrder:
             if not heights or any(h <= 1 for h in heights):
                 raise ContractViolation("weighted order needs heights > 1")
             heights = tuple(heights)
+        exact = kind == "lex" or all(
+            isinstance(h, int) or (isinstance(h, float) and h.is_integer())
+            for h in heights
+        )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_logs", None)
 
     def __setattr__(self, name, value):
@@ -333,13 +338,6 @@ class MonomialOrder:
     @classmethod
     def weighted(cls, heights) -> "MonomialOrder":
         return cls("weighted", tuple(heights))
-
-    @property
-    def exact(self) -> bool:
-        return self.kind == "lex" or all(
-            isinstance(h, int) or (isinstance(h, float) and h.is_integer())
-            for h in self.heights
-        )
 
     def _weight_key(self, e: ExponentVector):
         if self.exact:

@@ -1,6 +1,7 @@
 """Exit codes, report schema, determinism, slope fitting."""
 
 import json
+import math
 import re
 
 import pytest
@@ -245,6 +246,26 @@ class TestTypedFields:
         self.usage_error(tmp_path, capsys, "aux", dict(self.AUX, epsilon="abc"), "epsilon")
         cfg = {"a": [5, 1, 1], "n": 6, "B": 2, "mode": "pipeline", "epsilon": "abc"}
         self.usage_error(tmp_path, capsys, "quadric", cfg, "epsilon")
+
+
+    def test_floor_const_must_be_a_nonnegative_integer(self, tmp_path, capsys):
+        # "abc" used to escape as a traceback and 2.7 to run as 2
+        for bad in ("abc", 2.7, True, -1, [10]):
+            self.usage_error(tmp_path, capsys, "aux", dict(self.AUX, floor_const=bad),
+                             "floor_const")
+            cfg = {"a": [5, 1, 1], "n": 6, "B": 2, "mode": "pipeline", "floor_const": bad}
+            self.usage_error(tmp_path, capsys, "quadric", cfg, "floor_const")
+
+    def test_scale_override_must_be_a_finite_number(self, tmp_path, capsys):
+        for bad in ("abc", [1], True, math.inf, math.nan):
+            self.usage_error(tmp_path, capsys, "aux", dict(self.AUX, scale_override=bad),
+                             "scale_override")
+
+    def test_floor_const_and_scale_override_accepted(self, tmp_path, capsys):
+        cfg = dict(self.AUX, floor_const=12, scale_override=3)
+        report = invoke_json(tmp_path, capsys, "aux", cfg)
+        assert report["diagnostics"]["floor_constant"]["value"] == 12
+        assert report["diagnostics"]["threshold"]["value"] == 3.0
 
 
 class TestFitExponent:

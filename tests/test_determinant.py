@@ -30,6 +30,7 @@ from detsieve.exponents import (
     ExactLog,
     build_exponent_set,
     side_log_height,
+    staircase_size,
 )
 from detsieve.polynomials import IntegerPolynomial, MonomialOrder
 
@@ -466,6 +467,31 @@ class TestAuxPipeline:
         f, g, box, _ = quadric_instance()
         with pytest.raises(ContractViolation):
             aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, [(1, 1, 1)])
+
+    def test_builds_the_staircase_once(self, monkeypatch):
+        import detsieve.determinant
+        import detsieve.exponents
+
+        built = []
+
+        def counting(*args, **kwargs):
+            E = build_exponent_set(*args, **kwargs)
+            built.append(E)
+            return E
+
+        for module in (detsieve.determinant, detsieve.exponents):
+            monkeypatch.setattr(module, "build_exponent_set", counting)
+        f, g, box, pts = quadric_instance()
+        uneven = BoxBounds(2, 2, 3)
+        uneven_pts = enumerate_points(f, SideCondition(g, 5), uneven)
+        # equal-box search; grid-scan search; grid-scan after one doubling
+        for b, p, kw in ((box, pts, {"floor_const": 10}),
+                         (uneven, uneven_pts, {"floor_const": 10}),
+                         (uneven, uneven_pts, {"floor_const": 10, "scale_override": 40})):
+            built.clear()
+            rep = aux_pipeline(f, g, 5, b, ResidueData(()), 0.5, p, **kw)
+            assert built == [rep.exponent_set]
+            assert rep.set_size == staircase_size(rep.cutoff, rep.params.dominant, b)
 
     def test_deterministic_across_seeds_for_structure(self):
         f, g, box, pts = quadric_instance()

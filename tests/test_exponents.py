@@ -1,5 +1,6 @@
 """Staircase sets, method scalars, lambda sums, cutoff selection."""
 
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from detsieve.exponents import (
     INFINITE,
     BoxBounds,
     ExactLog,
+    _ilog,
     build_exponent_set,
     choose_Y,
     compute_params,
@@ -22,6 +24,7 @@ from detsieve.exponents import (
     shift_floor,
     shift_multiplicity,
     side_log_height,
+    staircase_size,
 )
 from detsieve.polynomials import IntegerPolynomial, MonomialOrder
 
@@ -91,6 +94,69 @@ class TestBuildExponentSet:
             if 4 ** e1 * 8 ** e2 * 16 ** e3 <= 1024
         )
         assert len(E) == naive
+
+
+def test_ilog_is_the_largest_fitting_power():
+    rng = random.Random(3)
+    cases = [(b, T) for b in range(2, 40) for T in range(1, 700)]
+    cases += [(rng.randint(2, 10 ** 6), rng.randint(1, 10 ** 400)) for _ in range(300)]
+    for b, T in cases:
+        k = _ilog(b, T)
+        assert b ** k <= T < b ** (k + 1), (b, T)
+
+
+class TestStaircaseSize:
+    """The counting identity against the members build_exponent_set lists."""
+
+    @staticmethod
+    def built(T, m, box):
+        return len(build_exponent_set(ExactLog.from_height(T), m, box))
+
+    def test_matches_build_on_random_boxes(self):
+        rng = random.Random(20241)
+        for _ in range(300):
+            box = BoxBounds(*(rng.randint(2, 13) for _ in range(3)))
+            m = (0, 0, 0)
+            while not any(m):
+                m = tuple(rng.randint(0, 3) for _ in range(3))
+            T = rng.randint(1, 10 ** rng.randint(1, 9))
+            top = box.height(m)
+            for height in {T, 1, max(1, top - 1), top, top + 1}:
+                got = staircase_size(ExactLog.from_height(height), m, box)
+                assert got == self.built(height, m, box), (box, m, height)
+
+    def test_every_height_boundary(self):
+        # T = B^e sits exactly on the staircase, B^e - 1 just below it
+        for bounds, m in (((2, 3, 5), (2, 0, 0)), ((7, 7, 7), (1, 1, 0)),
+                          ((13, 4, 2), (0, 2, 1))):
+            box = BoxBounds(*bounds)
+            for e in itertools.product(range(4), repeat=3):
+                h = box.height(e)
+                for height in (h, h - 1):
+                    if height >= 1:
+                        got = staircase_size(ExactLog.from_height(height), m, box)
+                        assert got == self.built(height, m, box), (bounds, m, e)
+
+    def test_below_dominant_height_counts_everything(self):
+        # T < B^m: no member can reach e >= m, so |E(T)| = N(T)
+        box = BoxBounds(3, 4, 5)
+        for T in range(1, box.height((2, 1, 0))):
+            assert staircase_size(ExactLog.from_height(T), (2, 1, 0), box) == sum(
+                1 for e in itertools.product(range(6), repeat=3) if box.height(e) <= T
+            )
+
+    def test_equal_box_closed_form(self):
+        # m = (2,0,0) on an equal box: (n+1)^2 members at cutoff n log B
+        for n in (0, 1, 7, 60):
+            assert staircase_size(ExactLog.power(10, n), (2, 0, 0), cube(10)) == (n + 1) ** 2
+
+    def test_non_integral_box_falls_back_to_build(self):
+        box = BoxBounds(2.5, 3, 4)
+        for y in (0.5, 3.0, 7.25):
+            cutoff = ExactLog.from_value(y)
+            assert staircase_size(cutoff, (1, 1, 0), box) == len(
+                build_exponent_set(cutoff, (1, 1, 0), box)
+            )
 
 
 class TestSetStatistics:
@@ -300,6 +366,136 @@ class TestChooseY:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ContractViolation):
             choose_Y("bisect", lambda y: True, box=cube(4))
+
+
+def linear_choose_Y(mode, constraint, *, box, floor_const, hard_cap=512,
+                    grid_low=None, grid_points=64):
+    """The linear scan choose_Y replaced, kept as the reference."""
+    if mode == "equal-box":
+        for n in range(floor_const, hard_cap + 1):
+            cand = ExactLog.power(box.b1, n)
+            if constraint(cand):
+                return cand
+        raise ContractViolation(
+            f"no cutoff n*log({box.b1}) with n in [{floor_const}, {hard_cap}] "
+            "satisfies the constraint; raise the cap or loosen the constraint"
+        )
+    with mp.workprec(96):
+        low = mp.mpf(grid_low)
+        floor_value = floor_const * mp.log(box.bmax)
+        seen = set()
+        for k in range(grid_points):
+            y = low * (1 + mp.mpf(k) / (grid_points - 1))
+            if box.integral:
+                h = mp.exp(y)
+                near = int(mp.nint(h))
+                if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
+                    height = near
+                else:
+                    height = int(mp.floor(h))
+                if height < 1 or height in seen:
+                    continue
+                seen.add(height)
+                cand = ExactLog.from_height(height)
+            else:
+                cand = ExactLog.from_value(y)
+            if cand.value < floor_value:
+                continue
+            if constraint(cand):
+                return cand
+    raise ContractViolation(
+        "no grid candidate in [Z, 2Z] satisfies the floor and the "
+        "constraint; raise Z"
+    )
+
+
+class TestChooseYSearch:
+    """The search returns the linear scan's cutoff in O(log) probes."""
+
+    @staticmethod
+    def step(threshold, probes):
+        # monotone step constraint: holds from the threshold height upward
+        def constraint(cutoff):
+            probes.append(cutoff)
+            return cutoff.value >= threshold
+        return constraint
+
+    def outcome(self, choose, mode, threshold, **kw):
+        probes = []
+        try:
+            got = choose(mode, self.step(threshold, probes), **kw)
+        except ContractViolation as exc:
+            return ("raised", str(exc)), probes
+        return got, probes
+
+    def test_equal_box_matches_linear_scan(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            base = rng.choice((2, 3, 10, 60))
+            c_floor = rng.randint(0, 40)
+            hard_cap = rng.randint(c_floor, 600)
+            target = rng.randint(0, hard_cap + 3)
+            with mp.workprec(96):
+                threshold = target * mp.log(base)
+            kw = dict(box=cube(base), floor_const=c_floor, hard_cap=hard_cap)
+            want, _ = self.outcome(linear_choose_Y, "equal-box", threshold, **kw)
+            got, probes = self.outcome(choose_Y, "equal-box", threshold, **kw)
+            assert got == want, (base, c_floor, hard_cap, target)
+            ns = [_exponent_of(base, p.height) for p in probes]
+            assert all(c_floor <= n <= hard_cap for n in ns)
+            assert len(ns) == len(set(ns))
+            span = hard_cap - c_floor + 1
+            assert len(ns) <= 2 * math.ceil(math.log2(span + 1)) + 1
+            # galloping: nothing beyond twice the distance to the answer
+            if isinstance(got, tuple):
+                continue
+            answer = _exponent_of(base, got.height)
+            assert max(ns) <= c_floor + 2 * (answer - c_floor) + 1
+
+    def test_equal_box_never_probes_cap_for_an_early_answer(self):
+        # counting at 60^512 is the slow case; an answer at n = 13 must
+        # never reach it
+        probes = []
+        with mp.workprec(96):
+            threshold = 13 * mp.log(60)
+        got = choose_Y("equal-box", self.step(threshold, probes),
+                       box=cube(60), floor_const=10, hard_cap=512)
+        assert got.height == 60 ** 13
+        assert max(_exponent_of(60, p.height) for p in probes) <= 17
+
+    def test_grid_scan_matches_linear_scan(self):
+        rng = random.Random(11)
+        boxes = (BoxBounds(4, 8, 16), BoxBounds(12, 20, 30), BoxBounds(2.5, 3, 4))
+        for _ in range(120):
+            box = rng.choice(boxes)
+            c_floor = rng.randint(0, 12)
+            with mp.workprec(96):
+                low = mp.mpf(rng.uniform(1, 60))
+                threshold = low * mp.mpf(rng.uniform(0.5, 2.2))
+            points = rng.choice((2, 7, 64))
+            kw = dict(box=box, floor_const=c_floor, grid_low=low, grid_points=points)
+            want, _ = self.outcome(linear_choose_Y, "grid-scan", threshold, **kw)
+            got, probes = self.outcome(choose_Y, "grid-scan", threshold, **kw)
+            assert got == want, (box, c_floor, low, threshold)
+            # a scan that never succeeds probes exactly the candidate list
+            _, candidates = self.outcome(linear_choose_Y, "grid-scan", math.inf, **kw)
+            assert all(p in candidates for p in probes)
+            assert len(probes) <= math.ceil(math.log2(points)) + 1
+            if isinstance(got, tuple):
+                assert len(probes) <= 1
+
+    def test_grid_scan_unsatisfiable_costs_one_probe(self):
+        probes = []
+        with pytest.raises(ContractViolation, match="raise Z"):
+            choose_Y("grid-scan", self.step(10 ** 6, probes),
+                     box=BoxBounds(4, 8, 16), floor_const=0, grid_low=5)
+        assert len(probes) == 1
+
+
+def _exponent_of(base, height):
+    n = round(math.log(height, base))
+    assert base ** n == height
+    return n
 
 
 def staircase_at(cutoff, box):
