@@ -9,17 +9,20 @@ congruence machinery slice by slice.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
+from .arith import divisors, is_prime
 from .determinant import CoverReport, aux_pipeline
 from .enumeration import PointSet, SideCondition, enumerate_points
 from .errors import ContractViolation, SoundnessError
 from .exponents import BoxBounds
 from .polynomials import IntegerPolynomial, RationalUniPoly, wronskian
-from mpmath import mp
+from mpmath import mp, mpf
 
 from .scalars import to_mpf, workprec
 
@@ -252,8 +255,11 @@ def build_slice(
     kp = h.total_degree()
     linear = IntegerPolynomial(3, {(0, 0, 0): u - gamma, (1, 0, 0): -alpha})
     h_u = IntegerPolynomial.zero(3)
+    pows = [IntegerPolynomial.constant(3, 1)]  # pows[j] = linear ** j
     for j, cj in h.coefficients_in(3).items():
-        h_u = h_u + cj.drop_variable(3) * (linear ** j) * (beta ** (kp - j))
+        while len(pows) <= j:
+            pows.append(pows[-1] * linear)
+        h_u = h_u + cj.drop_variable(3) * pows[j] * (beta ** (kp - j))
     slice_poly = h_u * u + g * (beta ** kp)
     return ThreefoldSlice(
         alpha=alpha, beta=beta, gamma=gamma, h=h, g=g, u=u,
@@ -358,40 +364,62 @@ class GcdPowerSum:
     terms: int
 
 
+def _positive_int(v, name: str) -> int:
+    if isinstance(v, bool):
+        raise ContractViolation(f"{name} must be an integer, not a bool")
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ContractViolation(f"{name} must be an integer") from None
+    if v < 1:
+        raise ContractViolation(f"{name} must be positive")
+    return v
+
+
+def _power_table(a, X: int) -> list:
+    """[None, 1^a, 2^a, ..., X^a] from one power per prime.
+
+    A smallest-prime-factor sieve writes each composite u as p * (u // p),
+    so u^a = p^a * (u // p)^a costs one product and the entry carries at
+    most Omega(u) roundings.
+    """
+    spf = [0] * (X + 1)
+    # the smallest prime is assigned last, so it is the one that stays
+    for p in reversed([p for p in range(2, math.isqrt(X) + 1) if is_prime(p)]):
+        spf[p * p::p] = [p] * len(range(p * p, X + 1, p))
+    pw = [None, to_mpf(1)]
+    for u in range(2, X + 1):
+        p = spf[u]
+        pw.append(mpf(u) ** a if p == 0 else pw[p] * pw[u // p])
+    return pw
+
+
 def gcd_power_sum(alpha, X: int, n: int) -> GcdPowerSum:
     """Sum of (u / gcd(u, n))^alpha for u up to X, with its divisor majorant.
 
-    The majorant sums u^alpha for u up to X/d over every divisor d of n;
-    each term of the twisted sum injects into it, so total <= majorant
-    holds term by term.
+    The majorant sums u^alpha for u up to X/d over every divisor d of n.
+    Both sums read one table of u^alpha for u <= X (see ``_power_table``)
+    and are added by ``mp.fsum``, which adds the mantissas exactly and
+    rounds once: the terms lie in [X^alpha, 1], far inside the exponent
+    window in which ``fsum`` drops nothing.  Each term of the twisted sum
+    injects into the majorant's terms as the very same table entry
+    (u -> (d, u/d) with d = gcd(u, n)), and every term is positive, so the
+    exact total is at most the exact majorant; rounding once is monotone,
+    so total <= majorant survives it.  ``X`` and ``n`` must be positive
+    ints; anything else, bools included, is a ``ContractViolation``.
     """
     alpha_f = float(alpha)
     if not -1.0 < alpha_f < 0.0:
         raise ContractViolation("exponent must lie strictly between -1 and 0")
-    X, n = int(X), int(n)
-    if X < 1 or n < 1:
-        raise ContractViolation("range and twist must be positive")
+    X = _positive_int(X, "range X")
+    n = _positive_int(n, "twist n")
+    divs = divisors(n)
     with workprec():
-        a = to_mpf(alpha)
-        cache: dict[int, object] = {}
-
-        def upow(u: int):
-            got = cache.get(u)
-            if got is None:
-                got = to_mpf(u) ** a
-                cache[u] = got
-            return got
-
-        total = sum((upow(u // math.gcd(u, n)) for u in range(1, X + 1)),
-                    to_mpf(0))
-        divs = [d for d in range(1, n + 1) if n % d == 0]
-        majorant = to_mpf(0)
-        count = X
-        for d in divs:
-            for u in range(1, X // d + 1):
-                majorant += upow(u)
-                count += 1
-        return GcdPowerSum(total=total, majorant=majorant, terms=count)
+        pw = _power_table(to_mpf(alpha), X)
+        total = mp.fsum(pw[u // math.gcd(u, n)] for u in range(1, X + 1))
+        majorant = mp.fsum(chain.from_iterable(pw[1:X // d + 1] for d in divs))
+    terms = X + sum(X // d for d in divs)
+    return GcdPowerSum(total=total, majorant=majorant, terms=terms)
 
 
 # -- Wronskian exclusion ----------------------------------------------------------

@@ -66,6 +66,19 @@ def _horner(coeffs: Sequence[int], x: int) -> int:
     return v
 
 
+def _z_groups(p: IntegerPolynomial) -> list[list[tuple[int, int]]]:
+    """The terms c * x2^e2 * x3^e3 of p, listed by e3 as (e2, c); x1 is ignored."""
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(p.degree_in(2) + 1)]
+    for (_, e2, e3), c in p.terms.items():
+        groups[e3].append((e2, c))
+    return groups
+
+
+def _z_row(groups: list[list[tuple[int, int]]], y: int) -> list[int]:
+    """Dense x3-coefficients of p(., y, x3), from ``_z_groups(p)``."""
+    return [sum(c * y ** e2 for e2, c in group) for group in groups]
+
+
 def _integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     """All integer roots of the nonzero polynomial sum(coeffs[k] x^k) in [lo, hi].
 
@@ -149,8 +162,11 @@ def enumerate_points(
     """Exact enumeration of the congruence-constrained surface points.
 
     Fibers over admissible (x2, x3); each fiber reduces to integer root
-    finding for f(., x2, x3).  A fiber polynomial that vanishes
-    identically contributes its full x1 range.
+    finding for f(., x2, x3).  Rows x2 = y come outermost: the
+    x1-coefficients of f are reduced to dense polynomials in x3 once per
+    row, and each fiber evaluates them by Horner's rule at its x3.  A
+    fiber polynomial that vanishes identically contributes its full x1
+    range.
     """
     if f.nvars != 3:
         raise ContractViolation("surface polynomial must use arity 3")
@@ -161,15 +177,21 @@ def enumerate_points(
     b1, b2, b3 = box.bounds
     q = side.q
     coeff_polys = f.coefficients_in(0)
-    deg1 = f.degree_in(0)
+    zero = IntegerPolynomial.zero(3)
+    # c_j(x2, x3) = coefficient of x1^j, grouped once so each row y costs
+    # one pass over the terms and each fiber one Horner per j
+    coeff_groups = [_z_groups(coeff_polys.get(j, zero))
+                    for j in range(f.degree_in(0) + 1)]
     grads = [f.partial_derivative(i) for i in range(3)]
 
     points: list[tuple] = []
 
-    def visit_fiber(y: int, z: int) -> None:
-        dense = [0] * (deg1 + 1)
-        for j, pj in coeff_polys.items():
-            dense[j] = pj.evaluate((0, y, z))
+    def row_at(y: int) -> list[list[int]]:
+        """For each x1-power j, the dense x3-coefficients of c_j(y, x3)."""
+        return [_z_row(groups, y) for groups in coeff_groups]
+
+    def visit_fiber(row: list[list[int]], y: int, z: int) -> None:
+        dense = [_horner(zc, z) for zc in row]
         if any(dense):
             xs = _integer_roots(dense, -b1, b1)
         else:
@@ -180,28 +202,25 @@ def enumerate_points(
                 continue
             points.append(pt)
 
-    if q == 1:
-        for y in range(-b2, b2 + 1):
-            for z in range(-b3, b3 + 1):
-                visit_fiber(y, z)
-    elif q * q <= SIEVE_TABLE_CAP:
+    if q * q <= SIEVE_TABLE_CAP:
+        # q = 1 runs here too: its table is {0: [0]}, every fiber of the box
         table = _residue_table(side.g, q)
-        for r2 in sorted(table):
-            row = table[r2]
-            y = -b2 + ((r2 + b2) % q)
-            while y <= b2:
-                for r3 in row:
-                    z = -b3 + ((r3 + b3) % q)
-                    while z <= b3:
-                        visit_fiber(y, z)
-                        z += q
-                y += q
-    else:
-        g = side.g
         for y in range(-b2, b2 + 1):
+            r3s = table.get(y % q)
+            if not r3s:
+                continue
+            row = row_at(y)
+            for r3 in r3s:
+                for z in range(-b3 + ((r3 + b3) % q), b3 + 1, q):
+                    visit_fiber(row, y, z)
+    else:
+        g_groups = _z_groups(side.g)
+        for y in range(-b2, b2 + 1):
+            row = row_at(y)
+            g_row = _z_row(g_groups, y)
             for z in range(-b3, b3 + 1):
-                if g.evaluate((0, y, z)) % q == 0:
-                    visit_fiber(y, z)
+                if _horner(g_row, z) % q == 0:
+                    visit_fiber(row, y, z)
 
     points.sort()
     return PointSet(tuple(points), box, nonsingular_only)

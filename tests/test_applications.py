@@ -9,6 +9,7 @@ from mpmath import mp
 
 from detsieve.applications import (
     QuadricInstance,
+    _alternating_factor,
     UnlikePowersInstance,
     build_slice,
     count_quadric,
@@ -147,6 +148,27 @@ class TestBuildSlice:
         lhs = 3**2 * h.evaluate((0, 5, 6, 2))
         assert sl.h_u.evaluate((0, 5, 6)) == lhs
 
+    def test_matches_binary_power_formula(self):
+        # the old construction, which raised the linear form to each power
+        # j from scratch, is the reference for the incremental powers
+        def reference_h_u(alpha, beta, gamma, h, u):
+            kp = h.total_degree()
+            linear = P(3, {(0, 0, 0): u - gamma, (1, 0, 0): -alpha})
+            out = P.zero(3)
+            for j, cj in h.coefficients_in(3).items():
+                out = out + cj.drop_variable(3) * (linear ** j) * (beta ** (kp - j))
+            return out
+
+        g = P(3, {(0, 5, 0): 1, (0, 0, 3): 1, (0, 0, 0): -100})
+        sparse = P(4, {(0, 0, 0, 7): 2, (1, 1, 0, 3): -1, (0, 2, 1, 0): 5})
+        for h in (_alternating_factor(13), _alternating_factor(15), sparse):
+            for alpha, beta, gamma in ((1, 1, 0), (2, -3, 5)):
+                for u in range(-24, 25):
+                    if u == 0:
+                        continue
+                    sl = build_slice(alpha, beta, gamma, h, g, u)
+                    assert sl.h_u == reference_h_u(alpha, beta, gamma, h, u)
+
     def test_modulus_strips_beta_powers(self):
         h = P(4, {(0, 0, 0, 2): 1})
         g = P(3, {(0, 1, 0): 1})
@@ -260,6 +282,64 @@ class TestGcdPowerSum:
         for bad in (0, -1, -1.5, 0.5):
             with pytest.raises(ContractViolation):
                 gcd_power_sum(bad, 10, 2)
+
+    def test_integer_arguments_not_truncated(self):
+        # each of these used to run on a silently truncated integer
+        with pytest.raises(ContractViolation, match="range X must be an integer"):
+            gcd_power_sum(-0.5, 10.7, 3)
+        with pytest.raises(ContractViolation, match="range X must be an integer"):
+            gcd_power_sum(-0.5, True, 3)
+        with pytest.raises(ContractViolation, match="twist n must be an integer"):
+            gcd_power_sum(-0.5, 10, 2.9)
+        with pytest.raises(ContractViolation, match="twist n must be an integer"):
+            gcd_power_sum(-0.5, 10, False)
+        with pytest.raises(ContractViolation, match="range X must be an integer"):
+            gcd_power_sum(-0.5, "10", 3)
+        with pytest.raises(ContractViolation, match="must be positive"):
+            gcd_power_sum(-0.5, 0, 3)
+        with pytest.raises(ContractViolation, match="must be positive"):
+            gcd_power_sum(-0.5, 10, -2)
+
+    def test_matches_sequential_reference(self):
+        # the earlier implementation: one mpf power per distinct value and a
+        # rounded add per term, over every d in 1..n that divides n
+        def sequential(alpha, X, n):
+            with mp.workprec(96):
+                a = mp.mpf(alpha)
+                cache = {}
+
+                def upow(u):
+                    if u not in cache:
+                        cache[u] = mp.mpf(u) ** a
+                    return cache[u]
+
+                total = sum((upow(u // math.gcd(u, n)) for u in range(1, X + 1)),
+                            mp.mpf(0))
+                majorant = mp.mpf(0)
+                terms = X
+                for d in range(1, n + 1):
+                    if n % d == 0:
+                        for u in range(1, X // d + 1):
+                            majorant += upow(u)
+                            terms += 1
+                return total, majorant, terms
+
+        rng = random.Random(4242)
+        draws = [(-rng.uniform(0.02, 0.98), X, n) for X, n in (
+            (1, 1), (1, 720), (997, 12), (1009, 1), (7, 360), (30, 997))]
+        draws += [(-rng.uniform(0.02, 0.98), 10 ** 4, n) for n in (720, 840, 997)]
+        for _ in range(200):
+            X = int(math.exp(rng.uniform(0, math.log(3000))))
+            draws.append((-rng.uniform(0.02, 0.98), X, rng.randrange(1, 1001)))
+        for alpha, X, n in draws:
+            got = gcd_power_sum(alpha, X, n)
+            total, majorant, terms = sequential(alpha, X, n)
+            assert got.terms == terms
+            assert got.total <= got.majorant, (alpha, X, n)
+            tol = 4 * terms * mp.mpf(2) ** -96
+            with mp.workprec(192):
+                assert abs(got.total - total) <= tol * total, (alpha, X, n)
+                assert abs(got.majorant - majorant) <= tol * majorant, (alpha, X, n)
 
 
 class TestWronskianBoundCheck:

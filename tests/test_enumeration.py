@@ -139,6 +139,68 @@ class TestEnumeratePoints:
         without = list(enumerate_points(f, SideCondition(g, 5), box))
         assert with_table == without
 
+    @staticmethod
+    def _mixed_surface(rng, deg1):
+        """f = sum_j x1^j c_j(x2, x3) with joint x2*x3 terms in the c_j."""
+        terms = {}
+        for j in range(deg1 + 1):
+            for _ in range(rng.randrange(1, 4)):
+                e = (j, rng.randrange(4), rng.randrange(4))
+                terms[e] = terms.get(e, 0) + rng.randrange(-4, 5)
+            joint = (j, rng.randrange(1, 3), rng.randrange(1, 3))
+            terms[joint] = terms.get(joint, 0) + rng.choice([-3, -1, 1, 2])
+        terms[(0, 0, 0)] = rng.randrange(-6, 7)
+        return poly3(terms)
+
+    def test_row_evaluation_matches_naive_box_loop(self, monkeypatch):
+        # fibers are evaluated from per-row coefficients: compare every
+        # branch (residue table, q = 1, direct congruence test) with the
+        # naive loop over the whole box, with and without the singular filter
+        rng = random.Random(406)
+        table_cap = enumeration.SIEVE_TABLE_CAP
+        box = BoxBounds(3, 7, 11)
+        b1, b2, b3 = (int(b) for b in box.bounds)
+        cube = [(x1, x2, x3) for x1 in range(-b1, b1 + 1)
+                for x2 in range(-b2, b2 + 1) for x3 in range(-b3, b3 + 1)]
+        for trial in range(20):
+            f = self._mixed_surface(rng, trial % 5)
+            if f.is_zero:
+                continue
+            g = poly3({(0, rng.randrange(1, 3), 0): rng.choice([1, 2]),
+                       (0, 1, 1): rng.randrange(-2, 3),
+                       (0, 0, rng.randrange(1, 3)): 1,
+                       (0, 0, 0): rng.randrange(-5, 6)})
+            grads = [f.partial_derivative(i) for i in range(3)]
+            on_f = [pt for pt in cube if f.evaluate(pt) == 0]
+            smooth = [pt for pt in on_f if any(gr.evaluate(pt) for gr in grads)]
+            for q in (1, 2, 3, 5, 7):
+                for cap in (table_cap, 0):
+                    monkeypatch.setattr(enumeration, "SIEVE_TABLE_CAP", cap)
+                    for nonsingular, pool in ((False, on_f), (True, smooth)):
+                        got = enumerate_points(f, SideCondition(g, q), box,
+                                               nonsingular_only=nonsingular)
+                        want = [pt for pt in pool if g.evaluate(pt) % q == 0]
+                        assert list(got) == want, (trial, q, cap, nonsingular)
+
+    def test_fibers_never_evaluate_polynomials(self, monkeypatch):
+        # without the singular filter no IntegerPolynomial is evaluated at
+        # a point: coefficients come from the rows, congruences from Horner
+        f = poly3({(2, 0, 0): 5, (1, 1, 1): 1, (0, 2, 0): 1, (0, 0, 2): 1,
+                   (0, 0, 0): -6})
+        g = poly3({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+        box = BoxBounds(4, 5, 6)
+        want = {q: list(enumerate_points(f, SideCondition(g, q), box))
+                for q in (1, 5)}
+
+        def refuse(self, point):
+            raise AssertionError("per-point evaluation")
+
+        monkeypatch.setattr(P, "evaluate", refuse)
+        for q in (1, 5):
+            assert list(enumerate_points(f, SideCondition(g, q), box)) == want[q]
+        monkeypatch.setattr(enumeration, "SIEVE_TABLE_CAP", 1)
+        assert list(enumerate_points(f, SideCondition(g, 5), box)) == want[5]
+
     def test_side_condition_validation(self):
         with pytest.raises(ContractViolation):
             SideCondition(P.constant(3, 2), 5)  # constant g
