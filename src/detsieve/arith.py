@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from .errors import ContractViolation
 
 # deterministic Miller-Rabin witnesses for n < 3.3 * 10^24

@@ -2,8 +2,8 @@
 
 Configs carry polynomials as explicit term lists, never expressions.
 Reports wrap every number with a provenance tag, serialize counts as
-decimal strings, and are byte-identical for a fixed config and seed
-regardless of the parallelism degree.
+decimal strings, and are byte-identical for a fixed config and seed.
+A list config runs its instances one after another, in input order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,10 +122,7 @@ def _poly_field(cfg: dict, key: str) -> IntegerPolynomial:
 
 
 def _box_field(cfg: dict, key: str = "box") -> BoxBounds:
-    v = _require(cfg, key)
-    if not isinstance(v, list) or len(v) != 3:
-        raise UsageError(f"field '{key}' must be a list of three bounds")
-    return BoxBounds(*v)
+    return BoxBounds(*_int_list_field(cfg, key, 3))
 
 
 # -- serialization helpers ----------------------------------------------------------
@@ -302,7 +298,7 @@ def _run_enumerate(cfg: dict, seed: int) -> dict:
     return {
         "instance": {
             "f": _poly_json(f), "g": _poly_json(g),
-            "q": _count(q), "box": [int(b) for b in box.bounds],
+            "q": _count(q), "box": list(box.bounds),
             "nonsingular_only": nonsingular,
         },
         "result": {
@@ -339,7 +335,7 @@ def _run_certify(cfg: dict, seed: int) -> dict:
     return {
         "instance": {
             "f": _poly_json(f), "g": _poly_json(g),
-            "q": _count(q), "box": [int(b) for b in box.bounds],
+            "q": _count(q), "box": list(box.bounds),
             "cutoff": _cutoff_json(cutoff),
         },
         "result": {
@@ -393,7 +389,7 @@ def _run_aux(cfg: dict, seed: int) -> dict:
     return {
         "instance": {
             "f": _poly_json(f), "g": _poly_json(g),
-            "q": _count(q), "box": [int(b) for b in box.bounds],
+            "q": _count(q), "box": list(box.bounds),
             "epsilon": _flt(epsilon),
         },
         "result": result,
@@ -579,22 +575,18 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True)
         p.add_argument("--out")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
     return parser
 
 
-def run(command: str, config, seed: int = 0, threads: int = 1) -> object:
+def run(command: str, config, seed: int = 0) -> object:
     """Execute one command over a config document.
 
     A dict config yields a single report object; a list yields a list of
-    per-instance reports computed independently (and in parallel when
-    threads > 1), assembled in input order.
+    per-instance reports computed independently, in input order.
     """
     handler = _HANDLERS.get(command)
     if handler is None:
         raise UsageError(f"unknown command '{command}'")
-    if threads < 1:
-        raise UsageError("threads must be positive")
 
     def one(cfg) -> dict:
         if not isinstance(cfg, dict):
@@ -611,10 +603,7 @@ def run(command: str, config, seed: int = 0, threads: int = 1) -> object:
     if isinstance(config, dict):
         return one(config)
     if isinstance(config, list):
-        if threads == 1:
-            return [one(c) for c in config]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, config))
+        return [one(c) for c in config]
     raise UsageError("config must be an object or a list of objects")
 
 
@@ -628,7 +617,7 @@ def main(argv=None) -> int:
             raise UsageError(f"cannot read config: {exc}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}")
-        report = run(args.command, config, seed=args.seed, threads=args.threads)
+        report = run(args.command, config, seed=args.seed)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

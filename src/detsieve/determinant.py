@@ -571,14 +571,6 @@ class CoverReport:
         return len(self.exponent_set)
 
 
-def _degree_cap(box: BoxBounds, cutoff: ExactLog) -> int:
-    bmin = box.bmin
-    if box.integral and cutoff.height is not None:
-        return _ilog(bmin, cutoff.height)
-    with workprec():
-        return int(math.floor(float(cutoff.value / mplog(bmin))))
-
-
 def _hypothesis_route(g: IntegerPolynomial, q: int, box: BoxBounds) -> str:
     c0 = g.constant_term()
     if math.gcd(q, c0) == 1:
@@ -671,7 +663,7 @@ def aux_pipeline(
             return to_mpf(count) * r * r > threshold * threshold
 
     c_floor = floor_const if floor_const is not None else default_floor_constant(epsilon)
-    if box.equal and box.integral:
+    if box.equal:
         cutoff = choose_Y(
             "equal-box", constraint, box=box, floor_const=c_floor, hard_cap=hard_cap
         )
@@ -695,7 +687,7 @@ def aux_pipeline(
 
     E_set = build_exponent_set(cutoff, params.dominant, box, order)
     e_count = len(E_set)
-    cap = _degree_cap(box, cutoff)
+    cap = _ilog(box.bmin, cutoff.height)
     S = params.side
     rng = random.Random(seed)
 

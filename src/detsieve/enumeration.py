@@ -172,8 +172,6 @@ def enumerate_points(
         raise ContractViolation("surface polynomial must use arity 3")
     if f.is_zero:
         raise ContractViolation("surface polynomial is zero")
-    if not box.integral:
-        raise ContractViolation("enumeration needs integer box bounds")
     b1, b2, b3 = box.bounds
     q = side.q
     coeff_polys = f.coefficients_in(0)

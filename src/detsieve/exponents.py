@@ -5,11 +5,11 @@ below a log-height cutoff, the scalar parameters controlling how many
 auxiliary curves a cover needs, and the per-column shift multiplicities
 that the determinant reduction factors out.
 
-Exactness policy: whenever the box bounds are integers and the cutoff is
-the log of a known integer, every membership test and every floor is
+Exactness policy: box bounds are integers and every cutoff is the log
+of a known integer height T, so every membership test and every floor is
 decided by integer comparisons of the form B1^e1 * B2^e2 * B3^e3 <= T.
-Floating point (96-bit mpf) only enters for non-integral boxes and for
-the smooth parameters themselves.
+Floating point (96-bit mpf) only enters the smooth parameters and the
+log-scale grid that proposes cutoff heights.
 """
 
 from __future__ import annotations
@@ -34,30 +34,21 @@ _FLOOR_ITER_CAP = 20000
 # -- boxes ------------------------------------------------------------------
 
 
-def _canonical_bound(b):
-    if isinstance(b, bool):
-        raise ContractViolation("box bound must be a number")
-    if isinstance(b, int):
-        return b
-    bf = float(b)
-    return int(bf) if bf.is_integer() else bf
-
-
 @dataclass(frozen=True)
 class BoxBounds:
-    """Coordinate bounds B1, B2, B3 of the search box, each at least 2."""
+    """Coordinate bounds B1, B2, B3 of the search box: integers, each at
+    least 2.  A non-integral bound counts the same points as its floor."""
 
-    b1: int | float
-    b2: int | float
-    b3: int | float
+    b1: int
+    b2: int
+    b3: int
 
     def __post_init__(self):
         for b in (self.b1, self.b2, self.b3):
-            if _canonical_bound(b) < 2:
+            if isinstance(b, bool) or not isinstance(b, int):
+                raise ContractViolation(f"box bound {b!r} must be an integer")
+            if b < 2:
                 raise ContractViolation(f"box bound {b} is below 2")
-        object.__setattr__(self, "b1", _canonical_bound(self.b1))
-        object.__setattr__(self, "b2", _canonical_bound(self.b2))
-        object.__setattr__(self, "b3", _canonical_bound(self.b3))
 
     @property
     def bounds(self) -> tuple:
@@ -72,10 +63,6 @@ class BoxBounds:
         return max(self.bounds)
 
     @property
-    def integral(self) -> bool:
-        return all(isinstance(b, int) for b in self.bounds)
-
-    @property
     def equal(self) -> bool:
         return self.b1 == self.b2 == self.b3
 
@@ -83,44 +70,33 @@ class BoxBounds:
         return tuple(mplog(b) for b in self.bounds)
 
     def height(self, e: Sequence[int]) -> int:
-        """Exact integer B^e; only valid for integral boxes."""
-        if not self.integral:
-            raise ContractViolation("exact height needs integer box bounds")
+        """Exact integer B^e."""
         h = 1
         for b, k in zip(self.bounds, e):
             if k:
                 h *= b ** int(k)
         return h
 
-    def log_height(self, e: Sequence[int]):
-        with workprec():
-            return sum(k * lg for k, lg in zip(e, self.log_heights()))
-
 
 # -- log-height cutoffs -----------------------------------------------------
 
 
 class ExactLog:
-    """A nonnegative log-scale quantity, optionally log of a known integer.
+    """log T for a known positive integer height T.
 
     Used for the staircase cutoff and for the side condition's top
-    log-height, so comparisons against monomial heights stay exact
-    whenever an integer representation exists.
+    log-height, so comparisons against monomial heights are integer
+    comparisons against T; value is the 96-bit log of T, for the smooth
+    parameters and the log-scale grid.
     """
 
     __slots__ = ("value", "height")
 
-    def __init__(self, value, height: int | None):
-        if height is not None:
-            height = int(height)
-            if height < 1:
-                raise ContractViolation("height must be a positive integer")
-            value = mplog(height)
-        else:
-            value = to_mpf(value)
-        if value < 0:
-            raise ContractViolation("log-scale quantity must be nonnegative")
-        object.__setattr__(self, "value", value)
+    def __init__(self, height: int):
+        height = int(height)
+        if height < 1:
+            raise ContractViolation("height must be a positive integer")
+        object.__setattr__(self, "value", mplog(height))
         object.__setattr__(self, "height", height)
 
     def __setattr__(self, name, v):
@@ -128,45 +104,29 @@ class ExactLog:
 
     @classmethod
     def from_height(cls, height: int) -> "ExactLog":
-        return cls(None, height)
-
-    @classmethod
-    def from_value(cls, value) -> "ExactLog":
-        return cls(value, None)
+        return cls(height)
 
     @classmethod
     def power(cls, base: int, n: int) -> "ExactLog":
         """log(base^n) held exactly."""
         if base < 2 or n < 0:
             raise ContractViolation("power cutoff needs base >= 2 and n >= 0")
-        return cls(None, base ** n)
-
-    @classmethod
-    def coerce(cls, y) -> "ExactLog":
-        if isinstance(y, ExactLog):
-            return y
-        return cls.from_value(y)
+        return cls(base ** n)
 
     @classmethod
     def box_height(cls, box: BoxBounds, e: Sequence[int]) -> "ExactLog":
-        if box.integral:
-            return cls.from_height(box.height(e))
-        return cls.from_value(box.log_height(e))
+        return cls(box.height(e))
 
     def __repr__(self):
-        if self.height is not None:
-            return f"ExactLog(log {self.height})"
-        return f"ExactLog({float(self.value)!r})"
+        return f"ExactLog(log {self.height})"
 
     def __eq__(self, other):
         if not isinstance(other, ExactLog):
             return NotImplemented
-        if self.height is not None and other.height is not None:
-            return self.height == other.height
-        return self.value == other.value
+        return self.height == other.height
 
     def __hash__(self):
-        return hash(self.height if self.height is not None else self.value)
+        return hash(self.height)
 
 
 # -- staircase sets ----------------------------------------------------------
@@ -209,10 +169,6 @@ class ExponentSet:
         return len(self.members)
 
 
-def satisfies_dominant_condition(e: Sequence[int], m: Sequence[int]) -> bool:
-    return any(ei < mi for ei, mi in zip(e, m))
-
-
 def _ilog(b: int, T: int) -> int:
     """Largest k >= 0 with b^k <= T, for integers b >= 2 and T >= 1."""
     # b < 2^bitlen(b), so b^k < 2^(bitlen(T) - 1) <= T at this start
@@ -224,71 +180,41 @@ def _ilog(b: int, T: int) -> int:
     return k
 
 
-def coordinate_caps(box: BoxBounds, cutoff: ExactLog) -> tuple[int, int, int]:
-    """Largest k per coordinate with B_i^k <= the cutoff height."""
-    caps = []
-    for b in box.bounds:
-        if box.integral and cutoff.height is not None:
-            caps.append(_ilog(b, cutoff.height))
-        else:
-            with workprec():
-                caps.append(int(mp.floor(cutoff.value / mplog(b))))
-    return tuple(caps)
-
-
 def build_exponent_set(
-    Y,
+    cutoff: ExactLog,
     m: Sequence[int],
     box: BoxBounds,
     order: MonomialOrder | None = None,
 ) -> ExponentSet:
-    """Enumerate the staircase set below cutoff Y for dominant exponent m.
+    """Enumerate the staircase set below the cutoff for dominant exponent m.
 
-    Y may be a number (natural log scale) or an ExactLog.  Members come
-    out sorted by the active order, which defaults to the box-weighted
-    order with lexicographic ties.
+    Members are the e with B^e <= T, the cutoff height, and e_i < m_i in
+    at least one coordinate.  They come out sorted by the active order,
+    which defaults to the box-weighted order with lexicographic ties.
     """
-    cutoff = ExactLog.coerce(Y)
     m = _dominant_vector(m)
     if order is None:
         order = MonomialOrder.weighted(box.bounds)
-    exact = box.integral and cutoff.height is not None
     T = cutoff.height
+    b1, b2, b3 = box.bounds
     members = []
-    if exact:
-        b1, b2, b3 = box.bounds
-        h1 = 1
-        e1 = 0
-        while h1 <= T:
-            h12 = h1
-            e2 = 0
-            while h12 <= T:
-                h = h12
-                e3 = 0
-                while h <= T:
-                    if e1 < m[0] or e2 < m[1] or e3 < m[2]:
-                        members.append((e1, e2, e3))
-                    h *= b3
-                    e3 += 1
-                h12 *= b2
-                e2 += 1
-            h1 *= b1
-            e1 += 1
-    else:
-        caps = coordinate_caps(box, cutoff)
-        logs = box.log_heights()
-        with workprec():
-            for e1 in range(caps[0] + 1):
-                for e2 in range(caps[1] + 1):
-                    base = e1 * logs[0] + e2 * logs[1]
-                    if base > cutoff.value:
-                        break
-                    for e3 in range(caps[2] + 1):
-                        if base + e3 * logs[2] > cutoff.value:
-                            break
-                        e = (e1, e2, e3)
-                        if satisfies_dominant_condition(e, m):
-                            members.append(e)
+    h1 = 1
+    e1 = 0
+    while h1 <= T:
+        h12 = h1
+        e2 = 0
+        while h12 <= T:
+            h = h12
+            e3 = 0
+            while h <= T:
+                if e1 < m[0] or e2 < m[1] or e3 < m[2]:
+                    members.append((e1, e2, e3))
+                h *= b3
+                e3 += 1
+            h12 *= b2
+            e2 += 1
+        h1 *= b1
+        e1 += 1
     members.sort(key=order.sort_key)
     restricted = tuple(e for e in members if e[0] < m[0])
     return ExponentSet(
@@ -321,18 +247,15 @@ def _count_below(T: int, bounds: tuple) -> int:
     return total
 
 
-def staircase_size(Y, m: Sequence[int], box: BoxBounds) -> int:
-    """|E(Y)|, the member count of build_exponent_set(Y, m, box), without
-    building a member.
+def staircase_size(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> int:
+    """|E(T)|, the member count of build_exponent_set(cutoff, m, box),
+    without building a member.
 
     Members are the e with B^e <= T, the cutoff height, minus those with
     e >= m in every coordinate, which are m + e' with B^e' <= T // B^m:
     |E(T)| = N(T) - N(T // B^m).
     """
-    cutoff = ExactLog.coerce(Y)
     m = _dominant_vector(m)
-    if not (box.integral and cutoff.height is not None):
-        return len(build_exponent_set(cutoff, m, box))
     T = cutoff.height
     return _count_below(T, box.bounds) - _count_below(T // box.height(m), box.bounds)
 
@@ -410,7 +333,7 @@ class MethodParams:
     dominant: ExponentVector
     side_exponent: ExponentVector
     side: ExactLog
-    top_height: int | None
+    top_height: int
     log_top_height: object
     cover_scale: object
     cover_scale_eps: object
@@ -453,7 +376,6 @@ def compute_params(
     logs = box.log_heights()
     with workprec():
         log_top = sum(k * lg for k, lg in zip(m, logs))
-        top_height = box.height(m) if box.integral else None
         prod_logs = logs[0] * logs[1] * logs[2]
         root = mpsqrt(prod_logs / log_top)
         log_q = mplog(q) if q > 1 else to_mpf(0)
@@ -475,7 +397,7 @@ def compute_params(
         dominant=m,
         side_exponent=s_star,
         side=side,
-        top_height=top_height,
+        top_height=box.height(m),
         log_top_height=log_top,
         cover_scale=cover_scale,
         cover_scale_eps=cover_scale_eps,
@@ -535,35 +457,20 @@ def _exact_floor(He: int, Hs: int, Ht: int, T: int) -> int:
     return mu
 
 
-def _float_floor(log_He, log_Hs, log_Ht, Y) -> int:
-    with workprec():
-        return max(0, int(mp.floor((Y - log_He) / (log_Hs - log_Ht))))
-
-
-def shift_floor(e: Sequence[int], t: Sequence[int], E: ExponentSet, S) -> float | int:
+def shift_floor(e: Sequence[int], t: Sequence[int], E: ExponentSet, S: ExactLog) -> float | int:
     """The budget floor((Y - log B^e)/(S - log B^t)); infinite when equal."""
     e = tuple(int(v) for v in e)
     t = _shift_vector(t)
-    S = ExactLog.coerce(S)
     box = E.box
-    exact = box.integral and E.cutoff.height is not None and S.height is not None
-    if exact:
-        Ht = box.height(t)
-        if S.height < Ht:
-            raise ContractViolation("side log-height is below the shift log-height")
-        if S.height == Ht:
-            return INFINITE
-        return _exact_floor(box.height(e), S.height, Ht, E.cutoff.height)
-    with workprec():
-        log_Ht = box.log_height(t)
-        if S.value < log_Ht:
-            raise ContractViolation("side log-height is below the shift log-height")
-        if S.value == log_Ht:
-            return INFINITE
-        return _float_floor(box.log_height(e), S.value, log_Ht, E.cutoff.value)
+    Ht = box.height(t)
+    if S.height < Ht:
+        raise ContractViolation("side log-height is below the shift log-height")
+    if S.height == Ht:
+        return INFINITE
+    return _exact_floor(box.height(e), S.height, Ht, E.cutoff.height)
 
 
-def shift_multiplicity(e: Sequence[int], t: Sequence[int], E: ExponentSet, S) -> int:
+def shift_multiplicity(e: Sequence[int], t: Sequence[int], E: ExponentSet, S: ExactLog) -> int:
     """Per-column exponent of the modulus: min of chain length and budget."""
     lam = lambda_single(e, t, E)
     cap = shift_floor(e, t, E, S)
@@ -573,11 +480,10 @@ def shift_multiplicity(e: Sequence[int], t: Sequence[int], E: ExponentSet, S) ->
     return int(mu)
 
 
-def lambda_total(E: ExponentSet, t: Sequence[int], S) -> int:
+def lambda_total(E: ExponentSet, t: Sequence[int], S: ExactLog) -> int:
     """Total modulus exponent factored out of any full minor: sum of
     per-column multiplicities over the restricted members."""
     t = _shift_vector(t)
-    S = ExactLog.coerce(S)
     return sum(shift_multiplicity(e, t, E, S) for e in E.restricted_members)
 
 
@@ -612,7 +518,7 @@ def choose_Y(
     candidates and returns the cutoff a scan in increasing order would.
 
     mode 'equal-box': candidates n * log B for integers n, requiring an
-    equal integral box; returns the first n in [floor constant, hard_cap]
+    equal box; returns the first n in [floor constant, hard_cap]
     whose cutoff satisfies the constraint.  It gallops up from the floor
     (n, n+1, n+3, n+7, ...), clamped at hard_cap, then bisects, so large
     n are probed only when the small ones fail.
@@ -620,7 +526,7 @@ def choose_Y(
     mode 'grid-scan': grid_points candidates evenly spaced in
     [grid_low, 2*grid_low]; returns the smallest candidate meeting both
     the floor and the constraint.  Candidates snap to exact integer
-    heights when the box is integral.  The last candidate is probed
+    heights.  The last candidate is probed
     first, so an unsatisfiable grid costs one probe; then it bisects.
     """
     c_floor = floor_const if floor_const is not None else default_floor_constant(epsilon)
@@ -628,8 +534,8 @@ def choose_Y(
         raise ContractViolation("floor constant must be nonnegative")
 
     if mode == "equal-box":
-        if not (box.equal and box.integral):
-            raise ContractViolation("equal-box cutoffs need an equal integral box")
+        if not box.equal:
+            raise ContractViolation("equal-box cutoffs need an equal box")
         base = box.b1
 
         def holds(n: int) -> bool:
@@ -658,21 +564,17 @@ def choose_Y(
             floor_value = c_floor * mplog(box.bmax)
             seen = set()
             for k in range(grid_points):
-                y = low * (1 + to_mpf(k) / (grid_points - 1))
-                if box.integral:
-                    h = mpexp(y)
-                    near = int(mp.nint(h))
-                    # snap heights that are integers up to rounding noise
-                    if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
-                        height = near
-                    else:
-                        height = int(mp.floor(h))
-                    if height < 1 or height in seen:
-                        continue
-                    seen.add(height)
-                    cand = ExactLog.from_height(height)
+                h = mpexp(low * (1 + to_mpf(k) / (grid_points - 1)))
+                near = int(mp.nint(h))
+                # snap heights that are integers up to rounding noise
+                if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
+                    height = near
                 else:
-                    cand = ExactLog.from_value(y)
+                    height = int(mp.floor(h))
+                if height < 1 or height in seen:
+                    continue
+                seen.add(height)
+                cand = ExactLog.from_height(height)
                 if cand.value >= floor_value:
                     candidates.append(cand)
         if not candidates or not constraint(candidates[-1]):

@@ -14,7 +14,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
-from .scalars import mplog
 
 ExponentVector = tuple[int, ...]
 
@@ -305,28 +304,23 @@ class MonomialOrder:
 
     Two kinds: plain lexicographic, and height-weighted where the weight
     of e is sum(e_i * log(height_i)) with lexicographic tie-breaking.
-    Weight comparisons are exact when every height is an integer: the
-    weights of a and b compare exactly as the integers prod(height_i^a_i)
-    and prod(height_i^b_i) do.
+    Heights are integers > 1, so weights compare exactly as the integers
+    prod(height_i^e_i) do.
     """
 
-    __slots__ = ("kind", "heights", "exact", "_logs")
+    __slots__ = ("kind", "heights")
 
     def __init__(self, kind: str, heights: tuple | None = None):
         if kind not in ("lex", "weighted"):
             raise ContractViolation(f"unknown order kind {kind!r}")
         if kind == "weighted":
-            if not heights or any(h <= 1 for h in heights):
-                raise ContractViolation("weighted order needs heights > 1")
+            if not heights or any(
+                isinstance(h, bool) or not isinstance(h, int) or h <= 1 for h in heights
+            ):
+                raise ContractViolation("weighted order needs integer heights > 1")
             heights = tuple(heights)
-        exact = kind == "lex" or all(
-            isinstance(h, int) or (isinstance(h, float) and h.is_integer())
-            for h in heights
-        )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "heights", heights)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_logs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialOrder is immutable")
@@ -339,17 +333,11 @@ class MonomialOrder:
     def weighted(cls, heights) -> "MonomialOrder":
         return cls("weighted", tuple(heights))
 
-    def _weight_key(self, e: ExponentVector):
-        if self.exact:
-            w = 1
-            for h, k in zip(self.heights, e):
-                w *= int(h) ** k
-            return w
-        logs = self._logs
-        if logs is None:
-            logs = tuple(mplog(h) for h in self.heights)
-            object.__setattr__(self, "_logs", logs)
-        return sum(k * lg for k, lg in zip(e, logs))
+    def _weight_key(self, e: ExponentVector) -> int:
+        w = 1
+        for h, k in zip(self.heights, e):
+            w *= h ** k
+        return w
 
     def sort_key(self, e: ExponentVector):
         """Key realizing the order for sorted(); ties broken by lex."""

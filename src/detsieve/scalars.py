@@ -36,12 +36,3 @@ def mpexp(x) -> mpf:
 def mpsqrt(x) -> mpf:
     with workprec():
         return mp.sqrt(mpf(x))
-
-
-def float_repr(x) -> str:
-    """Shortest round-trip decimal form of ``x`` as a double.
-
-    Reports quote floats through this so that output bytes do not depend
-    on the precision a value happened to be computed at.
-    """
-    return repr(float(x))

@@ -164,7 +164,7 @@ class TestReportSchema:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_threads(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         config = [
             {"a": [1, 1, 1], "n": 5, "B": b} for b in (4, 6, 8)
         ] + [
@@ -172,13 +172,11 @@ class TestDeterminism:
         ]
         path = tmp_path / "batch.json"
         path.write_text(json.dumps(config))
-        one = tmp_path / "t1.json"
-        four = tmp_path / "t4.json"
-        assert main(["quadric", "--config", str(path), "--threads", "1",
-                     "--out", str(one)]) == 0
-        assert main(["quadric", "--config", str(path), "--threads", "4",
-                     "--out", str(four)]) == 0
-        assert one.read_bytes() == four.read_bytes()
+        first = tmp_path / "r1.json"
+        second = tmp_path / "r2.json"
+        assert main(["quadric", "--config", str(path), "--out", str(first)]) == 0
+        assert main(["quadric", "--config", str(path), "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_list_config_preserves_order(self, tmp_path, capsys):
         config = [
@@ -187,9 +185,14 @@ class TestDeterminism:
         ]
         path = tmp_path / "batch.json"
         path.write_text(json.dumps(config))
-        assert main(["unlike", "--config", str(path), "--threads", "2"]) == 0
+        assert main(["unlike", "--config", str(path)]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert [r["result"]["count"]["value"] for r in reports] == ["2", "0"]
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        cfg = {"f": SPHERE5, "g": TRIVIAL_G, "box": [10, 10, 10]}
+        assert invoke(tmp_path, "enumerate", cfg, "--threads", "2") == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
     def test_seed_recorded(self, tmp_path, capsys):
         cfg = {"f": SPHERE5, "g": TRIVIAL_G, "box": [10, 10, 10]}
@@ -260,6 +263,20 @@ class TestTypedFields:
         for bad in ("abc", [1], True, math.inf, math.nan):
             self.usage_error(tmp_path, capsys, "aux", dict(self.AUX, scale_override=bad),
                              "scale_override")
+
+    def test_box_must_be_three_integers(self, tmp_path, capsys):
+        # "abc" and null used to escape as tracebacks, "5" and 2.0 to run as 5 and 2
+        cfgs = {
+            "enumerate": {"f": CONG_F, "g": CONG_G, "q": 5},
+            "certify": {"f": CONG_F, "g": CONG_G, "q": 5, "cutoff_power": 3},
+            "aux": self.AUX,
+        }
+        for command, cfg in cfgs.items():
+            for bad in (["abc", 3, 3], [None, 3, 3], ["5", 3, 3], [2.0, 3, 3],
+                        [2.5, 3, 3], [True, 3, 3], [2, 2]):
+                self.usage_error(tmp_path, capsys, command, dict(cfg, box=bad), "box")
+            assert invoke(tmp_path, command, dict(cfg, box=[1, 3, 3])) == 1
+            assert capsys.readouterr().err.startswith("invalid instance:")
 
     def test_floor_const_and_scale_override_accepted(self, tmp_path, capsys):
         cfg = dict(self.AUX, floor_const=12, scale_override=3)

@@ -42,6 +42,26 @@ def staircase(n, base, m=(2, 0, 0)):
     )
 
 
+class TestIntegerContract:
+    def test_box_bounds_must_be_integers(self):
+        for bad in (2.5, 2.0, "5", True):
+            with pytest.raises(ContractViolation):
+                BoxBounds(bad, 3, 3)
+            with pytest.raises(ContractViolation):
+                BoxBounds(3, 3, bad)
+
+    def test_box_bound_below_two_rejected(self):
+        for bad in (1, 0, -4):
+            with pytest.raises(ContractViolation, match="below 2"):
+                BoxBounds(3, bad, 3)
+
+    def test_exact_logs_of_one_height_are_equal(self):
+        a, b = ExactLog.from_height(10 ** 6), ExactLog.power(10, 6)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != ExactLog.from_height(10 ** 6 + 1)
+
+
 class TestBuildExponentSet:
     def test_sixteen_members(self):
         E = staircase(3, 10)
@@ -149,14 +169,6 @@ class TestStaircaseSize:
         # m = (2,0,0) on an equal box: (n+1)^2 members at cutoff n log B
         for n in (0, 1, 7, 60):
             assert staircase_size(ExactLog.power(10, n), (2, 0, 0), cube(10)) == (n + 1) ** 2
-
-    def test_non_integral_box_falls_back_to_build(self):
-        box = BoxBounds(2.5, 3, 4)
-        for y in (0.5, 3.0, 7.25):
-            cutoff = ExactLog.from_value(y)
-            assert staircase_size(cutoff, (1, 1, 0), box) == len(
-                build_exponent_set(cutoff, (1, 1, 0), box)
-            )
 
 
 class TestSetStatistics:
@@ -386,19 +398,16 @@ def linear_choose_Y(mode, constraint, *, box, floor_const, hard_cap=512,
         seen = set()
         for k in range(grid_points):
             y = low * (1 + mp.mpf(k) / (grid_points - 1))
-            if box.integral:
-                h = mp.exp(y)
-                near = int(mp.nint(h))
-                if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
-                    height = near
-                else:
-                    height = int(mp.floor(h))
-                if height < 1 or height in seen:
-                    continue
-                seen.add(height)
-                cand = ExactLog.from_height(height)
+            h = mp.exp(y)
+            near = int(mp.nint(h))
+            if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
+                height = near
             else:
-                cand = ExactLog.from_value(y)
+                height = int(mp.floor(h))
+            if height < 1 or height in seen:
+                continue
+            seen.add(height)
+            cand = ExactLog.from_height(height)
             if cand.value < floor_value:
                 continue
             if constraint(cand):
@@ -465,7 +474,7 @@ class TestChooseYSearch:
 
     def test_grid_scan_matches_linear_scan(self):
         rng = random.Random(11)
-        boxes = (BoxBounds(4, 8, 16), BoxBounds(12, 20, 30), BoxBounds(2.5, 3, 4))
+        boxes = (BoxBounds(4, 8, 16), BoxBounds(12, 20, 30), BoxBounds(3, 3, 5))
         for _ in range(120):
             box = rng.choice(boxes)
             c_floor = rng.randint(0, 12)

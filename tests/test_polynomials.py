@@ -126,6 +126,11 @@ class TestCompare:
         # weights equal: both monomials have height 10^2
         assert compare((1, 1, 0), (0, 0, 2), order) > 0
 
+    def test_weighted_order_needs_integer_heights(self):
+        for heights in ((2.5, 3, 4), (2.0, 3, 4), (1, 3, 4), ()):
+            with pytest.raises(ContractViolation):
+                MonomialOrder.weighted(heights)
+
     def test_equal_vectors(self):
         assert compare((1, 2, 3), (1, 2, 3), MonomialOrder.lex()) == 0
 
