@@ -4,9 +4,9 @@ The engine builds the matrix of monomial values at surface points,
 factors a guaranteed power of the congruence modulus out of every full
 minor by explicit column operations, and extracts integer kernel
 polynomials that vanish on all the points of a class.  All determinants,
-ranks, and valuations are computed exactly.  Ranks, pivot rows and kernel
-vectors come from one fraction-free (Bareiss) integer elimination; there
-is no rational arithmetic.
+ranks, and valuations are computed exactly.  Determinants, ranks, pivot
+rows and kernel vectors come from one fraction-free (Bareiss) integer
+elimination; there is no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -78,33 +78,28 @@ def build_matrix(points: Sequence, E: ExponentSet) -> MonomialMatrix:
 
 
 def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant, read from the shared Bareiss elimination.
+
+    For a full-rank square grid the last pivot of ``_row_reduce`` is the
+    determinant of the rows in pivot order, so the determinant is that
+    pivot times the sign of the row order; a rank-deficient grid gives 0.
+    """
     n = len(grid)
     if n == 0:
         return 1
-    a = [list(map(int, row)) for row in grid]
-    for row in a:
-        if len(row) != n:
-            raise ContractViolation("determinant of a non-square grid")
+    if any(len(row) != n for row in grid):
+        raise ContractViolation("determinant of a non-square grid")
+    rank, _, order, echelon = _row_reduce(grid)
+    if rank < n:
+        return 0
+    # sort the row order back by transpositions, one sign flip each
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
+    for i in range(n):
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
             sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[-1][-1]
+    return sign * echelon[-1][-1]
 
 
 def _row_reduce(grid: Sequence[Sequence[int]]):
@@ -134,17 +129,16 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
         origin[r], origin[piv] = origin[piv], origin[r]
         top = rows[r]
         pivot = top[c]
-        tail = top[c + 1:]
         for i in range(r + 1, nrows):
             row = rows[i]
             a = row[c]
             if a:
-                row[c + 1:] = [
-                    (x * pivot - a * y) // prev for x, y in zip(row[c + 1:], tail)
-                ]
+                for j in range(c + 1, ncols):
+                    row[j] = (row[j] * pivot - a * top[j]) // prev
                 row[c] = 0
             elif pivot != prev:
-                row[c + 1:] = [x * pivot // prev for x in row[c + 1:]]
+                for j in range(c + 1, ncols):
+                    row[j] = row[j] * pivot // prev
         prev = pivot
         pivot_cols.append(c)
         r += 1
@@ -738,7 +732,8 @@ def aux_pipeline(
                 )
             )
         else:
-            delta = minor_determinant(M, pivot_rows[:e_count])
+            # the last Bareiss pivot is the minor on the pivot rows, in order
+            delta = echelon[-1][pivot_cols[-1]]
             if delta == 0:
                 raise SoundnessError("full-rank pivot minor evaluated to zero")
             if q > 1:

@@ -12,16 +12,13 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arith import divisors, is_prime
+from .arith import is_prime
 from .errors import ContractViolation
 from .exponents import BoxBounds
 from .polynomials import IntegerPolynomial
 
 #: build the residue table only while q^2 stays below this
 SIEVE_TABLE_CAP = 10 ** 8
-
-#: screen divisors of the fiber constant term only up to this size
-_FACTOR_CAP = 10 ** 10
 
 
 @dataclass(frozen=True)
@@ -83,9 +80,8 @@ def _integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     """All integer roots of the nonzero polynomial sum(coeffs[k] x^k) in [lo, hi].
 
     Degree 1 and 2 are solved directly; beyond that every integer root
-    divides the (nonzero) constant term, so divisor screening is
-    complete.  A huge unfactorable constant term falls back to scanning
-    the bounded range, still exact.
+    divides the (nonzero) constant term, so trial division of that term
+    by 1 .. max(-lo, hi) finds every candidate, for a term of any size.
     """
     cs = list(coeffs)
     while cs and cs[-1] == 0:
@@ -118,19 +114,12 @@ def _integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
                         if lo <= x <= hi:
                             roots.add(x)
     elif d >= 3:
-        bound = max(abs(lo), abs(hi))
         a0 = abs(cs[0])
-        if a0 <= _FACTOR_CAP:
-            for dv in divisors(a0):
-                if dv > bound:
-                    break
+        for dv in range(1, min(max(-lo, hi), a0) + 1):
+            if a0 % dv == 0:
                 for x in (dv, -dv):
                     if lo <= x <= hi and _horner(cs, x) == 0:
                         roots.add(x)
-        else:
-            for x in range(lo, hi + 1):
-                if _horner(cs, x) == 0:
-                    roots.add(x)
     return sorted(roots)
 
 

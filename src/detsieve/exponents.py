@@ -15,6 +15,7 @@ log-scale grid that proposes cutoff heights.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -29,6 +30,16 @@ INFINITE = math.inf
 
 #: refuse exact floor verification past this many multiplications
 _FLOOR_ITER_CAP = 20000
+
+
+def _strict_int(v, what: str) -> int:
+    """v as an int; a bool, float, string or other non-integer raises."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ContractViolation(f"{what} {v!r} must be an integer")
 
 
 # -- boxes ------------------------------------------------------------------
@@ -93,7 +104,7 @@ class ExactLog:
     __slots__ = ("value", "height")
 
     def __init__(self, height: int):
-        height = int(height)
+        height = _strict_int(height, "height")
         if height < 1:
             raise ContractViolation("height must be a positive integer")
         object.__setattr__(self, "value", mplog(height))
@@ -133,7 +144,7 @@ class ExactLog:
 
 
 def _dominant_vector(m) -> ExponentVector:
-    m = tuple(int(v) for v in m)
+    m = tuple(_strict_int(v, "dominant exponent entry") for v in m)
     if len(m) != 3 or any(v < 0 for v in m):
         raise ContractViolation(f"dominant exponent {m} must be three nonnegative integers")
     if not any(m):
@@ -156,10 +167,6 @@ class ExponentSet:
     order: MonomialOrder
     members: tuple
     restricted_members: tuple
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
 
     @cached_property
     def restricted_set(self) -> frozenset:
@@ -409,7 +416,7 @@ def compute_params(
 
 
 def _shift_vector(t) -> ExponentVector:
-    t = tuple(int(v) for v in t)
+    t = tuple(_strict_int(v, "shift entry") for v in t)
     if len(t) != 3 or any(v < 0 for v in t):
         raise ContractViolation(f"shift {t} must be three nonnegative integers")
     return t

@@ -543,17 +543,6 @@ class RationalUniPoly:
     def x(cls) -> "RationalUniPoly":
         return cls((0, 1))
 
-    @classmethod
-    def from_integer_poly(cls, f: IntegerPolynomial) -> "RationalUniPoly":
-        used = f.variables_used()
-        if len(used) > 1:
-            raise ContractViolation("polynomial is not univariate")
-        v = next(iter(used)) if used else 0
-        out = [0] * (f.degree_in(v) + 1 if not f.is_zero else 0)
-        for e, c in f.terms.items():
-            out[e[v]] = c
-        return cls(out)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

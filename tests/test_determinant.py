@@ -415,13 +415,16 @@ class TestAuxPipeline:
         assert len(rep.falsifications) == 1
         rec = rep.falsifications[0]
         assert rec.determinant != 0
+        (cls,) = rep.classes
+        M = build_matrix(cls.points, rep.exponent_set)
+        assert rec.determinant == minor_determinant(M, rec.rows)
+        assert rec.determinant == fraction_determinant([M.entries[i] for i in rec.rows])
         for prime, _, lam, val in rec.valuations:
             assert prime == 5
             assert val >= lam
         assert set(rep.leftover) == set(pts)
         assert rep.coverage_complete
         # certificates still emitted for the full-rank class
-        (cls,) = rep.classes
         assert cls.certificates
         assert cls.certificates[0].lam == 1
 
@@ -534,6 +537,26 @@ def reference_row_reduce(grid):
     return r, pivot_cols, origin[:r], rows[:r]
 
 
+def fraction_determinant(grid):
+    """Gaussian elimination over Fraction: the determinant oracle."""
+    rows = [[Fraction(v) for v in r] for r in grid]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            if rows[i][c]:
+                factor = rows[i][c] / rows[c][c]
+                rows[i][c:] = [a - factor * b for a, b in zip(rows[i][c:], rows[c][c:])]
+    assert det.denominator == 1
+    return det.numerator
+
+
 def reference_kernel_terms(M):
     """Primitive, sign-normalized kernel vector for the first free column,
     from the rational RREF, as polynomial terms."""
@@ -620,8 +643,53 @@ class TestEliminationOracle:
                 # the k-th pivot is the leading (k+1)-minor on the pivot rows
                 minor = [[grid[i][j] for j in pivot_cols[:k + 1]]
                          for i in pivot_rows[:k + 1]]
-                assert echelon[k][c] == integer_determinant(minor)
+                assert echelon[k][c] == fraction_determinant(minor)
                 assert not any(echelon[k][:c])
+
+    def test_determinant_matches_fraction_elimination(self):
+        rng = random.Random(1968)
+        parities = set()
+        for n in range(6, 31):
+            bits = 210 if n % 7 == 6 else 5
+            dense = [[rng.randrange(-(2**bits), 2**bits + 1) for _ in range(n)]
+                     for _ in range(n)]
+            a, b, j = rng.sample(range(n), 3)
+            dependent = [list(r) for r in dense]
+            dependent[j] = [x - 3 * y for x, y in zip(dense[a], dense[b])]
+            low_rank = low_rank_grid(rng, n, n, n - 1 - n % 2, 5, n % 4 == 1)
+            # rows of an upper-triangular grid, shuffled: the pivot search
+            # must swap rows back, an odd or even number of times
+            diag = [rng.choice((-1, 1)) * rng.randrange(1, 2**bits) for _ in range(n)]
+            upper = [[0] * k + [diag[k]]
+                     + [rng.randrange(-(2**bits), 2**bits + 1) for _ in range(n - k - 1)]
+                     for k in range(n)]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            parities.add(inversions % 2)
+            shuffled = [upper[i] for i in perm]
+            assert integer_determinant(shuffled) == (-1) ** inversions * math.prod(diag)
+            for grid in (dense, dependent, low_rank, shuffled):
+                assert integer_determinant(grid) == fraction_determinant(grid), grid
+            assert integer_determinant(dependent) == integer_determinant(low_rank) == 0
+        assert parities == {0, 1}
+
+    def test_identity_plus_dense_columns(self):
+        # shaped like the column-operation matrix of congruence_reduce: the
+        # identity, except that some columns are replaced by coefficient
+        # vectors supported on a restricted set of rows
+        rng = random.Random(169)
+        n = 170
+        restricted = rng.sample(range(n), 40)
+        grid = [[int(r == c) for c in range(n)] for r in range(n)]
+        for c in rng.sample(restricted, 20):
+            for r in range(n):
+                grid[r][c] = 0
+            for r in rng.sample(restricted, 12):
+                grid[r][c] = rng.randrange(-(2**210), 2**210 + 1)
+        det = integer_determinant(grid)
+        assert det != 0
+        assert det == fraction_determinant(grid)
 
     def test_rank_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

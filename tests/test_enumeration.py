@@ -231,6 +231,38 @@ class TestEnumeratePoints:
             assert admissible * lo * lo <= direct <= admissible * hi * hi
 
 
+def scan_roots(cs, lo, hi):
+    """Integer roots in [lo, hi] by evaluating at every point."""
+    return [x for x in range(lo, hi + 1) if sum(c * x ** k for k, c in enumerate(cs)) == 0]
+
+
+class TestIntegerRoots:
+    def test_higher_degree_matches_range_scan(self):
+        rng = random.Random(3141)
+        seen = {"huge constant": 0, "constant below bound": 0, "zero root": 0,
+                "root outside range": 0}
+        for trial in range(600):
+            deg = rng.randrange(3, 7)
+            roots = [rng.randrange(-40, 41) for _ in range(rng.randrange(deg + 1))]
+            cofactor = [rng.randrange(-9, 10) for _ in range(deg - len(roots))]
+            cofactor.append(rng.choice((-3, -2, -1, 1, 2, 3)))
+            if trial % 4 == 0:
+                cofactor[0] = rng.choice((-1, 1)) * rng.randrange(10 ** 10, 10 ** 14)
+            cs = cofactor
+            for r in roots:
+                cs = [a - r * b for a, b in zip([0] + cs, cs + [0])]
+            lo, hi = -rng.randrange(1, 31), rng.randrange(1, 31)
+            assert enumeration._integer_roots(cs, lo, hi) == scan_roots(cs, lo, hi), (cs, lo, hi)
+            stripped = cs[next(k for k, c in enumerate(cs) if c):]
+            if len(stripped) > 3:
+                a0 = abs(stripped[0])
+                seen["huge constant"] += a0 > 10 ** 10
+                seen["constant below bound"] += a0 < max(-lo, hi)
+                seen["zero root"] += cs[0] == 0
+                seen["root outside range"] += any(not lo <= r <= hi for r in roots)
+        assert all(seen.values()), seen
+
+
 class TestResidueSplit:
     def _base(self):
         f = sphere(5)

@@ -61,6 +61,27 @@ class TestIntegerContract:
         assert len({a, b}) == 1
         assert a != ExactLog.from_height(10 ** 6 + 1)
 
+    def test_height_must_be_an_integer(self):
+        for bad in (2.9, True, "5"):
+            with pytest.raises(ContractViolation, match="must be an integer"):
+                ExactLog.from_height(bad)
+
+    def test_dominant_exponent_must_be_integers(self):
+        box = cube(3)
+        order = MonomialOrder.weighted(box.bounds)
+        for bad in (2.9, True, "5"):
+            with pytest.raises(ContractViolation, match="must be an integer"):
+                build_exponent_set(ExactLog(10), (bad, 0, 0), box, order)
+            with pytest.raises(ContractViolation, match="must be an integer"):
+                staircase_size(ExactLog(10), (0, 0, bad), box)
+
+    def test_shift_must_be_integers(self):
+        E = staircase(4, 2)
+        e = E.restricted_members[0]
+        for bad in (2.9, True, "5"):
+            with pytest.raises(ContractViolation, match="must be an integer"):
+                lambda_single(e, (0, bad, 0), E)
+
 
 class TestBuildExponentSet:
     def test_sixteen_members(self):
