@@ -9,7 +9,6 @@ congruence machinery slice by slice.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import Sequence
 from .arith import divisors, is_prime
 from .determinant import CoverReport, aux_pipeline
 from .enumeration import PointSet, SideCondition, enumerate_points
-from .errors import ContractViolation, SoundnessError
+from .errors import ContractViolation, SoundnessError, strict_int
 from .exponents import BoxBounds
 from .polynomials import IntegerPolynomial, RationalUniPoly, wronskian
 from mpmath import mp, mpf
@@ -65,7 +64,7 @@ class QuadricInstance:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "n", "B"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, strict_int(getattr(self, name), name))
         if self.a1 * self.a2 * self.a3 == 0:
             raise ContractViolation("quadric coefficients must be nonzero")
         if self.B < 1:
@@ -185,7 +184,7 @@ class UnlikePowersInstance:
 
     def __post_init__(self):
         for name in ("k", "l", "m", "N", "B"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, strict_int(getattr(self, name), name))
         if min(self.k, self.l, self.m) < 2:
             raise ContractViolation("all exponents must be at least 2")
         if self.N == 0:
@@ -364,18 +363,6 @@ class GcdPowerSum:
     terms: int
 
 
-def _positive_int(v, name: str) -> int:
-    if isinstance(v, bool):
-        raise ContractViolation(f"{name} must be an integer, not a bool")
-    try:
-        v = operator.index(v)
-    except TypeError:
-        raise ContractViolation(f"{name} must be an integer") from None
-    if v < 1:
-        raise ContractViolation(f"{name} must be positive")
-    return v
-
-
 def _power_table(a, X: int) -> list:
     """[None, 1^a, 2^a, ..., X^a] from one power per prime.
 
@@ -411,8 +398,10 @@ def gcd_power_sum(alpha, X: int, n: int) -> GcdPowerSum:
     alpha_f = float(alpha)
     if not -1.0 < alpha_f < 0.0:
         raise ContractViolation("exponent must lie strictly between -1 and 0")
-    X = _positive_int(X, "range X")
-    n = _positive_int(n, "twist n")
+    X = strict_int(X, "range X")
+    n = strict_int(n, "twist n")
+    if X < 1 or n < 1:
+        raise ContractViolation(f"range X = {X} and twist n = {n} must be positive")
     divs = divisors(n)
     with workprec():
         pw = _power_table(to_mpf(alpha), X)

@@ -32,7 +32,7 @@ from .determinant import (
     rank_over_rationals,
 )
 from .enumeration import ResidueData, SideCondition, enumerate_points
-from .errors import ContractViolation, HypothesisViolation, SoundnessError
+from .errors import ContractViolation, HypothesisViolation, SoundnessError, strict_int
 from .exponents import (
     BoxBounds,
     ExactLog,
@@ -56,21 +56,25 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_field(cfg: dict, key: str, default=None) -> int:
     if key not in cfg:
         if default is None:
             raise UsageError(f"missing field '{key}'")
         return default
     v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         raise UsageError(f"field '{key}' must be an integer")
     return v
 
 
 def _int_list_field(cfg: dict, key: str, length: int | None = None) -> list:
     v = _require(cfg, key)
-    if (not isinstance(v, list)
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in v)
+    if (not isinstance(v, list) or not all(map(_is_int, v))
             or (length is not None and len(v) != length)):
         what = "integers" if length is None else f"{length} integers"
         raise UsageError(f"field '{key}' must be a list of {what}")
@@ -97,28 +101,19 @@ def _floor_const_field(cfg: dict) -> int | None:
 
 
 def _poly_field(cfg: dict, key: str) -> IntegerPolynomial:
+    """Check the JSON shape only; IntegerPolynomial checks the values."""
     obj = _require(cfg, key)
     if not isinstance(obj, dict) or "nvars" not in obj or "terms" not in obj:
         raise UsageError(f"field '{key}' must have 'nvars' and 'terms'")
-    nvars = obj["nvars"]
-    if not isinstance(nvars, int) or nvars < 1:
-        raise UsageError(f"field '{key}.nvars' must be a positive integer")
-    terms = {}
-    for item in obj["terms"]:
-        try:
-            exps, coeff = item
-            e = tuple(int(v) for v in exps)
-            c = int(coeff)
-        except (TypeError, ValueError):
-            raise UsageError(
-                f"field '{key}.terms' entries must be [exponents, coefficient]"
-            )
-        if len(e) != nvars or any(v < 0 for v in e):
-            raise UsageError(
-                f"field '{key}.terms' has an exponent vector of wrong shape"
-            )
-        terms[e] = terms.get(e, 0) + c
-    return IntegerPolynomial(nvars, terms)
+    terms = obj["terms"]
+    if not isinstance(terms, list) or not all(
+        isinstance(t, list) and len(t) == 2 and isinstance(t[0], list) for t in terms
+    ):
+        raise UsageError(f"field '{key}.terms' must list [exponents, coefficient] pairs")
+    try:
+        return IntegerPolynomial(obj["nvars"], terms)
+    except ContractViolation as exc:
+        raise UsageError(f"field '{key}': {exc}") from None
 
 
 def _box_field(cfg: dict, key: str = "box") -> BoxBounds:
@@ -157,10 +152,7 @@ def _poly_json(p: IntegerPolynomial) -> dict:
 
 
 def _cutoff_json(cutoff: ExactLog) -> dict:
-    out = {"log": _flt(cutoff.value)}
-    if cutoff.height is not None:
-        out["height"] = _count(cutoff.height)
-    return out
+    return {"log": _flt(cutoff.value), "height": _count(cutoff.height)}
 
 
 def _certificate_json(cert) -> dict:
@@ -293,7 +285,9 @@ def _run_enumerate(cfg: dict, seed: int) -> dict:
     g = _poly_field(cfg, "g")
     q = _int_field(cfg, "q", 1)
     box = _box_field(cfg)
-    nonsingular = bool(cfg.get("nonsingular_only", False))
+    nonsingular = cfg.get("nonsingular_only", False)
+    if not isinstance(nonsingular, bool):
+        raise UsageError("field 'nonsingular_only' must be true or false")
     pts = enumerate_points(f, SideCondition(g, q), box, nonsingular_only=nonsingular)
     return {
         "instance": {
@@ -318,6 +312,8 @@ def _run_certify(cfg: dict, seed: int) -> dict:
     box = _box_field(cfg)
     base = _int_field(cfg, "cutoff_base", box.bmax)
     power = _int_field(cfg, "cutoff_power")
+    if power < 1:
+        raise UsageError("field 'cutoff_power' must be a positive integer")
     samples = _int_field(cfg, "minor_samples", 32)
     cutoff = ExactLog.power(base, power)
     order = MonomialOrder.weighted(box.bounds)
@@ -493,9 +489,9 @@ def fit_exponent(counts) -> "FitResult":
     for item in counts:
         try:
             b, c = item
-            pts.append((int(b), int(c)))
         except (TypeError, ValueError):
-            raise ContractViolation("counts must be (box, count) pairs")
+            raise ContractViolation("counts must be (box, count) pairs") from None
+        pts.append((strict_int(b, "box size"), strict_int(c, "count")))
     if any(b < 2 for b, _ in pts):
         raise ContractViolation("box sizes must be at least 2")
     if any(c < 0 for _, c in pts):
@@ -517,8 +513,13 @@ def fit_exponent(counts) -> "FitResult":
 
 def _run_fit(cfg: dict, seed: int) -> dict:
     counts = _require(cfg, "counts")
-    if not isinstance(counts, list):
-        raise UsageError("field 'counts' must be a list of [B, count] pairs")
+    if not isinstance(counts, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in counts
+    ):
+        raise UsageError("field 'counts' must be a list of [B, count] integer pairs")
+    for key in ("quadric", "unlike"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise UsageError(f"field '{key}' must be an object")
     fit = fit_exponent(counts)
     diagnostics: dict = {}
     if "quadric" in cfg:
@@ -537,7 +538,7 @@ def _run_fit(cfg: dict, seed: int) -> dict:
         exps = predicted_exponents(inst)
         diagnostics["predicted_main_exponent"] = _flt(exps.main)
     return {
-        "instance": {"counts": [[int(b), str(int(c))] for b, c in counts]},
+        "instance": {"counts": [[b, str(c)] for b, c in counts]},
         "result": {
             "slope": _flt(fit.slope),
             "intercept": _flt(fit.intercept),

@@ -26,6 +26,7 @@ from .exponents import (
     ExponentSet,
     MethodParams,
     _ilog,
+    _shift_vector,
     build_exponent_set,
     choose_Y,
     compute_params,
@@ -267,9 +268,7 @@ def congruence_reduce(
     if decomp is None:
         raise ContractViolation(f"modulus {q} is not a prime power")
     p, j = decomp
-    t = tuple(int(v) for v in t)
-    if len(t) != 3 or any(v < 0 for v in t):
-        raise ContractViolation(f"shift {t} must be three nonnegative integers")
+    t = _shift_vector(t)
     if t[0] != 0:
         raise ContractViolation("shift must have first coordinate zero")
     if g.nvars != 3 or g.depends_on(0):

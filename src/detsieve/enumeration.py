@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .arith import is_prime
-from .errors import ContractViolation
+from .errors import ContractViolation, strict_int
 from .exponents import BoxBounds
 from .polynomials import IntegerPolynomial
 
@@ -35,7 +35,7 @@ class SideCondition:
             raise ContractViolation("side condition polynomial must be non-constant")
         if self.g.depends_on(0):
             raise ContractViolation("side condition polynomial must not involve x1")
-        q = int(self.q)
+        q = strict_int(self.q, "modulus")
         if q < 1:
             raise ContractViolation("modulus must be a positive integer")
         object.__setattr__(self, "q", q)
@@ -223,7 +223,7 @@ class ResidueData:
     primes: tuple = ()
 
     def __post_init__(self):
-        ps = tuple(int(p) for p in self.primes)
+        ps = tuple(strict_int(p, "residue prime") for p in self.primes)
         if len(set(ps)) != len(ps):
             raise ContractViolation("residue primes must be distinct")
         for p in ps:

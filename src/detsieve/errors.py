@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import operator
 
 
 class ContractViolation(ValueError):
@@ -20,3 +22,14 @@ class SoundnessError(AssertionError):
 
     This should never trigger; it indicates a bug, not bad input.
     """
+
+
+def strict_int(v, what: str) -> int:
+    """v as an int: any integer type (one with ``__index__``) but a bool,
+    else ContractViolation.  The one rule for what counts as integer input."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ContractViolation(f"{what} must be an integer, not {v!r}")

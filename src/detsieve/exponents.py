@@ -15,14 +15,13 @@ log-scale grid that proposes cutoff heights.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 from mpmath import mp
 
-from .errors import ContractViolation
+from .errors import ContractViolation, strict_int
 from .polynomials import ExponentVector, IntegerPolynomial, MonomialOrder, max_exponent
 from .scalars import mpexp, mplog, mpsqrt, to_mpf, workprec
 
@@ -32,34 +31,24 @@ INFINITE = math.inf
 _FLOOR_ITER_CAP = 20000
 
 
-def _strict_int(v, what: str) -> int:
-    """v as an int; a bool, float, string or other non-integer raises."""
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise ContractViolation(f"{what} {v!r} must be an integer")
-
-
 # -- boxes ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BoxBounds:
     """Coordinate bounds B1, B2, B3 of the search box: integers, each at
-    least 2.  A non-integral bound counts the same points as its floor."""
+    least 2."""
 
     b1: int
     b2: int
     b3: int
 
     def __post_init__(self):
-        for b in (self.b1, self.b2, self.b3):
-            if isinstance(b, bool) or not isinstance(b, int):
-                raise ContractViolation(f"box bound {b!r} must be an integer")
+        for name in ("b1", "b2", "b3"):
+            b = strict_int(getattr(self, name), "box bound")
             if b < 2:
                 raise ContractViolation(f"box bound {b} is below 2")
+            object.__setattr__(self, name, b)
 
     @property
     def bounds(self) -> tuple:
@@ -104,7 +93,7 @@ class ExactLog:
     __slots__ = ("value", "height")
 
     def __init__(self, height: int):
-        height = _strict_int(height, "height")
+        height = strict_int(height, "height")
         if height < 1:
             raise ContractViolation("height must be a positive integer")
         object.__setattr__(self, "value", mplog(height))
@@ -144,7 +133,7 @@ class ExactLog:
 
 
 def _dominant_vector(m) -> ExponentVector:
-    m = tuple(_strict_int(v, "dominant exponent entry") for v in m)
+    m = tuple(strict_int(v, "dominant exponent entry") for v in m)
     if len(m) != 3 or any(v < 0 for v in m):
         raise ContractViolation(f"dominant exponent {m} must be three nonnegative integers")
     if not any(m):
@@ -305,8 +294,11 @@ def main_term_deviation(E: ExponentSet) -> tuple:
 
     The smooth reference values are (logT/prod log B_i) Y^2/2 for the
     count and (logT/prod log B_i) Y^3/3 for the log sum, where T is the
-    box height of the dominant exponent.  Diagnostic only.
+    box height of the dominant exponent.  Diagnostic only; both main terms
+    vanish at cutoff height 1 (Y = 0), which is rejected.
     """
+    if E.cutoff.height == 1:
+        raise ContractViolation("main terms vanish at cutoff height 1")
     stats = set_statistics(E)
     logs = E.box.log_heights()
     with workprec():
@@ -416,7 +408,7 @@ def compute_params(
 
 
 def _shift_vector(t) -> ExponentVector:
-    t = tuple(_strict_int(v, "shift entry") for v in t)
+    t = tuple(strict_int(v, "shift entry") for v in t)
     if len(t) != 3 or any(v < 0 for v in t):
         raise ContractViolation(f"shift {t} must be three nonnegative integers")
     return t

@@ -13,13 +13,13 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ContractViolation
+from .errors import ContractViolation, strict_int
 
 ExponentVector = tuple[int, ...]
 
 
 def _as_exponent(nvars: int, e) -> ExponentVector:
-    e = tuple(int(v) for v in e)
+    e = tuple(strict_int(v, "exponent entry") for v in e)
     if len(e) != nvars:
         raise ContractViolation(f"exponent {e} has arity {len(e)}, expected {nvars}")
     if any(v < 0 for v in e):
@@ -47,17 +47,14 @@ class IntegerPolynomial:
     __slots__ = ("nvars", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, int] | Iterable):
-        nvars = int(nvars)
+        nvars = strict_int(nvars, "nvars")
         if nvars < 1:
             raise ContractViolation("nvars must be at least 1")
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[ExponentVector, int] = {}
         for e, c in items:
-            c = int(c)
-            if c == 0:
-                continue
             e = _as_exponent(nvars, e)
-            c += acc.get(e, 0)
+            c = strict_int(c, "coefficient") + acc.get(e, 0)
             if c:
                 acc[e] = c
             else:
@@ -65,6 +62,16 @@ class IntegerPolynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", acc)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _canonical(cls, nvars: int, terms: dict) -> "IntegerPolynomial":
+        """Wrap a term dict that is already canonical, without checking it:
+        int exponent tuples of arity nvars mapped to nonzero ints."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("IntegerPolynomial is immutable")
@@ -77,11 +84,11 @@ class IntegerPolynomial:
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "IntegerPolynomial":
-        return cls(nvars, {(0,) * nvars: int(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def monomial(cls, nvars: int, e, c: int = 1) -> "IntegerPolynomial":
-        return cls(nvars, {tuple(e): int(c)})
+        return cls(nvars, {tuple(e): c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "IntegerPolynomial":
@@ -186,12 +193,12 @@ class IntegerPolynomial:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        return IntegerPolynomial(self.nvars, acc)
+        return self._canonical(self.nvars, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntegerPolynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return self._canonical(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -205,7 +212,7 @@ class IntegerPolynomial:
         if isinstance(other, int):
             if other == 0:
                 return IntegerPolynomial.zero(self.nvars)
-            return IntegerPolynomial(
+            return self._canonical(
                 self.nvars, {e: c * other for e, c in self._terms.items()}
             )
         self._require_same_arity(other)
@@ -218,7 +225,7 @@ class IntegerPolynomial:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        return IntegerPolynomial(self.nvars, acc)
+        return self._canonical(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -253,7 +260,7 @@ class IntegerPolynomial:
                 d = list(e)
                 d[i] -= 1
                 acc[tuple(d)] = c * e[i]
-        return IntegerPolynomial(self.nvars, acc)
+        return self._canonical(self.nvars, acc)
 
     def coefficients_in(self, i: int) -> dict[int, "IntegerPolynomial"]:
         """Split into coefficients of powers of variable ``i``.
@@ -267,13 +274,13 @@ class IntegerPolynomial:
             d = list(e)
             d[i] = 0
             buckets.setdefault(j, {})[tuple(d)] = c
-        return {j: IntegerPolynomial(self.nvars, t) for j, t in sorted(buckets.items())}
+        return {j: self._canonical(self.nvars, t) for j, t in sorted(buckets.items())}
 
     def drop_variable(self, i: int) -> "IntegerPolynomial":
-        if self.depends_on(i):
-            raise ContractViolation(f"polynomial depends on variable {i}")
+        if not 0 <= i < self.nvars or self.nvars == 1 or self.depends_on(i):
+            raise ContractViolation(f"cannot drop variable {i} from {self!r}")
         acc = {e[:i] + e[i + 1 :]: c for e, c in self._terms.items()}
-        return IntegerPolynomial(self.nvars - 1, acc)
+        return self._canonical(self.nvars - 1, acc)
 
 
 # -- module level operation wrappers -------------------------------------
@@ -293,7 +300,7 @@ def top_degree_part(f: IntegerPolynomial) -> IntegerPolynomial:
     if f.is_zero:
         raise ContractViolation("top-degree part of the zero polynomial")
     d = f.total_degree()
-    return IntegerPolynomial(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == d})
+    return f._canonical(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == d})
 
 
 # -- monomial orders ------------------------------------------------------
@@ -314,11 +321,9 @@ class MonomialOrder:
         if kind not in ("lex", "weighted"):
             raise ContractViolation(f"unknown order kind {kind!r}")
         if kind == "weighted":
-            if not heights or any(
-                isinstance(h, bool) or not isinstance(h, int) or h <= 1 for h in heights
-            ):
+            heights = tuple(strict_int(h, "order height") for h in heights or ())
+            if not heights or min(heights) <= 1:
                 raise ContractViolation("weighted order needs integer heights > 1")
-            heights = tuple(heights)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "heights", heights)
 

@@ -285,6 +285,71 @@ class TestTypedFields:
         assert report["diagnostics"]["threshold"]["value"] == 3.0
 
 
+class TestStrictIntegers:
+    CERTIFY = {"f": CONG_F, "g": CONG_G, "q": 5, "box": [2, 2, 2],
+               "cutoff_base": 2, "cutoff_power": 3}
+
+    usage_error = TestTypedFields.usage_error
+
+    def test_polynomial_entries_must_be_integers(self, tmp_path, capsys):
+        # 2.5, true, "5" and 5.0 used to run as 2, 1, 5 and 5; Infinity and
+        # a terms of null or 2.5 used to escape as tracebacks
+        lead = CONG_F["terms"][0]
+        bad_terms = [[[2.5, 0, 0], 5]] + [[lead[0], c] for c in (True, "5", 5.0, math.inf)]
+        for term in bad_terms:
+            f = dict(CONG_F, terms=[term] + CONG_F["terms"][1:])
+            self.usage_error(tmp_path, capsys, "certify", dict(self.CERTIFY, f=f), "f")
+        for terms in (None, 2.5, -1, "x", [5], [[[2, 0, 0]]], [[2, 5]]):
+            f = dict(CONG_F, terms=terms)
+            self.usage_error(tmp_path, capsys, "certify", dict(self.CERTIFY, f=f), "f.terms")
+        for nvars in (True, 3.0, "3", None, 0):
+            g = dict(CONG_G, nvars=nvars)
+            self.usage_error(tmp_path, capsys, "certify", dict(self.CERTIFY, g=g), "g")
+
+    def test_duplicate_terms_still_add_up(self, tmp_path, capsys):
+        f = dict(CONG_F, terms=CONG_F["terms"] + [[[2, 0, 0], 1], [[2, 0, 0], -1]])
+        same = invoke_json(tmp_path, capsys, "certify", dict(self.CERTIFY, f=f))
+        assert same == invoke_json(tmp_path, capsys, "certify", self.CERTIFY)
+
+    def test_nonsingular_only_must_be_a_bool(self, tmp_path, capsys):
+        # "false" used to switch the filter on, and the report echoed true
+        cfg = {"f": CONG_F, "g": CONG_G, "q": 5, "box": [2, 2, 2]}
+        for bad in ("false", "true", 0, 1, None, [True]):
+            self.usage_error(tmp_path, capsys, "enumerate",
+                             dict(cfg, nonsingular_only=bad), "nonsingular_only")
+        for flag in (True, False):
+            report = invoke_json(tmp_path, capsys, "enumerate",
+                                 dict(cfg, nonsingular_only=flag))
+            assert report["instance"]["nonsingular_only"] is flag
+
+    def test_fit_counts_and_sub_configs(self, tmp_path, capsys):
+        # 3.7, true and "3" used to run as 3, 1 and 3; a null or non-object
+        # sub-config used to escape as a traceback
+        cfg = {"counts": [[10, 100], [20, 400], [40, 1600]]}
+        for bad in ([40, 3.7], [40, True], [40, "3"], [2.5, 3], [40], [40, 3, 1], 40):
+            counts = cfg["counts"][:2] + [bad]
+            self.usage_error(tmp_path, capsys, "fit", {"counts": counts}, "counts")
+        for key, bad in (("quadric", None), ("unlike", 5), ("quadric", [1, 1, 1])):
+            self.usage_error(tmp_path, capsys, "fit", dict(cfg, **{key: bad}), key)
+        report = invoke_json(tmp_path, capsys, "fit", cfg)
+        assert report["instance"]["counts"] == [[10, "100"], [20, "400"], [40, "1600"]]
+
+    def test_cutoff_power_must_be_positive(self, tmp_path, capsys):
+        # 0 used to escape as a ZeroDivisionError from the main-term diagnostic
+        for bad in (0, -1):
+            self.usage_error(tmp_path, capsys, "certify",
+                             dict(self.CERTIFY, cutoff_power=bad), "cutoff_power")
+        report = invoke_json(tmp_path, capsys, "certify", dict(self.CERTIFY, cutoff_power=1))
+        assert report["instance"]["cutoff"]["height"]["value"] == "2"
+
+    def test_floor_const_zero_exits_cleanly(self, tmp_path, capsys):
+        # a floor of 0 lets aux pick cutoff height 1, where the main terms
+        # vanish; this used to escape as a ZeroDivisionError
+        cfg = dict(TestTypedFields.AUX, floor_const=0, residue_primes=[3])
+        assert invoke(tmp_path, "aux", cfg) == 1
+        assert capsys.readouterr().err.startswith("invalid instance: main terms vanish")
+
+
 class TestFitExponent:
     def test_exact_quadratic_counts(self):
         fit = fit_exponent([[10, 100], [20, 400], [40, 1600]])

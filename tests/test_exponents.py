@@ -7,7 +7,7 @@ import random
 import pytest
 from mpmath import mp
 
-from detsieve.errors import ContractViolation
+from detsieve.errors import ContractViolation, strict_int
 from detsieve.exponents import (
     INFINITE,
     BoxBounds,
@@ -43,6 +43,18 @@ def staircase(n, base, m=(2, 0, 0)):
 
 
 class TestIntegerContract:
+    def test_strict_int(self):
+        assert strict_int(7, "x") == 7 and strict_int(-(10 ** 30), "x") == -(10 ** 30)
+        for bad in (True, False, 2.5, 2.0, "5", None, [1], math.inf, math.nan):
+            with pytest.raises(ContractViolation, match="x must be an integer"):
+                strict_int(bad, "x")
+
+    def test_box_bounds_are_stored_as_ints(self):
+        class Index:
+            def __index__(self):
+                return 4
+        assert type(BoxBounds(Index(), 3, 3).b1) is int
+
     def test_box_bounds_must_be_integers(self):
         for bad in (2.5, 2.0, "5", True):
             with pytest.raises(ContractViolation):
@@ -233,6 +245,11 @@ class TestMainTermDeviation:
         for n in (10, 40):
             dc, _ = main_term_deviation(staircase(n, 10))
             assert abs(float(dc) - (2 * n + 1) / n ** 2) < 1e-12
+
+    def test_height_one_rejected(self):
+        # both main terms are zero at Y = log 1; this was a ZeroDivisionError
+        with pytest.raises(ContractViolation, match="vanish"):
+            main_term_deviation(staircase(0, 10))
 
 
 class TestLambdaSingle:

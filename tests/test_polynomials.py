@@ -266,3 +266,59 @@ class TestWronskian:
             assert divisor.divides(w), (gammas, exps)
             checked += 1
         assert checked > 300
+
+
+class TestStrictConstruction:
+    def test_non_integer_entries_rejected(self):
+        for bad in (2.5, 2.0, True, "5", None, [1], math.inf):
+            with pytest.raises(ContractViolation, match="must be an integer"):
+                P(3, [((bad, 0, 0), 1)])
+            with pytest.raises(ContractViolation, match="must be an integer"):
+                P(3, [((1, 0, 0), bad)])
+            with pytest.raises(ContractViolation, match="must be an integer"):
+                P(bad, {})
+
+    def test_exponent_checked_even_when_coefficient_is_zero(self):
+        with pytest.raises(ContractViolation, match="must be an integer"):
+            P(3, [((2.5, 0, 0), 0)])
+        with pytest.raises(ContractViolation, match="negative"):
+            P(3, [((-1, 0, 0), 0)])
+
+    def test_repeated_exponents_accumulate(self):
+        p = P(2, [((1, 0), 3), ((1, 0), -3), ((0, 1), 2), ((0, 1), 2)])
+        assert p.terms == {(0, 1): 4}
+
+    def test_constructors_are_strict(self):
+        for bad in (2.5, True, "5"):
+            with pytest.raises(ContractViolation):
+                P.constant(3, bad)
+            with pytest.raises(ContractViolation):
+                P.monomial(3, (1, 0, 0), bad)
+
+    def test_arithmetic_results_are_canonical(self):
+        # results skip re-validation, so check them against the strict
+        # constructor: int exponents of the right arity, no zero coefficient
+        rng = random.Random(11)
+        for _ in range(300):
+            a = _random_poly(rng, 3, max_terms=5, max_deg=3)
+            b = _random_poly(rng, 3, max_terms=5, max_deg=3)
+            k = rng.randrange(-3, 4)
+            i = rng.randrange(3)
+            results = [a + b, a - a, -a, a * b, a * k, a - b * k,
+                       partial_derivative(a, i), top_degree_part(a) if a else b]
+            results += a.coefficients_in(i).values()
+            for r in results:
+                assert r == P(r.nvars, dict(r.terms))
+                assert all(type(c) is int and c for c in r.terms.values())
+                assert all(len(e) == r.nvars and all(type(v) is int for v in e)
+                           for e in r.terms)
+            assert (a - a).is_zero and not (a - a).terms
+
+    def test_drop_variable(self):
+        p = P(3, {(1, 0, 2): 4, (0, 0, 0): 1})
+        assert p.drop_variable(1) == P(2, {(1, 2): 4, (0, 0): 1})
+        for i in (0, 2, 3, -1):
+            with pytest.raises(ContractViolation):
+                p.drop_variable(i)
+        with pytest.raises(ContractViolation):
+            P(1, {(0,): 1}).drop_variable(0)
