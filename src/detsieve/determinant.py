@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .arith import factorize, is_prime, prime_power_decompose
 from .enumeration import PointSet, ResidueData, residue_split, split_leftover
-from .errors import ContractViolation, HypothesisViolation, SoundnessError
+from .errors import ContractViolation, HypothesisViolation, SoundnessError, strict_int
 from .exponents import (
     INFINITE,
     BoxBounds,
@@ -65,7 +65,7 @@ class MonomialMatrix:
 
 def build_matrix(points: Sequence, E: ExponentSet) -> MonomialMatrix:
     """Monomial-value matrix with one row per point, one column per member."""
-    pts = tuple(tuple(int(x) for x in p) for p in points)
+    pts = tuple(tuple(strict_int(x, "point coordinate") for x in p) for p in points)
     if not pts:
         raise ContractViolation("matrix needs at least one point")
     for p in pts:
@@ -413,7 +413,7 @@ def congruence_certificates(
     The certified divisors multiply: their product divides every full
     minor, because valuations at distinct primes are independent.
     """
-    q = int(q)
+    q = strict_int(q, "modulus")
     if q < 1:
         raise ContractViolation("modulus must be a positive integer")
     if q == 1:
@@ -610,13 +610,13 @@ def aux_pipeline(
         raise ContractViolation("pipeline is defined for three variables")
     if f.is_zero or f.is_constant:
         raise ContractViolation("surface polynomial must be non-constant")
-    q = int(q)
+    q = strict_int(q, "modulus")
     if q < 1:
         raise ContractViolation("modulus must be a positive integer")
 
     route = _hypothesis_route(g, q, box)
 
-    pts = tuple(tuple(int(x) for x in p) for p in points)
+    pts = tuple(tuple(strict_int(x, "point coordinate") for x in p) for p in points)
     for pt in pts:
         if f.evaluate(pt) != 0:
             raise ContractViolation(f"point {pt} is not on the surface")

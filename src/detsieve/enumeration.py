@@ -56,11 +56,14 @@ class PointSet:
         return iter(self.points)
 
 
-def _horner(coeffs: Sequence[int], x: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = v * x + c
-    return v
+def _horner_row(coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
+    """Values of sum(coeffs[k] x^k) at every x of xs, one pass per degree."""
+    if not coeffs:
+        return [0] * len(xs)
+    vals = [coeffs[-1]] * len(xs)
+    for c in reversed(coeffs[:-1]):
+        vals = [v * x + c for v, x in zip(vals, xs)]
+    return vals
 
 
 def _z_groups(p: IntegerPolynomial) -> list[list[tuple[int, int]]]:
@@ -76,51 +79,93 @@ def _z_row(groups: list[list[tuple[int, int]]], y: int) -> list[int]:
     return [sum(c * y ** e2 for e2, c in group) for group in groups]
 
 
-def _integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
-    """All integer roots of the nonzero polynomial sum(coeffs[k] x^k) in [lo, hi].
+def _row_roots(cols: Sequence[Sequence[int]], lo: int, hi: int):
+    """Integer roots in [lo, hi] of every fiber of a row.
 
-    Degree 1 and 2 are solved directly; beyond that every integer root
-    divides the (nonzero) constant term, so trial division of that term
+    ``cols[j][i]`` is the x^j coefficient of fiber i.  Yields (i, roots),
+    roots ascending, for each fiber i with a root there; a fiber that
+    vanishes identically has every x in [lo, hi] as a root.  The degree
+    case is chosen once per row from len(cols).  Degree 2 screens the
+    whole row's discriminants in one pass; beyond that every integer
+    root divides the lowest nonzero coefficient, so trial division of it
     by 1 .. max(-lo, hi) finds every candidate, for a term of any size.
+    A fiber whose leading coefficient vanishes is solved as a one-fiber
+    row of its true degree.
     """
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ContractViolation("root search on the zero polynomial")
-    roots = set()
-    had_zero = False
-    while cs[0] == 0:
-        cs.pop(0)
-        had_zero = True
-    if had_zero and lo <= 0 <= hi:
-        roots.add(0)
-    d = len(cs) - 1
-    if d == 1:
-        c0, c1 = cs
-        if c0 % c1 == 0:
-            x = -(c0 // c1)
-            if lo <= x <= hi:
-                roots.add(x)
+    d = len(cols) - 1
+    if d == 0:
+        full = range(lo, hi + 1)
+        for i, c0 in enumerate(cols[0]):
+            if not c0:
+                yield i, full
+    elif d == 1:
+        for i, (c0, c1) in enumerate(zip(*cols)):
+            if not c1:
+                xs = _integer_roots((c0,), lo, hi)
+            elif c0 % c1 == 0 and lo <= -(c0 // c1) <= hi:
+                xs = (-(c0 // c1),)
+            else:
+                continue
+            if xs:
+                yield i, xs
     elif d == 2:
-        c0, c1, c2 = cs
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc >= 0:
-            s = math.isqrt(disc)
-            if s * s == disc:
-                for num in (-c1 + s, -c1 - s):
-                    if num % (2 * c2) == 0:
-                        x = num // (2 * c2)
+        c0s, c1s, c2s = cols
+        discs = [c1 * c1 - 4 * c2 * c0 for c0, c1, c2 in zip(c0s, c1s, c2s)]
+        for i, disc in enumerate(discs):
+            if disc < 0:
+                continue
+            c2 = c2s[i]
+            if not c2:
+                xs = _integer_roots((c0s[i], c1s[i]), lo, hi)
+            else:
+                s = math.isqrt(disc)
+                if s * s != disc:
+                    continue
+                den = 2 * c2
+                xs = sorted({num // den for num in (-c1s[i] - s, -c1s[i] + s)
+                             if num % den == 0 and lo <= num // den <= hi})
+            if xs:
+                yield i, xs
+    else:
+        bound = max(-lo, hi)
+        for i, fiber in enumerate(zip(*cols)):
+            if not fiber[-1]:
+                xs = _integer_roots(fiber[:-1], lo, hi)
+            else:
+                k = 0
+                while not fiber[k]:
+                    k += 1
+                a0 = abs(fiber[k])
+                xs = [0] if k and lo <= 0 <= hi else []
+                for dv in range(1, min(bound, a0) + 1):
+                    if a0 % dv:
+                        continue
+                    for x in (-dv, dv):
                         if lo <= x <= hi:
-                            roots.add(x)
-    elif d >= 3:
-        a0 = abs(cs[0])
-        for dv in range(1, min(max(-lo, hi), a0) + 1):
-            if a0 % dv == 0:
-                for x in (dv, -dv):
-                    if lo <= x <= hi and _horner(cs, x) == 0:
-                        roots.add(x)
-    return sorted(roots)
+                            v = 0
+                            for c in reversed(fiber):
+                                v = v * x + c
+                            if not v:
+                                xs.append(x)
+                xs.sort()
+            if xs:
+                yield i, xs
+
+
+def _integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
+    """Ascending integer roots in [lo, hi] of one fiber sum(coeffs[k] x^k).
+
+    A one-fiber row of the polynomial's true degree for ``_row_roots``;
+    the zero polynomial has every x in [lo, hi] as a root.
+    """
+    d = len(coeffs)
+    while d and not coeffs[d - 1]:
+        d -= 1
+    if not d:
+        return list(range(lo, hi + 1))
+    for _, xs in _row_roots([[c] for c in coeffs[:d]], lo, hi):
+        return list(xs)
+    return []
 
 
 def _residue_table(g: IntegerPolynomial, q: int) -> dict[int, list[int]]:
@@ -151,11 +196,15 @@ def enumerate_points(
     """Exact enumeration of the congruence-constrained surface points.
 
     Fibers over admissible (x2, x3); each fiber reduces to integer root
-    finding for f(., x2, x3).  Rows x2 = y come outermost: the
-    x1-coefficients of f are reduced to dense polynomials in x3 once per
-    row, and each fiber evaluates them by Horner's rule at its x3.  A
-    fiber polynomial that vanishes identically contributes its full x1
-    range.
+    finding for f(., x2, x3).  Rows x2 = y come outermost.  A row lists
+    its admissible x3 values once: from the residue table, built once
+    per residue of y mod q, or, for q^2 above ``SIEVE_TABLE_CAP``, by
+    evaluating g over the whole x3 range in one pass.  Each
+    x1-coefficient c_j(y, .) is then evaluated at all of them in one
+    Horner pass per x3-degree, giving one column per j, and
+    ``_row_roots`` solves the row's fibers from those columns.  A fiber
+    polynomial that vanishes identically contributes its full x1 range.
+    Only one row of columns is held at a time.
     """
     if f.nvars != 3:
         raise ContractViolation("surface polynomial must use arity 3")
@@ -166,48 +215,46 @@ def enumerate_points(
     coeff_polys = f.coefficients_in(0)
     zero = IntegerPolynomial.zero(3)
     # c_j(x2, x3) = coefficient of x1^j, grouped once so each row y costs
-    # one pass over the terms and each fiber one Horner per j
+    # one pass over the terms and one Horner pass per x3-degree
     coeff_groups = [_z_groups(coeff_polys.get(j, zero))
                     for j in range(f.degree_in(0) + 1)]
     grads = [f.partial_derivative(i) for i in range(3)]
 
-    points: list[tuple] = []
-
-    def row_at(y: int) -> list[list[int]]:
-        """For each x1-power j, the dense x3-coefficients of c_j(y, x3)."""
-        return [_z_row(groups, y) for groups in coeff_groups]
-
-    def visit_fiber(row: list[list[int]], y: int, z: int) -> None:
-        dense = [_horner(zc, z) for zc in row]
-        if any(dense):
-            xs = _integer_roots(dense, -b1, b1)
-        else:
-            xs = range(-b1, b1 + 1)
-        for x1 in xs:
-            pt = (x1, y, z)
-            if nonsingular_only and all(gr.evaluate(pt) == 0 for gr in grads):
-                continue
-            points.append(pt)
-
     if q * q <= SIEVE_TABLE_CAP:
         # q = 1 runs here too: its table is {0: [0]}, every fiber of the box
         table = _residue_table(side.g, q)
-        for y in range(-b2, b2 + 1):
-            r3s = table.get(y % q)
-            if not r3s:
-                continue
-            row = row_at(y)
-            for r3 in r3s:
-                for z in range(-b3 + ((r3 + b3) % q), b3 + 1, q):
-                    visit_fiber(row, y, z)
+        by_residue: dict[int, list[int]] = {}
+
+        def row_zs(y: int) -> list[int]:
+            r2 = y % q
+            zs = by_residue.get(r2)
+            if zs is None:
+                zs = by_residue[r2] = [
+                    z for r3 in table.get(r2, ())
+                    for z in range(-b3 + ((r3 + b3) % q), b3 + 1, q)
+                ]
+            return zs
     else:
         g_groups = _z_groups(side.g)
-        for y in range(-b2, b2 + 1):
-            row = row_at(y)
-            g_row = _z_row(g_groups, y)
-            for z in range(-b3, b3 + 1):
-                if _horner(g_row, z) % q == 0:
-                    visit_fiber(row, y, z)
+        all_zs = range(-b3, b3 + 1)
+
+        def row_zs(y: int) -> list[int]:
+            g_vals = _horner_row(_z_row(g_groups, y), all_zs)
+            return [z for z, v in zip(all_zs, g_vals) if v % q == 0]
+
+    points: list[tuple] = []
+    for y in range(-b2, b2 + 1):
+        zs = row_zs(y)
+        if not zs:
+            continue
+        cols = [_horner_row(_z_row(groups, y), zs) for groups in coeff_groups]
+        for i, xs in _row_roots(cols, -b1, b1):
+            z = zs[i]
+            for x1 in xs:
+                pt = (x1, y, z)
+                if nonsingular_only and all(gr.evaluate(pt) == 0 for gr in grads):
+                    continue
+                points.append(pt)
 
     points.sort()
     return PointSet(tuple(points), box, nonsingular_only)

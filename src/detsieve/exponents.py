@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 from mpmath import mp
@@ -362,7 +362,7 @@ def compute_params(
         raise ContractViolation("side condition polynomial must be non-constant")
     if g.depends_on(0):
         raise ContractViolation("side condition polynomial must not involve x1")
-    q = int(q)
+    q = strict_int(q, "modulus")
     if q < 1:
         raise ContractViolation("modulus must be a positive integer")
     if not epsilon > 0:
@@ -419,7 +419,7 @@ def lambda_single(e: Sequence[int], t: Sequence[int], E: ExponentSet):
 
     Infinite for t = 0.  The input e must itself be restricted.
     """
-    e = tuple(int(v) for v in e)
+    e = tuple(strict_int(v, "exponent entry") for v in e)
     t = _shift_vector(t)
     if e not in E.restricted_set:
         raise ContractViolation(f"{e} is not a restricted member of the set")
@@ -458,7 +458,7 @@ def _exact_floor(He: int, Hs: int, Ht: int, T: int) -> int:
 
 def shift_floor(e: Sequence[int], t: Sequence[int], E: ExponentSet, S: ExactLog) -> float | int:
     """The budget floor((Y - log B^e)/(S - log B^t)); infinite when equal."""
-    e = tuple(int(v) for v in e)
+    e = tuple(strict_int(v, "exponent entry") for v in e)
     t = _shift_vector(t)
     box = E.box
     Ht = box.height(t)
@@ -525,8 +525,10 @@ def choose_Y(
     mode 'grid-scan': grid_points candidates evenly spaced in
     [grid_low, 2*grid_low]; returns the smallest candidate meeting both
     the floor and the constraint.  Candidates snap to exact integer
-    heights.  The last candidate is probed
-    first, so an unsatisfiable grid costs one probe; then it bisects.
+    heights, which rise along the grid, so it bisects for the first
+    candidate above the floor; only probed candidates are computed.
+    The last candidate is probed first, so an unsatisfiable grid costs
+    one probe; then it bisects.
     """
     c_floor = floor_const if floor_const is not None else default_floor_constant(epsilon)
     if c_floor < 0:
@@ -555,34 +557,33 @@ def choose_Y(
     if mode == "grid-scan":
         if grid_low is None:
             raise ContractViolation("grid-scan needs grid_low")
-        candidates = []
         with workprec():
             low = to_mpf(grid_low)
             if low <= 0:
                 raise ContractViolation("grid_low must be positive")
             floor_value = c_floor * mplog(box.bmax)
-            seen = set()
-            for k in range(grid_points):
-                h = mpexp(low * (1 + to_mpf(k) / (grid_points - 1)))
+        last = grid_points - 1
+
+        @cache
+        def candidate(k: int) -> ExactLog:
+            with workprec():
+                h = mpexp(low * (1 + to_mpf(k) / last))
                 near = int(mp.nint(h))
                 # snap heights that are integers up to rounding noise
                 if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
                     height = near
                 else:
                     height = int(mp.floor(h))
-                if height < 1 or height in seen:
-                    continue
-                seen.add(height)
-                cand = ExactLog.from_height(height)
-                if cand.value >= floor_value:
-                    candidates.append(cand)
-        if not candidates or not constraint(candidates[-1]):
+            return ExactLog.from_height(height)
+
+        # heights rise with k, so the floor test is monotone as well
+        first = _first_holding(lambda k: candidate(k).value >= floor_value, 0, grid_points)
+        if first == grid_points or not constraint(candidate(last)):
             raise ContractViolation(
                 "no grid candidate in [Z, 2Z] satisfies the floor and the "
                 "constraint; raise Z"
             )
-        last = len(candidates) - 1
-        return candidates[_first_holding(lambda i: constraint(candidates[i]), 0, last)]
+        return candidate(_first_holding(lambda k: constraint(candidate(k)), first, last))
 
     raise ContractViolation(f"unknown cutoff mode {mode!r}")
 

@@ -99,6 +99,37 @@ class TestBuildMatrix:
             build_matrix([], staircase(3, 2))
 
 
+class TestIntegerInputs:
+    """Points and moduli must be integers: a float, a bool or a string is
+    refused instead of truncated or parsed."""
+
+    BAD = (1.5, True, "5")
+
+    def test_build_matrix_rejects_non_integer_coordinates(self):
+        E = staircase(3, 2)
+        for bad in self.BAD:
+            with pytest.raises(ContractViolation, match="point coordinate must be an integer"):
+                build_matrix([(bad, 2, 0)], E)
+
+    def test_aux_pipeline_rejects_non_integer_points_and_modulus(self):
+        f, g, box, pts = quadric_instance()
+        for bad in self.BAD:
+            with pytest.raises(ContractViolation, match="modulus must be an integer"):
+                aux_pipeline(f, g, bad, box, ResidueData(()), 0.5, pts, floor_const=10)
+            points = [(bad, 1, 0)] + list(pts)
+            with pytest.raises(ContractViolation, match="point coordinate must be an integer"):
+                aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, points, floor_const=10)
+
+    def test_certificates_reject_non_integer_modulus(self):
+        _, g, box, pts = quadric_instance()
+        E = staircase(2, 2)
+        M = build_matrix(pts, E)
+        S = side_log_height(g, box)[1]
+        for bad in self.BAD:
+            with pytest.raises(ContractViolation, match="modulus must be an integer"):
+                congruence_certificates(M, g, bad, E, S)
+
+
 class TestRankAndMinors:
     def test_rank_of_repeated_rows(self):
         assert rank_over_rationals(grid_matrix([[1, 1], [1, 1]])) == 1

@@ -32,14 +32,19 @@ def sphere(c):
 TRIVIAL_SIDE = SideCondition(P.variable(3, 1), 1)
 
 
-def naive_points(f, g, q, box):
+def naive_points(f, g, q, box, nonsingular_only=False):
     b1, b2, b3 = (int(b) for b in box.bounds)
+    grads = [f.partial_derivative(i) for i in range(3)]
     out = []
     for x1 in range(-b1, b1 + 1):
         for x2 in range(-b2, b2 + 1):
             for x3 in range(-b3, b3 + 1):
-                if f.evaluate((x1, x2, x3)) == 0 and g.evaluate((x1, x2, x3)) % q == 0:
-                    out.append((x1, x2, x3))
+                pt = (x1, x2, x3)
+                if f.evaluate(pt) != 0 or g.evaluate(pt) % q != 0:
+                    continue
+                if nonsingular_only and not any(gr.evaluate(pt) for gr in grads):
+                    continue
+                out.append(pt)
     return sorted(out)
 
 
@@ -200,6 +205,61 @@ class TestEnumeratePoints:
             assert list(enumerate_points(f, SideCondition(g, q), box)) == want[q]
         monkeypatch.setattr(enumeration, "SIEVE_TABLE_CAP", 1)
         assert list(enumerate_points(f, SideCondition(g, 5), box)) == want[5]
+
+    # Row-path edge cases: name -> (surface, fibers the case must produce).
+    X1, X2, X3 = (P.variable(3, i) for i in range(3))
+    ONE = P.constant(3, 1)
+    ROW_EDGE_CASES = {
+        # c_2 = x3 - 1: the quadratic fibers at x3 = 1 are linear, x1 = x2
+        "leading coefficient vanishes mid-row":
+            ((X3 - ONE) * X1 * X1 + X1 - X2, lambda pts: any(z == 1 for _, _, z in pts)),
+        # every c_j vanishes on x2 = x3: whole x1 ranges in the middle of rows
+        "identically zero fiber":
+            ((X2 - X3) * (X1 * X1 - X2), lambda pts: (-3, 1, 1) in pts and (3, 1, 1) in pts),
+        # no constant term: x1 = 0 is a root of every fiber
+        "zero constant term, degree 2":
+            (X3 * X1 * X1 + X2 * X1, lambda pts: (0, 2, -2) in pts),
+        "zero constant term, degree 3":
+            (X1 * X1 * X1 + X2 * X1 * X1 - X3 * X1, lambda pts: (0, 1, 1) in pts),
+        "x1-degree 3": (X1 * X1 * X1 - X2 * X1 - X3, lambda pts: (2, 1, 6) in pts),
+        # the x1^3 coefficient x3 - 1 vanishes at x3 = 1, leaving x1^2 = x2
+        "x1-degree 3, leading coefficient vanishes":
+            ((X3 - ONE) * X1 * X1 * X1 + X1 * X1 - X2, lambda pts: (2, 4, 1) in pts),
+        "x1-degree 4": (X1 ** 4 - X2 * X1 * X1 + X3, lambda pts: (1, 2, 1) in pts),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROW_EDGE_CASES))
+    @pytest.mark.parametrize("table", (True, False), ids=("table", "direct"))
+    @pytest.mark.parametrize("nonsingular", (False, True), ids=("all", "nonsingular"))
+    def test_row_edge_cases_match_naive_box_loop(self, monkeypatch, name, table,
+                                                 nonsingular):
+        f, witness = self.ROW_EDGE_CASES[name]
+        g = poly3({(0, 1, 0): 1, (0, 0, 1): 2})
+        box = BoxBounds(3, 6, 7)
+        if not table:
+            monkeypatch.setattr(enumeration, "SIEVE_TABLE_CAP", 0)
+        for q in (1, 3):
+            got = list(enumerate_points(f, SideCondition(g, q), box,
+                                        nonsingular_only=nonsingular))
+            assert got == naive_points(f, g, q, box, nonsingular), (q, name)
+        # with q = 1 the case's own fibers are reached
+        assert witness(enumerate_points(f, TRIVIAL_SIDE, box))
+
+    def test_large_prime_modulus_runs_direct_branch(self):
+        # q^2 above the table cap: the congruence is tested row by row.
+        # On the surface g = 25 - 3 (x1^2 - 25), so g = 0 mod q forces
+        # x1 = +-5 and x2^2 + x3^2 = 25: 2 * 12 points
+        q = 10007
+        assert q * q > enumeration.SIEVE_TABLE_CAP
+        f = poly3({(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -100})
+        g = poly3({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -25})
+        got = list(enumerate_points(f, SideCondition(g, q), BoxBounds(12, 20, 20)))
+        brute = [(x1, x2, x3) for x1 in range(-12, 13) for x2 in range(-20, 21)
+                 for x3 in range(-20, 21)
+                 if 3 * x1 * x1 + x2 * x2 + x3 * x3 == 100
+                 and (x2 * x2 + x3 * x3 - 25) % q == 0]
+        assert got == brute
+        assert len(got) == 24
 
     def test_side_condition_validation(self):
         with pytest.raises(ContractViolation):

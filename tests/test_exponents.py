@@ -271,6 +271,34 @@ class TestLambdaSingle:
             lambda_single((2, 0, 0), (0, 1, 0), E)
 
 
+class TestIntegerExponents:
+    """Exponents and moduli must be integers: a float, a bool or a string
+    is refused instead of truncated or parsed."""
+
+    BAD = (1.5, True, "5")
+
+    def test_lambda_single_rejects_non_integer_exponents(self):
+        E = staircase(8, 2)
+        for bad in self.BAD:
+            with pytest.raises(ContractViolation, match="exponent entry must be an integer"):
+                lambda_single((bad, 4, 0), (0, 2, 0), E)
+
+    def test_shift_floor_rejects_non_integer_exponents(self):
+        E = staircase(3, 2)
+        S = ExactLog.power(2, 2)
+        for bad in self.BAD:
+            with pytest.raises(ContractViolation, match="exponent entry must be an integer"):
+                shift_floor((bad, 0, 0), (0, 1, 0), E, S)
+
+    def test_compute_params_rejects_non_integer_modulus(self):
+        f = P(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+        g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+        box = cube(10)
+        for bad in self.BAD:
+            with pytest.raises(ContractViolation, match="modulus must be an integer"):
+                compute_params(f, g, bad, box, MonomialOrder.weighted(box.bounds), 0.5)
+
+
 class TestLambdaTotal:
     def test_frozen_instance(self):
         E = staircase(3, 2)
@@ -530,6 +558,36 @@ class TestChooseYSearch:
             assert len(probes) <= math.ceil(math.log2(points)) + 1
             if isinstance(got, tuple):
                 assert len(probes) <= 1
+
+    def test_grid_scan_builds_only_probed_cutoffs(self, monkeypatch):
+        # floor and constraint are both found by bisection over the 64 grid
+        # points, so at most 7 + 7 cutoffs are built where the linear scan
+        # builds all 64; the answer (or refusal) is the linear scan's
+        rng = random.Random(13)
+        real = ExactLog.from_height.__func__
+        built = []
+
+        def counting(cls, height):
+            built.append(height)
+            return real(cls, height)
+
+        outcomes = set()
+        for _ in range(80):
+            box = rng.choice((BoxBounds(4, 8, 16), BoxBounds(12, 20, 30), cube(60)))
+            c_floor = rng.randint(0, 16)
+            with mp.workprec(96):
+                low = mp.mpf(rng.uniform(1, 50))
+                threshold = low * mp.mpf(rng.uniform(0.9, 2.1))
+            kw = dict(box=box, floor_const=c_floor, grid_low=low, grid_points=64)
+            want, _ = self.outcome(linear_choose_Y, "grid-scan", threshold, **kw)
+            del built[:]
+            with monkeypatch.context() as m:
+                m.setattr(ExactLog, "from_height", classmethod(counting))
+                got, _ = self.outcome(choose_Y, "grid-scan", threshold, **kw)
+            assert got == want, (box, c_floor, low, threshold)
+            assert 1 <= len(built) <= 14
+            outcomes.add("raised" if isinstance(got, tuple) else "found")
+        assert outcomes == {"raised", "found"}
 
     def test_grid_scan_unsatisfiable_costs_one_probe(self):
         probes = []
