@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate
 from typing import Sequence
 
 from .arith import divisors, is_prime
@@ -90,7 +90,7 @@ class QuadricInstance:
 
 def q_of_n(n: int) -> int:
     """Column count of the cutoff-n staircase: C(n+3,3) - C(n+1,3)."""
-    n = int(n)
+    n = strict_int(n, "cutoff index")
     if n < 0:
         raise ContractViolation("cutoff index must be nonnegative")
     return math.comb(n + 3, 3) - math.comb(n + 1, 3)
@@ -244,7 +244,10 @@ def build_slice(
     sum_j c_j(x1,x2,x3) * x4^j and k' = deg h, the result is
     sum_j c_j * (u - gamma - alpha*x1)^j * beta^(k'-j).
     """
-    alpha, beta, gamma, u = int(alpha), int(beta), int(gamma), int(u)
+    alpha, beta, gamma, u = (
+        strict_int(v, name)
+        for v, name in zip((alpha, beta, gamma, u), ("alpha", "beta", "gamma", "u"))
+    )
     if beta == 0:
         raise ContractViolation("beta must be nonzero")
     if h.nvars != 4:
@@ -363,52 +366,119 @@ class GcdPowerSum:
     terms: int
 
 
-def _power_table(a, X: int) -> list:
-    """[None, 1^a, 2^a, ..., X^a] from one power per prime.
+#: fractional bits of the fixed-point power table: 96 plus 32 guard bits
+_FRACTION_BITS = 96 + 32
+
+
+def _power_table(a: int, X: int) -> list:
+    """[0, 1^alpha, ..., X^alpha] in fixed point: ints near u^alpha * 2^F,
+    with F = ``_FRACTION_BITS`` and alpha = a / 2^F in [-1, 0].
 
     A smallest-prime-factor sieve writes each composite u as p * (u // p),
-    so u^a = p^a * (u // p)^a costs one product and the entry carries at
-    most Omega(u) roundings.
+    so its entry is one product and one shift.  A prime p takes
+    p^alpha = (p-1)^alpha * (1 - 1/p)^beta, beta = -alpha, from the entry
+    below it.  1 - (1 - 1/p)^beta is the binomial series sum c_k p^-k with
+    c_k = beta(1-beta)...(k-1-beta)/k! in [0, 1/k]; the c_k are fixed per
+    call, and the series runs by Horner's rule, with integer division by
+    p, over its first ceil(F / floor(log2 p)) terms.
+
+    Error.  All work is in units of 2^-F.  In the series the c_k lose
+    at most k - 1 units each (weight p^-k), Horner's floors under 2 and the
+    dropped tail under 1, so the factor (1 - 1/p)^beta >= 1/2 comes out
+    high by under 4 units, relatively by under 8 * 2^-F.  Each product's
+    shift loses under one unit of an entry of at least u^alpha, relatively
+    at most u^-alpha * 2^-F.  So one step (a composite product, or a
+    prime's series and product) moves an entry by a factor within
+    1 +- (u^-alpha + 8) * 2^-F.  Entry u rests on fewer than 3 * log2(u)
+    steps: a composite on its two factors' steps and one more, a prime
+    p >= 5 on those of (p-1)/2 and of 2, then p - 1 and p.  Rounding alpha
+    to a / 2^F adds at most 2^-F * ln(u) / 2.  Altogether, in units,
+
+        |pw[u] - u^alpha * 2^F| <= 3 * log2(u) * (1 + 9 * u^alpha),
+
+    a relative error below 2^-109 for u <= 10^4, whatever alpha.
     """
+    F = _FRACTION_BITS
+    one = 1 << F
+    b = -a
+    c = [0, b]
+    for k in range(2, F + 1):
+        c.append(c[-1] * (((k - 1) << F) - b) // (k << F))
     spf = [0] * (X + 1)
     # the smallest prime is assigned last, so it is the one that stays
     for p in reversed([p for p in range(2, math.isqrt(X) + 1) if is_prime(p)]):
         spf[p * p::p] = [p] * len(range(p * p, X + 1, p))
-    pw = [None, to_mpf(1)]
+    pw = [0, one]
     for u in range(2, X + 1):
         p = spf[u]
-        pw.append(mpf(u) ** a if p == 0 else pw[p] * pw[u // p])
+        if p:
+            pw.append(pw[p] * pw[u // p] >> F)
+            continue
+        acc = 0
+        # c_K down to c_1, K = ceil(F / floor(log2 u)), so that u^K >= 2^F
+        for ck in c[-(-F // (u.bit_length() - 1)):0:-1]:
+            acc = acc // u + ck
+        pw.append(pw[u - 1] * (one - acc // u) >> F)
     return pw
+
+
+def _fixed_exponent(alpha) -> int:
+    """round(alpha * 2^F) for an int, float, Fraction or mpf alpha in (-1, 0)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float, Fraction, mpf)):
+        raise ContractViolation(
+            f"exponent must be an int, float, Fraction or mpf, not {alpha!r}"
+        )
+    if not -1 < alpha < 0:
+        raise ContractViolation("exponent must lie strictly between -1 and 0")
+    if isinstance(alpha, mpf):
+        man, exp = alpha.man_exp  # the mantissa of |alpha|
+        alpha = -int(man) * Fraction(2) ** exp
+    return round(Fraction(alpha) * (1 << _FRACTION_BITS))
+
+
+def _power_sums(a: int, X: int, n: int) -> tuple:
+    """(total, majorant, terms), both sums exact over ``_power_table(a, X)``."""
+    pw = _power_table(a, X)
+    total = sum(pw[u // math.gcd(u, n)] for u in range(1, X + 1))
+    prefix = list(accumulate(pw))  # prefix[m] = pw[1] + ... + pw[m]
+    divs = divisors(n)
+    majorant = sum(prefix[X // d] for d in divs)
+    return total, majorant, X + sum(X // d for d in divs)
 
 
 def gcd_power_sum(alpha, X: int, n: int) -> GcdPowerSum:
     """Sum of (u / gcd(u, n))^alpha for u up to X, with its divisor majorant.
 
     The majorant sums u^alpha for u up to X/d over every divisor d of n.
-    Both sums read one table of u^alpha for u <= X (see ``_power_table``)
-    and are added by ``mp.fsum``, which adds the mantissas exactly and
-    rounds once: the terms lie in [X^alpha, 1], far inside the exponent
-    window in which ``fsum`` drops nothing.  Each term of the twisted sum
-    injects into the majorant's terms as the very same table entry
-    (u -> (d, u/d) with d = gcd(u, n)), and every term is positive, so the
-    exact total is at most the exact majorant; rounding once is monotone,
-    so total <= majorant survives it.  ``X`` and ``n`` must be positive
-    ints; anything else, bools included, is a ``ContractViolation``.
+    Both sums add the same fixed-point table of u^alpha (see
+    ``_power_table``) as Python ints, so they are exact sums of the
+    entries.  Each term of the twisted sum injects into the majorant's
+    terms as the very same entry (u -> (d, u/d) with d = gcd(u, n)), and
+    every entry is positive, so total <= majorant holds on the integers;
+    a failure is a ``SoundnessError``.  Each sum then becomes an ``mpf``
+    once, rounded to nearest at 96 bits and scaled by 2^-F exactly;
+    rounding is monotone, so the order survives, and each result is
+    within 2^-96 plus the table's entry error of the true sum.
+
+    ``alpha`` is an int, float, ``Fraction`` or ``mpf`` strictly between
+    -1 and 0, taken to the nearest multiple of 2^-F (exactly, for a
+    float); ``X`` and ``n`` are positive ints.  Anything else, bools and
+    strings included, is a ``ContractViolation``.
     """
-    alpha_f = float(alpha)
-    if not -1.0 < alpha_f < 0.0:
-        raise ContractViolation("exponent must lie strictly between -1 and 0")
+    a = _fixed_exponent(alpha)
     X = strict_int(X, "range X")
     n = strict_int(n, "twist n")
     if X < 1 or n < 1:
         raise ContractViolation(f"range X = {X} and twist n = {n} must be positive")
-    divs = divisors(n)
+    total, majorant, terms = _power_sums(a, X, n)
+    if total > majorant:
+        raise SoundnessError(f"power sum exceeds its majorant for {(alpha, X, n)}")
     with workprec():
-        pw = _power_table(to_mpf(alpha), X)
-        total = mp.fsum(pw[u // math.gcd(u, n)] for u in range(1, X + 1))
-        majorant = mp.fsum(chain.from_iterable(pw[1:X // d + 1] for d in divs))
-    terms = X + sum(X // d for d in divs)
-    return GcdPowerSum(total=total, majorant=majorant, terms=terms)
+        return GcdPowerSum(
+            total=mp.ldexp(mpf(total), -_FRACTION_BITS),
+            majorant=mp.ldexp(mpf(majorant), -_FRACTION_BITS),
+            terms=terms,
+        )
 
 
 # -- Wronskian exclusion ----------------------------------------------------------
@@ -438,7 +508,7 @@ def wronskian_bound_check(
     error.
     """
     gammas = list(gammas)
-    exps = tuple(int(v) for v in exps)
+    exps = tuple(strict_int(v, "exponent") for v in exps)
     r = len(gammas)
     if r == 0 or len(exps) != r:
         raise ContractViolation("need one exponent per polynomial")

@@ -156,21 +156,23 @@ def rank_over_rationals(M: MonomialMatrix) -> int:
 
 def minor_determinant(M: MonomialMatrix, rows: Sequence[int]) -> int:
     """Exact determinant of the square minor on the given row subset."""
-    idx = [int(i) for i in rows]
-    _, ncols = M.shape
+    idx = [strict_int(i, "row index") for i in rows]
+    nrows, ncols = M.shape
     if len(idx) != ncols:
         raise ContractViolation(
             f"minor needs {ncols} rows to be square, got {len(idx)}"
         )
+    if any(not 0 <= i < nrows for i in idx):
+        raise ContractViolation(f"row indices {idx} outside 0..{nrows - 1}")
     return integer_determinant([M.entries[i] for i in idx])
 
 
 def p_adic_valuation(n: int, p: int):
     """Exponent of the prime p in n; infinite for n = 0."""
-    p = int(p)
+    p = strict_int(p, "prime p")
     if not is_prime(p):
         raise ContractViolation(f"{p} is not prime")
-    n = int(n)
+    n = strict_int(n, "valuation argument n")
     if n == 0:
         return INFINITE
     v = 0
@@ -352,7 +354,7 @@ def congruence_reduce(
             rng = random.Random(0)
         subsets: list[tuple] = [tuple(range(ncols))]
         for extra in extra_subsets:
-            subsets.append(tuple(sorted(int(v) for v in extra)))
+            subsets.append(tuple(sorted(strict_int(v, "row index") for v in extra)))
         for _ in range(samples):
             subsets.append(tuple(sorted(rng.sample(range(nrows), ncols))))
         seen = set()

@@ -2,14 +2,20 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from detsieve import applications
 from detsieve.applications import (
     QuadricInstance,
+    _FRACTION_BITS,
     _alternating_factor,
+    _fixed_exponent,
+    _power_sums,
+    _power_table,
     UnlikePowersInstance,
     build_slice,
     count_quadric,
@@ -54,6 +60,9 @@ class TestQuadricInstance:
         assert q_of_n(3) == 16
         for n in range(1, 30):
             assert q_of_n(n) == (n + 1) ** 2
+        for bad in (2.5, True, "2"):
+            with pytest.raises(ContractViolation, match="cutoff index must be an integer"):
+                q_of_n(bad)
 
     def test_sharpened_cover_scale(self):
         assert quadric_cover_scale(64, 4096) == 128
@@ -169,6 +178,16 @@ class TestBuildSlice:
                     sl = build_slice(alpha, beta, gamma, h, g, u)
                     assert sl.h_u == reference_h_u(alpha, beta, gamma, h, u)
 
+    def test_slice_parameters_must_be_integers(self):
+        h = P(4, {(0, 0, 0, 2): 1})
+        g = P(3, {(0, 1, 0): 1})
+        for i, name in enumerate(("alpha", "beta", "gamma", "u")):
+            for bad in (1.5, True, "2"):
+                args = [1, 2, 0, 12]
+                args[i] = bad
+                with pytest.raises(ContractViolation, match=f"{name} must be an integer"):
+                    build_slice(*args[:3], h, g, args[3])
+
     def test_modulus_strips_beta_powers(self):
         h = P(4, {(0, 0, 0, 2): 1})
         g = P(3, {(0, 1, 0): 1})
@@ -283,6 +302,74 @@ class TestGcdPowerSum:
             with pytest.raises(ContractViolation):
                 gcd_power_sum(bad, 10, 2)
 
+    def test_exponent_types(self):
+        want = gcd_power_sum(-0.5, 40, 6)
+        for alpha in (Fraction(-1, 2), mp.mpf(-0.5)):
+            assert gcd_power_sum(alpha, 40, 6) == want
+        for bad in ("-0.5", True, False, Decimal("-0.5"), [-0.5], None, -0.5j):
+            with pytest.raises(ContractViolation, match="int, float, Fraction or mpf"):
+                gcd_power_sum(bad, 40, 6)
+        for bad in (-1, 0, float("nan"), float("-inf"), Fraction(-3, 2), mp.mpf(0)):
+            with pytest.raises(ContractViolation, match="strictly between -1 and 0"):
+                gcd_power_sum(bad, 40, 6)
+
+    def test_fixed_exponent_exact_or_nearest(self):
+        one = 1 << _FRACTION_BITS
+        # a float's every bit lies above 2^-F down to |alpha| = 2^-76
+        for alpha in (-0.37, -1e-9, -0.999999, -2.0 ** -76):
+            assert _fixed_exponent(alpha) == Fraction(alpha) * one
+        # -2/3 * 2^F ends in .67: the nearest integer, not the truncation
+        assert _fixed_exponent(Fraction(-2, 3)) == round(Fraction(-2 * one, 3))
+        with mp.workprec(300):
+            two_thirds = -mp.mpf(2) / 3
+        assert _fixed_exponent(two_thirds) == round(Fraction(-2 * one, 3))
+        assert _fixed_exponent(-1e-300) == 0
+
+    @pytest.mark.parametrize("alpha", [
+        -0.999999, Fraction(-1, 2), -0.001, -1e-9,
+    ], ids=["near-1", "half", "near-0", "1e-9"])
+    def test_table_within_documented_bound(self, alpha):
+        # every entry up to 10^4 against a 256-bit power, within the
+        # _power_table bound 3 * log2(u) * (1 + 9 * u^alpha) units of 2^-F
+        X = 10 ** 4
+        pw = _power_table(_fixed_exponent(alpha), X)
+        assert len(pw) == X + 1
+        assert pw[1] == 1 << _FRACTION_BITS
+        with mp.workprec(256):
+            a = mp.mpf(alpha.numerator) / alpha.denominator \
+                if isinstance(alpha, Fraction) else mp.mpf(alpha)
+            scale = mp.mpf(2) ** _FRACTION_BITS
+            for u in range(2, X + 1):
+                exact = mp.power(u, a)
+                bound = 3 * mp.log(u, 2) * (1 + 9 * exact)
+                assert abs(pw[u] - exact * scale) <= bound, (alpha, u)
+
+    def test_table_holds_only_ints(self):
+        for alpha in (-0.5, -1e-9, -0.98):
+            pw = _power_table(_fixed_exponent(alpha), 3000)
+            assert all(type(v) is int for v in pw)
+
+    def test_integer_sums_ordered(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            alpha = -rng.uniform(0.02, 0.98)
+            X = int(math.exp(rng.uniform(0, math.log(3000))))
+            n = rng.randrange(1, 1001)
+            total, majorant, terms = _power_sums(_fixed_exponent(alpha), X, n)
+            assert type(total) is int and type(majorant) is int
+            assert 0 < total <= majorant, (alpha, X, n)
+            got = gcd_power_sum(alpha, X, n)
+            assert got.terms == terms
+            # each sum is rounded once, to 96 bits, then scaled exactly
+            with mp.workprec(96):
+                assert got.total == mp.ldexp(mp.mpf(total), -_FRACTION_BITS)
+                assert got.majorant == mp.ldexp(mp.mpf(majorant), -_FRACTION_BITS)
+
+    def test_order_failure_is_a_soundness_error(self, monkeypatch):
+        monkeypatch.setattr(applications, "_power_sums", lambda a, X, n: (2, 1, 3))
+        with pytest.raises(SoundnessError, match="exceeds its majorant"):
+            gcd_power_sum(-0.5, 10, 2)
+
     def test_integer_arguments_not_truncated(self):
         # each of these used to run on a silently truncated integer
         with pytest.raises(ContractViolation, match="range X must be an integer"):
@@ -364,6 +451,12 @@ class TestWronskianBoundCheck:
         rep = wronskian_bound_check([R.x(), R.x(), R([1, -2])], [1, 1, 1])
         assert not rep.applicable
         assert not rep.wronskian_nonzero
+
+    def test_exponents_must_be_integers(self):
+        # 2.5 used to be truncated to 2
+        for bad in (2.5, 2.0, True, "2"):
+            with pytest.raises(ContractViolation, match="exponent must be an integer"):
+                wronskian_bound_check([R.x(), R([1, 0, -1])], [bad, 1])
 
     def test_nonconstant_sum_rejected(self):
         with pytest.raises(ContractViolation, match="nonzero constant"):

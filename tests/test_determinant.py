@@ -129,6 +129,39 @@ class TestIntegerInputs:
             with pytest.raises(ContractViolation, match="modulus must be an integer"):
                 congruence_certificates(M, g, bad, E, S)
 
+    def test_minor_rows_must_be_integers(self):
+        # rows (0.9, 1.7) used to be read as rows (0, 1)
+        M = grid_matrix([[2, 3], [5, 7]])
+        for rows in ((0.9, 1.7), (False, True), ("0", "1")):
+            with pytest.raises(ContractViolation, match="row index must be an integer"):
+                minor_determinant(M, rows)
+        # a negative index used to count from the end
+        for rows in ((-1, 0), (0, 2)):
+            with pytest.raises(ContractViolation, match="outside 0..1"):
+                minor_determinant(M, rows)
+
+    def test_valuation_arguments_must_be_integers(self):
+        # p_adic_valuation(8.9, 2.5) used to read as p_adic_valuation(8, 2) = 3
+        with pytest.raises(ContractViolation, match="prime p must be an integer"):
+            p_adic_valuation(8.9, 2.5)
+        with pytest.raises(ContractViolation, match="prime p must be an integer"):
+            p_adic_valuation(8, True)
+        for bad in self.BAD:
+            with pytest.raises(ContractViolation, match="argument n must be an integer"):
+                p_adic_valuation(bad, 2)
+
+    def test_extra_subsets_must_be_integers(self):
+        f, g, box, pts = rich_instance()
+        E = staircase(2, 2)
+        M = build_matrix(pts, E)
+        S = side_log_height(g, box)[1]
+        ncols = M.shape[1]
+        assert M.shape[0] > ncols
+        for bad in self.BAD:
+            extra = [bad] + list(range(1, ncols))
+            with pytest.raises(ContractViolation, match="row index must be an integer"):
+                congruence_certificates(M, g, 5, E, S, extra_subsets=(extra,))
+
 
 class TestRankAndMinors:
     def test_rank_of_repeated_rows(self):
