@@ -42,11 +42,17 @@ def _integer_nth_root(v: int, n: int) -> int | None:
         return 0
     if n == 1:
         return v
-    r = int(round(a ** (1.0 / n)))
-    for c in (r - 2, r - 1, r, r + 1, r + 2):
-        if c >= 0 and c ** n == a:
-            return -c if neg else c
-    return None
+    # integer Newton from 2^ceil(bits/n) > a^(1/n): it falls strictly
+    # until it reaches floor(a^(1/n)), where the next step stops falling
+    r = 1 << -(-a.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + a // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
+    if r ** n != a:
+        return None
+    return -r if neg else r
 
 
 # -- diagonal quadrics ----------------------------------------------------------

@@ -374,7 +374,10 @@ def _run_aux(cfg: dict, seed: int) -> dict:
         floor_const=floor_const, scale_override=scale_override,
     )
     result, certificates, diagnostics = _cover_json(report)
-    dev_count, dev_sum = main_term_deviation(report.exponent_set)
+    E = report.exponent_set
+    if E is None:
+        E = build_exponent_set(report.cutoff, report.params.dominant, box)
+    dev_count, dev_sum = main_term_deviation(E)
     diagnostics["main_term_deviation_count"] = _num(
         float(dev_count), "main-term-diagnostic"
     )

@@ -114,32 +114,50 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
     of the row-permuted matrix, so dividing by the previous pivot (the
     k-minor) is exact, and each row is a nonzero multiple of the row that
     rational elimination would give: ranks, pivots and row swaps agree.
+
+    Rows are updated lazily.  Each step is remembered as (col, pivot,
+    prev, top), and a row catches up on the steps it has not had only
+    when the pivot scan reaches it, so on a tall grid the rows below the
+    last pivot found are never touched.  A step changes a row using only
+    that row and the pivot row, which no later step changes, so every row
+    the scan reaches goes through the same updates in the same order as
+    eager elimination would give it: the result is bit for bit the same.
     """
     rows = [list(map(int, r)) for r in grid]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     origin = list(range(nrows))
+    done = [0] * nrows  # how many steps each row has had
+    steps: list[tuple] = []
     pivot_cols: list[int] = []
     r = 0
     prev = 1
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        piv = None
+        for i in range(r, nrows):
+            row = rows[i]
+            if done[i] < r:
+                for col, pivot, before, top in steps[done[i]:]:
+                    a = row[col]
+                    if a:
+                        for j in range(col + 1, ncols):
+                            row[j] = (row[j] * pivot - a * top[j]) // before
+                        row[col] = 0
+                    elif pivot != before:
+                        for j in range(col + 1, ncols):
+                            row[j] = row[j] * pivot // before
+                done[i] = r
+            if row[c]:
+                piv = i
+                break
         if piv is None:
             continue
+        # the scan caught up rows r..piv alike, so done needs no swap
         rows[r], rows[piv] = rows[piv], rows[r]
         origin[r], origin[piv] = origin[piv], origin[r]
         top = rows[r]
         pivot = top[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            a = row[c]
-            if a:
-                for j in range(c + 1, ncols):
-                    row[j] = (row[j] * pivot - a * top[j]) // prev
-                row[c] = 0
-            elif pivot != prev:
-                for j in range(c + 1, ncols):
-                    row[j] = row[j] * pivot // prev
+        steps.append((c, pivot, prev, top))
         prev = pivot
         pivot_cols.append(c)
         r += 1
@@ -539,7 +557,13 @@ class ClassOutcome:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Everything the cover construction produced, exactly as computed."""
+    """Everything the cover construction produced, exactly as computed.
+
+    ``set_size`` is |E(Y)| at the chosen ``cutoff``.  The staircase
+    ``exponent_set`` itself is built only when some class builds a
+    matrix; with no class to cover (no points) it is ``None`` and the
+    size comes from ``staircase_size`` alone.
+    """
 
     branch: str
     hypothesis_route: str
@@ -547,7 +571,9 @@ class CoverReport:
     threshold: object
     residue_primes: tuple
     residue_product: int
-    exponent_set: ExponentSet  # the staircase E(Y) at the chosen cutoff
+    cutoff: ExactLog
+    set_size: int
+    exponent_set: ExponentSet | None
     floor_constant: int
     degree_cap: int
     classes: tuple
@@ -556,14 +582,6 @@ class CoverReport:
     falsifications: tuple
     coverage_complete: bool
     counts: Mapping[str, int]
-
-    @property
-    def cutoff(self) -> ExactLog:
-        return self.exponent_set.cutoff
-
-    @property
-    def set_size(self) -> int:
-        return len(self.exponent_set)
 
 
 def _hypothesis_route(g: IntegerPolynomial, q: int, box: BoxBounds) -> str:
@@ -680,8 +698,13 @@ def aux_pipeline(
                 "no cutoff satisfied the cover constraint after repeated doubling"
             )
 
-    E_set = build_exponent_set(cutoff, params.dominant, box, order)
-    e_count = len(E_set)
+    if classes:
+        E_set = build_exponent_set(cutoff, params.dominant, box, order)
+        e_count = len(E_set)
+    else:
+        # no class builds a matrix, so only the size of E(Y) is reported
+        E_set = None
+        e_count = staircase_size(cutoff, params.dominant, box)
     cap = _ilog(box.bmin, cutoff.height)
     S = params.side
     rng = random.Random(seed)
@@ -811,6 +834,8 @@ def aux_pipeline(
         threshold=threshold,
         residue_primes=residues.primes,
         residue_product=r,
+        cutoff=cutoff,
+        set_size=e_count,
         exponent_set=E_set,
         floor_constant=c_floor,
         degree_cap=cap,

@@ -14,6 +14,7 @@ from detsieve.applications import (
     _FRACTION_BITS,
     _alternating_factor,
     _fixed_exponent,
+    _integer_nth_root,
     _power_sums,
     _power_table,
     UnlikePowersInstance,
@@ -514,6 +515,45 @@ class TestExcludedSubvarieties:
     def test_theorem_mode_enforced(self):
         with pytest.raises(ContractViolation):
             excluded_subvarieties(UnlikePowersInstance(5, 3, 2, 4, 1))
+
+    def test_target_past_float_range(self):
+        # N - x1^13 is far beyond any float; no 13th root of it is in the box
+        rep = excluded_subvarieties(UnlikePowersInstance(13, 3, 2, 10**400, 2))
+        assert [s.count for s in rep.systems] == [0, 0, 0, 0]
+
+
+class TestIntegerNthRoot:
+    def test_root_a_float_guess_misses(self):
+        r = 2**60 + 1
+        assert _integer_nth_root(r**13, 13) == r
+        assert _integer_nth_root(-(r**13), 13) == -r
+        assert _integer_nth_root(r**13 + 1, 13) is None
+
+    def test_exact_and_inexact_powers_around_2_1000(self):
+        for n in range(2, 14):
+            for r in (2 ** (1000 // n) - 1, 2 ** (1000 // n) + 3,
+                      2 ** (1000 // n + 1) + 5, 3 ** (1000 // n)):
+                v = r**n
+                assert _integer_nth_root(v, n) == r
+                assert _integer_nth_root(v - 1, n) is None
+                assert _integer_nth_root(v + 1, n) is None
+                if n % 2:
+                    assert _integer_nth_root(-v, n) == -r
+                else:
+                    assert _integer_nth_root(-v, n) is None
+            # the powers above straddle 2^1000
+            assert (2 ** (1000 // n) - 1) ** n < 2**1000 < (2 ** (1000 // n + 1) + 5) ** n
+
+    def test_small_values(self):
+        assert _integer_nth_root(-7, 1) == -7
+        for n in range(2, 8):
+            roots = {r**n: r for r in range(0, 40)}
+            for v in range(0, 40**2):
+                assert _integer_nth_root(v, n) == roots.get(v), (v, n)
+        assert _integer_nth_root(-8, 3) == -2
+        assert _integer_nth_root(-4, 2) is None
+        with pytest.raises(ContractViolation):
+            _integer_nth_root(4, 0)
 
 
 class TestPredictedExponents:

@@ -7,8 +7,10 @@ import re
 import pytest
 
 import detsieve.cli
-from detsieve.cli import UsageError, fit_exponent, main, run
+from detsieve.cli import UsageError, _poly_field, fit_exponent, main, run
+from detsieve.determinant import aux_pipeline
 from detsieve.errors import ContractViolation, SoundnessError
+from detsieve.exponents import BoxBounds, build_exponent_set, main_term_deviation
 
 SPHERE5 = {
     "nvars": 3,
@@ -136,6 +138,32 @@ class TestReportSchema:
         assert report["diagnostics"]["floor_constant"]["value"] == 10
         rv = report["diagnostics"]["residue_valuation_main_term"]
         assert rv["provenance"] == "main-term-diagnostic"
+
+    def test_point_free_aux_report_builds_its_deviation(self, tmp_path, capsys):
+        # 5 x1^2 + x2^2 + x3^2 = 3 has no points in these boxes, so the
+        # pipeline builds no staircase and the CLI builds it for the
+        # main-term deviation alone
+        f = {"nvars": 3, "terms": CONG_F["terms"][:3] + [[[0, 0, 0], -3]]}
+        g = {"nvars": 3, "terms": CONG_G["terms"][:2] + [[[0, 0, 0], -3]]}
+        for box in ([2, 2, 2], [2, 2, 3]):
+            cfg = {"f": f, "g": g, "q": 5, "box": box,
+                   "epsilon": 0.5, "floor_const": 10}
+            report = invoke_json(tmp_path, capsys, "aux", cfg)
+            assert report["result"]["count"]["value"] == "0"
+            assert report["result"]["classes"] == []
+            bounds = BoxBounds(*box)
+            rep = aux_pipeline(
+                _poly_field(cfg, "f"), _poly_field(cfg, "g"), 5, bounds,
+                None, 0.5, [], floor_const=10,
+            )
+            assert rep.exponent_set is None
+            E = build_exponent_set(rep.cutoff, rep.params.dominant, bounds)
+            dev_count, dev_sum = main_term_deviation(E)
+            diag = report["diagnostics"]
+            assert diag["set_size"]["value"] == len(E) == rep.set_size
+            assert diag["cutoff"]["height"]["value"] == str(rep.cutoff.height)
+            assert diag["main_term_deviation_count"]["value"] == float(dev_count)
+            assert diag["main_term_deviation_sum"]["value"] == float(dev_sum)
 
     def test_quadric_report_carries_predictions(self, tmp_path, capsys):
         cfg = {"a": [1, 1, 1], "n": 5, "B": 10}

@@ -32,7 +32,7 @@ from detsieve.exponents import (
     side_log_height,
     staircase_size,
 )
-from detsieve.polynomials import IntegerPolynomial, MonomialOrder
+from detsieve.polynomials import IntegerPolynomial, MonomialOrder, max_exponent
 
 P = IntegerPolynomial
 
@@ -48,6 +48,15 @@ def quadric_instance():
     """Eight symmetric points of a rank-deficient congruence instance."""
     f = P(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
     g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+    box = BoxBounds(2, 2, 2)
+    pts = enumerate_points(f, SideCondition(g, 5), box)
+    return f, g, box, pts
+
+
+def point_free_instance():
+    """quadric_instance with 5 x1^2 + x2^2 + x3^2 = 3: no points in the box."""
+    f = P(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -3})
+    g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -3})
     box = BoxBounds(2, 2, 2)
     pts = enumerate_points(f, SideCondition(g, 5), box)
     return f, g, box, pts
@@ -559,6 +568,16 @@ class TestAuxPipeline:
             rep = aux_pipeline(f, g, 5, b, ResidueData(()), 0.5, p, **kw)
             assert built == [rep.exponent_set]
             assert rep.set_size == staircase_size(rep.cutoff, rep.params.dominant, b)
+        # no points, so no class builds a matrix and nothing is built
+        f, g, box, pts = point_free_instance()
+        assert not pts
+        built.clear()
+        rep = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=10)
+        assert built == []
+        assert rep.exponent_set is None
+        assert rep.classes == ()
+        assert rep.set_size == staircase_size(rep.cutoff, rep.params.dominant, box)
+        assert rep.set_size == len(build_exponent_set(rep.cutoff, rep.params.dominant, box))
 
     def test_deterministic_across_seeds_for_structure(self):
         f, g, box, pts = quadric_instance()
@@ -656,6 +675,55 @@ def low_rank_grid(rng, nrows, ncols, rank, bits, sparse):
         [sum(a * right[k][j] for k, a in enumerate(row)) for j in range(ncols)]
         for row in left
     ]
+
+
+def assert_matches_reference(grid):
+    """_row_reduce against the Fraction oracle: rank, pivot columns and
+    rows, and each echelon row up to scale.  Scaled to a unit pivot, the
+    k-th echelon row of forward elimination is the k-th reduced row plus
+    its own entry at each later pivot column times that pivot's row."""
+    rank, pivot_cols, pivot_rows, echelon = _row_reduce(grid)
+    want_rank, want_cols, want_rows, rref = reference_row_reduce(grid)
+    assert (rank, pivot_cols, pivot_rows) == (want_rank, want_cols, want_rows)
+    assert len(echelon) == rank
+    for k, c in enumerate(pivot_cols):
+        row = [Fraction(v, echelon[k][c]) for v in echelon[k]]
+        want = list(rref[k])
+        for l in range(k + 1, rank):
+            x = row[pivot_cols[l]]
+            want = [w + x * b for w, b in zip(want, rref[l])]
+        assert row == want
+    return rank
+
+
+def tall_grids():
+    """Seeded grids of 200 rows or more over at most 12 columns."""
+    rng = random.Random(330)
+    out = []
+    # full column rank, dense and sparse
+    for bits, sparse in ((4, False), (70, False), (4, True)):
+        out.append(low_rank_grid(rng, 240, 12, 12, bits, sparse))
+    # leading zero rows, then rows whose only nonzero entries sit in the
+    # last columns: each early pivot is found far down and swapped up past
+    # rows the scan has already caught up
+    ncols = 10
+    late = [[0] * (ncols - 2) + [rng.randrange(1, 9), rng.randrange(-8, 9)]
+            for _ in range(150)]
+    dense = low_rank_grid(rng, 40, ncols, ncols, 6, False)
+    out.append([[0] * ncols for _ in range(30)] + late + dense)
+    stairs = [[0] * k + [rng.randrange(1, 50)] + [0] * (ncols - k - 1)
+              for k in range(ncols)]
+    filler = [[0] * (ncols - 1) + [rng.randrange(-9, 10)] for _ in range(200)]
+    out.append(filler[:100] + stairs[::-1] + filler[100:])
+    # rank deficient: duplicated rows and columns with no pivot
+    for rank in (1, 4, 9):
+        grid = low_rank_grid(rng, 220, 12, rank, 5, rank == 4)
+        for _ in range(40):
+            i, j = rng.sample(range(220), 2)
+            grid[j] = list(grid[i])
+        dead = rng.sample(range(12), 2)
+        out.append([[0 if j in dead else v for j, v in enumerate(r)] for r in grid])
+    return out
 
 
 SHAPES = [(1, 1), (1, 7), (7, 1), (3, 3), (5, 9), (9, 5), (12, 4), (4, 12), (8, 8)]
@@ -764,6 +832,25 @@ class TestEliminationOracle:
     def test_empty_grids(self):
         assert _row_reduce([]) == (0, [], [], [])
         assert _row_reduce([[], []]) == (0, [], [], [])
+
+    def test_tall_grids_match_rational_elimination(self):
+        # rows are eliminated lazily, when the pivot scan reaches them, so
+        # tall grids whose scan stops early or runs far down are the risk
+        for grid in tall_grids():
+            assert_matches_reference(grid)
+
+    def test_certify_matrix_matches_rational_elimination(self):
+        # the 330x25 full-column-rank matrix of the certify-q7-B25 config
+        f = P(3, {(2, 0, 0): 7, (0, 2, 0): 1, (0, 0, 2): -1, (0, 0, 0): -7})
+        g = P(3, {(0, 2, 0): 1, (0, 0, 2): -1, (0, 0, 0): -7})
+        box = BoxBounds(25, 25, 25)
+        order = MonomialOrder.weighted(box.bounds)
+        E = build_exponent_set(
+            ExactLog.power(25, 4), max_exponent(f, order), box, order
+        )
+        M = build_matrix(list(enumerate_points(f, SideCondition(g, 7), box)), E)
+        assert M.shape == (330, 25)
+        assert assert_matches_reference(M.entries) == 25
 
     def test_kernel_polynomial_matches_rational_kernel(self):
         f = P(3, {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1001})
