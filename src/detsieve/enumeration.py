@@ -1,9 +1,11 @@
 """Exact enumeration of box points on a surface under a congruence.
 
 The target sets are the integer points x in a box with f(x) = 0 and
-g(x2, x3) congruent to 0 mod q.  Enumeration sieves admissible residue
-pairs for (x2, x3), then finds the integer roots of the resulting
-univariate fiber polynomial in x1.  Everything is integer arithmetic.
+g(x2, x3) congruent to 0 mod q.  Enumeration finds the admissible
+(x2, x3) pairs on a window of at most q values per axis, repeats them
+with period q across the box, then finds the integer roots of each
+resulting univariate fiber polynomial in x1.  Everything is integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ from .arith import is_prime
 from .errors import ContractViolation, strict_int
 from .exponents import BoxBounds
 from .polynomials import IntegerPolynomial
-
-#: build the residue table only while q^2 stays below this
-SIEVE_TABLE_CAP = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -168,25 +167,6 @@ def _integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     return []
 
 
-def _residue_table(g: IntegerPolynomial, q: int) -> dict[int, list[int]]:
-    """Map r2 -> sorted r3 with g(r2, r3) = 0 mod q."""
-    gterms = [(e[1], e[2], c % q) for e, c in g.terms.items()]
-    e2s = sorted({t[0] for t in gterms})
-    e3s = sorted({t[1] for t in gterms})
-    table: dict[int, list[int]] = {}
-    pow3 = [{e: pow(r3, e, q) for e in e3s} for r3 in range(q)]
-    for r2 in range(q):
-        p2 = {e: pow(r2, e, q) for e in e2s}
-        row = [
-            r3
-            for r3 in range(q)
-            if sum(c * p2[e2] * pow3[r3][e3] for e2, e3, c in gterms) % q == 0
-        ]
-        if row:
-            table[r2] = row
-    return table
-
-
 def enumerate_points(
     f: IntegerPolynomial,
     side: SideCondition,
@@ -196,15 +176,17 @@ def enumerate_points(
     """Exact enumeration of the congruence-constrained surface points.
 
     Fibers over admissible (x2, x3); each fiber reduces to integer root
-    finding for f(., x2, x3).  Rows x2 = y come outermost.  A row lists
-    its admissible x3 values once: from the residue table, built once
-    per residue of y mod q, or, for q^2 above ``SIEVE_TABLE_CAP``, by
-    evaluating g over the whole x3 range in one pass.  Each
-    x1-coefficient c_j(y, .) is then evaluated at all of them in one
-    Horner pass per x3-degree, giving one column per j, and
-    ``_row_roots`` solves the row's fibers from those columns.  A fiber
-    polynomial that vanishes identically contributes its full x1 range.
-    Only one row of columns is held at a time.
+    finding for f(., x2, x3).  g mod q depends only on x2 and x3 mod q,
+    so a window of min(q, 2B + 1) consecutive values per axis meets
+    every residue once.  For each y0 of the x2-window one Horner pass of
+    g over the x3-window finds the admissible z0, and each extends by
+    steps of q to the box edge; those x3 values serve every row
+    y = y0, y0 + q, ... of the box.  Each x1-coefficient c_j(y, .) is
+    then evaluated at all of them in one Horner pass per x3-degree,
+    giving one column per j, and ``_row_roots`` solves the row's fibers
+    from those columns.  A fiber polynomial that vanishes identically
+    contributes its full x1 range.  Only one residue's x3 values and one
+    row of columns are held at a time.
     """
     if f.nvars != 3:
         raise ContractViolation("surface polynomial must use arity 3")
@@ -218,43 +200,27 @@ def enumerate_points(
     # one pass over the terms and one Horner pass per x3-degree
     coeff_groups = [_z_groups(coeff_polys.get(j, zero))
                     for j in range(f.degree_in(0) + 1)]
-    grads = [f.partial_derivative(i) for i in range(3)]
-
-    if q * q <= SIEVE_TABLE_CAP:
-        # q = 1 runs here too: its table is {0: [0]}, every fiber of the box
-        table = _residue_table(side.g, q)
-        by_residue: dict[int, list[int]] = {}
-
-        def row_zs(y: int) -> list[int]:
-            r2 = y % q
-            zs = by_residue.get(r2)
-            if zs is None:
-                zs = by_residue[r2] = [
-                    z for r3 in table.get(r2, ())
-                    for z in range(-b3 + ((r3 + b3) % q), b3 + 1, q)
-                ]
-            return zs
-    else:
-        g_groups = _z_groups(side.g)
-        all_zs = range(-b3, b3 + 1)
-
-        def row_zs(y: int) -> list[int]:
-            g_vals = _horner_row(_z_row(g_groups, y), all_zs)
-            return [z for z, v in zip(all_zs, g_vals) if v % q == 0]
+    if nonsingular_only:
+        grads = [f.partial_derivative(i) for i in range(3)]
+    g_groups = _z_groups(side.g)
+    z_window = range(-b3, min(b3, q - b3 - 1) + 1)
 
     points: list[tuple] = []
-    for y in range(-b2, b2 + 1):
-        zs = row_zs(y)
+    for y0 in range(-b2, min(b2, q - b2 - 1) + 1):
+        g_vals = _horner_row(_z_row(g_groups, y0), z_window)
+        zs = [z for z0, v in zip(z_window, g_vals) if v % q == 0
+              for z in range(z0, b3 + 1, q)]
         if not zs:
             continue
-        cols = [_horner_row(_z_row(groups, y), zs) for groups in coeff_groups]
-        for i, xs in _row_roots(cols, -b1, b1):
-            z = zs[i]
-            for x1 in xs:
-                pt = (x1, y, z)
-                if nonsingular_only and all(gr.evaluate(pt) == 0 for gr in grads):
-                    continue
-                points.append(pt)
+        for y in range(y0, b2 + 1, q):
+            cols = [_horner_row(_z_row(groups, y), zs) for groups in coeff_groups]
+            for i, xs in _row_roots(cols, -b1, b1):
+                z = zs[i]
+                for x1 in xs:
+                    pt = (x1, y, z)
+                    if nonsingular_only and all(gr.evaluate(pt) == 0 for gr in grads):
+                        continue
+                    points.append(pt)
 
     points.sort()
     return PointSet(tuple(points), box, nonsingular_only)
@@ -347,14 +313,17 @@ def bad_prime_product(
     output is labelled accordingly in reports.
     """
     if source == "user-supplied":
-        if value is None or int(value) == 0:
+        value = 0 if value is None else strict_int(value, "bad prime product")
+        if value == 0:
             raise ContractViolation("user-supplied bad prime product must be nonzero")
-        return abs(int(value))
+        return abs(value)
     if source == "quadric-formula":
         if a is None or n is None:
             raise ContractViolation("quadric formula needs coefficients a and n")
-        a1, a2, a3 = (int(v) for v in a)
-        prod = 2 * a1 * a2 * a3 * int(n)
+        if len(a) != 3:
+            raise ContractViolation("quadric formula needs three coefficients a")
+        a1, a2, a3 = (strict_int(v, "quadric coefficient") for v in a)
+        prod = 2 * a1 * a2 * a3 * strict_int(n, "quadric constant n")
         if prod == 0:
             raise ContractViolation("degenerate quadric: zero coefficient product")
         return abs(prod)
@@ -362,7 +331,7 @@ def bad_prime_product(
         if f is None:
             raise ContractViolation("heuristic mode needs the surface polynomial")
         out = 1
-        for p in range(2, prime_cap + 1):
+        for p in range(2, strict_int(prime_cap, "prime cap") + 1):
             if not is_prime(p):
                 continue
             count = 0

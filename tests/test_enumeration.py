@@ -134,15 +134,21 @@ class TestEnumeratePoints:
             got = list(enumerate_points(f, TRIVIAL_SIDE, box))
             assert got == naive_points(f, P.zero(3), 1, box)
 
-    def test_large_modulus_direct_branch(self, monkeypatch):
-        # force the per-point congruence test and compare with the table path
-        f = poly3({(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
-        g = poly3({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
-        box = BoxBounds(2, 2, 2)
-        with_table = list(enumerate_points(f, SideCondition(g, 5), box))
-        monkeypatch.setattr(enumeration, "SIEVE_TABLE_CAP", 1)
-        without = list(enumerate_points(f, SideCondition(g, 5), box))
-        assert with_table == without
+    # box (3, 9, 5) has window lengths 2 B3 + 1 = 11 and 2 B2 + 1 = 19:
+    # q = 1 and q = 10, 11, 12 sit at the x3-window's edge, 19 at the
+    # x2-window's; 12 and 15 lie between the two lengths, 20 and 25 above
+    # both; 6 and 12 are composite.  The box (3, 5, 9) swaps the axes.
+    @pytest.mark.parametrize("q", (1, 6, 10, 11, 12, 15, 19, 20, 25))
+    @pytest.mark.parametrize("nonsingular", (False, True), ids=("all", "nonsingular"))
+    def test_window_boundary_moduli_match_naive_box_loop(self, q, nonsingular):
+        f = poly3({(2, 1, 0): 1, (0, 0, 2): -1, (1, 0, 1): 1})
+        g = poly3({(0, 2, 1): 1, (0, 0, 1): 1, (0, 1, 0): -1})
+        for box in (BoxBounds(3, 9, 5), BoxBounds(3, 5, 9)):
+            want = naive_points(f, g, q, box, nonsingular)
+            assert want, (q, box.bounds)
+            got = list(enumerate_points(f, SideCondition(g, q), box,
+                                        nonsingular_only=nonsingular))
+            assert got == want, (q, box.bounds, nonsingular)
 
     @staticmethod
     def _mixed_surface(rng, deg1):
@@ -157,12 +163,11 @@ class TestEnumeratePoints:
         terms[(0, 0, 0)] = rng.randrange(-6, 7)
         return poly3(terms)
 
-    def test_row_evaluation_matches_naive_box_loop(self, monkeypatch):
-        # fibers are evaluated from per-row coefficients: compare every
-        # branch (residue table, q = 1, direct congruence test) with the
+    def test_row_evaluation_matches_naive_box_loop(self):
+        # fibers are evaluated from per-row coefficients: compare moduli
+        # below, between and above the window lengths 15 and 23 with the
         # naive loop over the whole box, with and without the singular filter
         rng = random.Random(406)
-        table_cap = enumeration.SIEVE_TABLE_CAP
         box = BoxBounds(3, 7, 11)
         b1, b2, b3 = (int(b) for b in box.bounds)
         cube = [(x1, x2, x3) for x1 in range(-b1, b1 + 1)
@@ -178,14 +183,12 @@ class TestEnumeratePoints:
             grads = [f.partial_derivative(i) for i in range(3)]
             on_f = [pt for pt in cube if f.evaluate(pt) == 0]
             smooth = [pt for pt in on_f if any(gr.evaluate(pt) for gr in grads)]
-            for q in (1, 2, 3, 5, 7):
-                for cap in (table_cap, 0):
-                    monkeypatch.setattr(enumeration, "SIEVE_TABLE_CAP", cap)
-                    for nonsingular, pool in ((False, on_f), (True, smooth)):
-                        got = enumerate_points(f, SideCondition(g, q), box,
-                                               nonsingular_only=nonsingular)
-                        want = [pt for pt in pool if g.evaluate(pt) % q == 0]
-                        assert list(got) == want, (trial, q, cap, nonsingular)
+            for q in (1, 2, 3, 5, 7, 12, 16, 24):
+                for nonsingular, pool in ((False, on_f), (True, smooth)):
+                    got = enumerate_points(f, SideCondition(g, q), box,
+                                           nonsingular_only=nonsingular)
+                    want = [pt for pt in pool if g.evaluate(pt) % q == 0]
+                    assert list(got) == want, (trial, q, nonsingular)
 
     def test_fibers_never_evaluate_polynomials(self, monkeypatch):
         # without the singular filter no IntegerPolynomial is evaluated at
@@ -194,17 +197,16 @@ class TestEnumeratePoints:
                    (0, 0, 0): -6})
         g = poly3({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
         box = BoxBounds(4, 5, 6)
-        want = {q: list(enumerate_points(f, SideCondition(g, q), box))
-                for q in (1, 5)}
+        # 14 exceeds both window lengths, 11 and 13
+        moduli = (1, 5, 14)
+        want = {q: naive_points(f, g, q, box) for q in moduli}
 
         def refuse(self, point):
             raise AssertionError("per-point evaluation")
 
         monkeypatch.setattr(P, "evaluate", refuse)
-        for q in (1, 5):
+        for q in moduli:
             assert list(enumerate_points(f, SideCondition(g, q), box)) == want[q]
-        monkeypatch.setattr(enumeration, "SIEVE_TABLE_CAP", 1)
-        assert list(enumerate_points(f, SideCondition(g, 5), box)) == want[5]
 
     # Row-path edge cases: name -> (surface, fibers the case must produce).
     X1, X2, X3 = (P.variable(3, i) for i in range(3))
@@ -228,29 +230,25 @@ class TestEnumeratePoints:
         "x1-degree 4": (X1 ** 4 - X2 * X1 * X1 + X3, lambda pts: (1, 2, 1) in pts),
     }
 
+    # box (3, 6, 7): q = 14 lies between the window lengths 13 and 15
     @pytest.mark.parametrize("name", sorted(ROW_EDGE_CASES))
-    @pytest.mark.parametrize("table", (True, False), ids=("table", "direct"))
+    @pytest.mark.parametrize("q", (1, 3, 14))
     @pytest.mark.parametrize("nonsingular", (False, True), ids=("all", "nonsingular"))
-    def test_row_edge_cases_match_naive_box_loop(self, monkeypatch, name, table,
-                                                 nonsingular):
+    def test_row_edge_cases_match_naive_box_loop(self, name, q, nonsingular):
         f, witness = self.ROW_EDGE_CASES[name]
         g = poly3({(0, 1, 0): 1, (0, 0, 1): 2})
         box = BoxBounds(3, 6, 7)
-        if not table:
-            monkeypatch.setattr(enumeration, "SIEVE_TABLE_CAP", 0)
-        for q in (1, 3):
-            got = list(enumerate_points(f, SideCondition(g, q), box,
-                                        nonsingular_only=nonsingular))
-            assert got == naive_points(f, g, q, box, nonsingular), (q, name)
+        got = list(enumerate_points(f, SideCondition(g, q), box,
+                                    nonsingular_only=nonsingular))
+        assert got == naive_points(f, g, q, box, nonsingular), (q, name)
         # with q = 1 the case's own fibers are reached
         assert witness(enumerate_points(f, TRIVIAL_SIDE, box))
 
-    def test_large_prime_modulus_runs_direct_branch(self):
-        # q^2 above the table cap: the congruence is tested row by row.
+    def test_large_prime_modulus_matches_brute(self):
+        # q far above 2 B + 1: each window is the whole row of the box.
         # On the surface g = 25 - 3 (x1^2 - 25), so g = 0 mod q forces
         # x1 = +-5 and x2^2 + x3^2 = 25: 2 * 12 points
         q = 10007
-        assert q * q > enumeration.SIEVE_TABLE_CAP
         f = poly3({(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -100})
         g = poly3({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -25})
         got = list(enumerate_points(f, SideCondition(g, q), BoxBounds(12, 20, 20)))
@@ -260,6 +258,39 @@ class TestEnumeratePoints:
                  and (x2 * x2 + x3 * x3 - 25) % q == 0]
         assert got == brute
         assert len(got) == 24
+
+    @pytest.mark.parametrize("q, b", ((3, 150), (24, 8)))
+    def test_congruence_work_bounded_by_windows(self, monkeypatch, q, b):
+        # g is evaluated at no more than min(q, 2 B2 + 1) * min(q, 2 B3 + 1)
+        # pairs (y, z): neither a q x q table nor a scan of the whole box
+        f = poly3({(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1001})
+        g = poly3({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1001})
+        z_groups, z_row, horner_row = (enumeration._z_groups, enumeration._z_row,
+                                       enumeration._horner_row)
+        g_groups, g_rows, pairs = [], [], []
+
+        def spy_z_groups(p):
+            out = z_groups(p)
+            if p is g:
+                g_groups.append(out)
+            return out
+
+        def spy_z_row(groups, y):
+            out = z_row(groups, y)
+            if any(groups is gg for gg in g_groups):
+                g_rows.append(out)
+            return out
+
+        def spy_horner_row(coeffs, xs):
+            if any(coeffs is row for row in g_rows):
+                pairs.append(len(xs))
+            return horner_row(coeffs, xs)
+
+        monkeypatch.setattr(enumeration, "_z_groups", spy_z_groups)
+        monkeypatch.setattr(enumeration, "_z_row", spy_z_row)
+        monkeypatch.setattr(enumeration, "_horner_row", spy_horner_row)
+        enumerate_points(f, SideCondition(g, q), BoxBounds(b, b, b))
+        assert 0 < sum(pairs) <= min(q, 2 * b + 1) ** 2
 
     def test_side_condition_validation(self):
         with pytest.raises(ContractViolation):
@@ -393,6 +424,21 @@ class TestBadPrimeProduct:
         assert bad_prime_product(
             "point-count-heuristic", f=sphere(5), prime_cap=13, slack=1.0
         ) == 1
+
+    @pytest.mark.parametrize("source, kwargs", (
+        ("user-supplied", {"value": 2.5}),
+        ("user-supplied", {"value": "6"}),
+        ("user-supplied", {"value": True}),
+        ("quadric-formula", {"a": [1.5, 1, 1], "n": 1}),
+        ("quadric-formula", {"a": [1, 1], "n": 1}),
+        ("quadric-formula", {"a": [1, 1, 1, 1], "n": 1}),
+        ("quadric-formula", {"a": [1, 1, 1], "n": 2.5}),
+        ("point-count-heuristic", {"f": sphere(5), "prime_cap": 7.5}),
+    ), ids=("value-float", "value-str", "value-bool", "a-float", "a-two", "a-four",
+            "n-float", "prime-cap-float"))
+    def test_non_integer_input_rejected(self, source, kwargs):
+        with pytest.raises(ContractViolation):
+            bad_prime_product(source, **kwargs)
 
     def test_unknown_source(self):
         with pytest.raises(ContractViolation):
