@@ -100,6 +100,14 @@ def _floor_const_field(cfg: dict) -> int | None:
     return v
 
 
+def _samples_field(cfg: dict) -> int:
+    """Optional nonnegative 'minor_samples', 32 by default."""
+    v = _int_field(cfg, "minor_samples", 32)
+    if v < 0:
+        raise UsageError("field 'minor_samples' must be a nonnegative integer")
+    return v
+
+
 def _poly_field(cfg: dict, key: str) -> IntegerPolynomial:
     """Check the JSON shape only; IntegerPolynomial checks the values."""
     obj = _require(cfg, key)
@@ -314,7 +322,7 @@ def _run_certify(cfg: dict, seed: int) -> dict:
     power = _int_field(cfg, "cutoff_power")
     if power < 1:
         raise UsageError("field 'cutoff_power' must be a positive integer")
-    samples = _int_field(cfg, "minor_samples", 32)
+    samples = _samples_field(cfg)
     cutoff = ExactLog.power(base, power)
     order = MonomialOrder.weighted(box.bounds)
     m = max_exponent(f, order)
@@ -366,7 +374,7 @@ def _run_aux(cfg: dict, seed: int) -> dict:
     scale_override = None
     if cfg.get("scale_override") is not None:
         scale_override = _float_field(cfg, "scale_override")
-    samples = _int_field(cfg, "minor_samples", 32)
+    samples = _samples_field(cfg)
     pts = enumerate_points(f, SideCondition(g, q), box)
     report = aux_pipeline(
         f, g, q, box, residues, epsilon, list(pts),
@@ -409,7 +417,7 @@ def _run_quadric(cfg: dict, seed: int) -> dict:
         kwargs["epsilon"] = _float_field(cfg, "epsilon", 0.5)
         kwargs["floor_const"] = _floor_const_field(cfg)
         kwargs["seed"] = seed
-        kwargs["minor_samples"] = _int_field(cfg, "minor_samples", 32)
+        kwargs["minor_samples"] = _samples_field(cfg)
     out = count_quadric(inst, mode, **kwargs)
     exps = predicted_exponents(inst)
     instance = {

@@ -74,8 +74,20 @@ def build_matrix(points: Sequence, E: ExponentSet) -> MonomialMatrix:
     cols = E.members
     if not cols:
         raise ContractViolation("matrix needs at least one column")
-    entries = tuple(tuple(eval_monomial(p, e) for e in cols) for p in pts)
-    return MonomialMatrix(rows=pts, cols=cols, entries=entries)
+    # per point, the powers x^0..x^top of each coordinate (0^0 = 1), so
+    # each cell is one product of three table entries
+    tops = [max(e[k] for e in cols) for k in range(3)]
+    entries = []
+    for p in pts:
+        powers = []
+        for x, top in zip(p, tops):
+            run = [1]
+            for _ in range(top):
+                run.append(run[-1] * x)
+            powers.append(run)
+        a, b, c = powers
+        entries.append(tuple(a[i] * b[j] * c[k] for i, j, k in cols))
+    return MonomialMatrix(rows=pts, cols=cols, entries=tuple(entries))
 
 
 def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
@@ -247,6 +259,16 @@ class DivisibilityCertificate:
     checked_minors: tuple
 
 
+def _sample_count(samples) -> int:
+    """The number of random row subsets a certificate samples: an int >= 0."""
+    samples = strict_int(samples, "minor sample count")
+    if samples < 0:
+        raise ContractViolation(
+            f"minor sample count must be nonnegative, not {samples}"
+        )
+    return samples
+
+
 def select_shift(g: IntegerPolynomial, q: int) -> tuple:
     """Shift-vector policy: the constant slot if its coefficient is a unit
     mod q, else one of the two pure top-degree slots."""
@@ -261,6 +283,74 @@ def select_shift(g: IntegerPolynomial, q: int) -> tuple:
         f"no admissible shift for modulus {q}: neither the constant term "
         "nor a pure top-degree coefficient is a unit"
     )
+
+
+def _column_operations(
+    M: MonomialMatrix,
+    gq: IntegerPolynomial,
+    q: int,
+    t: tuple,
+    E: ExponentSet,
+    mus: tuple,
+):
+    """Column operations of a certificate and the reduced matrix they give.
+
+    Returns (a_cols, divisors, reduced): a_cols[i] lists the nonzero
+    entries (row, value) of column i of A, divisors[i] is q^mu of that
+    column, and reduced is R as a list of rows.  Column i of R is read
+    from the points, as x^(e - mu t) * (gq(x)/q)^mu, not from M A, so
+    checking M A = R D compares two independent computations.
+    """
+    col_pos = {e: i for i, e in enumerate(E.members)}
+    restricted = E.restricted_set
+    a_cols: list = [((i, 1),) for i in range(len(E.members))]
+    divisors = [1] * len(E.members)
+    reduced = [list(row) for row in M.entries]
+    quotients = []
+    for pt in M.rows:
+        w, rem = divmod(gq.evaluate(pt), q)
+        if rem:
+            raise SoundnessError(
+                f"reduced side polynomial at {pt} is not divisible by {q}"
+            )
+        quotients.append(w)
+    gq_powers = [IntegerPolynomial.constant(3, 1)]
+    for e, mu in mus:
+        if mu == 0:
+            continue
+        while len(gq_powers) <= mu:
+            gq_powers.append(gq_powers[-1] * gq)
+        i = col_pos[e]
+        shifted = tuple(a - mu * b for a, b in zip(e, t))
+        replacement = IntegerPolynomial.monomial(3, shifted) * gq_powers[mu]
+        for u in replacement.terms:
+            if u not in restricted:
+                raise SoundnessError(
+                    f"replacement column for {e} leaves the restricted set at {u}"
+                )
+        a_cols[i] = tuple((col_pos[u], cu) for u, cu in replacement.terms.items())
+        divisors[i] = q ** mu
+        for row, pt, w in zip(reduced, M.rows, quotients):
+            row[i] = eval_monomial(pt, shifted) * w ** mu
+    return a_cols, divisors, reduced
+
+
+def _check_column_identity(entries, a_cols, divisors, reduced) -> None:
+    """Raise SoundnessError unless M A = R D holds on every entry.
+
+    a_cols[i] lists the nonzero entries (row, value) of column i of A and
+    D = diag(divisors).  Each column of M A is summed from the columns of
+    M that column i of A touches.
+    """
+    m_cols = list(zip(*entries))
+    for i, (pairs, d) in enumerate(zip(a_cols, divisors)):
+        acc = [0] * len(entries)
+        for r, a in pairs:
+            acc = [x + a * y for x, y in zip(acc, m_cols[r])]
+        if acc != [row[i] * d for row in reduced]:
+            raise SoundnessError(
+                f"column {i} of M A differs from the reduced column times {d}"
+            )
 
 
 def congruence_reduce(
@@ -278,12 +368,20 @@ def congruence_reduce(
     """Factor q^mu out of each restricted column, certifying q^lam | minors.
 
     Requires a prime-power modulus, rows satisfying the congruence, and a
-    shift slot whose coefficient in g is a unit mod q.  Each restricted
-    column is replaced, by explicit column operations, with the values of
-    a polynomial all of whose coefficients are divisible by q^mu; the
-    certificate records enough data to re-verify every step, and checks
-    sampled full minors against the reduced matrix exactly.
+    shift slot whose coefficient in g is a unit mod q.  Column i of the
+    column-operation matrix A holds the coefficients of x^(e - mu t)
+    times gq^mu, where gq is g rescaled to have coefficient 1 at the
+    shift slot, and column i of the reduced matrix R holds that
+    polynomial's values divided by q^mu, read from gq(x)/q at each
+    point.  The identity M A = R D, with D = diag(q^mu), is checked once
+    on every entry; since det is multiplicative it gives
+    det M_S * det A = q^lam * det R_S on every row subset S.  Each sampled
+    subset then takes one determinant, det R_S, and det M_S is the exact
+    quotient of q^lam * det R_S by det A.  On the first subset with
+    det R_S nonzero, det M_S is also computed directly, which vouches for
+    det A.
     """
+    samples = _sample_count(samples)
     decomp = prime_power_decompose(q)
     if decomp is None:
         raise ContractViolation(f"modulus {q} is not a prime power")
@@ -312,52 +410,19 @@ def congruence_reduce(
     if gq.terms.get(t, 0) != 1:
         raise SoundnessError("reduced side polynomial lost its unit slot")
 
-    col_pos = {e: i for i, e in enumerate(E.members)}
     mus = tuple(
         (e, shift_multiplicity(e, t, E, S)) for e in E.restricted_members
     )
     lam = sum(mu for _, mu in mus)
 
     nrows, ncols = M.shape
-    gq_powers: dict[int, IntegerPolynomial] = {0: IntegerPolynomial.constant(3, 1)}
+    a_cols, divisors, reduced = _column_operations(M, gq, q, t, E, mus)
+    _check_column_identity(M.entries, a_cols, divisors, reduced)
 
-    def gq_power(k: int) -> IntegerPolynomial:
-        got = gq_powers.get(k)
-        if got is None:
-            got = gq_power(k - 1) * gq
-            gq_powers[k] = got
-        return got
-
-    # column-operation matrix, starting from the identity
-    A = [[1 if r == c else 0 for c in range(ncols)] for r in range(ncols)]
-    reduced = [list(row) for row in M.entries]
-    for e, mu in mus:
-        i = col_pos[e]
-        if mu == 0:
-            continue
-        shifted = tuple(a - mu * b for a, b in zip(e, t))
-        replacement = IntegerPolynomial.monomial(3, shifted) * gq_power(mu)
-        coeffs = replacement.terms
-        for u in coeffs:
-            if u not in E.restricted_set:
-                raise SoundnessError(
-                    f"replacement column for {e} leaves the restricted set at {u}"
-                )
-        for r in range(ncols):
-            A[r][i] = 0
-        for u, cu in coeffs.items():
-            A[col_pos[u]][i] = cu
-        divisor = q ** mu
-        for row_idx in range(nrows):
-            val = sum(
-                cu * M.entries[row_idx][col_pos[u]] for u, cu in coeffs.items()
-            )
-            if val % divisor:
-                raise SoundnessError(
-                    f"column value {val} for {e} is not divisible by {q}^{mu}"
-                )
-            reduced[row_idx][i] = val // divisor
-
+    A = [[0] * ncols for _ in range(ncols)]
+    for i, pairs in enumerate(a_cols):
+        for r, a in pairs:
+            A[r][i] = a
     det_transform = integer_determinant(A)
     if math.gcd(det_transform, q) != 1:
         raise SoundnessError(
@@ -377,18 +442,27 @@ def congruence_reduce(
             subsets.append(tuple(sorted(rng.sample(range(nrows), ncols))))
         seen = set()
         divisor = q ** lam
+        cross_checked = False
         for sub in subsets:
             if sub in seen:
                 continue
             seen.add(sub)
             if len(sub) != ncols or any(not 0 <= i < nrows for i in sub):
                 raise ContractViolation(f"bad row subset {sub}")
-            delta = integer_determinant([M.entries[i] for i in sub])
             delta_red = integer_determinant([reduced_entries[i] for i in sub])
-            if delta * det_transform != divisor * delta_red:
+            delta, rem = divmod(divisor * delta_red, det_transform)
+            if rem:
                 raise SoundnessError(
-                    f"determinant relation failed on rows {sub}"
+                    f"column-operation determinant does not divide the reduced "
+                    f"minor on rows {sub}"
                 )
+            if delta_red and not cross_checked:
+                direct = integer_determinant([M.entries[i] for i in sub])
+                if direct * det_transform != divisor * delta_red:
+                    raise SoundnessError(
+                        f"determinant relation failed on rows {sub}"
+                    )
+                cross_checked = True
             if delta == 0:
                 checked.append(CheckedMinor(sub, True, None, True))
             else:
@@ -436,6 +510,7 @@ def congruence_certificates(
     q = strict_int(q, "modulus")
     if q < 1:
         raise ContractViolation("modulus must be a positive integer")
+    samples = _sample_count(samples)
     if q == 1:
         return ()
     out = []
@@ -633,6 +708,7 @@ def aux_pipeline(
     q = strict_int(q, "modulus")
     if q < 1:
         raise ContractViolation("modulus must be a positive integer")
+    minor_samples = _sample_count(minor_samples)
 
     route = _hypothesis_route(g, q, box)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .arith import is_prime
@@ -309,7 +310,8 @@ def bad_prime_product(
     Three sources: a user-supplied value taken on trust, the closed-form
     |2 a1 a2 a3 n| for diagonal quadrics, and a point-count heuristic
     flagging p when the count of solutions mod p strays from p^2 by more
-    than slack * p^(3/2).  The heuristic is explicitly that, and its
+    than slack * p^(3/2), compared exactly; slack is a finite nonnegative
+    int, float or Fraction.  The heuristic is explicitly that, and its
     output is labelled accordingly in reports.
     """
     if source == "user-supplied":
@@ -330,6 +332,14 @@ def bad_prime_product(
     if source == "point-count-heuristic":
         if f is None:
             raise ContractViolation("heuristic mode needs the surface polynomial")
+        real = (isinstance(slack, (int, Fraction)) and not isinstance(slack, bool)
+                or isinstance(slack, float) and math.isfinite(slack))
+        if not real or slack < 0:
+            raise ContractViolation(
+                f"slack must be a finite nonnegative number, not {slack!r}"
+            )
+        # |count - p^2| > slack p^(3/2), squared on both sides to stay exact
+        slack_sq = Fraction(slack) ** 2
         out = 1
         for p in range(2, strict_int(prime_cap, "prime cap") + 1):
             if not is_prime(p):
@@ -340,7 +350,7 @@ def bad_prime_product(
                     for x3 in range(p):
                         if f.evaluate((x1, x2, x3)) % p == 0:
                             count += 1
-            if abs(count - p * p) > slack * p ** 1.5:
+            if (count - p * p) ** 2 > slack_sq * p ** 3:
                 out *= p
         return out
     raise ContractViolation(f"unknown bad prime source {source!r}")

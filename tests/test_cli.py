@@ -370,6 +370,32 @@ class TestStrictIntegers:
         report = invoke_json(tmp_path, capsys, "certify", dict(self.CERTIFY, cutoff_power=1))
         assert report["instance"]["cutoff"]["height"]["value"] == "2"
 
+    @pytest.mark.parametrize("command", ("certify", "aux", "quadric"))
+    def test_minor_samples_must_be_nonnegative(self, tmp_path, capsys, command):
+        # -3 used to run, checking the identity subset alone
+        cfg = {
+            "certify": self.CERTIFY,
+            "aux": TestTypedFields.AUX,
+            "quadric": {"a": [5, 1, 1], "n": 6, "B": 2, "mode": "pipeline"},
+        }[command]
+        for bad in (-3, -1, 2.5, "8"):
+            self.usage_error(tmp_path, capsys, command, dict(cfg, minor_samples=bad),
+                             "minor_samples")
+        invoke_json(tmp_path, capsys, command, dict(cfg, minor_samples=0))
+
+    def test_minor_samples_count_on_a_tall_certificate(self, tmp_path, capsys):
+        f = {"nvars": 3, "terms": [[[2, 0, 0], 7], [[0, 2, 0], 1], [[0, 0, 2], -1],
+                                   [[0, 0, 0], -7]]}
+        g = dict(f, terms=f["terms"][1:])
+        cfg = {"f": f, "g": g, "q": 7, "box": [25, 25, 25],
+               "cutoff_base": 25, "cutoff_power": 4}
+        for samples, checked in ((None, 33), (0, 1), (3, 4)):
+            run_cfg = cfg if samples is None else dict(cfg, minor_samples=samples)
+            report = invoke_json(tmp_path, capsys, "certify", run_cfg)
+            assert report["result"]["total_lambda"]["value"] == 10
+            (cert,) = report["certificates"]
+            assert len(cert["checked_minors"]) == checked
+
     def test_floor_const_zero_exits_cleanly(self, tmp_path, capsys):
         # a floor of 0 lets aux pick cutoff height 1, where the main terms
         # vanish; this used to escape as a ZeroDivisionError

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import detsieve.determinant as determinant
 from detsieve.determinant import (
     AuxiliaryPolynomial,
     MonomialMatrix,
@@ -32,7 +33,12 @@ from detsieve.exponents import (
     side_log_height,
     staircase_size,
 )
-from detsieve.polynomials import IntegerPolynomial, MonomialOrder, max_exponent
+from detsieve.polynomials import (
+    IntegerPolynomial,
+    MonomialOrder,
+    eval_monomial,
+    max_exponent,
+)
 
 P = IntegerPolynomial
 
@@ -106,6 +112,20 @@ class TestBuildMatrix:
     def test_empty_points_rejected(self):
         with pytest.raises(ContractViolation):
             build_matrix([], staircase(3, 2))
+
+    def test_power_tables_match_eval_monomial(self):
+        # zero, negative and large coordinates, on staircases whose top
+        # exponent differs by axis
+        big = 2**70 + 3
+        pts = [(0, 0, 0), (0, -1, 5), (-3, 0, -2), (big, -big, 1), (-7, 11, -13),
+               (1, -1, 0), (-big, 0, big)]
+        for E in (staircase(3, 4), staircase(4, 6, (3, 1, 0)),
+                  build_exponent_set(ExactLog.power(9, 3), (2, 0, 0),
+                                     BoxBounds(2, 9, 30))):
+            M = build_matrix(pts, E)
+            assert M.entries == tuple(
+                tuple(eval_monomial(p, e) for e in E.members) for p in pts
+            )
 
 
 class TestIntegerInputs:
@@ -368,6 +388,23 @@ class TestCongruenceReduce:
         M = build_matrix(list(pts) + [bad], E)
         with pytest.raises(ContractViolation, match=r"\(1, 1, 1\)"):
             congruence_reduce(M, g, 5, (0, 0, 0), E, ExactLog.power(2, 2))
+
+    def test_negative_sample_count_rejected(self):
+        # -3 used to sample no subsets and check the identity subset alone
+        f, g, box, pts = rich_instance()
+        E = staircase(13, 2)
+        M = build_matrix(pts, E)
+        S = side_log_height(g, box)[1]
+        for bad in (-3, -1, 2.5, True):
+            with pytest.raises(ContractViolation, match="minor sample count"):
+                congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=bad)
+            for q in (5, 1):
+                with pytest.raises(ContractViolation, match="minor sample count"):
+                    congruence_certificates(M, g, q, E, S, samples=bad)
+            with pytest.raises(ContractViolation, match="minor sample count"):
+                aux_pipeline(f, g, 5, box, None, 0.5, pts, minor_samples=bad)
+        cert = congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=0)
+        assert [m.rows for m in cert.checked_minors] == [tuple(range(9))]
 
     def test_first_axis_shift_rejected(self):
         _, g, _, pts = quadric_instance()
@@ -877,3 +914,197 @@ class TestEliminationOracle:
             assert aux.poly.terms == reference_kernel_terms(M)
             cases += 1
         assert cases >= 30
+
+
+# -- certificates: one whole-matrix identity, one determinant per minor ----------
+
+
+# the benchmark's certify ops: a1 x1^2 + a2 x2^2 + a3 x3^2 = n with side
+# g = f - a1 x1^2 mod q, box B^3 and cutoff B^power
+BENCHMARK_CERTIFY = {
+    "certify-Y16^12": ((3, 1, 1), 1001, 3, 16, 12),
+    "certify-q7-B25": ((7, 1, -1), 7, 7, 25, 4),
+    "certify-q9-B35": ((9, 1, -1), 9, 9, 35, 4),
+}
+
+
+def diagonal_certify(a, n, q, B, power):
+    """(M, g, q, E, S) as ``detsieve certify`` builds them for a diagonal quadric."""
+    a1, a2, a3 = a
+    f = P(3, {(2, 0, 0): a1, (0, 2, 0): a2, (0, 0, 2): a3, (0, 0, 0): -n})
+    g = P(3, {(0, 2, 0): a2, (0, 0, 2): a3, (0, 0, 0): -n})
+    box = BoxBounds(B, B, B)
+    order = MonomialOrder.weighted(box.bounds)
+    E = build_exponent_set(ExactLog.power(B, power), max_exponent(f, order), box, order)
+    pts = enumerate_points(f, SideCondition(g, q), box)
+    return build_matrix(list(pts), E), g, q, E, side_log_height(g, box)[1]
+
+
+def certificate_corpus():
+    """Seeded tall diagonal-quadric certificates with a nonzero sampled minor."""
+    rng = random.Random(2026)
+    out = []
+    while len(out) < 24:
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9, 12, 25))
+        a = tuple(rng.choice((-3, -2, -1, 1, 2, 3, 5)) for _ in range(3))
+        n, B, power = rng.randint(-60, 60), rng.randint(5, 12), rng.choice((2, 3))
+        try:
+            M, g, q, E, S = diagonal_certify(a, n, q, B, power)
+        except ContractViolation:  # no points
+            continue
+        if not len(E) <= M.shape[0] or len(E) > 20:
+            continue
+        try:
+            certs = congruence_certificates(
+                M, g, q, E, S, samples=6, rng=random.Random(len(out))
+            )
+        except ContractViolation:  # no admissible shift
+            continue
+        if any(not m.determinant_zero for c in certs for m in c.checked_minors):
+            out.append((M, certs))
+    return out
+
+
+def assert_two_determinant_relation(M, cert):
+    """The per-subset check the certificate used to make, as an oracle:
+    det M_S * det A = q^lam * det R_S, and every checked minor's record
+    matches det M_S computed directly."""
+    for m in cert.checked_minors:
+        delta = integer_determinant([M.entries[i] for i in m.rows])
+        delta_red = integer_determinant([cert.reduced_entries[i] for i in m.rows])
+        assert delta * cert.det_transform == cert.certified_divisor * delta_red
+        assert m.determinant_zero == (delta == 0)
+        want = (None if delta == 0
+                else prime_power_valuation(delta, cert.prime, cert.prime_exponent))
+        assert m.valuation == want
+        assert m.relation_ok
+
+
+def spy_determinants(monkeypatch, M, corrupt_transform=None):
+    """Count integer_determinant calls by the matrix they read: rows of M,
+    rows of some certificate's reduced matrix, or the column-operation
+    matrix A; corrupt_transform, if given, rewrites det A."""
+    calls = {"M": 0, "R": 0, "A": 0}
+    m_rows = {id(r) for r in M.entries}
+    real = determinant.integer_determinant
+
+    def spy(grid):
+        got = real(grid)
+        if all(id(r) in m_rows for r in grid):
+            calls["M"] += 1
+        elif all(isinstance(r, tuple) for r in grid):
+            calls["R"] += 1
+        else:
+            calls["A"] += 1
+            if corrupt_transform is not None:
+                got = corrupt_transform(got)
+        return got
+
+    monkeypatch.setattr(determinant, "integer_determinant", spy)
+    return calls
+
+
+class TestCertificateChecks:
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CERTIFY))
+    def test_benchmark_matrices_match_two_determinant_oracle(self, name):
+        M, g, q, E, S = diagonal_certify(*BENCHMARK_CERTIFY[name])
+        (cert,) = congruence_certificates(M, g, q, E, S, rng=random.Random(3))
+        if name == "certify-Y16^12":
+            # 16 points under 169 columns: no full row subset to sample
+            assert M.shape == (16, 169)
+            assert cert.checked_minors == ()
+        else:
+            assert M.shape[1] == 25 and cert.lam == 10
+            assert len(cert.checked_minors) == 33
+            assert any(not m.determinant_zero for m in cert.checked_minors)
+        assert_two_determinant_relation(M, cert)
+
+    def test_corpus_matches_two_determinant_oracle(self):
+        corpus = certificate_corpus()
+        certs = [c for _, cs in corpus for c in cs]
+        # the corpus reaches several prime powers, both shift policies and lam > 1
+        assert len({c.base_modulus for c in certs}) >= 4
+        assert {c.shift == (0, 0, 0) for c in certs} == {True, False}
+        assert max(c.lam for c in certs) > 1
+        for M, cs in corpus:
+            for cert in cs:
+                assert_two_determinant_relation(M, cert)
+
+    def test_one_determinant_per_sampled_minor(self, monkeypatch):
+        M, g, q, E, S = diagonal_certify(*BENCHMARK_CERTIFY["certify-q7-B25"])
+        calls = spy_determinants(monkeypatch, M)
+        (cert,) = congruence_certificates(M, g, q, E, S, rng=random.Random(3))
+        # det A once, det R_S per subset, and one direct det M_S vouching for det A
+        assert calls == {"A": 1, "R": len(cert.checked_minors), "M": 1}
+
+    def test_no_cross_check_without_a_nonzero_minor(self, monkeypatch):
+        # points on the plane x1 = 0 zero the column of x1: every minor vanishes
+        g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+        pts = [(0, y, z) for y in range(-6, 7) for z in range(-6, 7)
+               if g.evaluate((0, y, z)) % 5 == 0]
+        E = staircase(3, 2)
+        M = build_matrix(pts, E)
+        assert M.shape[0] >= len(E)
+        calls = spy_determinants(monkeypatch, M)
+        cert = congruence_reduce(M, g, 5, (0, 0, 0), E, ExactLog.power(2, 2), samples=4)
+        assert cert.checked_minors
+        assert all(m.determinant_zero for m in cert.checked_minors)
+        assert calls == {"A": 1, "R": len(cert.checked_minors), "M": 0}
+
+    @staticmethod
+    def rich_certificate():
+        _, g, box, pts = rich_instance()
+        E = staircase(13, 2)
+        M = build_matrix(pts, E)
+        S = side_log_height(g, box)[1]
+        return M, g, E, S
+
+    def reduce(self, M, g, E, S):
+        return congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=16, rng=random.Random(7))
+
+    def corrupt_operations(self, monkeypatch, corrupt):
+        real = determinant._column_operations
+
+        def wrapped(*args):
+            a_cols, divisors, reduced = real(*args)
+            corrupt(a_cols, divisors, reduced)
+            return a_cols, divisors, reduced
+
+        monkeypatch.setattr(determinant, "_column_operations", wrapped)
+
+    @pytest.mark.parametrize("column", ("reduced", "untouched"))
+    def test_wrong_reduced_entry_raises(self, monkeypatch, column):
+        M, g, E, S = self.rich_certificate()
+        cert = self.reduce(M, g, E, S)
+        (e, _), = [(e, mu) for e, mu in cert.multiplicities if mu]
+        i = E.members.index(e) if column == "reduced" else E.members.index((1, 0, 0))
+
+        def corrupt(a_cols, divisors, reduced):
+            reduced[5][i] += 1
+
+        self.corrupt_operations(monkeypatch, corrupt)
+        with pytest.raises(SoundnessError, match=f"column {i} of M A"):
+            self.reduce(M, g, E, S)
+
+    def test_wrong_column_operation_entry_raises(self, monkeypatch):
+        M, g, E, S = self.rich_certificate()
+        cert = self.reduce(M, g, E, S)
+        (e, _), = [(e, mu) for e, mu in cert.multiplicities if mu]
+        i = E.members.index(e)
+
+        def corrupt(a_cols, divisors, reduced):
+            (r, a), *rest = a_cols[i]
+            a_cols[i] = ((r, a + 1), *rest)
+
+        self.corrupt_operations(monkeypatch, corrupt)
+        with pytest.raises(SoundnessError, match=f"column {i} of M A"):
+            self.reduce(M, g, E, S)
+
+    @pytest.mark.parametrize("wrong", (lambda d: -d, lambda d: 2 * d, lambda d: 3 * d),
+                             ids=("negated", "doubled", "tripled"))
+    def test_wrong_transform_determinant_raises(self, monkeypatch, wrong):
+        M, g, E, S = self.rich_certificate()
+        assert self.reduce(M, g, E, S).det_transform == 1
+        spy_determinants(monkeypatch, M, corrupt_transform=wrong)
+        with pytest.raises(SoundnessError):
+            self.reduce(M, g, E, S)

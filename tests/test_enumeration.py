@@ -1,6 +1,8 @@
 """Point enumeration, residue splitting, bad-prime products."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -439,6 +441,24 @@ class TestBadPrimeProduct:
     def test_non_integer_input_rejected(self, source, kwargs):
         with pytest.raises(ContractViolation):
             bad_prime_product(source, **kwargs)
+
+    @pytest.mark.parametrize("slack", ("1", math.nan, math.inf, -1.0, -1, Fraction(-1, 2),
+                                       True, None, 1j),
+                             ids=("str", "nan", "inf", "negative-float", "negative-int",
+                                  "negative-fraction", "bool", "none", "complex"))
+    def test_slack_must_be_finite_and_nonnegative(self, slack):
+        # "1" used to raise a bare TypeError, nan to flag no prime and -1.0
+        # to flag every prime up to the cap
+        with pytest.raises(ContractViolation, match="slack"):
+            bad_prime_product("point-count-heuristic", f=sphere(5), prime_cap=13,
+                              slack=slack)
+
+    @pytest.mark.parametrize("slack, want", ((1, 1), (1.0, 1), (Fraction(1), 1),
+                                             (0, 3003), (10**400, 1)),
+                             ids=("int", "float", "fraction", "zero", "huge-int"))
+    def test_slack_accepts_real_numbers(self, slack, want):
+        assert bad_prime_product("point-count-heuristic", f=sphere(5), prime_cap=13,
+                                 slack=slack) == want
 
     def test_unknown_source(self):
         with pytest.raises(ContractViolation):
