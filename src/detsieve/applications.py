@@ -246,9 +246,8 @@ def build_slice(
 ) -> ThreefoldSlice:
     """Substitute x4 = (u - alpha*x1 - gamma)/beta into h and clear beta powers.
 
-    The substitution is carried out over the integers: with h written as
-    sum_j c_j(x1,x2,x3) * x4^j and k' = deg h, the result is
-    sum_j c_j * (u - gamma - alpha*x1)^j * beta^(k'-j).
+    The two steps ``count_unlike`` shares: ``_substitute`` once with u
+    kept as a variable, then ``_slice`` at this u.
     """
     alpha, beta, gamma, u = (
         strict_int(v, name)
@@ -260,15 +259,39 @@ def build_slice(
         raise ContractViolation("slicing expects a four-variable polynomial")
     if g.nvars != 3 or g.depends_on(0):
         raise ContractViolation("side polynomial must be in (x2, x3) only")
+    return _slice(_substitute(alpha, beta, gamma, h), alpha, beta, gamma, h, g, u)
+
+
+def _substitute(alpha: int, beta: int, gamma: int, h: IntegerPolynomial) -> IntegerPolynomial:
+    """beta^k' * h(x1, x2, x3, (u - alpha*x1 - gamma)/beta), k' = deg h, over the
+    integers in (x1, x2, x3, u), u in the slot that held x4: for
+    h = sum_j c_j(x1,x2,x3) * x4^j it is sum_j c_j * (u - gamma - alpha*x1)^j * beta^(k'-j).
+    """
     kp = h.total_degree()
-    linear = IntegerPolynomial(3, {(0, 0, 0): u - gamma, (1, 0, 0): -alpha})
-    h_u = IntegerPolynomial.zero(3)
-    pows = [IntegerPolynomial.constant(3, 1)]  # pows[j] = linear ** j
+    linear = IntegerPolynomial(
+        4, {(0, 0, 0, 1): 1, (0, 0, 0, 0): -gamma, (1, 0, 0, 0): -alpha})
+    out = IntegerPolynomial.zero(4)
+    pows = [IntegerPolynomial.constant(4, 1)]  # pows[j] = linear ** j
     for j, cj in h.coefficients_in(3).items():
         while len(pows) <= j:
             pows.append(pows[-1] * linear)
-        h_u = h_u + cj.drop_variable(3) * pows[j] * (beta ** (kp - j))
-    slice_poly = h_u * u + g * (beta ** kp)
+        out = out + cj * pows[j] * (beta ** (kp - j))
+    return out
+
+
+def _slice(sub: IntegerPolynomial, alpha: int, beta: int, gamma: int,
+           h: IntegerPolynomial, g: IntegerPolynomial, u: int) -> ThreefoldSlice:
+    """The slice at u of ``sub = _substitute(alpha, beta, gamma, h)``: only
+    its u-powers are evaluated, and no polynomial is multiplied."""
+    h_acc: dict = {}
+    for (e1, e2, e3, eu), c in sub.terms.items():
+        h_acc[e1, e2, e3] = h_acc.get((e1, e2, e3), 0) + c * u ** eu
+    bk = beta ** h.total_degree()
+    s_acc = {e: c * u for e, c in h_acc.items()}
+    for e, c in g.terms.items():
+        s_acc[e] = s_acc.get(e, 0) + c * bk
+    h_u, slice_poly = (IntegerPolynomial._canonical(3, {e: c for e, c in acc.items() if c})
+                       for acc in (h_acc, s_acc))
     return ThreefoldSlice(
         alpha=alpha, beta=beta, gamma=gamma, h=h, g=g, u=u,
         h_u=h_u, slice_poly=slice_poly, degenerate=(u == 0),
@@ -303,6 +326,8 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
     enumerates each slice surface under its congruence side condition,
     so agreement with brute also validates the per-slice congruences.
     """
+    if mode not in ("brute", "meet-in-middle", "sliced-pipeline"):
+        raise ContractViolation(f"unknown unlike-powers mode {mode!r}")
     B, k, l, m, N = inst.B, inst.k, inst.l, inst.m, inst.N
     rng = range(-B, B + 1)
     pk = {v: v ** k for v in rng}
@@ -328,11 +353,9 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
         )
         return UnlikeCount(count=count, mode=mode)
 
-    if mode != "sliced-pipeline":
-        raise ContractViolation(f"unknown unlike-powers mode {mode!r}")
-
     inst.validate_theorem_mode()
     h = _alternating_factor(k)
+    sub = _substitute(1, 1, 0, h)
     g3 = IntegerPolynomial(3, {(0, l, 0): 1, (0, 0, m): 1, (0, 0, 0): -N})
     box = BoxBounds(B, B, B)
 
@@ -347,7 +370,7 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
     for u in range(-3 * B, 3 * B + 1):
         if u == 0:
             continue
-        sl = build_slice(1, 1, 0, h, g3, u)
+        sl = _slice(sub, 1, 1, 0, h, g3, u)
         side = SideCondition(g3, sl.modulus)
         pts = enumerate_points(sl.slice_poly, side, box)
         here = sum(1 for (x1, _, _) in pts if abs(u - x1) <= B)

@@ -454,12 +454,25 @@ def _run_quadric(cfg: dict, seed: int) -> dict:
     }
 
 
+# The most work `unlike` starts, in its mode's estimate: (2B+1)^4
+# quadruples for brute, (2B+1)^2 pair sums for meet-in-middle and 6B
+# slices of (2B+1)^2 fibers for sliced-pipeline.  The largest config the
+# tests, CI, README and benchmark run is brute at B = 20, 41^4 < 3 * 10^6.
+UNLIKE_WORK_CAP = 10 ** 8
+
+
 def _run_unlike(cfg: dict, seed: int) -> dict:
     inst = UnlikePowersInstance(
         _int_field(cfg, "k"), _int_field(cfg, "l"), _int_field(cfg, "m"),
         _int_field(cfg, "N"), _int_field(cfg, "B"),
     )
     mode = cfg.get("mode", "brute")
+    n = 2 * inst.B + 1
+    work = {"brute": n ** 4, "meet-in-middle": n ** 2, "sliced-pipeline": 6 * inst.B * n ** 2}
+    if isinstance(mode, str) and work.get(mode, 0) > UNLIKE_WORK_CAP:
+        raise UsageError(
+            f"unlike mode '{mode}' at B = {inst.B} needs over {UNLIKE_WORK_CAP} steps"
+        )
     out = count_unlike(inst, mode)
     exps = predicted_exponents(inst)
     result = {"count": _count(out.count)}

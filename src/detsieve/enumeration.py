@@ -4,8 +4,9 @@ The target sets are the integer points x in a box with f(x) = 0 and
 g(x2, x3) congruent to 0 mod q.  Enumeration finds the admissible
 (x2, x3) pairs on a window of at most q values per axis, repeats them
 with period q across the box, then finds the integer roots of each
-resulting univariate fiber polynomial in x1.  Everything is integer
-arithmetic.
+resulting univariate fiber polynomial in x1, or looks them up in one
+value table when the x1 part is the same on every fiber.  Everything is
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .arith import is_prime
@@ -82,6 +84,8 @@ def _z_row(groups: list[list[tuple[int, int]]], y: int) -> list[int]:
 def _row_roots(cols: Sequence[Sequence[int]], lo: int, hi: int):
     """Integer roots in [lo, hi] of every fiber of a row.
 
+    The solver for a surface that is not x1-separable, and for a
+    separable one whose fibers are too few to pay for a value table.
     ``cols[j][i]`` is the x^j coefficient of fiber i.  Yields (i, roots),
     roots ascending, for each fiber i with a root there; a fiber that
     vanishes identically has every x in [lo, hi] as a root.  The degree
@@ -168,6 +172,15 @@ def _integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     return []
 
 
+def _value_table(p: Sequence[int], lo: int, hi: int) -> dict[int, list[int]]:
+    """{v: the ascending x in [lo, hi] with sum(p[k] x^k) = v}."""
+    xs = range(lo, hi + 1)
+    table: dict[int, list[int]] = {}
+    for x, v in zip(xs, _horner_row(p, xs)):
+        table.setdefault(v, []).append(x)
+    return table
+
+
 def enumerate_points(
     f: IntegerPolynomial,
     side: SideCondition,
@@ -188,6 +201,13 @@ def enumerate_points(
     from those columns.  A fiber polynomial that vanishes identically
     contributes its full x1 range.  Only one residue's x3 values and one
     row of columns are held at a time.
+
+    An x1-separable f, every x1^j coefficient with j >= 1 a constant, has
+    fibers p(x1) = -c_0(y, z) for one p.  Its residues are counted first,
+    keeping their admissible z0; once their fibers reach 2 B1 + 1, one
+    value table of p over [-B1, B1] serves each fiber by a dict lookup of
+    its c_0.  So the table never costs more evaluations than the fibers
+    it serves, and a huge B1 with few fibers builds none.
     """
     if f.nvars != 3:
         raise ContractViolation("surface polynomial must use arity 3")
@@ -206,16 +226,38 @@ def enumerate_points(
     g_groups = _z_groups(side.g)
     z_window = range(-b3, min(b3, q - b3 - 1) + 1)
 
+    def residues():
+        """(y0, the admissible z0 of the x3-window) for each y0 of the x2-window."""
+        for y0 in range(-b2, min(b2, q - b2 - 1) + 1):
+            g_vals = _horner_row(_z_row(g_groups, y0), z_window)
+            z0s = [z0 for z0, v in zip(z_window, g_vals) if v % q == 0]
+            if z0s:
+                yield y0, z0s
+
+    scan, counted, table = residues(), [], None
+    if all(c.is_constant for j, c in coeff_polys.items() if j):
+        fibers = 0
+        for y0, z0s in scan:
+            counted.append((y0, z0s))
+            rows = len(range(y0, b2 + 1, q))
+            fibers += rows * sum(len(range(z0, b3 + 1, q)) for z0 in z0s)
+            if fibers >= 2 * b1 + 1:
+                p = [0] + [coeff_polys.get(j, zero).constant_term()
+                           for j in range(1, len(coeff_groups))]
+                table = _value_table(p, -b1, b1)
+                break
+
     points: list[tuple] = []
-    for y0 in range(-b2, min(b2, q - b2 - 1) + 1):
-        g_vals = _horner_row(_z_row(g_groups, y0), z_window)
-        zs = [z for z0, v in zip(z_window, g_vals) if v % q == 0
-              for z in range(z0, b3 + 1, q)]
-        if not zs:
-            continue
+    for y0, z0s in chain(counted, scan):
+        zs = [z for z0 in z0s for z in range(z0, b3 + 1, q)]
         for y in range(y0, b2 + 1, q):
-            cols = [_horner_row(_z_row(groups, y), zs) for groups in coeff_groups]
-            for i, xs in _row_roots(cols, -b1, b1):
+            if table is None:
+                cols = [_horner_row(_z_row(groups, y), zs) for groups in coeff_groups]
+                solved = _row_roots(cols, -b1, b1)
+            else:
+                c0s = _horner_row(_z_row(coeff_groups[0], y), zs)
+                solved = ((i, xs) for i, c in enumerate(c0s) if (xs := table.get(-c)))
+            for i, xs in solved:
                 z = zs[i]
                 for x1 in xs:
                     pt = (x1, y, z)

@@ -248,7 +248,8 @@ class IntegerPolynomial:
             raise ContractViolation(
                 f"point has arity {len(point)}, polynomial has {self.nvars}"
             )
-        point = tuple(int(x) for x in point)
+        point = tuple(x if type(x) is int else strict_int(x, "point coordinate")
+                      for x in point)
         return sum(c * eval_monomial(point, e) for e, c in self._terms.items())
 
     def partial_derivative(self, i: int) -> "IntegerPolynomial":

@@ -239,6 +239,54 @@ class TestCountUnlike:
         assert sliced.zero_slice == 10
         assert "irreducible" in sliced.assumed_hypothesis
 
+    def test_sliced_pipeline_matches_brute_and_meet_in_middle(self):
+        rng = random.Random(1315)
+        seen_signs = set()
+        for _ in range(8):
+            k = rng.choice((13, 15))
+            l = rng.randrange(3, 7)
+            m = rng.randrange(2, l)
+            N = rng.choice((-1, 1)) * rng.randrange(1, 40)
+            B = rng.randrange(2, 6)
+            inst = UnlikePowersInstance(k, l, m, N, B)
+            brute = count_unlike(inst).count
+            assert count_unlike(inst, "meet-in-middle").count == brute, (k, l, m, N, B)
+            assert count_unlike(inst, "sliced-pipeline").count == brute, (k, l, m, N, B)
+            seen_signs.add((N > 0, brute > 0))
+        assert seen_signs == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_substitution_is_done_once_per_count(self, monkeypatch):
+        # every slice evaluates u-powers of one substituted polynomial, so
+        # the polynomial products per count do not grow with the slices
+        products = []
+        mul = P.__mul__
+
+        def spy_mul(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(P, "__mul__", spy_mul)
+        per_count = []
+        for B in (2, 3, 5):
+            products.clear()
+            count_unlike(UnlikePowersInstance(13, 5, 3, 2, B), "sliced-pipeline")
+            per_count.append(len(products))
+        assert per_count[0] > 0
+        assert per_count == [per_count[0]] * 3
+
+    def test_unknown_mode_rejected_before_the_power_tables(self, monkeypatch):
+        # the tables over range(-B, B + 1) are built after the mode is
+        # read, so a bad mode never pays for a huge box
+        def refuse(*args):
+            raise AssertionError("power tables built")
+
+        monkeypatch.setattr(applications, "range", refuse, raising=False)
+        inst = UnlikePowersInstance(5, 3, 2, 4, 1)
+        with pytest.raises(ContractViolation, match="unknown unlike-powers mode"):
+            count_unlike(inst, "fast")
+        with pytest.raises(AssertionError, match="power tables built"):
+            count_unlike(inst, "brute")
+
     def test_sliced_pipeline_enforces_theorem_mode(self):
         with pytest.raises(ContractViolation):
             count_unlike(UnlikePowersInstance(5, 3, 2, 4, 1), "sliced-pipeline")

@@ -404,6 +404,45 @@ class TestStrictIntegers:
         assert capsys.readouterr().err.startswith("invalid instance: main terms vanish")
 
 
+class Started(Exception):
+    """Raised by a stand-in for the worker: the command got past its cap."""
+
+
+class TestUnlikeWorkCap:
+    @pytest.fixture(autouse=True)
+    def no_count(self, monkeypatch):
+        # no test here starts the work: the stand-in raises at once
+        def stand_in(inst, mode):
+            raise Started(mode, inst.B)
+
+        monkeypatch.setattr(detsieve.cli, "count_unlike", stand_in)
+
+    @pytest.mark.parametrize("mode", ("brute", "meet-in-middle", "sliced-pipeline"))
+    def test_huge_box_refused_before_counting(self, tmp_path, capsys, mode):
+        cfg = {"k": 13, "l": 5, "m": 3, "N": 2, "B": 10 ** 30, "mode": mode}
+        assert invoke(tmp_path, "unlike", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "needs over" in err
+        assert "Traceback" not in err
+
+    # brute (2B+1)^4, meet-in-middle (2B+1)^2, sliced-pipeline 6B (2B+1)^2
+    @pytest.mark.parametrize("mode, B", (("brute", 49), ("meet-in-middle", 4999),
+                                         ("sliced-pipeline", 160)))
+    def test_cap_sits_between_two_box_sizes(self, mode, B):
+        def work(b):
+            n = 2 * b + 1
+            return {"brute": n ** 4, "meet-in-middle": n ** 2,
+                    "sliced-pipeline": 6 * b * n ** 2}[mode]
+
+        cap = detsieve.cli.UNLIKE_WORK_CAP
+        assert work(B) <= cap < work(B + 1)
+        cfg = {"k": 13, "l": 5, "m": 3, "N": 2, "B": B, "mode": mode}
+        with pytest.raises(Started):
+            run("unlike", cfg)
+        with pytest.raises(UsageError, match="needs over"):
+            run("unlike", dict(cfg, B=B + 1))
+
+
 class TestFitExponent:
     def test_exact_quadratic_counts(self):
         fit = fit_exponent([[10, 100], [20, 400], [40, 1600]])

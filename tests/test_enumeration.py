@@ -324,6 +324,165 @@ class TestEnumeratePoints:
             assert admissible * lo * lo <= direct <= admissible * hi * hi
 
 
+def row_roots_points(f, g, q, box, nonsingular_only=False):
+    """Box points from ``_row_roots`` run on one admissible fiber at a time."""
+    b1, b2, b3 = box.bounds
+    coeffs = f.coefficients_in(0)
+    grads = [f.partial_derivative(i) for i in range(3)]
+    out = []
+    for y in range(-b2, b2 + 1):
+        for z in range(-b3, b3 + 1):
+            if g.evaluate((0, y, z)) % q:
+                continue
+            cols = [[coeffs[j].evaluate((0, y, z)) if j in coeffs else 0]
+                    for j in range(f.degree_in(0) + 1)]
+            for _, xs in enumeration._row_roots(cols, -b1, b1):
+                out += [(x, y, z) for x in xs if not nonsingular_only
+                        or any(gr.evaluate((x, y, z)) for gr in grads)]
+    return sorted(out)
+
+
+def admissible_pairs(g, q, box):
+    """The fibers of a box: its (x2, x3) pairs with g = 0 mod q."""
+    _, b2, b3 = box.bounds
+    return sum(1 for y in range(-b2, b2 + 1) for z in range(-b3, b3 + 1)
+               if g.evaluate((0, y, z)) % q == 0)
+
+
+def spy_solvers(monkeypatch):
+    """Record each value table's evaluation count and each _row_roots row."""
+    seen = {"tables": [], "rows": 0}
+    value_table, row_roots = enumeration._value_table, enumeration._row_roots
+
+    def spy_value_table(p, lo, hi):
+        seen["tables"].append(hi - lo + 1)
+        return value_table(p, lo, hi)
+
+    def spy_row_roots(cols, lo, hi):
+        seen["rows"] += 1
+        return row_roots(cols, lo, hi)
+
+    monkeypatch.setattr(enumeration, "_value_table", spy_value_table)
+    monkeypatch.setattr(enumeration, "_row_roots", spy_row_roots)
+    return seen
+
+
+class TestValueTable:
+    """x1-separable surfaces p(x1) + c_0(x2, x3) = 0 solved by one table lookup."""
+
+    @staticmethod
+    def _separable_surface(rng, d, even, box):
+        """p of x1-degree d (only even powers if ``even``, so p(x) = p(-x)),
+        leading coefficient of either sign, plus a random c_0(x2, x3) whose
+        constant puts a random box point on the surface."""
+        terms = {}
+        for j in range(2 if even else 1, d, 2 if even else 1):
+            terms[(j, 0, 0)] = rng.randrange(-3, 4)
+        if d:
+            terms[(d, 0, 0)] = rng.choice((-2, -1, 1, 2))
+        for _ in range(rng.randrange(2, 5)):
+            e = (0, rng.randrange(3), rng.randrange(3))
+            terms[e] = terms.get(e, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+        f = poly3(terms)
+        witness = tuple(rng.randrange(-b, b + 1) for b in box.bounds)
+        terms[(0, 0, 0)] = terms.get((0, 0, 0), 0) - f.evaluate(witness)
+        return poly3(terms), witness
+
+    # box (3, 5, 6): 2 B1 + 1 = 7 table entries; the windows are 11 and 13
+    # long, so q = 13 reaches past both
+    @pytest.mark.parametrize("d, even", ((0, False), (1, False), (2, False), (2, True),
+                                         (3, False), (4, True), (12, False), (12, True)))
+    def test_separable_surfaces_match_naive_box_loop(self, monkeypatch, d, even):
+        rng = random.Random(1300 + 2 * d + even)
+        box = BoxBounds(3, 5, 6)
+        g = poly3({(0, 1, 0): 1, (0, 0, 2): 2, (0, 1, 1): -1})
+        for trial in range(4):
+            f, witness = self._separable_surface(rng, d, even, box)
+            assert f.degree_in(0) == d
+            assert witness in enumerate_points(f, TRIVIAL_SIDE, box)
+            for q in (1, 2, 5, 13):
+                fibers = admissible_pairs(g, q, box)
+                for nonsingular in (False, True):
+                    want = naive_points(f, g, q, box, nonsingular)
+                    assert row_roots_points(f, g, q, box, nonsingular) == want
+                    seen = spy_solvers(monkeypatch)
+                    got = list(enumerate_points(f, SideCondition(g, q), box,
+                                                nonsingular_only=nonsingular))
+                    monkeypatch.undo()
+                    assert got == want, (trial, q, nonsingular)
+                    # one table, and only when the fibers pay for its entries
+                    assert seen["tables"] == ([7] if fibers >= 7 else [])
+                    assert sum(seen["tables"]) <= fibers
+                    assert not (seen["tables"] and seen["rows"])
+
+    def test_non_separable_surfaces_build_no_table(self, monkeypatch):
+        rng = random.Random(1313)
+        box = BoxBounds(3, 5, 6)
+        g = poly3({(0, 1, 0): 1, (0, 0, 1): 3})
+        for d in (1, 2, 3):
+            f = poly3({(d, 0, 0): rng.choice((-2, 1)), (d - 1, 1, 0): 1,
+                       (1, 0, 1): -1, (0, 2, 0): 1, (0, 0, 0): rng.randrange(-9, 10)})
+            for q in (1, 4):
+                for nonsingular in (False, True):
+                    want = naive_points(f, g, q, box, nonsingular)
+                    assert row_roots_points(f, g, q, box, nonsingular) == want
+                    seen = spy_solvers(monkeypatch)
+                    got = list(enumerate_points(f, SideCondition(g, q), box,
+                                                nonsingular_only=nonsingular))
+                    monkeypatch.undo()
+                    assert got == want, (d, q, nonsingular)
+                    assert seen["tables"] == [] and seen["rows"] > 0
+
+    # 2 x1^2 + x2^2 - x3^2 = 8 under x2 + 2 x3 = 0 mod 3 on box (B1, 5, 6):
+    # the x2-window holds the residues y0 = -5, -4, -3, counted in that
+    # order, with 16, 32 and 47 fibers counted after each; B1 puts
+    # 2 B1 + 1 at or below the first residue's fibers, between the first
+    # and second, exactly at the last residue's running count, and above
+    # every fiber of the box
+    F = poly3({(2, 0, 0): 2, (0, 2, 0): 1, (0, 0, 2): -1, (0, 0, 0): -8})
+    G = poly3({(0, 1, 0): 1, (0, 0, 1): 2})
+
+    @pytest.mark.parametrize("where", ("first residue", "second residue",
+                                       "exactly the last residue", "never"))
+    @pytest.mark.parametrize("nonsingular", (False, True), ids=("all", "nonsingular"))
+    def test_table_trigger_matches_naive_box_loop(self, monkeypatch, where, nonsingular):
+        q = 3
+        running, total = [], 0
+        for y0 in (-5, -4, -3):
+            total += sum(1 for y in range(y0, 6, q) for z in range(-6, 7)
+                         if (y + 2 * z) % q == 0)
+            running.append(total)
+        assert running == [16, 32, 47]
+        b1 = {"first residue": 7, "second residue": 12,
+              "exactly the last residue": 23, "never": 24}[where]
+        box = BoxBounds(b1, 5, 6)
+        want = naive_points(self.F, self.G, q, box, nonsingular)
+        assert want and row_roots_points(self.F, self.G, q, box, nonsingular) == want
+        seen = spy_solvers(monkeypatch)
+        got = list(enumerate_points(self.F, SideCondition(self.G, q), box,
+                                    nonsingular_only=nonsingular))
+        assert got == want
+        if where == "never":
+            assert 2 * b1 + 1 > total and seen["tables"] == [] and seen["rows"] > 0
+        else:
+            assert seen["tables"] == [2 * b1 + 1] and seen["rows"] == 0
+            assert seen["tables"][0] <= total
+
+    def test_huge_x1_bound_builds_no_table(self, monkeypatch):
+        # 5 x1^2 + x2^2 + x3^2 = 6 with x2^2 + x3^2 = 6 mod 5: the box has
+        # 25 fibers, far fewer than the 2 B1 + 1 entries a table would need
+        f = poly3({(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+        side = SideCondition(poly3({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6}), 5)
+        want = [(x, y, z) for x in (-1, 1) for y, z in ((-1, 0), (0, -1), (0, 1), (1, 0))]
+
+        def refuse(p, lo, hi):
+            raise AssertionError(f"value table of {hi - lo + 1} entries")
+
+        monkeypatch.setattr(enumeration, "_value_table", refuse)
+        assert list(enumerate_points(f, side, BoxBounds(10 ** 6, 2, 2))) == sorted(want)
+        assert list(enumerate_points(f, side, BoxBounds(10 ** 30, 2, 2))) == sorted(want)
+
+
 def scan_roots(cs, lo, hi):
     """Integer roots in [lo, hi] by evaluating at every point."""
     return [x for x in range(lo, hi + 1) if sum(c * x ** k for k, c in enumerate(cs)) == 0]

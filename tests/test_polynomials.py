@@ -50,6 +50,21 @@ class TestEvaluate:
         p = poly3({(3, 0, 0): 1})
         assert evaluate(p, (10 ** 6, 0, 0)) == 10 ** 18
 
+    @pytest.mark.parametrize("bad", (1.9, True, "1"), ids=("float", "bool", "str"))
+    def test_non_integer_coordinate_rejected(self, bad):
+        # int(x) read each of these as 1, so the sphere of five gave 0
+        sphere = poly3({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -5})
+        with pytest.raises(ContractViolation, match="coordinate must be an integer"):
+            sphere.evaluate((bad, 2, 0))
+
+    def test_int_subclass_coordinate_accepted(self):
+        class Tagged(int):
+            pass
+
+        sphere = poly3({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -5})
+        assert sphere.evaluate((Tagged(1), 2, 0)) == 0
+        assert sphere.evaluate((Tagged(3), Tagged(-2), 0)) == 8
+
 
 class TestDerivative:
     def test_sum_of_squares(self):
