@@ -594,12 +594,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="detsieve", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out")
-        p.add_argument("--seed", type=int, default=0)
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out")
+    parser.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -709,6 +709,8 @@ def aux_pipeline(
     if q < 1:
         raise ContractViolation("modulus must be a positive integer")
     minor_samples = _sample_count(minor_samples)
+    if floor_const is not None and floor_const < 0:
+        raise ContractViolation("floor constant must be nonnegative")
 
     route = _hypothesis_route(g, q, box)
 
@@ -806,42 +808,20 @@ def aux_pipeline(
         counts["rank_computations"] += 1
         J = len(class_points)
 
+        full = rank == e_count
         certs: tuple = ()
-        if rank < e_count:
-            aux = _kernel_polynomial(M, f, pivot_cols, echelon)
-            if aux.poly.total_degree() > cap:
-                raise SoundnessError(
-                    "kernel polynomial exceeds the cutoff degree cap"
-                )
-            if q > 1 and J >= e_count:
-                certs = congruence_certificates(
-                    M, g, q, E_set, S, samples=minor_samples, rng=rng
-                )
-            auxiliaries.append(aux)
-            outcomes.append(
-                ClassOutcome(
-                    label=label,
-                    points=class_points,
-                    row_count=J,
-                    column_count=e_count,
-                    rank=rank,
-                    outcome="aux",
-                    aux_index=len(auxiliaries) - 1,
-                    certificates=certs,
-                    falsification=None,
-                )
+        if q > 1 and J >= e_count:
+            certs = congruence_certificates(
+                M, g, q, E_set, S,
+                samples=minor_samples, rng=rng,
+                extra_subsets=(pivot_rows[:e_count],) if full else (),
             )
-        else:
+        rec = aux_index = None
+        if full:
             # the last Bareiss pivot is the minor on the pivot rows, in order
             delta = echelon[-1][pivot_cols[-1]]
             if delta == 0:
                 raise SoundnessError("full-rank pivot minor evaluated to zero")
-            if q > 1:
-                certs = congruence_certificates(
-                    M, g, q, E_set, S,
-                    samples=minor_samples, rng=rng,
-                    extra_subsets=(pivot_rows[:e_count],),
-                )
             vals = tuple(
                 (c.prime, c.prime_exponent, c.lam,
                  prime_power_valuation(delta, c.prime, c.prime_exponent))
@@ -865,19 +845,27 @@ def aux_pipeline(
             )
             falsifications.append(rec)
             leftover.extend(class_points)
-            outcomes.append(
-                ClassOutcome(
-                    label=label,
-                    points=class_points,
-                    row_count=J,
-                    column_count=e_count,
-                    rank=rank,
-                    outcome="falsified",
-                    aux_index=None,
-                    certificates=certs,
-                    falsification=rec,
+        else:
+            aux = _kernel_polynomial(M, f, pivot_cols, echelon)
+            if aux.poly.total_degree() > cap:
+                raise SoundnessError(
+                    "kernel polynomial exceeds the cutoff degree cap"
                 )
+            auxiliaries.append(aux)
+            aux_index = len(auxiliaries) - 1
+        outcomes.append(
+            ClassOutcome(
+                label=label,
+                points=class_points,
+                row_count=J,
+                column_count=e_count,
+                rank=rank,
+                outcome="falsified" if full else "aux",
+                aux_index=aux_index,
+                certificates=certs,
+                falsification=rec,
             )
+        )
         counts["certificates"] += len(certs)
         counts["minors_checked"] += sum(len(c.checked_minors) for c in certs)
 

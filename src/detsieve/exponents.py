@@ -27,10 +27,6 @@ from .scalars import mpexp, mplog, mpsqrt, to_mpf, workprec
 
 INFINITE = math.inf
 
-#: refuse exact floor verification past this many multiplications
-_FLOOR_ITER_CAP = 20000
-
-
 # -- boxes ------------------------------------------------------------------
 
 
@@ -414,69 +410,61 @@ def _shift_vector(t) -> ExponentVector:
     return t
 
 
+def _chain_start(e: Sequence[int], t: Sequence[int], E: ExponentSet) -> tuple:
+    e = tuple(strict_int(v, "exponent entry") for v in e)
+    t = _shift_vector(t)
+    if e not in E.restricted_set:
+        raise ContractViolation(f"{e} is not a restricted member of the set")
+    return e, t
+
+
+def _walk(e: ExponentVector, t: ExponentVector, E: ExponentSet, Hs: int) -> int:
+    """Steps k down e - t, e - 2t, ... that stay in the restricted
+    staircase and keep B^e * Hs^k <= T * B^(k*t), T the cutoff height.
+
+    Both conditions are monotone in k, so the first failing step ends
+    the walk; the caller guarantees one fails.
+    """
+    restricted = E.restricted_set
+    lhs, rhs, Ht = E.box.height(e), E.cutoff.height, E.box.height(t)
+    k = 0
+    while True:
+        e = tuple(a - b for a, b in zip(e, t))
+        lhs *= Hs
+        rhs *= Ht
+        if e not in restricted or lhs > rhs:
+            return k
+        k += 1
+
+
 def lambda_single(e: Sequence[int], t: Sequence[int], E: ExponentSet):
     """Largest k with e - k*t still in the restricted staircase set.
 
     Infinite for t = 0.  The input e must itself be restricted.
     """
-    e = tuple(strict_int(v, "exponent entry") for v in e)
-    t = _shift_vector(t)
-    if e not in E.restricted_set:
-        raise ContractViolation(f"{e} is not a restricted member of the set")
+    e, t = _chain_start(e, t, E)
     if not any(t):
         return INFINITE
-    k = 0
-    while True:
-        nxt = tuple(a - b for a, b in zip(e, (v * (k + 1) for v in t)))
-        if any(v < 0 for v in nxt) or nxt not in E.restricted_set:
-            return k
-        k += 1
-
-
-def _exact_floor(He: int, Hs: int, Ht: int, T: int) -> int:
-    """Largest mu >= 0 with He * Hs^mu <= T * Ht^mu, requiring Hs > Ht."""
-    with workprec():
-        est = (mplog(T) - mplog(He)) / (mplog(Hs) - mplog(Ht))
-        mu = max(0, int(mp.floor(est)))
-    if mu > _FLOOR_ITER_CAP:
-        raise ContractViolation(
-            "shift floor exceeds the exact-verification cap; the side "
-            "log-height is too close to the shift log-height"
-        )
-
-    def ok(k: int) -> bool:
-        return He * Hs ** k <= T * Ht ** k
-
-    if ok(mu):
-        while ok(mu + 1):
-            mu += 1
-    else:
-        while mu > 0 and not ok(mu):
-            mu -= 1
-    return mu
-
-
-def shift_floor(e: Sequence[int], t: Sequence[int], E: ExponentSet, S: ExactLog) -> float | int:
-    """The budget floor((Y - log B^e)/(S - log B^t)); infinite when equal."""
-    e = tuple(strict_int(v, "exponent entry") for v in e)
-    t = _shift_vector(t)
-    box = E.box
-    Ht = box.height(t)
-    if S.height < Ht:
-        raise ContractViolation("side log-height is below the shift log-height")
-    if S.height == Ht:
-        return INFINITE
-    return _exact_floor(box.height(e), S.height, Ht, E.cutoff.height)
+    # side height B^t: the budget B^e <= T holds at every step
+    return _walk(e, t, E, E.box.height(t))
 
 
 def shift_multiplicity(e: Sequence[int], t: Sequence[int], E: ExponentSet, S: ExactLog) -> int:
-    """Per-column exponent of the modulus: min of chain length and budget."""
-    lam = lambda_single(e, t, E)
-    cap = shift_floor(e, t, E, S)
-    mu = min(lam, cap)
-    if mu == INFINITE:
+    """Per-column exponent of the modulus: min of the chain length
+    lambda_single(e, t, E) and the budget floor((Y - log B^e)/(S - log B^t)),
+    found by one integer walk down the chain.
+
+    The side height must reach the shift height.  For t = 0 only the
+    budget ends the walk, within log2 T steps when S > 0; S = 0 leaves it
+    unbounded and is refused.
+    """
+    e, t = _chain_start(e, t, E)
+    Ht = E.box.height(t)
+    if S.height < Ht:
+        raise ContractViolation("side log-height is below the shift log-height")
+    if S.height == Ht and not any(t):
         raise ContractViolation("shift multiplicity is unbounded for t = 0 with S = log B^t")
-    return int(mu)
+    return _walk(e, t, E, S.height)
 
 
 def lambda_total(E: ExponentSet, t: Sequence[int], S: ExactLog) -> int:

@@ -505,6 +505,15 @@ class TestAuxPipeline:
         for pt in pts:
             assert cover.poly.evaluate(pt) == 0
 
+    def test_negative_floor_constant_refused_for_every_box_shape(self):
+        # the unequal box takes the grid-scan search, whose retry must not
+        # swallow the refusal
+        f, g, _, _ = quadric_instance()
+        for box in (BoxBounds(12, 20, 30), BoxBounds(12, 12, 12)):
+            pts = enumerate_points(f, SideCondition(g, 5), box)
+            with pytest.raises(ContractViolation, match="floor constant must be nonnegative"):
+                aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=-1)
+
     def test_singular_cover_is_partial_derivative(self):
         f, g, box, pts = quadric_instance()
         rep = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=10)

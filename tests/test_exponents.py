@@ -21,7 +21,6 @@ from detsieve.exponents import (
     lambda_total,
     main_term_deviation,
     set_statistics,
-    shift_floor,
     shift_multiplicity,
     side_log_height,
     staircase_size,
@@ -283,12 +282,12 @@ class TestIntegerExponents:
             with pytest.raises(ContractViolation, match="exponent entry must be an integer"):
                 lambda_single((bad, 4, 0), (0, 2, 0), E)
 
-    def test_shift_floor_rejects_non_integer_exponents(self):
+    def test_shift_multiplicity_rejects_non_integer_exponents(self):
         E = staircase(3, 2)
         S = ExactLog.power(2, 2)
         for bad in self.BAD:
             with pytest.raises(ContractViolation, match="exponent entry must be an integer"):
-                shift_floor((bad, 0, 0), (0, 1, 0), E, S)
+                shift_multiplicity((bad, 0, 0), (0, 1, 0), E, S)
 
     def test_compute_params_rejects_non_integer_modulus(self):
         f = P(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
@@ -326,8 +325,8 @@ class TestLambdaTotal:
     def test_shift_taller_than_side_rejected(self):
         E = staircase(3, 2)
         S = ExactLog.power(2, 1)
-        with pytest.raises(ContractViolation):
-            shift_floor((0, 0, 0), (0, 2, 0), E, S)
+        with pytest.raises(ContractViolation, match="below the shift log-height"):
+            shift_multiplicity((0, 0, 0), (0, 2, 0), E, S)
 
 
 class TestShiftMultiplicity:
@@ -338,6 +337,58 @@ class TestShiftMultiplicity:
         assert shift_multiplicity((0, 0, 0), (0, 0, 0), E, S) == 1
         # walk runs out first for a short column
         assert shift_multiplicity((1, 1, 0), (0, 1, 0), E, S) == 1
+
+    def test_zero_shift_with_unit_side_height_rejected(self):
+        E = staircase(3, 2)
+        with pytest.raises(ContractViolation, match="unbounded"):
+            shift_multiplicity((0, 0, 0), (0, 0, 0), E, ExactLog(1))
+
+    def test_matches_definition_on_random_boxes(self):
+        # mu <= lambda(e, t), the budget B^e * Hs^mu <= T * Ht^mu holds at
+        # mu, and mu + 1 leaves the restricted chain or breaks the budget
+        rng = random.Random(11)
+        checked = 0
+        for trial in range(150):
+            b = rng.randint(2, 9)
+            shape = trial % 3
+            if shape == 0:
+                box = cube(b)
+            elif shape == 1:
+                box = BoxBounds(b, rng.randint(2, 9), rng.randint(2, 9))
+            else:
+                box = BoxBounds(rng.randint(2, 9), 40 * b, 40 * b + 1)
+            m = (rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2))
+            # a box height as cutoff makes the budget tight at equality
+            T = rng.choice((rng.randint(1, 10 ** 7),
+                            box.height(tuple(rng.randint(0, 4) for _ in range(3)))))
+            E = build_exponent_set(ExactLog(T), m, box)
+            t = tuple(rng.randint(0, 2) for _ in range(3))
+            Ht = box.height(t)
+            # equal heights, one above, and an arbitrary heavier side
+            Hs = rng.choice((Ht, Ht + 1, Ht * box.height((0, 1, 1))))
+            if Hs == 1:
+                continue
+            for e in E.restricted_members:
+                mu = shift_multiplicity(e, t, E, ExactLog(Hs))
+                He = box.height(e)
+                assert 0 <= mu <= lambda_single(e, t, E)
+                assert He * Hs ** mu <= T * Ht ** mu
+                nxt = tuple(a - (mu + 1) * b for a, b in zip(e, t))
+                assert (nxt not in E.restricted_set
+                        or He * Hs ** (mu + 1) > T * Ht ** (mu + 1))
+                checked += 1
+        assert checked > 1000
+
+    def test_near_equal_side_and_shift_heights(self):
+        # box (2, 1000, 1001), side height 1000^2 + 1 against the shift
+        # height 1000^2: the budget is huge, so each chain bounds mu
+        box = BoxBounds(2, 1000, 1001)
+        E = build_exponent_set(ExactLog(1001 ** 7), (2, 0, 0), box)
+        S = ExactLog(1000 ** 2 + 1)
+        t = (0, 2, 0)
+        assert len(E) == 64
+        for e in E.restricted_members:
+            assert shift_multiplicity(e, t, E, S) == lambda_single(e, t, E)
 
 
 class TestComputeParams:
