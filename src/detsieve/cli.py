@@ -39,6 +39,7 @@ from .exponents import (
     build_exponent_set,
     main_term_deviation,
     side_log_height,
+    staircase_size,
 )
 from .polynomials import IntegerPolynomial, MonomialOrder, max_exponent
 
@@ -313,19 +314,44 @@ def _run_enumerate(cfg: dict, seed: int) -> dict:
     }
 
 
+# The most staircase columns `certify` builds, far above the largest
+# certify config of the tests (16 384 columns) and the benchmark (169).
+CERTIFY_COLUMN_CAP = 10 ** 6
+
+
+def _certify_cutoff(box: BoxBounds, m, base: int, power: int) -> ExactLog:
+    """The cutoff base^power unless its staircase has over CERTIFY_COLUMN_CAP
+    columns.  A bound from bit lengths refuses a huge power before
+    base ** power is formed: with base^power >= 2^a, each e with e_i = 0 < m_i
+    and e_j + e_k <= a // max(bits of B_j, B_k) is a column.  Then the exact
+    count decides."""
+    bits = [b.bit_length() for b in box.bounds]
+    a = power * (base.bit_length() - 1)
+    n = max((a // max(bits[:i] + bits[i + 1:]) for i in range(3) if m[i]), default=0)
+    if (n + 1) * (n + 2) // 2 <= CERTIFY_COLUMN_CAP:
+        cutoff = ExactLog.power(base, power)
+        if staircase_size(cutoff, m, box) <= CERTIFY_COLUMN_CAP:
+            return cutoff
+    raise UsageError(
+        f"certify at cutoff {base}^{power} needs over {CERTIFY_COLUMN_CAP} columns"
+    )
+
+
 def _run_certify(cfg: dict, seed: int) -> dict:
     f = _poly_field(cfg, "f")
     g = _poly_field(cfg, "g")
     q = _int_field(cfg, "q")
     box = _box_field(cfg)
     base = _int_field(cfg, "cutoff_base", box.bmax)
+    if base < 2:
+        raise UsageError("field 'cutoff_base' must be an integer of at least 2")
     power = _int_field(cfg, "cutoff_power")
     if power < 1:
         raise UsageError("field 'cutoff_power' must be a positive integer")
     samples = _samples_field(cfg)
-    cutoff = ExactLog.power(base, power)
     order = MonomialOrder.weighted(box.bounds)
     m = max_exponent(f, order)
+    cutoff = _certify_cutoff(box, m, base, power)
     E = build_exponent_set(cutoff, m, box, order)
     pts = enumerate_points(f, SideCondition(g, q), box)
     if not len(pts):

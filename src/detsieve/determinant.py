@@ -41,7 +41,7 @@ from .polynomials import (
     is_coprime,
     top_degree_part,
 )
-from .scalars import mplog, to_mpf, workprec
+from .scalars import to_mpf, workprec
 
 
 # -- matrices and exact linear algebra ----------------------------------------
@@ -685,12 +685,10 @@ def aux_pipeline(
     epsilon: float,
     points: Sequence,
     *,
-    order: MonomialOrder | None = None,
     seed: int = 0,
     minor_samples: int = 32,
     floor_const: int | None = None,
     scale_override=None,
-    hard_cap: int = 512,
 ) -> CoverReport:
     """Cover the point set by few low-degree curves, with certificates.
 
@@ -731,8 +729,7 @@ def aux_pipeline(
                 f"residue prime {rp} shares a factor with the modulus {q}"
             )
 
-    if order is None:
-        order = MonomialOrder.weighted(box.bounds)
+    order = MonomialOrder.weighted(box.bounds)
     params = compute_params(f, g, q, box, order, epsilon)
     threshold = params.cover_scale_eps if scale_override is None else to_mpf(scale_override)
 
@@ -754,27 +751,9 @@ def aux_pipeline(
             return to_mpf(count) * r * r > threshold * threshold
 
     c_floor = floor_const if floor_const is not None else default_floor_constant(epsilon)
-    if box.equal:
-        cutoff = choose_Y(
-            "equal-box", constraint, box=box, floor_const=c_floor, hard_cap=hard_cap
-        )
-    else:
-        with workprec():
-            low = max(params.log_top_height, c_floor * mplog(box.bmax))
-        cutoff = None
-        for _ in range(24):
-            try:
-                cutoff = choose_Y(
-                    "grid-scan", constraint, box=box,
-                    floor_const=c_floor, grid_low=low,
-                )
-                break
-            except ContractViolation:
-                low = low * 2
-        if cutoff is None:
-            raise ContractViolation(
-                "no cutoff satisfied the cover constraint after repeated doubling"
-            )
+    cutoff = choose_Y(
+        constraint, box=box, floor_const=c_floor, log_top=params.log_top_height
+    )
 
     if classes:
         E_set = build_exponent_set(cutoff, params.dominant, box, order)

@@ -99,10 +99,6 @@ class ExactLog:
         raise AttributeError("ExactLog is immutable")
 
     @classmethod
-    def from_height(cls, height: int) -> "ExactLog":
-        return cls(height)
-
-    @classmethod
     def power(cls, base: int, n: int) -> "ExactLog":
         """log(base^n) held exactly."""
         if base < 2 or n < 0:
@@ -477,103 +473,91 @@ def lambda_total(E: ExponentSet, t: Sequence[int], S: ExactLog) -> int:
 # -- cutoff selection --------------------------------------------------------
 
 
-def default_floor_constant(epsilon: float | None) -> int:
+#: the largest n of the cutoffs B^n an equal box tries, and the points per
+#: log grid and most grids any other box tries
+POWER_CAP = 512
+GRID_POINTS = 64
+GRID_COUNT = 24
+
+
+def default_floor_constant(epsilon: float) -> int:
     """Minimum multiples of log B the cutoff must reach; grows as 1/epsilon."""
-    if epsilon is None:
-        return 10
     if not epsilon > 0:
         raise ContractViolation("epsilon must be positive")
     return max(10, math.ceil(4 / epsilon))
 
 
 def choose_Y(
-    mode: str,
     constraint: Callable[[ExactLog], bool],
     *,
     box: BoxBounds,
-    epsilon: float | None = None,
-    floor_const: int | None = None,
-    hard_cap: int = 512,
-    grid_low=None,
-    grid_points: int = 64,
+    floor_const: int,
+    log_top,
 ) -> ExactLog:
-    """Smallest admissible cutoff of the requested shape.
+    """Smallest candidate cutoff that reaches floor_const·log Bmax and
+    satisfies the constraint, which must be monotone in the cutoff (as a
+    bound on the size of E(Y) is).
 
-    The constraint must be monotone in the cutoff: once it holds at a
-    candidate it holds at every larger one.  A constraint on the size of
-    E(Y) is, since E(Y) only grows with Y.  The search probes O(log)
-    candidates and returns the cutoff a scan in increasing order would.
-
-    mode 'equal-box': candidates n * log B for integers n, requiring an
-    equal box; returns the first n in [floor constant, hard_cap]
-    whose cutoff satisfies the constraint.  It gallops up from the floor
-    (n, n+1, n+3, n+7, ...), clamped at hard_cap, then bisects, so large
-    n are probed only when the small ones fail.
-
-    mode 'grid-scan': grid_points candidates evenly spaced in
-    [grid_low, 2*grid_low]; returns the smallest candidate meeting both
-    the floor and the constraint.  Candidates snap to exact integer
-    heights, which rise along the grid, so it bisects for the first
-    candidate above the floor; only probed candidates are computed.
-    The last candidate is probed first, so an unsatisfiable grid costs
-    one probe; then it bisects.
+    An equal box tries the heights B^n, n in [floor_const, POWER_CAP], one
+    per block; any other box the GRID_POINTS-point log grids over [Z, 2Z],
+    [2Z, 4Z], ..., one per block and GRID_COUNT at most, with
+    Z = max(log_top, floor_const·log Bmax) and points snapped to integer
+    heights.  The search probes block ends until one holds, galloping
+    (0, 1, 3, 7, ...) over powers but taking grids in turn, since each
+    doubles log T and a count costs about (log T)^2; then it bisects after
+    the last end that failed, so it returns what an increasing scan would.
     """
-    c_floor = floor_const if floor_const is not None else default_floor_constant(epsilon)
-    if c_floor < 0:
+    if floor_const < 0:
         raise ContractViolation("floor constant must be nonnegative")
 
-    if mode == "equal-box":
-        if not box.equal:
-            raise ContractViolation("equal-box cutoffs need an equal box")
-        base = box.b1
+    if box.equal:
+        size, blocks, first, gallop = 1, POWER_CAP - floor_const + 1, 0, 2
+        tried = f"n*log({box.b1}) with n in [{floor_const}, {POWER_CAP}]"
 
-        def holds(n: int) -> bool:
-            return constraint(ExactLog.power(base, n))
+        def candidate(i: int) -> ExactLog:
+            return ExactLog.power(box.b1, floor_const + i)
 
-        lo, hi, step = c_floor, c_floor, 1
-        while hi <= hard_cap and not holds(hi):
-            lo = hi + 1
-            hi = hard_cap + 1 if hi == hard_cap else min(hi + step, hard_cap)
-            step *= 2
-        if hi > hard_cap:
-            raise ContractViolation(
-                f"no cutoff n*log({base}) with n in [{c_floor}, {hard_cap}] "
-                "satisfies the constraint; raise the cap or loosen the constraint"
-            )
-        return ExactLog.power(base, _first_holding(holds, lo, hi))
-
-    if mode == "grid-scan":
-        if grid_low is None:
-            raise ContractViolation("grid-scan needs grid_low")
+    else:
+        size, blocks, gallop = GRID_POINTS, GRID_COUNT, 1
+        tried = f"on {GRID_COUNT} log grids from Z above the floor"
         with workprec():
-            low = to_mpf(grid_low)
-            if low <= 0:
-                raise ContractViolation("grid_low must be positive")
-            floor_value = c_floor * mplog(box.bmax)
-        last = grid_points - 1
+            floor_value = floor_const * mplog(box.bmax)
+            z = max(to_mpf(log_top), floor_value)
 
         @cache
-        def candidate(k: int) -> ExactLog:
+        def candidate(i: int) -> ExactLog:
+            g, k = divmod(i, GRID_POINTS)
+            low = z
+            if g:
+                # 2^g·Z rounded to 53 bits, not 96: the recorded cutoffs were
+                # chosen on this grid, and box (12, 20, 30) picks another at 96
+                with mp.workprec(53):
+                    low = z * 2 ** g
             with workprec():
-                h = mpexp(low * (1 + to_mpf(k) / last))
+                h = mpexp(low * (1 + to_mpf(k) / (GRID_POINTS - 1)))
                 near = int(mp.nint(h))
                 # snap heights that are integers up to rounding noise
                 if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
                     height = near
                 else:
                     height = int(mp.floor(h))
-            return ExactLog.from_height(height)
+            return ExactLog(height)
 
-        # heights rise with k, so the floor test is monotone as well
-        first = _first_holding(lambda k: candidate(k).value >= floor_value, 0, grid_points)
-        if first == grid_points or not constraint(candidate(last)):
-            raise ContractViolation(
-                "no grid candidate in [Z, 2Z] satisfies the floor and the "
-                "constraint; raise Z"
-            )
-        return candidate(_first_holding(lambda k: constraint(candidate(k)), first, last))
+        # heights rise along the grid, and its last point, near exp(2Z),
+        # always reaches the floor; later grids lie wholly above it
+        first = _first_holding(lambda i: candidate(i).value >= floor_value, 0, GRID_POINTS - 1)
 
-    raise ContractViolation(f"unknown cutoff mode {mode!r}")
+    def holds(i: int) -> bool:
+        return constraint(candidate(i))
+
+    lo, b, step = first, 0, 1
+    while b < blocks and not holds(b * size + size - 1):
+        lo = (b + 1) * size
+        b = blocks if b == blocks - 1 else min(b + step, blocks - 1)
+        step *= gallop
+    if b >= blocks:
+        raise ContractViolation(f"no cutoff {tried} satisfies the constraint")
+    return candidate(_first_holding(holds, lo, b * size + size - 1))
 
 
 def _first_holding(holds: Callable[[int], bool], lo: int, hi: int) -> int:

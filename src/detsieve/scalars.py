@@ -1,8 +1,11 @@
 """Multiprecision scalar helpers.
 
 All floating-point work in this package runs at a fixed 96-bit mantissa,
-above the 80 bits the numeric guarantees assume.  Exact integer paths are
-preferred wherever the inputs allow them; these helpers cover the rest.
+above the 80 bits the numeric guarantees assume, with one exception:
+``exponents.choose_Y`` starts each log grid after the first on an unequal
+box from the doubled grid start rounded to 53 bits, the grid on which the
+recorded cutoffs were chosen.  Exact integer paths are preferred wherever
+the inputs allow them; these helpers cover the rest.
 """
 
 from __future__ import annotations

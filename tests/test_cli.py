@@ -1,7 +1,9 @@
 """Exit codes, report schema, determinism, slope fitting."""
 
+import itertools
 import json
 import math
+import random
 import re
 
 import pytest
@@ -10,7 +12,14 @@ import detsieve.cli
 from detsieve.cli import UsageError, _poly_field, fit_exponent, main, run
 from detsieve.determinant import aux_pipeline
 from detsieve.errors import ContractViolation, SoundnessError
-from detsieve.exponents import BoxBounds, build_exponent_set, main_term_deviation
+from detsieve.exponents import (
+    BoxBounds,
+    ExactLog,
+    build_exponent_set,
+    main_term_deviation,
+    staircase_size,
+)
+from detsieve.polynomials import MonomialOrder, max_exponent
 
 SPHERE5 = {
     "nvars": 3,
@@ -441,6 +450,76 @@ class TestUnlikeWorkCap:
             run("unlike", cfg)
         with pytest.raises(UsageError, match="needs over"):
             run("unlike", dict(cfg, B=B + 1))
+
+
+class TestCertifyColumnCap:
+    CERTIFY = {"f": CONG_F, "g": CONG_G, "q": 5, "box": [2, 2, 2],
+               "cutoff_base": 2, "cutoff_power": 3}
+
+    @pytest.fixture(autouse=True)
+    def no_build(self, monkeypatch):
+        # no test here builds a staircase: the stand-in raises at once
+        def stand_in(cutoff, m, box, order=None):
+            raise Started(cutoff.height)
+
+        monkeypatch.setattr(detsieve.cli, "build_exponent_set", stand_in)
+
+    def test_huge_power_refused_before_the_power_is_formed(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def never(*args):
+            raise Started("formed the cutoff")
+
+        monkeypatch.setattr(detsieve.cli.ExactLog, "power", never)
+        monkeypatch.setattr(detsieve.cli, "staircase_size", never)
+        for base in (2, 10 ** 6):
+            cfg = dict(self.CERTIFY, cutoff_base=base, cutoff_power=10 ** 30)
+            assert invoke(tmp_path, "certify", cfg) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "columns" in err
+            assert "Traceback" not in err
+
+    def test_cap_sits_between_two_powers(self):
+        # box (10^6, 2, 2) and dominant x1^2: the columns at 2^P are the
+        # (e2, e3) with e2 + e3 <= P at e1 = 0 and <= P - 20 at e1 = 1
+        def columns(P):
+            return math.comb(P + 2, 2) + math.comb(P - 18, 2)
+
+        cap = detsieve.cli.CERTIFY_COLUMN_CAP
+        P = next(P for P in itertools.count(20) if columns(P + 1) > cap)
+        box = BoxBounds(10 ** 6, 2, 2)
+        for power in (P, P + 1):
+            assert staircase_size(ExactLog.power(2, power), (2, 0, 0), box) == columns(power)
+        cfg = dict(self.CERTIFY, box=[10 ** 6, 2, 2])
+        with pytest.raises(Started):
+            run("certify", dict(cfg, cutoff_power=P))
+        with pytest.raises(UsageError, match="needs over"):
+            run("certify", dict(cfg, cutoff_power=P + 1))
+
+    def test_lower_bound_never_refuses_a_config_under_the_cap(self, monkeypatch):
+        # with the cap at a config's exact column count it must still run,
+        # and one below it must be refused
+        rng = random.Random(3)
+        f = _poly_field({"f": CONG_F}, "f")
+        for _ in range(60):
+            bounds = [rng.randint(2, 40) for _ in range(3)]
+            base, power = rng.randint(2, 40), rng.randint(1, 12)
+            box = BoxBounds(*bounds)
+            m = max_exponent(f, MonomialOrder.weighted(box.bounds))
+            exact = staircase_size(ExactLog.power(base, power), m, box)
+            cfg = dict(self.CERTIFY, box=bounds, cutoff_base=base, cutoff_power=power)
+            monkeypatch.setattr(detsieve.cli, "CERTIFY_COLUMN_CAP", exact)
+            with pytest.raises(Started):
+                run("certify", cfg)
+            monkeypatch.setattr(detsieve.cli, "CERTIFY_COLUMN_CAP", exact - 1)
+            with pytest.raises(UsageError, match="needs over"):
+                run("certify", cfg)
+
+    def test_cutoff_base_below_two_is_a_usage_error(self, tmp_path, capsys):
+        for bad in (1, 0, -5):
+            cfg = dict(self.CERTIFY, cutoff_base=bad, cutoff_power=10 ** 30)
+            assert invoke(tmp_path, "certify", cfg) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "cutoff_base" in err
 
 
 class TestFitExponent:

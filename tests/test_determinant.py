@@ -505,9 +505,17 @@ class TestAuxPipeline:
         for pt in pts:
             assert cover.poly.evaluate(pt) == 0
 
+    def test_unequal_box_cutoff_on_the_53_bit_grid(self):
+        # grids after the first start from the doubled start rounded to 53
+        # bits; at 96 bits this cutoff would be ...886887789... instead
+        f, g, _, _ = quadric_instance()
+        box = BoxBounds(12, 20, 30)
+        pts = enumerate_points(f, SideCondition(g, 5), box)
+        rep = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts)
+        assert rep.cutoff.height == 353265586727888747578466418333164285171073024
+        assert rep.set_size == 1443
+
     def test_negative_floor_constant_refused_for_every_box_shape(self):
-        # the unequal box takes the grid-scan search, whose retry must not
-        # swallow the refusal
         f, g, _, _ = quadric_instance()
         for box in (BoxBounds(12, 20, 30), BoxBounds(12, 12, 12)):
             pts = enumerate_points(f, SideCondition(g, 5), box)
@@ -606,7 +614,7 @@ class TestAuxPipeline:
         f, g, box, pts = quadric_instance()
         uneven = BoxBounds(2, 2, 3)
         uneven_pts = enumerate_points(f, SideCondition(g, 5), uneven)
-        # equal-box search; grid-scan search; grid-scan after one doubling
+        # powers; the first log grid; the second log grid
         for b, p, kw in ((box, pts, {"floor_const": 10}),
                          (uneven, uneven_pts, {"floor_const": 10}),
                          (uneven, uneven_pts, {"floor_const": 10, "scale_override": 40})):

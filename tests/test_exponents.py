@@ -7,6 +7,13 @@ import random
 import pytest
 from mpmath import mp
 
+import detsieve.determinant
+import detsieve.exponents
+import detsieve.scalars
+
+from detsieve.applications import QuadricInstance, count_quadric
+from detsieve.determinant import aux_pipeline
+from detsieve.enumeration import ResidueData, SideCondition, enumerate_points
 from detsieve.errors import ContractViolation, strict_int
 from detsieve.exponents import (
     INFINITE,
@@ -67,15 +74,15 @@ class TestIntegerContract:
                 BoxBounds(3, bad, 3)
 
     def test_exact_logs_of_one_height_are_equal(self):
-        a, b = ExactLog.from_height(10 ** 6), ExactLog.power(10, 6)
+        a, b = ExactLog(10 ** 6), ExactLog.power(10, 6)
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
-        assert a != ExactLog.from_height(10 ** 6 + 1)
+        assert a != ExactLog(10 ** 6 + 1)
 
     def test_height_must_be_an_integer(self):
         for bad in (2.9, True, "5"):
             with pytest.raises(ContractViolation, match="must be an integer"):
-                ExactLog.from_height(bad)
+                ExactLog(bad)
 
     def test_dominant_exponent_must_be_integers(self):
         box = cube(3)
@@ -162,7 +169,7 @@ class TestStaircaseSize:
 
     @staticmethod
     def built(T, m, box):
-        return len(build_exponent_set(ExactLog.from_height(T), m, box))
+        return len(build_exponent_set(ExactLog(T), m, box))
 
     def test_matches_build_on_random_boxes(self):
         rng = random.Random(20241)
@@ -174,7 +181,7 @@ class TestStaircaseSize:
             T = rng.randint(1, 10 ** rng.randint(1, 9))
             top = box.height(m)
             for height in {T, 1, max(1, top - 1), top, top + 1}:
-                got = staircase_size(ExactLog.from_height(height), m, box)
+                got = staircase_size(ExactLog(height), m, box)
                 assert got == self.built(height, m, box), (box, m, height)
 
     def test_every_height_boundary(self):
@@ -186,14 +193,14 @@ class TestStaircaseSize:
                 h = box.height(e)
                 for height in (h, h - 1):
                     if height >= 1:
-                        got = staircase_size(ExactLog.from_height(height), m, box)
+                        got = staircase_size(ExactLog(height), m, box)
                         assert got == self.built(height, m, box), (bounds, m, e)
 
     def test_below_dominant_height_counts_everything(self):
         # T < B^m: no member can reach e >= m, so |E(T)| = N(T)
         box = BoxBounds(3, 4, 5)
         for T in range(1, box.height((2, 1, 0))):
-            assert staircase_size(ExactLog.from_height(T), (2, 1, 0), box) == sum(
+            assert staircase_size(ExactLog(T), (2, 1, 0), box) == sum(
                 1 for e in itertools.product(range(6), repeat=3) if box.height(e) <= T
             )
 
@@ -459,11 +466,12 @@ class TestChooseY:
     def test_floor_constant_default(self):
         assert default_floor_constant(0.5) == 10
         assert default_floor_constant(0.1) == 40
-        assert default_floor_constant(None) == 10
+        for bad in (0, -0.5):
+            with pytest.raises(ContractViolation, match="epsilon must be positive"):
+                default_floor_constant(bad)
 
     def test_equal_box_takes_floor_when_trivial(self):
-        box = cube(10)
-        got = choose_Y("equal-box", lambda y: True, box=box, floor_const=10)
+        got = choose_Y(lambda y: True, box=cube(10), floor_const=10, log_top=0)
         assert got.height == 10 ** 10
 
     def test_equal_box_minimal_cutoff(self):
@@ -474,69 +482,73 @@ class TestChooseY:
             E = staircase_at(cutoff, box)
             return math.sqrt(len(E)) > 100
 
-        got = choose_Y("equal-box", constraint, box=box, floor_const=0,
-                       hard_cap=256)
+        got = choose_Y(constraint, box=box, floor_const=0, log_top=0)
         assert got.height == (10 ** 4) ** 100
 
-    def test_grid_scan_returns_low_end_when_trivial(self):
+    def test_grid_returns_low_end_when_trivial(self):
         box = BoxBounds(4, 8, 16)
         with mp.workprec(96):
             low = mp.log(1000)
-        got = choose_Y("grid-scan", lambda y: True, box=box, floor_const=0,
-                       grid_low=low)
-        assert abs(float(got.value) - float(low)) < 1e-12
+        got = choose_Y(lambda y: True, box=box, floor_const=0, log_top=low)
+        assert got.height == 1000
+
+    def test_grid_starts_at_the_floor_above_log_top(self):
+        # Z = max(log_top, 10 log 16), and exp(Z) = 2^40 snaps to an integer
+        got = choose_Y(lambda y: True, box=BoxBounds(4, 8, 16), floor_const=10, log_top=1)
+        assert got.height == 2 ** 40
 
     def test_unsatisfiable_reports_diagnostic(self):
-        box = cube(4)
-        with pytest.raises(ContractViolation):
-            choose_Y("equal-box", lambda y: False, box=box, floor_const=1,
-                     hard_cap=12)
+        with pytest.raises(ContractViolation, match=r"n in \[1, 512\]"):
+            choose_Y(lambda y: False, box=cube(4), floor_const=1, log_top=0)
+        # Z = 2^-16 keeps the 24th grid's heights near exp(2^9)
+        with pytest.raises(ContractViolation, match="on 24 log grids"):
+            choose_Y(lambda y: False, box=BoxBounds(4, 8, 16), floor_const=0,
+                     log_top=2.0 ** -16)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ContractViolation):
-            choose_Y("bisect", lambda y: True, box=cube(4))
+    def test_floor_above_the_power_cap_probes_nothing(self):
+        probes = []
+        with pytest.raises(ContractViolation, match=r"n in \[513, 512\]"):
+            choose_Y(probes.append, box=cube(4), floor_const=513, log_top=0)
+        assert probes == []
+
+    def test_negative_floor_constant_refused(self):
+        for box in (cube(4), BoxBounds(4, 8, 16)):
+            with pytest.raises(ContractViolation, match="floor constant must be nonnegative"):
+                choose_Y(lambda y: True, box=box, floor_const=-1, log_top=1)
 
 
-def linear_choose_Y(mode, constraint, *, box, floor_const, hard_cap=512,
-                    grid_low=None, grid_points=64):
-    """The linear scan choose_Y replaced, kept as the reference."""
-    if mode == "equal-box":
-        for n in range(floor_const, hard_cap + 1):
+def linear_choose_Y(constraint, *, box, floor_const, log_top):
+    """The linear scan choose_Y replaced, kept as the reference: the powers
+    B^n for n in [floor_const, 512], or the 64-point grids over [Z, 2Z],
+    [2Z, 4Z], ... (24 of them) with the grid start doubled at the default
+    53-bit precision, as the recorded cutoffs were chosen."""
+    if box.equal:
+        for n in range(floor_const, 513):
             cand = ExactLog.power(box.b1, n)
             if constraint(cand):
                 return cand
-        raise ContractViolation(
-            f"no cutoff n*log({box.b1}) with n in [{floor_const}, {hard_cap}] "
-            "satisfies the constraint; raise the cap or loosen the constraint"
-        )
+        raise ContractViolation("no power cutoff satisfies the constraint")
     with mp.workprec(96):
-        low = mp.mpf(grid_low)
         floor_value = floor_const * mp.log(box.bmax)
-        seen = set()
-        for k in range(grid_points):
-            y = low * (1 + mp.mpf(k) / (grid_points - 1))
-            h = mp.exp(y)
-            near = int(mp.nint(h))
-            if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
-                height = near
-            else:
-                height = int(mp.floor(h))
-            if height < 1 or height in seen:
-                continue
-            seen.add(height)
-            cand = ExactLog.from_height(height)
-            if cand.value < floor_value:
-                continue
-            if constraint(cand):
-                return cand
-    raise ContractViolation(
-        "no grid candidate in [Z, 2Z] satisfies the floor and the "
-        "constraint; raise Z"
-    )
+        low = max(mp.mpf(log_top), floor_value)
+    for _ in range(24):
+        with mp.workprec(96):
+            for k in range(64):
+                h = mp.exp(low * (1 + mp.mpf(k) / 63))
+                near = int(mp.nint(h))
+                if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
+                    height = near
+                else:
+                    height = int(mp.floor(h))
+                cand = ExactLog(height)
+                if cand.value >= floor_value and constraint(cand):
+                    return cand
+        low = low * 2
+    raise ContractViolation("no grid cutoff satisfies the constraint")
 
 
 class TestChooseYSearch:
-    """The search returns the linear scan's cutoff in O(log) probes."""
+    """The search returns the linear scan's cutoff in few probes."""
 
     @staticmethod
     def step(threshold, probes):
@@ -546,37 +558,35 @@ class TestChooseYSearch:
             return cutoff.value >= threshold
         return constraint
 
-    def outcome(self, choose, mode, threshold, **kw):
+    def outcome(self, choose, threshold, **kw):
         probes = []
         try:
-            got = choose(mode, self.step(threshold, probes), **kw)
-        except ContractViolation as exc:
-            return ("raised", str(exc)), probes
+            got = choose(self.step(threshold, probes), **kw)
+        except ContractViolation:
+            return "raised", probes
         return got, probes
 
     def test_equal_box_matches_linear_scan(self):
         rng = random.Random(5)
-        for _ in range(200):
+        for _ in range(150):
             base = rng.choice((2, 3, 10, 60))
-            c_floor = rng.randint(0, 40)
-            hard_cap = rng.randint(c_floor, 600)
-            target = rng.randint(0, hard_cap + 3)
+            c_floor = rng.choice((rng.randint(0, 40), rng.randint(0, 520)))
+            target = rng.randint(0, 520)
             with mp.workprec(96):
                 threshold = target * mp.log(base)
-            kw = dict(box=cube(base), floor_const=c_floor, hard_cap=hard_cap)
-            want, _ = self.outcome(linear_choose_Y, "equal-box", threshold, **kw)
-            got, probes = self.outcome(choose_Y, "equal-box", threshold, **kw)
-            assert got == want, (base, c_floor, hard_cap, target)
+            kw = dict(box=cube(base), floor_const=c_floor, log_top=0)
+            want, _ = self.outcome(linear_choose_Y, threshold, **kw)
+            got, probes = self.outcome(choose_Y, threshold, **kw)
+            assert got == want, (base, c_floor, target)
             ns = [_exponent_of(base, p.height) for p in probes]
-            assert all(c_floor <= n <= hard_cap for n in ns)
+            assert all(c_floor <= n <= 512 for n in ns)
             assert len(ns) == len(set(ns))
-            span = hard_cap - c_floor + 1
+            span = 512 - c_floor + 1
             assert len(ns) <= 2 * math.ceil(math.log2(span + 1)) + 1
             # galloping: nothing beyond twice the distance to the answer
-            if isinstance(got, tuple):
-                continue
-            answer = _exponent_of(base, got.height)
-            assert max(ns) <= c_floor + 2 * (answer - c_floor) + 1
+            if got != "raised":
+                answer = _exponent_of(base, got.height)
+                assert max(ns) <= c_floor + 2 * (answer - c_floor) + 1
 
     def test_equal_box_never_probes_cap_for_an_early_answer(self):
         # counting at 60^512 is the slow case; an answer at n = 13 must
@@ -584,68 +594,102 @@ class TestChooseYSearch:
         probes = []
         with mp.workprec(96):
             threshold = 13 * mp.log(60)
-        got = choose_Y("equal-box", self.step(threshold, probes),
-                       box=cube(60), floor_const=10, hard_cap=512)
+        got = choose_Y(self.step(threshold, probes), box=cube(60), floor_const=10, log_top=0)
         assert got.height == 60 ** 13
         assert max(_exponent_of(60, p.height) for p in probes) <= 17
 
-    def test_grid_scan_matches_linear_scan(self):
+    def test_grids_match_linear_scan(self):
+        # thresholds from below Z to past the 24th grid: answers in the
+        # first grid, in later ones, and refusals.  Grid g reaches heights
+        # near exp(2^(g+1) Z), so the far grids are tried from a tiny Z.
         rng = random.Random(11)
         boxes = (BoxBounds(4, 8, 16), BoxBounds(12, 20, 30), BoxBounds(3, 3, 5))
-        for _ in range(120):
+        seen = set()
+        for trial in range(48):
             box = rng.choice(boxes)
-            c_floor = rng.randint(0, 12)
             with mp.workprec(96):
-                low = mp.mpf(rng.uniform(1, 60))
-                threshold = low * mp.mpf(rng.uniform(0.5, 2.2))
-            points = rng.choice((2, 7, 64))
-            kw = dict(box=box, floor_const=c_floor, grid_low=low, grid_points=points)
-            want, _ = self.outcome(linear_choose_Y, "grid-scan", threshold, **kw)
-            got, probes = self.outcome(choose_Y, "grid-scan", threshold, **kw)
-            assert got == want, (box, c_floor, low, threshold)
-            # a scan that never succeeds probes exactly the candidate list
-            _, candidates = self.outcome(linear_choose_Y, "grid-scan", math.inf, **kw)
-            assert all(p in candidates for p in probes)
-            assert len(probes) <= math.ceil(math.log2(points)) + 1
-            if isinstance(got, tuple):
-                assert len(probes) <= 1
+                if trial % 2:
+                    c_floor, top = rng.randint(0, 12), rng.uniform(1, 60)
+                    grids = rng.uniform(-0.5, 3)
+                else:
+                    c_floor, top = 0, rng.uniform(1, 2) * 2.0 ** -rng.randint(14, 22)
+                    grids = rng.uniform(-0.5, 24.5)
+                log_top = mp.mpf(top)
+                z = max(log_top, c_floor * mp.log(box.bmax))
+                threshold = z * mp.mpf(2) ** grids
+            kw = dict(box=box, floor_const=c_floor, log_top=log_top)
+            want, _ = self.outcome(linear_choose_Y, threshold, **kw)
+            got, probes = self.outcome(choose_Y, threshold, **kw)
+            assert got == want, (box, c_floor, log_top, threshold)
+            if got == "raised":
+                seen.add("raised")
+                # the end of every grid, one after another
+                assert len(probes) == 24
+                continue
+            grid = int(mp.floor(mp.log(got.value / z, 2) + mp.mpf(2) ** -40))
+            seen.add(min(grid, 2))
+            # the ends of grids 0..grid, then a bisection inside the last
+            assert len(probes) <= grid + 1 + 6
+        assert seen == {0, 1, 2, "raised"}
 
-    def test_grid_scan_builds_only_probed_cutoffs(self, monkeypatch):
-        # floor and constraint are both found by bisection over the 64 grid
-        # points, so at most 7 + 7 cutoffs are built where the linear scan
-        # builds all 64; the answer (or refusal) is the linear scan's
-        rng = random.Random(13)
-        real = ExactLog.from_height.__func__
+    def test_grid_builds_few_cutoffs(self, monkeypatch):
+        # the floor and the constraint are both found by bisection, so a
+        # grid answer builds at most 7 + 7 cutoffs where the scan builds 64
         built = []
 
-        def counting(cls, height):
-            built.append(height)
-            return real(cls, height)
+        def counting(x):
+            built.append(x)
+            return detsieve.scalars.mpexp(x)
 
-        outcomes = set()
-        for _ in range(80):
-            box = rng.choice((BoxBounds(4, 8, 16), BoxBounds(12, 20, 30), cube(60)))
+        monkeypatch.setattr(detsieve.exponents, "mpexp", counting)
+        rng = random.Random(13)
+        for _ in range(40):
+            box = rng.choice((BoxBounds(4, 8, 16), BoxBounds(12, 20, 30)))
             c_floor = rng.randint(0, 16)
             with mp.workprec(96):
-                low = mp.mpf(rng.uniform(1, 50))
-                threshold = low * mp.mpf(rng.uniform(0.9, 2.1))
-            kw = dict(box=box, floor_const=c_floor, grid_low=low, grid_points=64)
-            want, _ = self.outcome(linear_choose_Y, "grid-scan", threshold, **kw)
+                log_top = mp.mpf(rng.uniform(1, 50))
+                z = max(log_top, c_floor * mp.log(box.bmax))
+                threshold = z * mp.mpf(rng.uniform(0.9, 2.0))
             del built[:]
-            with monkeypatch.context() as m:
-                m.setattr(ExactLog, "from_height", classmethod(counting))
-                got, _ = self.outcome(choose_Y, "grid-scan", threshold, **kw)
-            assert got == want, (box, c_floor, low, threshold)
+            got = choose_Y(self.step(threshold, []), box=box, floor_const=c_floor,
+                           log_top=log_top)
+            assert got == linear_choose_Y(self.step(threshold, []), box=box,
+                                          floor_const=c_floor, log_top=log_top)
             assert 1 <= len(built) <= 14
-            outcomes.add("raised" if isinstance(got, tuple) else "found")
-        assert outcomes == {"raised", "found"}
 
-    def test_grid_scan_unsatisfiable_costs_one_probe(self):
-        probes = []
-        with pytest.raises(ContractViolation, match="raise Z"):
-            choose_Y("grid-scan", self.step(10 ** 6, probes),
-                     box=BoxBounds(4, 8, 16), floor_const=0, grid_low=5)
-        assert len(probes) == 1
+    def test_probe_counts_on_the_benchmark_configs(self, monkeypatch):
+        # staircase counts per run: the grid walk and the power gallop probe
+        # exactly what the two-mode search before them did
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0].height)
+            return staircase_size(*args)
+
+        monkeypatch.setattr(detsieve.determinant, "staircase_size", spy)
+
+        def surface(a1, n, q, box, residues=()):
+            f = P(3, {(2, 0, 0): a1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -n})
+            g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -n})
+            box = BoxBounds(*box)
+            pts = enumerate_points(f, SideCondition(g, q), box)
+            aux_pipeline(f, g, q, box, ResidueData(residues), 0.5, list(pts))
+
+        runs = {
+            "cover-B10": lambda: count_quadric(QuadricInstance(3, 1, 1, 1001, 10), "pipeline"),
+            "cover-B16": lambda: count_quadric(QuadricInstance(3, 1, 1, 1001, 16), "pipeline"),
+            "cover-B17": lambda: count_quadric(QuadricInstance(3, 1, 1, 1001, 17), "pipeline"),
+            "aux-B30-p5-p7": lambda: surface(3, 1001, 3, (30, 30, 30), (5, 7)),
+            "rung-B60": lambda: count_quadric(QuadricInstance(7, 1, 1, 3, 60), "pipeline"),
+            "aux-grid-12-20-30": lambda: surface(5, 6, 5, (12, 20, 30)),
+        }
+        probes = {}
+        for name, go in runs.items():
+            del calls[:]
+            go()
+            probes[name] = len(calls)
+        assert probes == {"cover-B10": 5, "cover-B16": 8, "cover-B17": 8,
+                          "aux-B30-p5-p7": 1, "rung-B60": 15, "aux-grid-12-20-30": 8}
 
 
 def _exponent_of(base, height):
