@@ -239,8 +239,9 @@ class DivisibilityCertificate:
     integer lift s with z*coefficient - q*lift = 1, the per-column
     multiplicities, and the reduced matrix left after factoring the
     modulus out column by column.  det_transform is the determinant of
-    the column-operation matrix; soundness requires it to be a unit mod
-    the modulus (it equals 1 in every regime the pipeline uses).
+    the column-operation matrix A.  It is always 1: A is unitriangular
+    in the monomial order that the shift slot fixes, which is checked in
+    one pass over A's entries.
     """
 
     base_modulus: int
@@ -269,15 +270,27 @@ def _sample_count(samples) -> int:
     return samples
 
 
+def _slot_orders(l: int) -> dict:
+    """The shift slots for a side polynomial of degree l, each with the
+    order key below which it puts every entry of A off the diagonal.
+
+    Column e of A holds x^(e - mu t) * gq^mu, gq having coefficient 1 at
+    the slot t.  For the constant slot every other term has a higher
+    total degree than x^e; for x2^l or x3^l, x^e leads in the graded order
+    that breaks ties by that variable's exponent, then the other's.
+    """
+    return {
+        (0, 0, 0): lambda u: -sum(u),
+        (0, l, 0): lambda u: (sum(u), u[1], u[2]),
+        (0, 0, l): lambda u: (sum(u), u[2], u[1]),
+    }
+
+
 def select_shift(g: IntegerPolynomial, q: int) -> tuple:
     """Shift-vector policy: the constant slot if its coefficient is a unit
     mod q, else one of the two pure top-degree slots."""
-    if math.gcd(q, g.constant_term()) == 1:
-        return (0, 0, 0)
-    l = g.total_degree()
-    for t in ((0, l, 0), (0, 0, l)):
-        c = g.terms.get(t, 0)
-        if c and math.gcd(q, c) == 1:
+    for t in _slot_orders(g.total_degree()):
+        if math.gcd(q, g.terms.get(t, 0)) == 1:
             return t
     raise ContractViolation(
         f"no admissible shift for modulus {q}: neither the constant term "
@@ -353,6 +366,19 @@ def _check_column_identity(entries, a_cols, divisors, reduced) -> None:
             )
 
 
+def _check_unitriangular(a_cols, keys) -> None:
+    """Raise SoundnessError unless A is unitriangular, so det A = 1: each
+    column i holds exactly 1 on its diagonal and its other entries at rows
+    whose order key is strictly below keys[i]."""
+    for i, pairs in enumerate(a_cols):
+        diagonal = sum(a for r, a in pairs if r == i)
+        if diagonal != 1:
+            raise SoundnessError(f"column {i} of A has {diagonal} on its diagonal, not 1")
+        for r, a in pairs:
+            if r != i and a and not keys[r] < keys[i]:
+                raise SoundnessError(f"column {i} of A has an entry at row {r} on the wrong side")
+
+
 def congruence_reduce(
     M: MonomialMatrix,
     g: IntegerPolynomial,
@@ -367,19 +393,17 @@ def congruence_reduce(
 ) -> DivisibilityCertificate:
     """Factor q^mu out of each restricted column, certifying q^lam | minors.
 
-    Requires a prime-power modulus, rows satisfying the congruence, and a
-    shift slot whose coefficient in g is a unit mod q.  Column i of the
+    Requires a prime-power modulus, rows satisfying the congruence, and
+    the constant slot or a pure top-degree slot x2^l or x3^l (l = deg g)
+    whose coefficient in g is a unit mod q.  Column i of the
     column-operation matrix A holds the coefficients of x^(e - mu t)
-    times gq^mu, where gq is g rescaled to have coefficient 1 at the
-    shift slot, and column i of the reduced matrix R holds that
-    polynomial's values divided by q^mu, read from gq(x)/q at each
-    point.  The identity M A = R D, with D = diag(q^mu), is checked once
-    on every entry; since det is multiplicative it gives
-    det M_S * det A = q^lam * det R_S on every row subset S.  Each sampled
-    subset then takes one determinant, det R_S, and det M_S is the exact
-    quotient of q^lam * det R_S by det A.  On the first subset with
-    det R_S nonzero, det M_S is also computed directly, which vouches for
-    det A.
+    times gq^mu, gq being g rescaled to coefficient 1 at the slot, and
+    column i of the reduced matrix R holds its values divided by q^mu,
+    read from gq(x)/q at each point.  M A = R D, with D = diag(q^mu), is
+    checked once on every entry, and one pass over A checks that it is
+    unitriangular in the order the slot fixes, so det A = 1.  Hence
+    det M_S = q^lam * det R_S on every row subset S, and each sampled
+    subset takes one determinant, det R_S.
     """
     samples = _sample_count(samples)
     decomp = prime_power_decompose(q)
@@ -387,10 +411,13 @@ def congruence_reduce(
         raise ContractViolation(f"modulus {q} is not a prime power")
     p, j = decomp
     t = _shift_vector(t)
-    if t[0] != 0:
-        raise ContractViolation("shift must have first coordinate zero")
     if g.nvars != 3 or g.depends_on(0):
         raise ContractViolation("side polynomial must be in (x2, x3) only")
+    slot_order = _slot_orders(g.total_degree()).get(t)
+    if slot_order is None:
+        raise ContractViolation(
+            f"shift {t} is neither the constant slot nor a pure top-degree slot"
+        )
     if M.cols != E.members:
         raise ContractViolation("matrix columns do not match the exponent set")
     c_t = g.terms.get(t, 0)
@@ -414,20 +441,14 @@ def congruence_reduce(
         (e, shift_multiplicity(e, t, E, S)) for e in E.restricted_members
     )
     lam = sum(mu for _, mu in mus)
+    divisor = q ** lam
 
     nrows, ncols = M.shape
     a_cols, divisors, reduced = _column_operations(M, gq, q, t, E, mus)
     _check_column_identity(M.entries, a_cols, divisors, reduced)
-
-    A = [[0] * ncols for _ in range(ncols)]
-    for i, pairs in enumerate(a_cols):
-        for r, a in pairs:
-            A[r][i] = a
-    det_transform = integer_determinant(A)
-    if math.gcd(det_transform, q) != 1:
-        raise SoundnessError(
-            "column-operation determinant shares a factor with the modulus"
-        )
+    _check_unitriangular(a_cols, [slot_order(e) for e in E.members])
+    if math.prod(divisors) != divisor:
+        raise SoundnessError(f"the column divisors do not multiply to {q}^{lam}")
 
     reduced_entries = tuple(tuple(row) for row in reduced)
 
@@ -441,50 +462,33 @@ def congruence_reduce(
         for _ in range(samples):
             subsets.append(tuple(sorted(rng.sample(range(nrows), ncols))))
         seen = set()
-        divisor = q ** lam
-        cross_checked = False
         for sub in subsets:
             if sub in seen:
                 continue
             seen.add(sub)
             if len(sub) != ncols or any(not 0 <= i < nrows for i in sub):
                 raise ContractViolation(f"bad row subset {sub}")
-            delta_red = integer_determinant([reduced_entries[i] for i in sub])
-            delta, rem = divmod(divisor * delta_red, det_transform)
-            if rem:
-                raise SoundnessError(
-                    f"column-operation determinant does not divide the reduced "
-                    f"minor on rows {sub}"
-                )
-            if delta_red and not cross_checked:
-                direct = integer_determinant([M.entries[i] for i in sub])
-                if direct * det_transform != divisor * delta_red:
-                    raise SoundnessError(
-                        f"determinant relation failed on rows {sub}"
-                    )
-                cross_checked = True
+            # q^lam times an integer: its valuation is at least lam
+            delta = divisor * integer_determinant([reduced_entries[i] for i in sub])
             if delta == 0:
                 checked.append(CheckedMinor(sub, True, None, True))
             else:
-                v = prime_power_valuation(delta, p, j)
-                if v < lam:
-                    raise SoundnessError(
-                        f"minor on rows {sub} has valuation {v} below {lam}"
-                    )
-                checked.append(CheckedMinor(sub, False, v, True))
+                checked.append(
+                    CheckedMinor(sub, False, prime_power_valuation(delta, p, j), True)
+                )
 
     return DivisibilityCertificate(
         base_modulus=q,
         prime=p,
         prime_exponent=j,
         lam=lam,
-        certified_divisor=q ** lam,
+        certified_divisor=divisor,
         shift=t,
         coefficient=c_t,
         inverse=z,
         lift=s,
         multiplicities=mus,
-        det_transform=det_transform,
+        det_transform=1,
         columns=E.members,
         reduced_entries=reduced_entries,
         checked_minors=tuple(checked),

@@ -13,7 +13,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ContractViolation, strict_int
+from .errors import ContractViolation, SoundnessError, strict_int
 
 ExponentVector = tuple[int, ...]
 
@@ -277,12 +277,6 @@ class IntegerPolynomial:
             buckets.setdefault(j, {})[tuple(d)] = c
         return {j: self._canonical(self.nvars, t) for j, t in sorted(buckets.items())}
 
-    def drop_variable(self, i: int) -> "IntegerPolynomial":
-        if not 0 <= i < self.nvars or self.nvars == 1 or self.depends_on(i):
-            raise ContractViolation(f"cannot drop variable {i} from {self!r}")
-        acc = {e[:i] + e[i + 1 :]: c for e, c in self._terms.items()}
-        return self._canonical(self.nvars - 1, acc)
-
 
 # -- module level operation wrappers -------------------------------------
 
@@ -456,24 +450,25 @@ def polynomial_gcd(f: IntegerPolynomial, g: IntegerPolynomial) -> IntegerPolynom
         return _normalize_sign(g)
     if g.is_zero:
         return _normalize_sign(f)
-    if f.is_constant or g.is_constant:
-        c = math.gcd(f.content(), g.content())
-        return IntegerPolynomial.constant(n, c)
 
-    shared = f.variables_used() & g.variables_used()
+    f_vars, g_vars = f.variables_used(), g.variables_used()
+    shared = f_vars & g_vars
     if not shared:
         # no common variable, so any common divisor is an integer
         return IntegerPolynomial.constant(n, math.gcd(f.content(), g.content()))
+    # a variable w that only one side uses divides out through that side's
+    # content: gcd(f, g) = gcd(cont_w(f), g) when g is free of w
+    if f_vars - shared:
+        return polynomial_gcd(_content_wrt(f, max(f_vars - shared)), g)
+    if g_vars - shared:
+        return polynomial_gcd(f, _content_wrt(g, max(g_vars - shared)))
     v = max(shared)
-    if not f.depends_on(v):
-        return polynomial_gcd(f, _content_wrt(g, v))
-    if not g.depends_on(v):
-        return polynomial_gcd(_content_wrt(f, v), g)
 
     cf, cg = _content_wrt(f, v), _content_wrt(g, v)
     a = exact_divide(f, cf)
     b = exact_divide(g, cg)
-    assert a is not None and b is not None
+    if a is None or b is None:
+        raise SoundnessError("a content failed to divide its polynomial")
     if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
 
@@ -490,22 +485,20 @@ def polynomial_gcd(f: IntegerPolynomial, g: IntegerPolynomial) -> IntegerPolynom
         a, b = b, r
         scale = gg * hh ** delta
         b = exact_divide(b, scale)
-        assert b is not None, "subresultant scale failed to divide"
+        if b is None:
+            raise SoundnessError("subresultant scale failed to divide")
         gg = a.coefficients_in(v)[a.degree_in(v)]
-        if delta == 0:
-            pass
-        elif delta == 1:
-            hh = gg
-        else:
-            num = gg ** delta
-            hh = exact_divide(num, hh ** (delta - 1))
-            assert hh is not None
+        if delta:
+            hh = gg if delta == 1 else exact_divide(gg ** delta, hh ** (delta - 1))
+            if hh is None:
+                raise SoundnessError("subresultant h update failed to divide")
 
     if b.degree_in(v) <= 0:
         pp = one
     else:
         pp = exact_divide(b, _content_wrt(b, v))
-        assert pp is not None
+        if pp is None:
+            raise SoundnessError("the gcd's content failed to divide it")
     return _normalize_sign(polynomial_gcd(cf, cg) * pp)
 
 

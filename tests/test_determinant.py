@@ -413,6 +413,21 @@ class TestCongruenceReduce:
         with pytest.raises(ContractViolation):
             congruence_reduce(M, g, 5, (1, 0, 0), E, ExactLog.power(2, 2))
 
+    @pytest.mark.parametrize("t, g_terms", (
+        ((0, 1, 1), {(0, 1, 1): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6}),
+        ((0, 2, 0), {(0, 0, 3): 1, (0, 2, 0): 1, (0, 1, 0): 1, (0, 0, 0): -6}),
+    ), ids=("mixed", "below-top-degree"))
+    def test_slot_outside_the_three_refused(self, t, g_terms):
+        # the slot's coefficient is a unit, but A need not be unitriangular
+        g = P(3, g_terms)
+        assert math.gcd(g.terms[t], 5) == 1
+        pts = [(x, y, z) for x in range(2) for y in range(-2, 3) for z in range(-2, 3)
+               if g.evaluate((x, y, z)) % 5 == 0]
+        E = staircase(2, 3)
+        M = build_matrix(pts, E)
+        with pytest.raises(ContractViolation, match="neither the constant slot"):
+            congruence_reduce(M, g, 5, t, E, ExactLog.power(2, 2))
+
 
 class TestCompositeCertificates:
     def test_two_prime_factors(self):
@@ -997,28 +1012,51 @@ def assert_two_determinant_relation(M, cert):
         assert m.relation_ok
 
 
-def spy_determinants(monkeypatch, M, corrupt_transform=None):
+def spy_determinants(monkeypatch, M):
     """Count integer_determinant calls by the matrix they read: rows of M,
-    rows of some certificate's reduced matrix, or the column-operation
-    matrix A; corrupt_transform, if given, rewrites det A."""
+    rows of some certificate's reduced matrix, or any other grid, such as
+    the column-operation matrix A."""
     calls = {"M": 0, "R": 0, "A": 0}
     m_rows = {id(r) for r in M.entries}
     real = determinant.integer_determinant
 
     def spy(grid):
-        got = real(grid)
         if all(id(r) in m_rows for r in grid):
             calls["M"] += 1
         elif all(isinstance(r, tuple) for r in grid):
             calls["R"] += 1
         else:
             calls["A"] += 1
-            if corrupt_transform is not None:
-                got = corrupt_transform(got)
-        return got
+        return real(grid)
 
     monkeypatch.setattr(determinant, "integer_determinant", spy)
     return calls
+
+
+def slot_certificate(slot):
+    """(M, g, q, t, E, S) of a certificate on the constant, x2^2 or x3^2 slot."""
+    if slot == "constant":
+        _, g, _, pts = quadric_instance()
+        E = staircase(2, 3)
+        return build_matrix(pts, E), g, 5, (0, 0, 0), E, ExactLog.power(2, 2)
+    # g = x2^2 - x3^2 - 20: both pure top-degree coefficients are units mod 5
+    q, c = 5, 2
+    g = P(3, {(0, 2, 0): 1, (0, 0, 2): -1, (0, 0, 0): -q * c * c})
+    f = g + P(3, {(2, 0, 0): q})
+    pts = enumerate_points(f, SideCondition(g, q), BoxBounds(4, 4, 4))
+    E = staircase(4, 3)
+    t = (0, 2, 0) if slot == "x2" else (0, 0, 2)
+    return build_matrix(pts, E), g, q, t, E, ExactLog.power(4, 2)
+
+
+# per slot, the member farthest on the wrong side of any diagonal: the
+# constant slot needs higher total degree off the diagonal, the x2^l and
+# x3^l slots need a lower graded key
+WRONG_SIDE = {
+    "constant": lambda E: min(E.members, key=sum),
+    "x2": lambda E: max(E.members, key=lambda u: (sum(u), u[1], u[2])),
+    "x3": lambda E: max(E.members, key=lambda u: (sum(u), u[2], u[1])),
+}
 
 
 class TestCertificateChecks:
@@ -1051,10 +1089,10 @@ class TestCertificateChecks:
         M, g, q, E, S = diagonal_certify(*BENCHMARK_CERTIFY["certify-q7-B25"])
         calls = spy_determinants(monkeypatch, M)
         (cert,) = congruence_certificates(M, g, q, E, S, rng=random.Random(3))
-        # det A once, det R_S per subset, and one direct det M_S vouching for det A
-        assert calls == {"A": 1, "R": len(cert.checked_minors), "M": 1}
+        # det R_S per subset; det A = 1 by structure and det M_S is never formed
+        assert calls == {"A": 0, "R": len(cert.checked_minors), "M": 0}
 
-    def test_no_cross_check_without_a_nonzero_minor(self, monkeypatch):
+    def test_one_determinant_per_vanishing_minor(self, monkeypatch):
         # points on the plane x1 = 0 zero the column of x1: every minor vanishes
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
         pts = [(0, y, z) for y in range(-6, 7) for z in range(-6, 7)
@@ -1066,7 +1104,7 @@ class TestCertificateChecks:
         cert = congruence_reduce(M, g, 5, (0, 0, 0), E, ExactLog.power(2, 2), samples=4)
         assert cert.checked_minors
         assert all(m.determinant_zero for m in cert.checked_minors)
-        assert calls == {"A": 1, "R": len(cert.checked_minors), "M": 0}
+        assert calls == {"A": 0, "R": len(cert.checked_minors), "M": 0}
 
     @staticmethod
     def rich_certificate():
@@ -1117,11 +1155,79 @@ class TestCertificateChecks:
         with pytest.raises(SoundnessError, match=f"column {i} of M A"):
             self.reduce(M, g, E, S)
 
-    @pytest.mark.parametrize("wrong", (lambda d: -d, lambda d: 2 * d, lambda d: 3 * d),
-                             ids=("negated", "doubled", "tripled"))
-    def test_wrong_transform_determinant_raises(self, monkeypatch, wrong):
-        M, g, E, S = self.rich_certificate()
-        assert self.reduce(M, g, E, S).det_transform == 1
-        spy_determinants(monkeypatch, M, corrupt_transform=wrong)
-        with pytest.raises(SoundnessError):
-            self.reduce(M, g, E, S)
+    def replaced_column(self, slot):
+        """A certificate on the slot, one replaced column i, its divisor, and
+        a row k on the wrong side of column i's diagonal."""
+        M, g, q, t, E, S = slot_certificate(slot)
+        cert = congruence_reduce(M, g, q, t, E, S, samples=4, rng=random.Random(7))
+        assert cert.shift == t and cert.lam >= 1 and cert.det_transform == 1
+        k = E.members.index(WRONG_SIDE[slot](E))
+        i = next(E.members.index(e) for e, mu in cert.multiplicities
+                 if mu and E.members.index(e) != k)
+        mu = dict(cert.multiplicities)[E.members[i]]
+        return (M, g, q, t, E, S), i, q ** mu, k
+
+    @pytest.mark.parametrize("slot", sorted(WRONG_SIDE))
+    def test_diagonal_of_two_raises(self, monkeypatch, slot):
+        # doubling A's column and R's column keeps M A = R D
+        args, i, _, _ = self.replaced_column(slot)
+
+        def corrupt(a_cols, divisors, reduced):
+            a_cols[i] = tuple((r, 2 * a) for r, a in a_cols[i])
+            for row in reduced:
+                row[i] *= 2
+
+        self.corrupt_operations(monkeypatch, corrupt)
+        with pytest.raises(SoundnessError, match=f"column {i} of A has 2 on its diagonal"):
+            congruence_reduce(*args)
+
+    @pytest.mark.parametrize("slot", sorted(WRONG_SIDE))
+    def test_entry_on_the_wrong_side_raises(self, monkeypatch, slot):
+        # c * d_i at row k of A's column, c * M[:, k] added to R's: M A = R D
+        args, i, d, k = self.replaced_column(slot)
+        M, c = args[0], 3
+
+        def corrupt(a_cols, divisors, reduced):
+            a_cols[i] = a_cols[i] + ((k, c * d),)
+            for row, m_row in zip(reduced, M.entries):
+                row[i] += c * m_row[k]
+
+        self.corrupt_operations(monkeypatch, corrupt)
+        with pytest.raises(
+            SoundnessError, match=f"column {i} of A has an entry at row {k} on the wrong side"
+        ):
+            congruence_reduce(*args)
+
+    @pytest.mark.parametrize("replaced", (True, False), ids=("replaced", "untouched"))
+    def test_missing_diagonal_raises(self, monkeypatch, replaced):
+        # dropping column i's diagonal 1 takes M[:, i] off M A; R D follows
+        # with divisor 1 and R's column set to d * R[:, i] - M[:, i]
+        args, i, d, _ = self.replaced_column("constant")
+        M, E = args[0], args[4]
+        if not replaced:
+            i, d = E.members.index((0, 0, 2)), 1
+
+        def corrupt(a_cols, divisors, reduced):
+            assert divisors[i] == d
+            a_cols[i] = tuple((r, a) for r, a in a_cols[i] if r != i)
+            divisors[i] = 1
+            for row, m_row in zip(reduced, M.entries):
+                row[i] = d * row[i] - m_row[i]
+
+        self.corrupt_operations(monkeypatch, corrupt)
+        with pytest.raises(SoundnessError, match=f"column {i} of A has 0 on its diagonal"):
+            congruence_reduce(*args)
+
+    def test_wrong_column_divisor_raises(self, monkeypatch):
+        # divisor 1 with R's column scaled by d keeps M A = R D, but det D
+        # falls short of q^lam
+        args, i, d, _ = self.replaced_column("constant")
+
+        def corrupt(a_cols, divisors, reduced):
+            divisors[i] = 1
+            for row in reduced:
+                row[i] *= d
+
+        self.corrupt_operations(monkeypatch, corrupt)
+        with pytest.raises(SoundnessError, match="column divisors do not multiply"):
+            congruence_reduce(*args)

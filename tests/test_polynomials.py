@@ -226,6 +226,55 @@ class TestGcdAndCoprime:
             checked += 1
         assert checked > 200
 
+    @pytest.mark.parametrize("family", ("one-sided", "multivariate-content", "integer-content"))
+    def test_one_sided_variables_agree_with_sympy(self, family):
+        # a variable that only one side uses is divided out through that
+        # side's content; the gcd must still be sympy's, up to sign
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x1 x2 x3")
+
+        def in_vars(rng, used, max_terms=3, max_deg=2):
+            terms = {}
+            for _ in range(rng.randrange(1, max_terms + 1)):
+                e = tuple(rng.randrange(max_deg + 1) if i in used else 0 for i in range(3))
+                terms[e] = terms.get(e, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+            return P(3, terms)
+
+        def sympy_gcd(a, b):
+            convert = lambda p: sum(
+                c * xs[0] ** e[0] * xs[1] ** e[1] * xs[2] ** e[2] for e, c in p.terms.items()
+            )
+            got = sympy.Poly(sympy.gcd(convert(a), convert(b)), *xs)
+            return P(3, {e: int(c) for e, c in got.terms()})
+
+        rng = random.Random({"one-sided": 1, "multivariate-content": 2,
+                             "integer-content": 3}[family])
+        checked = nonconstant = 0
+        for _ in range(60):
+            common = in_vars(rng, {1, 2})
+            if family == "one-sided":
+                # x1 only in a, x3 only in b
+                a = common * in_vars(rng, {0, 1}) * (P.monomial(3, (1, 0, 0)) + in_vars(rng, {1}))
+                b = common * in_vars(rng, {1, 2})
+            elif family == "multivariate-content":
+                # a's content in x1 is a polynomial in both x2 and x3
+                content = in_vars(rng, {1, 2}) * (P.monomial(3, (0, 1, 1)) + in_vars(rng, {2}))
+                a = common * content * (P.monomial(3, (3, 0, 0)) + in_vars(rng, {0, 1}))
+                b = common * in_vars(rng, {1, 2}) * in_vars(rng, {1, 2})
+            else:
+                k = rng.choice((2, 6, 10, 12))
+                a = common * in_vars(rng, {0, 2}) * P.constant(3, k * rng.choice((1, 3, 5)))
+                b = common * in_vars(rng, {1}) * P.constant(3, k * rng.choice((1, 7)))
+            if a.is_zero or b.is_zero:
+                continue
+            assert a.variables_used() != b.variables_used() or family == "integer-content"
+            want = sympy_gcd(a, b)
+            assert polynomial_gcd(a, b) in (want, -want), (a, b, want)
+            assert is_coprime(a, b) == want.is_constant
+            checked += 1
+            nonconstant += not want.is_constant
+        assert checked >= 50 and nonconstant >= 25
+
 
 class TestWronskian:
     def test_constant_and_t(self):
@@ -328,12 +377,3 @@ class TestStrictConstruction:
                 assert all(len(e) == r.nvars and all(type(v) is int for v in e)
                            for e in r.terms)
             assert (a - a).is_zero and not (a - a).terms
-
-    def test_drop_variable(self):
-        p = P(3, {(1, 0, 2): 4, (0, 0, 0): 1})
-        assert p.drop_variable(1) == P(2, {(1, 2): 4, (0, 0): 1})
-        for i in (0, 2, 3, -1):
-            with pytest.raises(ContractViolation):
-                p.drop_variable(i)
-        with pytest.raises(ContractViolation):
-            P(1, {(0,): 1}).drop_variable(0)
