@@ -20,7 +20,12 @@ from .determinant import CoverReport, aux_pipeline
 from .enumeration import PointSet, SideCondition, enumerate_points
 from .errors import ContractViolation, SoundnessError, strict_int
 from .exponents import BoxBounds
-from .polynomials import IntegerPolynomial, RationalUniPoly, wronskian
+from .polynomials import (
+    IntegerPolynomial,
+    _pseudo_remainder,
+    _require_univariate,
+    wronskian,
+)
 from mpmath import mp, mpf
 
 from .scalars import to_mpf, workprec
@@ -526,17 +531,19 @@ class WronskianReport:
 
 
 def wronskian_bound_check(
-    gammas: Sequence[RationalUniPoly], exps: Sequence[int]
+    gammas: Sequence[IntegerPolynomial], exps: Sequence[int]
 ) -> WronskianReport:
     """Degree bound for power families whose sum is a nonzero constant.
 
-    Checks max(d_i * l_i) <= (r-1) * sum(d_i) - r(r-1)/2 whenever the
-    powers gamma_i^(l_i) are independent (nonzero Wronskian), and records
-    whether the product of gamma_i^max(l_i - r + 1, 0) divides the
-    Wronskian.  A dependent family yields an inapplicable report, not an
-    error.
+    Takes nonzero ``IntegerPolynomial``s in one variable, one positive
+    integer exponent each; anything else is a ContractViolation.  Checks
+    max(d_i * l_i) <= (r-1) * sum(d_i) - r(r-1)/2 whenever the powers
+    gamma_i^(l_i) are independent (nonzero Wronskian), and records as
+    ``divisibility_ok`` whether the product of gamma_i^max(l_i - r + 1, 0)
+    divides the Wronskian over Q.  A dependent family yields an
+    inapplicable report, not an error.
     """
-    gammas = list(gammas)
+    gammas = _require_univariate(gammas, "component polynomials")
     exps = tuple(strict_int(v, "exponent") for v in exps)
     r = len(gammas)
     if r == 0 or len(exps) != r:
@@ -550,10 +557,10 @@ def wronskian_bound_check(
     total = powers[0]
     for p in powers[1:]:
         total = total + p
-    if total.degree() > 0 or total.is_zero:
+    if total.total_degree() > 0 or total.is_zero:
         raise ContractViolation("the powers must sum to a nonzero constant")
 
-    degrees = tuple(g.degree() for g in gammas)
+    degrees = tuple(g.total_degree() for g in gammas)
     w = wronskian(powers)
     if w.is_zero:
         return WronskianReport(
@@ -564,15 +571,16 @@ def wronskian_bound_check(
 
     lhs = max(d * l for d, l in zip(degrees, exps))
     rhs = (r - 1) * sum(degrees) - r * (r - 1) // 2
-    divisor = RationalUniPoly.constant(1)
+    divisor = IntegerPolynomial.constant(1, 1)
     for g, l in zip(gammas, exps):
         s = max(l - r + 1, 0)
         if s:
             divisor = divisor * g ** s
+    # prem(w, divisor) vanishes exactly when divisor divides w over Q
     return WronskianReport(
         applicable=True, wronskian_nonzero=True,
         lhs=lhs, rhs=rhs, passed=lhs <= rhs,
-        divisibility_ok=divisor.divides(w),
+        divisibility_ok=_pseudo_remainder(w, divisor, 0).is_zero,
         degrees=degrees, exps=exps,
     )
 

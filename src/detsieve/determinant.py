@@ -223,12 +223,11 @@ def prime_power_valuation(n: int, p: int, j: int):
 
 @dataclass(frozen=True)
 class CheckedMinor:
-    """One verified row subset: its valuation and the exact column relation."""
+    """One verified row subset: whether its minor vanishes, and its valuation."""
 
     rows: tuple
     determinant_zero: bool
     valuation: int | None
-    relation_ok: bool
 
 
 @dataclass(frozen=True)
@@ -289,6 +288,7 @@ def _slot_orders(l: int) -> dict:
 def select_shift(g: IntegerPolynomial, q: int) -> tuple:
     """Shift-vector policy: the constant slot if its coefficient is a unit
     mod q, else one of the two pure top-degree slots."""
+    q = strict_int(q, "modulus")
     for t in _slot_orders(g.total_degree()):
         if math.gcd(q, g.terms.get(t, 0)) == 1:
             return t
@@ -405,6 +405,7 @@ def congruence_reduce(
     det M_S = q^lam * det R_S on every row subset S, and each sampled
     subset takes one determinant, det R_S.
     """
+    q = strict_int(q, "modulus")
     samples = _sample_count(samples)
     decomp = prime_power_decompose(q)
     if decomp is None:
@@ -471,10 +472,10 @@ def congruence_reduce(
             # q^lam times an integer: its valuation is at least lam
             delta = divisor * integer_determinant([reduced_entries[i] for i in sub])
             if delta == 0:
-                checked.append(CheckedMinor(sub, True, None, True))
+                checked.append(CheckedMinor(sub, True, None))
             else:
                 checked.append(
-                    CheckedMinor(sub, False, prime_power_valuation(delta, p, j), True)
+                    CheckedMinor(sub, False, prime_power_valuation(delta, p, j))
                 )
 
     return DivisibilityCertificate(

@@ -1,15 +1,14 @@
 """Sparse multivariate integer polynomials and exact helpers on them.
 
-Everything here is exact: integer coefficients throughout, rational
-arithmetic only inside the univariate Wronskian helper.  The GCD runs a
-recursive subresultant polynomial remainder sequence, so coprimality
-tests never touch floating point.
+Everything here is exact: integer coefficients throughout, with no
+rational arithmetic; Wronskians are taken on integer polynomials in one
+variable.  The GCD runs a recursive subresultant polynomial remainder
+sequence, so coprimality tests never touch floating point.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -513,173 +512,24 @@ def is_coprime(f: IntegerPolynomial, g: IntegerPolynomial) -> bool:
     return polynomial_gcd(f, g).is_constant
 
 
-# -- univariate rational polynomials and Wronskians ------------------------
+# -- Wronskians -------------------------------------------------------------
 
 
-class RationalUniPoly:
-    """Dense univariate polynomial with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalUniPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "RationalUniPoly":
-        return cls(())
-
-    @classmethod
-    def constant(cls, c) -> "RationalUniPoly":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "RationalUniPoly":
-        return cls((0, 1))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ContractViolation("leading coefficient of zero")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalUniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalUniPoly.constant(other)
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return RationalUniPoly(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalUniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalUniPoly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalUniPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RationalUniPoly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return RationalUniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ContractViolation("negative power")
-        out = RationalUniPoly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def derivative(self) -> "RationalUniPoly":
-        return RationalUniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __divmod__(self, other: "RationalUniPoly"):
-        if other.is_zero:
-            raise ContractViolation("division by zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree()
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            q = rem[-1] / lead
-            quot[k] = q
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] -= q * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return RationalUniPoly(quot), RationalUniPoly(rem)
-
-    def divides(self, other: "RationalUniPoly") -> bool:
-        """True when self divides other exactly (self nonzero)."""
-        if self.is_zero:
-            return other.is_zero
-        _, r = divmod(other, self)
-        return r.is_zero
-
-    def evaluate(self, x) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * Fraction(x) + c
-        return out
-
-
-def _poly_matrix_det(rows: list[list[RationalUniPoly]]) -> RationalUniPoly:
+def _poly_matrix_det(rows: list[list[IntegerPolynomial]]) -> IntegerPolynomial:
     """Determinant of a small square matrix of polynomials, by expansion."""
     n = len(rows)
+    nvars = rows[0][0].nvars
     cols = tuple(range(n))
-    memo: dict[tuple[int, tuple[int, ...]], RationalUniPoly] = {}
+    memo: dict[tuple[int, tuple[int, ...]], IntegerPolynomial] = {}
 
-    def det(r: int, cs: tuple[int, ...]) -> RationalUniPoly:
+    def det(r: int, cs: tuple[int, ...]) -> IntegerPolynomial:
         if not cs:
-            return RationalUniPoly.constant(1)
+            return IntegerPolynomial.constant(nvars, 1)
         key = (r, cs)
         got = memo.get(key)
         if got is not None:
             return got
-        acc = RationalUniPoly.zero()
+        acc = IntegerPolynomial.zero(nvars)
         for k, c in enumerate(cs):
             entry = rows[r][c]
             if not entry.is_zero:
@@ -692,16 +542,30 @@ def _poly_matrix_det(rows: list[list[RationalUniPoly]]) -> RationalUniPoly:
     return det(0, cols)
 
 
-def wronskian(polys: Sequence[RationalUniPoly]) -> RationalUniPoly:
-    """Wronskian determinant of univariate polynomials.
+def _require_univariate(polys: Iterable, what: str) -> list[IntegerPolynomial]:
+    """polys as a list of IntegerPolynomials in one variable, else
+    ContractViolation."""
+    ps = list(polys)
+    for p in ps:
+        if not isinstance(p, IntegerPolynomial) or p.nvars != 1:
+            raise ContractViolation(
+                f"{what} must be IntegerPolynomials in one variable, not {p!r}"
+            )
+    return ps
 
-    Row i holds the i-th derivatives, so a single polynomial is its own
-    Wronskian and W(1, t) = 1.
+
+def wronskian(polys: Sequence[IntegerPolynomial]) -> IntegerPolynomial:
+    """Wronskian determinant of integer polynomials in one variable.
+
+    Takes a nonempty sequence of ``IntegerPolynomial``s with ``nvars == 1``
+    (anything else is a ContractViolation).  Row i holds the i-th
+    derivatives, so a single polynomial is its own Wronskian and
+    W(1, t) = 1.
     """
-    ps = [p if isinstance(p, RationalUniPoly) else RationalUniPoly(p) for p in polys]
+    ps = _require_univariate(polys, "wronskian entries")
     if not ps:
         raise ContractViolation("wronskian of an empty family")
     rows = [ps]
     for _ in range(len(ps) - 1):
-        rows.append([p.derivative() for p in rows[-1]])
+        rows.append([p.partial_derivative(0) for p in rows[-1]])
     return _poly_matrix_det(rows)

@@ -29,10 +29,14 @@ from detsieve.applications import (
     wronskian_bound_check,
 )
 from detsieve.errors import ContractViolation, SoundnessError
-from detsieve.polynomials import IntegerPolynomial, RationalUniPoly
+from detsieve.polynomials import IntegerPolynomial
 
 P = IntegerPolynomial
-R = RationalUniPoly
+
+
+def R(coeffs):
+    """The polynomial in one variable with these coefficients, constant first."""
+    return IntegerPolynomial(1, {(k,): c for k, c in enumerate(coeffs)})
 
 
 class TestQuadricInstance:
@@ -482,7 +486,7 @@ class TestGcdPowerSum:
 class TestWronskianBoundCheck:
     def test_synthetic_identity(self):
         # t^2 + (1 - t^2) = 1: degrees (1, 2), exponents (2, 1)
-        rep = wronskian_bound_check([R.x(), R([1, 0, -1])], [2, 1])
+        rep = wronskian_bound_check([R([0, 1]), R([1, 0, -1])], [2, 1])
         assert rep.applicable
         assert rep.wronskian_nonzero
         assert rep.lhs == 2
@@ -498,7 +502,7 @@ class TestWronskianBoundCheck:
 
     def test_dependent_family_inapplicable(self):
         # t + t + (1 - 2t) = 1 but the powers are linearly dependent
-        rep = wronskian_bound_check([R.x(), R.x(), R([1, -2])], [1, 1, 1])
+        rep = wronskian_bound_check([R([0, 1]), R([0, 1]), R([1, -2])], [1, 1, 1])
         assert not rep.applicable
         assert not rep.wronskian_nonzero
 
@@ -506,11 +510,21 @@ class TestWronskianBoundCheck:
         # 2.5 used to be truncated to 2
         for bad in (2.5, 2.0, True, "2"):
             with pytest.raises(ContractViolation, match="exponent must be an integer"):
-                wronskian_bound_check([R.x(), R([1, 0, -1])], [bad, 1])
+                wronskian_bound_check([R([0, 1]), R([1, 0, -1])], [bad, 1])
+
+    def test_refuses_anything_but_nonzero_univariate_integer_polynomials(self):
+        t = R([0, 1])
+        for gammas, match in (
+            ([t, P(2, {(0, 0): 1, (1, 0): -1})], "one variable"),
+            ([t, [1, -1]], "one variable"),
+            ([t, R([0])], "nonzero"),
+        ):
+            with pytest.raises(ContractViolation, match=match):
+                wronskian_bound_check(gammas, [1, 1])
 
     def test_nonconstant_sum_rejected(self):
         with pytest.raises(ContractViolation, match="nonzero constant"):
-            wronskian_bound_check([R.x(), R.x()], [2, 2])
+            wronskian_bound_check([R([0, 1]), R([0, 1])], [2, 2])
 
     def test_pythagorean_style_families(self):
         # (1 - t^a)+ t^a = 1 for a range of exponent splits
@@ -518,7 +532,7 @@ class TestWronskianBoundCheck:
         for _ in range(20):
             a = rng.randrange(1, 6)
             gamma1 = R([1] + [0] * (a - 1) + [-1])  # 1 - t^a
-            rep = wronskian_bound_check([gamma1, R.x()], [1, a])
+            rep = wronskian_bound_check([gamma1, R([0, 1])], [1, a])
             if not rep.applicable:
                 continue
             assert rep.passed

@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,9 +9,9 @@ from detsieve.errors import ContractViolation
 from detsieve.polynomials import (
     IntegerPolynomial,
     MonomialOrder,
-    RationalUniPoly,
     compare,
     evaluate,
+    exact_divide,
     is_coprime,
     max_exponent,
     partial_derivative,
@@ -22,6 +21,11 @@ from detsieve.polynomials import (
 )
 
 P = IntegerPolynomial
+
+
+def R(coeffs):
+    """The polynomial in one variable with these coefficients, constant first."""
+    return IntegerPolynomial(1, {(k,): c for k, c in enumerate(coeffs)})
 
 
 def poly3(terms):
@@ -278,30 +282,57 @@ class TestGcdAndCoprime:
 
 class TestWronskian:
     def test_constant_and_t(self):
-        one = RationalUniPoly.constant(1)
-        t = RationalUniPoly.x()
+        one = R([1])
+        t = R([0, 1])
         assert wronskian([one, t]) == one
 
     def test_t_and_t_squared(self):
-        t = RationalUniPoly.x()
+        t = R([0, 1])
         assert wronskian([t, t * t]) == t * t
 
     def test_cube_and_shifted_square(self):
-        t = RationalUniPoly.x()
-        one = RationalUniPoly.constant(1)
+        t = R([0, 1])
+        one = R([1])
         w = wronskian([t ** 3, (t + one) ** 2])
         # t^2 (t+1) (-t-3), expanded
-        expected = (t * t) * (t + one) * (RationalUniPoly.constant(-3) - t)
+        expected = (t * t) * (t + one) * (R([-3]) - t)
         assert w == expected
 
     def test_single_entry(self):
-        t = RationalUniPoly.x()
+        t = R([0, 1])
         assert wronskian([t ** 4]) == t ** 4
 
     def test_dependent_rows_vanish(self):
-        t = RationalUniPoly.x()
+        t = R([0, 1])
         w = wronskian([t, t + t])
         assert w.is_zero
+
+    def test_refuses_anything_but_univariate_integer_polynomials(self):
+        t = R([0, 1])
+        for family in ([t, P(2, {(1, 0): 1})], [t, [1, 2]], [1, 2, 3], []):
+            with pytest.raises(ContractViolation):
+                wronskian(family)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(2024)
+        for _ in range(60):
+            r = rng.randrange(2, 4)
+            gammas = [R([rng.randrange(-4, 5) for _ in range(rng.randrange(0, 4) + 1)])
+                      for _ in range(r)]
+            exps = [rng.randrange(1, 5) for _ in range(r)]
+            powers = [g ** l for g, l in zip(gammas, exps)]
+            want = sympy.Poly(
+                sympy.wronskian(
+                    [sum(c * x ** e[0] for e, c in p.terms.items()) for p in powers], x
+                ),
+                x,
+            )
+            got = wronskian(powers)
+            assert got.terms == {
+                (k,): int(c) for (k,), c in want.terms() if c
+            }, (gammas, exps)
 
     def test_divisibility_of_power_products(self):
         # gamma_i^(max(l_i - r + 1, 0)) always divides a nonzero Wronskian
@@ -312,22 +343,20 @@ class TestWronskian:
             gammas = []
             for _ in range(r):
                 deg = rng.randrange(0, 3)
-                coeffs = [Fraction(rng.randrange(-4, 5)) for _ in range(deg + 1)]
+                coeffs = [rng.randrange(-4, 5) for _ in range(deg + 1)]
                 if not any(coeffs):
-                    coeffs[0] = Fraction(1)
-                while coeffs and coeffs[-1] == 0:
-                    coeffs.pop()
-                gammas.append(RationalUniPoly(coeffs))
+                    coeffs[0] = 1
+                gammas.append(R(coeffs))
             exps = [rng.randrange(1, 5) for _ in range(r)]
             w = wronskian([g ** l for g, l in zip(gammas, exps)])
             if w.is_zero:
                 continue
-            divisor = RationalUniPoly.constant(1)
+            divisor = R([1])
             for g, l in zip(gammas, exps):
                 s = max(l - r + 1, 0)
                 if s:
                     divisor = divisor * g ** s
-            assert divisor.divides(w), (gammas, exps)
+            assert exact_divide(w, divisor) is not None, (gammas, exps)
             checked += 1
         assert checked > 300
 
