@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 from .arith import divisors, is_prime
 from .determinant import CoverReport, aux_pipeline
 from .enumeration import PointSet, SideCondition, enumerate_points
-from .errors import ContractViolation, SoundnessError, strict_int
+from .errors import ContractViolation, Record, SoundnessError, strict_int
 from .exponents import BoxBounds
 from .polynomials import (
     IntegerPolynomial,
@@ -63,8 +62,7 @@ def _integer_nth_root(v: int, n: int) -> int | None:
 # -- diagonal quadrics ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadricInstance:
+class QuadricInstance(Record):
     """Diagonal quadric a1*x1^2 + a2*x2^2 + a3*x3^2 = n inside a cube."""
 
     a1: int
@@ -116,8 +114,7 @@ def quadric_cover_scale(q: int, B: int):
         return mp.root(to_mpf(B) ** 2, 3) / mp.root(to_mpf(q), 6)
 
 
-@dataclass(frozen=True)
-class QuadricCount:
+class QuadricCount(Record):
     count: int
     points: PointSet
     mode: str
@@ -183,8 +180,7 @@ def count_quadric(
 # -- sums of unlike powers ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnlikePowersInstance:
+class UnlikePowersInstance(Record):
     """x1^k + x2^l + x3^m + x4^k = N inside a cube."""
 
     k: int
@@ -218,8 +214,7 @@ class UnlikePowersInstance:
         )
 
 
-@dataclass(frozen=True)
-class ThreefoldSlice:
+class ThreefoldSlice(Record):
     """One hyperplane slice u = alpha*x1 + beta*x4 + gamma of a threefold.
 
     h_u is the integer polynomial beta^k' * h(x1, x2, x3, (u-alpha*x1-gamma)/beta)
@@ -314,8 +309,7 @@ def _alternating_factor(k: int) -> IntegerPolynomial:
     return IntegerPolynomial(4, terms)
 
 
-@dataclass(frozen=True)
-class UnlikeCount:
+class UnlikeCount(Record):
     count: int
     mode: str
     zero_slice: int | None = None
@@ -393,8 +387,7 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
 # -- gcd-twisted power sums ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GcdPowerSum:
+class GcdPowerSum(Record):
     total: object
     majorant: object
     terms: int
@@ -518,8 +511,7 @@ def gcd_power_sum(alpha, X: int, n: int) -> GcdPowerSum:
 # -- Wronskian exclusion ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WronskianReport:
+class WronskianReport(Record):
     applicable: bool
     wronskian_nonzero: bool
     lhs: int
@@ -588,8 +580,7 @@ def wronskian_bound_check(
 # -- excluded subvarieties ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubvarietySystem:
+class SubvarietySystem(Record):
     equations: tuple
     points: tuple
 
@@ -598,8 +589,7 @@ class SubvarietySystem:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class SubvarietyReport:
+class SubvarietyReport(Record):
     systems: tuple
     union_points: tuple
 
@@ -684,14 +674,12 @@ def excluded_subvarieties(inst: UnlikePowersInstance) -> SubvarietyReport:
 # -- predicted exponents -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadricExponents:
+class QuadricExponents(Record):
     box_powers: tuple
     coefficient_powers: tuple
 
 
-@dataclass(frozen=True)
-class UnlikeExponents:
+class UnlikeExponents(Record):
     main: float
     secondary: float
     comparison: float

@@ -13,7 +13,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -32,7 +31,7 @@ from .determinant import (
     rank_over_rationals,
 )
 from .enumeration import ResidueData, SideCondition, enumerate_points
-from .errors import ContractViolation, HypothesisViolation, SoundnessError, strict_int
+from .errors import ContractViolation, HypothesisViolation, Record, SoundnessError, strict_int
 from .exponents import (
     BoxBounds,
     ExactLog,
@@ -125,8 +124,25 @@ def _poly_field(cfg: dict, key: str) -> IntegerPolynomial:
         raise UsageError(f"field '{key}': {exc}") from None
 
 
-def _box_field(cfg: dict, key: str = "box") -> BoxBounds:
-    return BoxBounds(*_int_list_field(cfg, key, 3))
+# The most fibers (x2, x3) a command may enumerate, (2 B2 + 1)(2 B3 + 1).
+# B1 does not count: a fiber's x1 values are roots, and a value table over
+# [-B1, B1] is built only when the fibers outnumber its entries.  The largest
+# box the tests, CI, README and benchmark enumerate is the certify box
+# [10^6, 1000, 1001], with 2001 * 2003 < 5 * 10^6 fibers.
+BOX_FIBER_CAP = 10 ** 8
+
+
+def _check_fibers(b2: int, b3: int) -> None:
+    """Refuse, before anything is allocated, a box with over BOX_FIBER_CAP fibers."""
+    if (2 * b2 + 1) * (2 * b3 + 1) > BOX_FIBER_CAP:
+        raise UsageError(f"a box with x2, x3 bounds {b2}, {b3} needs over "
+                         f"{BOX_FIBER_CAP} fibers")
+
+
+def _box_field(cfg: dict) -> BoxBounds:
+    box = BoxBounds(*_int_list_field(cfg, "box", 3))
+    _check_fibers(box.b2, box.b3)
+    return box
 
 
 # -- serialization helpers ----------------------------------------------------------
@@ -438,6 +454,8 @@ def _run_quadric(cfg: dict, seed: int) -> dict:
     B = _int_field(cfg, "B")
     mode = cfg.get("mode", "brute")
     inst = QuadricInstance(a[0], a[1], a[2], n, B)
+    if mode in ("brute", "pipeline"):
+        _check_fibers(inst.B, inst.B)
     kwargs = {}
     if mode == "pipeline":
         kwargs["epsilon"] = _float_field(cfg, "epsilon", 0.5)
@@ -522,8 +540,7 @@ def _run_unlike(cfg: dict, seed: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     slope: float
     intercept: float
     residuals: tuple

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .arith import factorize, is_prime, prime_power_decompose
 from .enumeration import PointSet, ResidueData, residue_split, split_leftover
-from .errors import ContractViolation, HypothesisViolation, SoundnessError, strict_int
+from .errors import ContractViolation, HypothesisViolation, Record, SoundnessError, strict_int
 from .exponents import (
     INFINITE,
     BoxBounds,
@@ -47,8 +46,7 @@ from .scalars import to_mpf, workprec
 # -- matrices and exact linear algebra ----------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
+class MonomialMatrix(Record):
     """Grid of monomial values: entry (j, i) is rows[j] raised to cols[i]."""
 
     rows: tuple
@@ -221,8 +219,7 @@ def prime_power_valuation(n: int, p: int, j: int):
 # -- divisibility certificates -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckedMinor:
+class CheckedMinor(Record):
     """One verified row subset: whether its minor vanishes, and its valuation."""
 
     rows: tuple
@@ -230,8 +227,7 @@ class CheckedMinor:
     valuation: int | None
 
 
-@dataclass(frozen=True)
-class DivisibilityCertificate:
+class DivisibilityCertificate(Record):
     """Constructive witness that q^lam divides every full minor.
 
     The witness data is the inverse z of the selected coefficient, the
@@ -534,8 +530,7 @@ def congruence_certificates(
 # -- kernel polynomials ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuxiliaryPolynomial:
+class AuxiliaryPolynomial(Record):
     """Nonzero integer polynomial vanishing at all its listed points."""
 
     poly: IntegerPolynomial
@@ -607,8 +602,7 @@ def null_space_polynomial(M: MonomialMatrix, f: IntegerPolynomial) -> AuxiliaryP
 # -- the cover pipeline -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FalsificationRecord:
+class FalsificationRecord(Record):
     """A nonzero full minor where the vanishing argument demanded zero."""
 
     label: tuple
@@ -622,8 +616,7 @@ class FalsificationRecord:
     residue_valuations: tuple = ()  # (residue prime, exact valuation)
 
 
-@dataclass(frozen=True)
-class ClassOutcome:
+class ClassOutcome(Record):
     label: tuple
     points: tuple
     row_count: int
@@ -635,8 +628,7 @@ class ClassOutcome:
     falsification: FalsificationRecord | None
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Record):
     """Everything the cover construction produced, exactly as computed.
 
     ``set_size`` is |E(Y)| at the chosen ``cutoff``.  The staircase

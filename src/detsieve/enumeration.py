@@ -12,19 +12,17 @@ integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Sequence
 
 from .arith import is_prime
-from .errors import ContractViolation, strict_int
+from .errors import ContractViolation, Record, strict_int
 from .exponents import BoxBounds
 from .polynomials import IntegerPolynomial
 
 
-@dataclass(frozen=True)
-class SideCondition:
+class SideCondition(Record):
     """Congruence g(x2, x3) = 0 mod q imposed on surface points."""
 
     g: IntegerPolynomial
@@ -43,8 +41,7 @@ class SideCondition:
         object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """Sorted integer points found in a box, with the flags that shaped them."""
 
     points: tuple
@@ -272,8 +269,7 @@ def enumerate_points(
 # -- residue-class splitting -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueData:
+class ResidueData(Record):
     """Auxiliary reduction primes used to split points into classes."""
 
     primes: tuple = ()

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one integer check."""
+"""Exception types shared across the package, the one integer check, and
+``Record``, the base of every immutable result record (boxes, point sets,
+certificates, reports)."""
 
 import operator
 
@@ -33,3 +35,77 @@ def strict_int(v, what: str) -> int:
         except TypeError:
             pass
     raise ContractViolation(f"{what} must be an integer, not {v!r}")
+
+
+# the default of a Record field that has none
+_REQUIRED = object()
+
+
+class Record:
+    """Base of an immutable record, with no code generated per class.
+
+    A subclass lists its fields as annotations, in order; a class-level value
+    on a field is its default.  A record is built from its fields by position
+    or keyword, then ``__post_init__`` runs, which may normalise a field
+    through ``object.__setattr__``.  After that, assigning or deleting any
+    attribute raises AttributeError.  Records compare equal only to records
+    of the same class with equal fields, hash by their fields and print as
+    ``Name(field=value, ...)``.  There are no slots, so ``cached_property``
+    works on a record.
+    """
+
+    _fields = {}  # field name -> default or _REQUIRED, in field order
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = {n: vars(cls).get(n, _REQUIRED) for n in cls.__annotations__}
+        cls._fields = {**cls._fields, **own}
+
+    def __init__(self, *args, **kwargs):
+        fields = type(self)._fields
+        if kwargs or len(args) != len(fields):
+            name = type(self).__name__
+            if len(args) > len(fields):
+                raise TypeError(f"{name} takes {len(fields)} fields, not {len(args)}")
+            values = {**fields, **kwargs}
+            if len(values) > len(fields):
+                unknown = next(k for k in kwargs if k not in fields)
+                raise TypeError(f"{name} has no field {unknown!r}")
+            for field, v in zip(fields, args):
+                if field in kwargs:
+                    raise TypeError(f"{name} got field {field!r} twice")
+                values[field] = v
+            for field, v in values.items():
+                if v is _REQUIRED:
+                    raise TypeError(f"{name} is missing field {field!r}")
+            args = values.values()
+        # one setattr per field, in field order, as CPython 3.11+ stores
+        # them inline; writing through vars(self) would build a real dict
+        # and make every later attribute read slower
+        for field, v in zip(fields, args):
+            object.__setattr__(self, field, v)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({inner})"

@@ -15,13 +15,12 @@ log-scale grid that proposes cutoff heights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
 from mpmath import mp
 
-from .errors import ContractViolation, strict_int
+from .errors import ContractViolation, Record, strict_int
 from .polynomials import ExponentVector, IntegerPolynomial, MonomialOrder, max_exponent
 from .scalars import mpexp, mplog, mpsqrt, to_mpf, workprec
 
@@ -30,8 +29,7 @@ INFINITE = math.inf
 # -- boxes ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoxBounds:
+class BoxBounds(Record):
     """Coordinate bounds B1, B2, B3 of the search box: integers, each at
     least 2."""
 
@@ -133,8 +131,7 @@ def _dominant_vector(m) -> ExponentVector:
     return m
 
 
-@dataclass(frozen=True)
-class ExponentSet:
+class ExponentSet(Record):
     """Staircase set below a cutoff, avoiding the dominant exponent.
 
     members: every e with log B^e <= cutoff and e_i < dominant_i in at
@@ -307,8 +304,7 @@ def main_term_deviation(E: ExponentSet) -> tuple:
 # -- growth parameters -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MethodParams:
+class MethodParams(Record):
     """Scalar parameters steering the auxiliary-curve construction.
 
     cover_scale grows like the number of curves a cover needs before the

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+import detsieve.applications
 import detsieve.cli
 from detsieve.cli import UsageError, _poly_field, fit_exponent, main, run
 from detsieve.determinant import aux_pipeline
@@ -520,6 +521,61 @@ class TestCertifyColumnCap:
             assert invoke(tmp_path, "certify", cfg) == 1
             err = capsys.readouterr().err
             assert err.startswith("usage error:") and "cutoff_base" in err
+
+
+class TestBoxFiberCap:
+    SURFACE = {"f": CONG_F, "g": CONG_G, "q": 5, "box": [2, 2, 2]}
+    CONFIGS = {
+        "enumerate": SURFACE,
+        "certify": dict(SURFACE, cutoff_base=2, cutoff_power=3),
+        "aux": dict(SURFACE, epsilon=0.5),
+    }
+    QUADRIC = {"a": [3, 1, 1], "n": 1001}
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        # no test here enumerates a box: the stand-in raises at once
+        def stand_in(f, side, box, nonsingular_only=False):
+            raise Started(box.bounds)
+
+        monkeypatch.setattr(detsieve.cli, "enumerate_points", stand_in)
+        monkeypatch.setattr(detsieve.applications, "enumerate_points", stand_in)
+
+    @pytest.mark.parametrize("command", ("enumerate", "certify", "aux"))
+    @pytest.mark.parametrize("box", ([2, 10 ** 30, 2], [2, 2, 10 ** 30]))
+    def test_huge_x2_or_x3_refused_before_enumerating(self, tmp_path, capsys,
+                                                      command, box):
+        assert invoke(tmp_path, command, dict(self.CONFIGS[command], box=box)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "fibers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ("brute", "pipeline"))
+    def test_huge_quadric_refused_before_enumerating(self, tmp_path, capsys, mode):
+        assert invoke(tmp_path, "quadric", dict(self.QUADRIC, B=10 ** 30, mode=mode)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "fibers" in err
+
+    def test_cap_sits_between_two_box_sizes(self):
+        # (2B + 1)^2 fibers on an x2, x3 square of side B
+        cap = detsieve.cli.BOX_FIBER_CAP
+        B = 4999
+        assert (2 * B + 1) ** 2 <= cap < (2 * B + 3) ** 2
+        for command, cfg in self.CONFIGS.items():
+            with pytest.raises(Started):
+                run(command, dict(cfg, box=[2, B, B]))
+            with pytest.raises(UsageError, match="fibers"):
+                run(command, dict(cfg, box=[2, B + 1, B + 1]))
+        for mode in ("brute", "pipeline"):
+            with pytest.raises(Started):
+                run("quadric", dict(self.QUADRIC, B=B, mode=mode))
+            with pytest.raises(UsageError, match="fibers"):
+                run("quadric", dict(self.QUADRIC, B=B + 1, mode=mode))
+
+    def test_huge_x1_alone_is_not_capped(self):
+        for command, cfg in self.CONFIGS.items():
+            with pytest.raises(Started):
+                run(command, dict(cfg, box=[10 ** 30, 2, 2]))
 
 
 class TestFitExponent:
