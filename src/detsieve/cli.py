@@ -37,10 +37,11 @@ from .exponents import (
     ExactLog,
     build_exponent_set,
     main_term_deviation,
+    max_exponent,
     side_log_height,
     staircase_size,
 )
-from .polynomials import IntegerPolynomial, MonomialOrder, max_exponent
+from .polynomials import IntegerPolynomial
 
 
 class UsageError(Exception):
@@ -100,11 +101,19 @@ def _floor_const_field(cfg: dict) -> int | None:
     return v
 
 
+# The most random row subsets a certificate samples.  Each is held until the
+# duplicates are dropped, so the cap bounds memory; it is far above the default
+# 32 and every sample count the tests, CI, README and benchmark use.
+MINOR_SAMPLE_CAP = 10 ** 4
+
+
 def _samples_field(cfg: dict) -> int:
-    """Optional nonnegative 'minor_samples', 32 by default."""
+    """Optional 'minor_samples' in [0, MINOR_SAMPLE_CAP], 32 by default."""
     v = _int_field(cfg, "minor_samples", 32)
-    if v < 0:
-        raise UsageError("field 'minor_samples' must be a nonnegative integer")
+    if not 0 <= v <= MINOR_SAMPLE_CAP:
+        raise UsageError(
+            f"field 'minor_samples' must be an integer in [0, {MINOR_SAMPLE_CAP}]"
+        )
     return v
 
 
@@ -365,10 +374,9 @@ def _run_certify(cfg: dict, seed: int) -> dict:
     if power < 1:
         raise UsageError("field 'cutoff_power' must be a positive integer")
     samples = _samples_field(cfg)
-    order = MonomialOrder.weighted(box.bounds)
-    m = max_exponent(f, order)
+    m = max_exponent(f, box)
     cutoff = _certify_cutoff(box, m, base, power)
-    E = build_exponent_set(cutoff, m, box, order)
+    E = build_exponent_set(cutoff, m, box)
     pts = enumerate_points(f, SideCondition(g, q), box)
     if not len(pts):
         raise ContractViolation("no points to certify")

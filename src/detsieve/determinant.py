@@ -35,7 +35,6 @@ from .exponents import (
 )
 from .polynomials import (
     IntegerPolynomial,
-    MonomialOrder,
     eval_monomial,
     is_coprime,
     top_degree_part,
@@ -399,7 +398,8 @@ def congruence_reduce(
     checked once on every entry, and one pass over A checks that it is
     unitriangular in the order the slot fixes, so det A = 1.  Hence
     det M_S = q^lam * det R_S on every row subset S, and each sampled
-    subset takes one determinant, det R_S.
+    subset takes one determinant, det R_S.  Each of extra_subsets must
+    name ncols distinct rows.
     """
     q = strict_int(q, "modulus")
     samples = _sample_count(samples)
@@ -463,8 +463,10 @@ def congruence_reduce(
             if sub in seen:
                 continue
             seen.add(sub)
-            if len(sub) != ncols or any(not 0 <= i < nrows for i in sub):
-                raise ContractViolation(f"bad row subset {sub}")
+            if len(set(sub)) != ncols or any(not 0 <= i < nrows for i in sub):
+                raise ContractViolation(
+                    f"bad row subset {sub}: needs {ncols} distinct rows of {nrows}"
+                )
             # q^lam times an integer: its valuation is at least lam
             delta = divisor * integer_determinant([reduced_entries[i] for i in sub])
             if delta == 0:
@@ -726,8 +728,7 @@ def aux_pipeline(
                 f"residue prime {rp} shares a factor with the modulus {q}"
             )
 
-    order = MonomialOrder.weighted(box.bounds)
-    params = compute_params(f, g, q, box, order, epsilon)
+    params = compute_params(f, g, q, box, epsilon)
     threshold = params.cover_scale_eps if scale_override is None else to_mpf(scale_override)
 
     point_set = PointSet(tuple(sorted(pts)), box, False)
@@ -753,7 +754,7 @@ def aux_pipeline(
     )
 
     if classes:
-        E_set = build_exponent_set(cutoff, params.dominant, box, order)
+        E_set = build_exponent_set(cutoff, params.dominant, box)
         e_count = len(E_set)
     else:
         # no class builds a matrix, so only the size of E(Y) is reported

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 from mpmath import mp
 
 from .errors import ContractViolation, Record, strict_int
-from .polynomials import ExponentVector, IntegerPolynomial, MonomialOrder, max_exponent
+from .polynomials import ExponentVector, IntegerPolynomial
 from .scalars import mpexp, mplog, mpsqrt, to_mpf, workprec
 
 INFINITE = math.inf
@@ -31,7 +31,11 @@ INFINITE = math.inf
 
 class BoxBounds(Record):
     """Coordinate bounds B1, B2, B3 of the search box: integers, each at
-    least 2."""
+    least 2.
+
+    The box fixes the one monomial order: x^e sorts by its height B^e,
+    ties broken lexicographically (order_key).
+    """
 
     b1: int
     b2: int
@@ -71,6 +75,21 @@ class BoxBounds(Record):
                 h *= b ** int(k)
         return h
 
+    def order_key(self, e: Sequence[int]) -> tuple:
+        """Sort key of the box order: (B^e, e)."""
+        return (self.height(e), tuple(e))
+
+
+def max_exponent(f: IntegerPolynomial, box: BoxBounds) -> ExponentVector:
+    """Exponent of f of greatest box height B^e, ties broken
+    lexicographically.
+
+    The zero polynomial has no terms and is rejected.
+    """
+    if f.is_zero:
+        raise ContractViolation("max_exponent of the zero polynomial")
+    return max(f.terms, key=box.order_key)
+
 
 # -- log-height cutoffs -----------------------------------------------------
 
@@ -103,10 +122,6 @@ class ExactLog:
             raise ContractViolation("power cutoff needs base >= 2 and n >= 0")
         return cls(base ** n)
 
-    @classmethod
-    def box_height(cls, box: BoxBounds, e: Sequence[int]) -> "ExactLog":
-        return cls(box.height(e))
-
     def __repr__(self):
         return f"ExactLog(log {self.height})"
 
@@ -135,14 +150,13 @@ class ExponentSet(Record):
     """Staircase set below a cutoff, avoiding the dominant exponent.
 
     members: every e with log B^e <= cutoff and e_i < dominant_i in at
-    least one coordinate, sorted by the active order.
+    least one coordinate, sorted by the box order.
     restricted_members: the members with e_1 < dominant_1.
     """
 
     box: BoxBounds
     dominant: ExponentVector
     cutoff: ExactLog
-    order: MonomialOrder
     members: tuple
     restricted_members: tuple
 
@@ -165,24 +179,17 @@ def _ilog(b: int, T: int) -> int:
     return k
 
 
-def build_exponent_set(
-    cutoff: ExactLog,
-    m: Sequence[int],
-    box: BoxBounds,
-    order: MonomialOrder | None = None,
-) -> ExponentSet:
+def build_exponent_set(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> ExponentSet:
     """Enumerate the staircase set below the cutoff for dominant exponent m.
 
     Members are the e with B^e <= T, the cutoff height, and e_i < m_i in
-    at least one coordinate.  They come out sorted by the active order,
-    which defaults to the box-weighted order with lexicographic ties.
+    at least one coordinate.  They come out sorted by the box order: by
+    height B^e, ties broken lexicographically.
     """
     m = _dominant_vector(m)
-    if order is None:
-        order = MonomialOrder.weighted(box.bounds)
     T = cutoff.height
     b1, b2, b3 = box.bounds
-    members = []
+    keyed = []
     h1 = 1
     e1 = 0
     while h1 <= T:
@@ -193,21 +200,21 @@ def build_exponent_set(
             e3 = 0
             while h <= T:
                 if e1 < m[0] or e2 < m[1] or e3 < m[2]:
-                    members.append((e1, e2, e3))
+                    keyed.append((h, (e1, e2, e3)))
                 h *= b3
                 e3 += 1
             h12 *= b2
             e2 += 1
         h1 *= b1
         e1 += 1
-    members.sort(key=order.sort_key)
+    keyed.sort()
+    members = tuple(e for _, e in keyed)
     restricted = tuple(e for e in members if e[0] < m[0])
     return ExponentSet(
         box=box,
         dominant=m,
         cutoff=cutoff,
-        order=order,
-        members=tuple(members),
+        members=members,
         restricted_members=restricted,
     )
 
@@ -328,11 +335,11 @@ class MethodParams(Record):
 
 
 def side_log_height(g: IntegerPolynomial, box: BoxBounds) -> tuple[ExponentVector, ExactLog]:
-    """Heaviest exponent of g under box weights, with its exact log-height."""
+    """Greatest exponent of g in the box order, with its exact log-height."""
     if g.is_zero:
         raise ContractViolation("side condition polynomial is zero")
-    s_star = max_exponent(g, MonomialOrder.weighted(box.bounds))
-    return s_star, ExactLog.box_height(box, s_star)
+    s_star = max_exponent(g, box)
+    return s_star, ExactLog(box.height(s_star))
 
 
 def compute_params(
@@ -340,7 +347,6 @@ def compute_params(
     g: IntegerPolynomial,
     q: int,
     box: BoxBounds,
-    order: MonomialOrder,
     epsilon: float,
 ) -> MethodParams:
     """Derive the growth parameters for surface f with side condition g mod q."""
@@ -355,7 +361,7 @@ def compute_params(
         raise ContractViolation("modulus must be a positive integer")
     if not epsilon > 0:
         raise ContractViolation("epsilon must be positive")
-    m = max_exponent(f, order)
+    m = max_exponent(f, box)
     if not any(m):
         raise ContractViolation("dominant exponent of f is zero")
 

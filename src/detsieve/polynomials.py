@@ -277,16 +277,7 @@ class IntegerPolynomial:
         return {j: self._canonical(self.nvars, t) for j, t in sorted(buckets.items())}
 
 
-# -- module level operation wrappers -------------------------------------
-
-
-def evaluate(f: IntegerPolynomial, point: Sequence[int]) -> int:
-    """Exact integer value of f at an integer point."""
-    return f.evaluate(point)
-
-
-def partial_derivative(f: IntegerPolynomial, i: int) -> IntegerPolynomial:
-    return f.partial_derivative(i)
+# -- homogeneous parts -----------------------------------------------------
 
 
 def top_degree_part(f: IntegerPolynomial) -> IntegerPolynomial:
@@ -295,77 +286,6 @@ def top_degree_part(f: IntegerPolynomial) -> IntegerPolynomial:
         raise ContractViolation("top-degree part of the zero polynomial")
     d = f.total_degree()
     return f._canonical(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == d})
-
-
-# -- monomial orders ------------------------------------------------------
-
-
-class MonomialOrder:
-    """Strict total order on exponent vectors.
-
-    Two kinds: plain lexicographic, and height-weighted where the weight
-    of e is sum(e_i * log(height_i)) with lexicographic tie-breaking.
-    Heights are integers > 1, so weights compare exactly as the integers
-    prod(height_i^e_i) do.
-    """
-
-    __slots__ = ("kind", "heights")
-
-    def __init__(self, kind: str, heights: tuple | None = None):
-        if kind not in ("lex", "weighted"):
-            raise ContractViolation(f"unknown order kind {kind!r}")
-        if kind == "weighted":
-            heights = tuple(strict_int(h, "order height") for h in heights or ())
-            if not heights or min(heights) <= 1:
-                raise ContractViolation("weighted order needs integer heights > 1")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "heights", heights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialOrder is immutable")
-
-    @classmethod
-    def lex(cls) -> "MonomialOrder":
-        return cls("lex")
-
-    @classmethod
-    def weighted(cls, heights) -> "MonomialOrder":
-        return cls("weighted", tuple(heights))
-
-    def _weight_key(self, e: ExponentVector) -> int:
-        w = 1
-        for h, k in zip(self.heights, e):
-            w *= h ** k
-        return w
-
-    def sort_key(self, e: ExponentVector):
-        """Key realizing the order for sorted(); ties broken by lex."""
-        if self.kind == "lex":
-            return e
-        return (self._weight_key(e), e)
-
-    def compare_exponents(self, a: ExponentVector, b: ExponentVector) -> int:
-        if len(a) != len(b):
-            raise ContractViolation("exponent arities differ")
-        ka, kb = self.sort_key(tuple(a)), self.sort_key(tuple(b))
-        if ka < kb:
-            return -1
-        return 1 if ka > kb else 0
-
-
-def compare(a, b, order: MonomialOrder) -> int:
-    """-1, 0, or 1 as exponent vector a sits below, at, or above b."""
-    return order.compare_exponents(tuple(a), tuple(b))
-
-
-def max_exponent(f: IntegerPolynomial, order: MonomialOrder) -> ExponentVector:
-    """Largest exponent vector of f under the given order.
-
-    The zero polynomial has no terms and is rejected.
-    """
-    if f.is_zero:
-        raise ContractViolation("max_exponent of the zero polynomial")
-    return max(f.terms, key=order.sort_key)
 
 
 # -- gcd and coprimality ---------------------------------------------------

@@ -37,14 +37,13 @@ from detsieve.exponents import (
     build_exponent_set,
     compute_params,
     main_term_deviation,
+    max_exponent,
     side_log_height,
 )
 from detsieve.polynomials import (
     IntegerPolynomial,
-    MonomialOrder,
     exact_divide,
     is_coprime,
-    max_exponent,
     wronskian,
 )
 
@@ -96,9 +95,8 @@ def test_criterion_01_certificate_soundness():
     degrees = set()
     while kept < 50:
         kind, q, f, g, box, ypow = _certificate_instance(rng)
-        order = MonomialOrder.weighted(box.bounds)
-        m = max_exponent(f, order)
-        E = build_exponent_set(ExactLog.power(box.bmax, ypow), m, box, order)
+        m = max_exponent(f, box)
+        E = build_exponent_set(ExactLog.power(box.bmax, ypow), m, box)
         if len(E.members) > 20:
             continue
         pts = enumerate_points(f, SideCondition(g, q), box)
@@ -275,7 +273,7 @@ def test_criterion_04_exact_formula_spot_checks():
     f = P(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
     g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
     box = BoxBounds(10, 10, 10)
-    params = compute_params(f, g, 5, box, MonomialOrder.weighted(box.bounds), 0.5)
+    params = compute_params(f, g, 5, box, 0.5)
     expected = 1 / (4 * math.sqrt(2))
     assert abs(float(params.modulus_gain) - expected) <= 1e-12 * expected
     elapsed = time.monotonic() - t0
@@ -289,11 +287,10 @@ def test_criterion_04_exact_formula_spot_checks():
 def test_criterion_05_main_term_convergence():
     t0 = time.monotonic()
     box = BoxBounds(10, 10, 10)
-    order = MonomialOrder.weighted(box.bounds)
     count_devs = []
     sum_devs = []
     for n in (10, 20, 40, 80):
-        E = build_exponent_set(ExactLog.power(10, n), (2, 0, 0), box, order)
+        E = build_exponent_set(ExactLog.power(10, n), (2, 0, 0), box)
         dc, ds = main_term_deviation(E)
         count_devs.append(float(dc))
         sum_devs.append(float(ds))

@@ -18,9 +18,9 @@ from detsieve.exponents import (
     ExactLog,
     build_exponent_set,
     main_term_deviation,
+    max_exponent,
     staircase_size,
 )
-from detsieve.polynomials import MonomialOrder, max_exponent
 
 SPHERE5 = {
     "nvars": 3,
@@ -460,7 +460,7 @@ class TestCertifyColumnCap:
     @pytest.fixture(autouse=True)
     def no_build(self, monkeypatch):
         # no test here builds a staircase: the stand-in raises at once
-        def stand_in(cutoff, m, box, order=None):
+        def stand_in(cutoff, m, box):
             raise Started(cutoff.height)
 
         monkeypatch.setattr(detsieve.cli, "build_exponent_set", stand_in)
@@ -505,7 +505,7 @@ class TestCertifyColumnCap:
             bounds = [rng.randint(2, 40) for _ in range(3)]
             base, power = rng.randint(2, 40), rng.randint(1, 12)
             box = BoxBounds(*bounds)
-            m = max_exponent(f, MonomialOrder.weighted(box.bounds))
+            m = max_exponent(f, box)
             exact = staircase_size(ExactLog.power(base, power), m, box)
             cfg = dict(self.CERTIFY, box=bounds, cutoff_base=base, cutoff_power=power)
             monkeypatch.setattr(detsieve.cli, "CERTIFY_COLUMN_CAP", exact)
@@ -521,6 +521,35 @@ class TestCertifyColumnCap:
             assert invoke(tmp_path, "certify", cfg) == 1
             err = capsys.readouterr().err
             assert err.startswith("usage error:") and "cutoff_base" in err
+
+
+class TestMinorSampleCap:
+    CONFIGS = {
+        "certify": TestStrictIntegers.CERTIFY,
+        "aux": TestTypedFields.AUX,
+        "quadric": {"a": [5, 1, 1], "n": 6, "B": 2, "mode": "pipeline"},
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        # no test here samples a minor: the stand-ins raise at once
+        def stand_in(*args, **kwargs):
+            raise Started(kwargs.get("samples", kwargs.get("minor_samples")))
+
+        for name in ("congruence_certificates", "aux_pipeline", "count_quadric"):
+            monkeypatch.setattr(detsieve.cli, name, stand_in)
+
+    @pytest.mark.parametrize("command", ("certify", "aux", "quadric"))
+    def test_over_the_cap_refused_before_any_sampling(self, tmp_path, capsys, command):
+        cap = detsieve.cli.MINOR_SAMPLE_CAP
+        for bad in (cap + 1, 10 ** 8):
+            cfg = dict(self.CONFIGS[command], minor_samples=bad)
+            assert invoke(tmp_path, command, cfg) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "minor_samples" in err
+            assert "Traceback" not in err
+        with pytest.raises(Started, match=str(cap)):
+            run(command, dict(self.CONFIGS[command], minor_samples=cap))
 
 
 class TestBoxFiberCap:

@@ -30,24 +30,18 @@ from detsieve.exponents import (
     BoxBounds,
     ExactLog,
     build_exponent_set,
+    max_exponent,
     side_log_height,
     staircase_size,
 )
-from detsieve.polynomials import (
-    IntegerPolynomial,
-    MonomialOrder,
-    eval_monomial,
-    max_exponent,
-)
+from detsieve.polynomials import IntegerPolynomial, eval_monomial
 
 P = IntegerPolynomial
 
 
 def staircase(base, n, m=(2, 0, 0)):
     box = BoxBounds(base, base, base)
-    return build_exponent_set(
-        ExactLog.power(base, n), m, box, MonomialOrder.weighted(box.bounds)
-    )
+    return build_exponent_set(ExactLog.power(base, n), m, box)
 
 
 def quadric_instance():
@@ -923,10 +917,7 @@ class TestEliminationOracle:
         f = P(3, {(2, 0, 0): 7, (0, 2, 0): 1, (0, 0, 2): -1, (0, 0, 0): -7})
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): -1, (0, 0, 0): -7})
         box = BoxBounds(25, 25, 25)
-        order = MonomialOrder.weighted(box.bounds)
-        E = build_exponent_set(
-            ExactLog.power(25, 4), max_exponent(f, order), box, order
-        )
+        E = build_exponent_set(ExactLog.power(25, 4), max_exponent(f, box), box)
         M = build_matrix(list(enumerate_points(f, SideCondition(g, 7), box)), E)
         assert M.shape == (330, 25)
         assert assert_matches_reference(M.entries) == 25
@@ -976,8 +967,7 @@ def diagonal_certify(a, n, q, B, power):
     f = P(3, {(2, 0, 0): a1, (0, 2, 0): a2, (0, 0, 2): a3, (0, 0, 0): -n})
     g = P(3, {(0, 2, 0): a2, (0, 0, 2): a3, (0, 0, 0): -n})
     box = BoxBounds(B, B, B)
-    order = MonomialOrder.weighted(box.bounds)
-    E = build_exponent_set(ExactLog.power(B, power), max_exponent(f, order), box, order)
+    E = build_exponent_set(ExactLog.power(B, power), max_exponent(f, box), box)
     pts = enumerate_points(f, SideCondition(g, q), box)
     return build_matrix(list(pts), E), g, q, E, side_log_height(g, box)[1]
 
@@ -1093,6 +1083,19 @@ class TestCertificateChecks:
         for M, cs in corpus:
             for cert in cs:
                 assert_two_determinant_relation(M, cert)
+
+    def test_row_subset_with_a_repeated_row_raises(self):
+        # [0, 0, 2, ..., 24] is no minor; it used to be recorded as a
+        # checked minor with determinant zero
+        M, g, q, E, S = diagonal_certify(*BENCHMARK_CERTIFY["certify-q7-B25"])
+        ncols = M.shape[1]
+        for bad in ([0, 0] + list(range(2, ncols)), [5] * ncols):
+            with pytest.raises(ContractViolation, match="distinct rows"):
+                congruence_certificates(M, g, q, E, S, samples=0, extra_subsets=(bad,))
+        (cert,) = congruence_certificates(M, g, q, E, S, samples=0,
+                                          extra_subsets=(range(1, ncols + 1),))
+        assert [m.rows for m in cert.checked_minors] == [
+            tuple(range(ncols)), tuple(range(1, ncols + 1))]
 
     def test_one_determinant_per_sampled_minor(self, monkeypatch):
         M, g, q, E, S = diagonal_certify(*BENCHMARK_CERTIFY["certify-q7-B25"])

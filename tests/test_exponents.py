@@ -27,12 +27,13 @@ from detsieve.exponents import (
     lambda_single,
     lambda_total,
     main_term_deviation,
+    max_exponent,
     set_statistics,
     shift_multiplicity,
     side_log_height,
     staircase_size,
 )
-from detsieve.polynomials import IntegerPolynomial, MonomialOrder
+from detsieve.polynomials import IntegerPolynomial
 
 P = IntegerPolynomial
 
@@ -43,9 +44,7 @@ def cube(b):
 
 def staircase(n, base, m=(2, 0, 0)):
     box = cube(base)
-    return build_exponent_set(
-        ExactLog.power(base, n), m, box, MonomialOrder.weighted(box.bounds)
-    )
+    return build_exponent_set(ExactLog.power(base, n), m, box)
 
 
 class TestIntegerContract:
@@ -86,10 +85,9 @@ class TestIntegerContract:
 
     def test_dominant_exponent_must_be_integers(self):
         box = cube(3)
-        order = MonomialOrder.weighted(box.bounds)
         for bad in (2.9, True, "5"):
             with pytest.raises(ContractViolation, match="must be an integer"):
-                build_exponent_set(ExactLog(10), (bad, 0, 0), box, order)
+                build_exponent_set(ExactLog(10), (bad, 0, 0), box)
             with pytest.raises(ContractViolation, match="must be an integer"):
                 staircase_size(ExactLog(10), (0, 0, bad), box)
 
@@ -141,8 +139,7 @@ class TestBuildExponentSet:
     def test_uneven_box_membership(self):
         box = BoxBounds(4, 8, 16)
         cutoff = ExactLog.power(2, 10)  # height 1024
-        E = build_exponent_set(cutoff, (2, 0, 0), box,
-                               MonomialOrder.weighted(box.bounds))
+        E = build_exponent_set(cutoff, (2, 0, 0), box)
         for e in E.members:
             assert 4 ** e[0] * 8 ** e[1] * 16 ** e[2] <= 1024
         naive = sum(
@@ -302,7 +299,7 @@ class TestIntegerExponents:
         box = cube(10)
         for bad in self.BAD:
             with pytest.raises(ContractViolation, match="modulus must be an integer"):
-                compute_params(f, g, bad, box, MonomialOrder.weighted(box.bounds), 0.5)
+                compute_params(f, g, bad, box, 0.5)
 
 
 class TestLambdaTotal:
@@ -403,9 +400,7 @@ class TestComputeParams:
         f = P(3, {(2, 0, 0): q, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
         box = cube(b)
-        return compute_params(
-            f, g, q, box, MonomialOrder.weighted(box.bounds), 0.5
-        )
+        return compute_params(f, g, q, box, 0.5)
 
     def test_modulus_gain_quarter_root_two(self):
         params = self._quadric(5, 10)
@@ -443,9 +438,9 @@ class TestComputeParams:
         f = P(3, {(2, 0, 0): 1, (0, 0, 0): -1})
         bad = P(3, {(1, 0, 0): 1, (0, 1, 0): 1})
         with pytest.raises(ContractViolation):
-            compute_params(bad, bad, 2, cube(4), MonomialOrder.lex(), 0.5)
+            compute_params(bad, bad, 2, cube(4), 0.5)
         with pytest.raises(ContractViolation):
-            compute_params(f, P.constant(3, 3), 2, cube(4), MonomialOrder.lex(), 0.5)
+            compute_params(f, P.constant(3, 3), 2, cube(4), 0.5)
 
 
 class TestSideLogHeight:
@@ -460,6 +455,71 @@ class TestSideLogHeight:
         s_star, S = side_log_height(g, BoxBounds(2, 2, 5))
         assert s_star == (0, 0, 2)
         assert S.height == 25
+
+
+class TestBoxOrder:
+    """The one monomial order: box height B^e, ties broken lexicographically."""
+
+    def test_origin_less(self):
+        box = cube(10)
+        assert box.order_key((0, 0, 0)) < box.order_key((0, 0, 1))
+
+    def test_weighted_tie_falls_to_lex(self):
+        # both monomials have height 10^2
+        box = cube(10)
+        assert box.order_key((1, 1, 0)) > box.order_key((0, 0, 2))
+
+    def test_order_linearity_random(self):
+        # a < b and c < d must force a+c < b+d
+        rng = random.Random(123)
+        key = BoxBounds(3, 5, 17).order_key
+        for _ in range(10_000):
+            a, b, c, d = (
+                tuple(rng.randrange(6) for _ in range(3)) for _ in range(4)
+            )
+            if key(a) < key(b) and key(c) < key(d):
+                ac = tuple(x + y for x, y in zip(a, c))
+                bd = tuple(x + y for x, y in zip(b, d))
+                assert key(ac) < key(bd)
+
+    def test_max_exponent_equal_box_tie_falls_to_lex(self):
+        # every square has height 10^2, so lex breaks the tie
+        f = P(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+        assert max_exponent(f, cube(10)) == (2, 0, 0)
+
+    def test_max_exponent_where_box_order_and_lex_disagree(self):
+        # x2 has height 100 and x1^2 height 4; lex would pick x1^2
+        f = P(3, {(2, 0, 0): 1, (0, 1, 0): 1})
+        assert max(f.terms) == (2, 0, 0)
+        assert max_exponent(f, BoxBounds(2, 100, 100)) == (0, 1, 0)
+        # x2^3 outweighs x1*x2 in an equal box; lex would pick x1*x2
+        g = P(3, {(0, 3, 0): 1, (1, 1, 0): 1})
+        assert max(g.terms) == (1, 1, 0)
+        assert max_exponent(g, cube(4)) == (0, 3, 0)
+
+    def test_max_exponent_follows_the_box(self):
+        f = P(3, {(2, 0, 0): 3, (0, 2, 0): -2, (0, 0, 2): 7, (0, 0, 0): -11})
+        assert max_exponent(f, BoxBounds(5, 3, 4)) == (2, 0, 0)
+        assert max_exponent(f, BoxBounds(3, 5, 4)) == (0, 2, 0)
+        assert max_exponent(f, BoxBounds(3, 4, 5)) == (0, 0, 2)
+
+    def test_max_exponent_of_zero_rejected(self):
+        with pytest.raises(ContractViolation):
+            max_exponent(P.zero(3), cube(4))
+
+    @pytest.mark.parametrize("bounds", ((2, 3, 5), (7, 2, 4), (10, 100, 3), (6, 6, 6)))
+    @pytest.mark.parametrize("m", ((2, 1, 0), (1, 0, 2), (3, 3, 3)))
+    def test_members_are_a_filtered_cube_in_box_order(self, bounds, m):
+        box, T = BoxBounds(*bounds), 10 ** 4
+        # 2^14 > T, so the cube [0, 14)^3 holds every member
+        expected = sorted(
+            (e for e in itertools.product(range(14), repeat=3)
+             if box.height(e) <= T and any(a < b for a, b in zip(e, m))),
+            key=lambda e: (box.height(e), e),
+        )
+        E = build_exponent_set(ExactLog(T), m, box)
+        assert E.members == tuple(expected)
+        assert E.restricted_members == tuple(e for e in expected if e[0] < m[0])
 
 
 class TestChooseY:
@@ -699,6 +759,4 @@ def _exponent_of(base, height):
 
 
 def staircase_at(cutoff, box):
-    return build_exponent_set(
-        cutoff, (2, 0, 0), box, MonomialOrder.weighted(box.bounds)
-    )
+    return build_exponent_set(cutoff, (2, 0, 0), box)

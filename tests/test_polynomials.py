@@ -1,4 +1,4 @@
-"""Polynomial layer: arithmetic, orders, GCD, Wronskians."""
+"""Polynomial layer: arithmetic, GCD, Wronskians."""
 
 import math
 import random
@@ -8,13 +8,8 @@ import pytest
 from detsieve.errors import ContractViolation
 from detsieve.polynomials import (
     IntegerPolynomial,
-    MonomialOrder,
-    compare,
-    evaluate,
     exact_divide,
     is_coprime,
-    max_exponent,
-    partial_derivative,
     polynomial_gcd,
     top_degree_part,
     wronskian,
@@ -35,24 +30,24 @@ def poly3(terms):
 class TestEvaluate:
     def test_known_solution(self):
         p = poly3({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -5})
-        assert evaluate(p, (0, 1, 2)) == 0
+        assert p.evaluate((0, 1, 2)) == 0
 
     def test_constant(self):
         p = P.constant(3, 7)
-        assert evaluate(p, (11, -4, 9)) == 7
+        assert p.evaluate((11, -4, 9)) == 7
 
     def test_surface_point(self):
         p = poly3({(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
-        assert evaluate(p, (1, 1, 0)) == 0
+        assert p.evaluate((1, 1, 0)) == 0
 
     def test_arity_mismatch(self):
         p = P.constant(3, 1)
         with pytest.raises(ContractViolation):
-            evaluate(p, (1, 2))
+            p.evaluate((1, 2))
 
     def test_bignum_exact(self):
         p = poly3({(3, 0, 0): 1})
-        assert evaluate(p, (10 ** 6, 0, 0)) == 10 ** 18
+        assert p.evaluate((10 ** 6, 0, 0)) == 10 ** 18
 
     @pytest.mark.parametrize("bad", (1.9, True, "1"), ids=("float", "bool", "str"))
     def test_non_integer_coordinate_rejected(self, bad):
@@ -73,14 +68,14 @@ class TestEvaluate:
 class TestDerivative:
     def test_sum_of_squares(self):
         p = poly3({(2, 0, 0): 1, (0, 2, 0): 1})
-        assert partial_derivative(p, 0) == poly3({(1, 0, 0): 2})
+        assert p.partial_derivative(0) == poly3({(1, 0, 0): 2})
 
     def test_constant_drops(self):
-        assert partial_derivative(P.constant(3, 9), 1).is_zero
+        assert P.constant(3, 9).partial_derivative(1).is_zero
 
     def test_monomial(self):
         p = poly3({(3, 1, 0): 1})
-        assert partial_derivative(p, 1) == poly3({(3, 0, 0): 1})
+        assert p.partial_derivative(1) == poly3({(3, 0, 0): 1})
 
     def test_linearity_and_leibniz_random(self):
         rng = random.Random(7)
@@ -88,11 +83,11 @@ class TestDerivative:
             a = _random_poly(rng, 3, max_terms=4, max_deg=3)
             b = _random_poly(rng, 3, max_terms=4, max_deg=3)
             i = rng.randrange(3)
-            assert partial_derivative(a + b, i) == (
-                partial_derivative(a, i) + partial_derivative(b, i)
+            assert (a + b).partial_derivative(i) == (
+                a.partial_derivative(i) + b.partial_derivative(i)
             )
-            assert partial_derivative(a * b, i) == (
-                partial_derivative(a, i) * b + a * partial_derivative(b, i)
+            assert (a * b).partial_derivative(i) == (
+                a.partial_derivative(i) * b + a * b.partial_derivative(i)
             )
 
 
@@ -112,63 +107,6 @@ class TestTopDegreePart:
     def test_zero_rejected(self):
         with pytest.raises(ContractViolation):
             top_degree_part(P.zero(3))
-
-
-class TestMaxExponent:
-    def test_diagonal_lex(self):
-        f = poly3({(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
-        assert max_exponent(f, MonomialOrder.lex()) == (2, 0, 0)
-
-    def test_lex_prefers_first_variable(self):
-        f = poly3({(0, 3, 0): 1, (1, 1, 0): 1})
-        assert max_exponent(f, MonomialOrder.lex()) == (1, 1, 0)
-
-    def test_general_diagonal(self):
-        f = poly3({(2, 0, 0): 3, (0, 2, 0): -2, (0, 0, 2): 7, (0, 0, 0): -11})
-        assert max_exponent(f, MonomialOrder.lex()) == (2, 0, 0)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ContractViolation):
-            max_exponent(P.zero(3), MonomialOrder.lex())
-
-
-class TestCompare:
-    def test_lex_greater(self):
-        assert compare((1, 0, 0), (0, 3, 0), MonomialOrder.lex()) > 0
-
-    def test_origin_less(self):
-        for order in (MonomialOrder.lex(), MonomialOrder.weighted((10, 10, 10))):
-            assert compare((0, 0, 0), (0, 0, 1), order) < 0
-
-    def test_weighted_tie_falls_to_lex(self):
-        order = MonomialOrder.weighted((10, 10, 10))
-        # weights equal: both monomials have height 10^2
-        assert compare((1, 1, 0), (0, 0, 2), order) > 0
-
-    def test_weighted_order_needs_integer_heights(self):
-        for heights in ((2.5, 3, 4), (2.0, 3, 4), (1, 3, 4), ()):
-            with pytest.raises(ContractViolation):
-                MonomialOrder.weighted(heights)
-
-    def test_equal_vectors(self):
-        assert compare((1, 2, 3), (1, 2, 3), MonomialOrder.lex()) == 0
-
-    def test_order_linearity_random(self):
-        # a < b and c < d must force a+c < b+d, for both order kinds
-        rng = random.Random(123)
-        orders = [
-            MonomialOrder.lex(),
-            MonomialOrder.weighted((3, 5, 17)),
-        ]
-        for _ in range(10_000):
-            order = orders[rng.randrange(2)]
-            a, b, c, d = (
-                tuple(rng.randrange(6) for _ in range(3)) for _ in range(4)
-            )
-            if compare(a, b, order) < 0 and compare(c, d, order) < 0:
-                ac = tuple(x + y for x, y in zip(a, c))
-                bd = tuple(x + y for x, y in zip(b, d))
-                assert compare(ac, bd, order) < 0
 
 
 def _random_poly(rng, nvars, max_terms, max_deg, coeff=9):
@@ -398,7 +336,7 @@ class TestStrictConstruction:
             k = rng.randrange(-3, 4)
             i = rng.randrange(3)
             results = [a + b, a - a, -a, a * b, a * k, a - b * k,
-                       partial_derivative(a, i), top_degree_part(a) if a else b]
+                       a.partial_derivative(i), top_degree_part(a) if a else b]
             results += a.coefficients_in(i).values()
             for r in results:
                 assert r == P(r.nvars, dict(r.terms))
