@@ -15,7 +15,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .arith import divisors, is_prime
-from .determinant import CoverReport, aux_pipeline
+from .determinant import CoverReport, _sample_count, aux_pipeline
 from .enumeration import PointSet, SideCondition, enumerate_points
 from .errors import ContractViolation, Record, SoundnessError, strict_int
 from .exponents import BoxBounds
@@ -148,6 +148,7 @@ def count_quadric(
         return QuadricCount(count=len(pts), points=pts, mode=mode)
     if mode != "pipeline":
         raise ContractViolation(f"unknown quadric mode {mode!r}")
+    minor_samples = _sample_count(minor_samples)
 
     a = inst.coefficients
     lead = max(range(3), key=lambda i: (abs(a[i]), -i))

@@ -25,6 +25,7 @@ from .applications import (
     quadric_cover_scale,
 )
 from .determinant import (
+    MINOR_SAMPLE_CAP,
     aux_pipeline,
     build_matrix,
     congruence_certificates,
@@ -99,12 +100,6 @@ def _floor_const_field(cfg: dict) -> int | None:
     if v < 0:
         raise UsageError("field 'floor_const' must be a nonnegative integer")
     return v
-
-
-# The most random row subsets a certificate samples.  Each is held until the
-# duplicates are dropped, so the cap bounds memory; it is far above the default
-# 32 and every sample count the tests, CI, README and benchmark use.
-MINOR_SAMPLE_CAP = 10 ** 4
 
 
 def _samples_field(cfg: dict) -> int:

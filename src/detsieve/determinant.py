@@ -6,7 +6,10 @@ minor by explicit column operations, and extracts integer kernel
 polynomials that vanish on all the points of a class.  All determinants,
 ranks, and valuations are computed exactly.  Determinants, ranks, pivot
 rows and kernel vectors come from one fraction-free (Bareiss) integer
-elimination; there is no rational arithmetic.
+elimination; there is no rational arithmetic.  The elimination is lazy in
+rows and in columns: it touches a row only when the pivot scan reaches it,
+and it computes a column only when the scan reaches it, so its echelon
+rows cover only the columns the scan reached.
 """
 
 from __future__ import annotations
@@ -124,17 +127,31 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
     k-minor) is exact, and each row is a nonzero multiple of the row that
     rational elimination would give: ranks, pivots and row swaps agree.
 
-    Rows are updated lazily.  Each step is remembered as (col, pivot,
-    prev, top), and a row catches up on the steps it has not had only
-    when the pivot scan reaches it, so on a tall grid the rows below the
-    last pivot found are never touched.  A step changes a row using only
-    that row and the pivot row, which no later step changes, so every row
-    the scan reaches goes through the same updates in the same order as
-    eager elimination would give it: the result is bit for bit the same.
+    Rows and columns are both lazy.  Each step is remembered as (col,
+    pivot, prev, top), and a row catches up on the steps it has not had
+    only when the pivot scan reaches it, so on a tall grid the rows below
+    the last pivot found are never touched.  Rows hold entries only on the
+    first ``width`` columns, the frontier; when the scan reaches it, the
+    frontier doubles and each row replays the steps it has had on the new
+    columns, pivot rows first and in pivot order.  A step changes a column
+    of a row using only that column, the row's multiplier (its entry in
+    the step's pivot column) and the pivot row, which no later step
+    changes, so every entry the scan reaches goes through the same updates
+    in the same order as eager elimination would give it: the result is
+    bit for bit the same.  The multiplier stays in the row as its record
+    and is cleared from the echelon rows at the end.
+
+    The frontier starts at nrows + 1 columns, so once the rank reaches
+    nrows the first free column lies inside it and the scan stops there:
+    the echelon rows cover only the columns the scan reached, which
+    include every pivot column and the first free column.  A square or
+    tall grid starts at full width; a rank-deficient wide one widens to
+    full width, each column computed once.
     """
-    rows = [list(map(int, r)) for r in grid]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    nrows = len(grid)
+    ncols = len(grid[0]) if nrows else 0
+    width = min(ncols, nrows + 1)
+    rows = [list(map(int, r[:width])) for r in grid]
     origin = list(range(nrows))
     done = [0] * nrows  # how many steps each row has had
     steps: list[tuple] = []
@@ -142,6 +159,21 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
     r = 0
     prev = 1
     for c in range(ncols):
+        if c == width:
+            # widen: row k < r replays steps 0..k-1, whose pivot rows come
+            # before it, so every top it reads is already widened
+            new = min(ncols, 2 * width)
+            for i, row in enumerate(rows):
+                ext = list(map(int, grid[origin[i]][width:new]))
+                for col, pivot, before, top in steps[:done[i]]:
+                    a = row[col]
+                    if a:
+                        ext = [(x * pivot - a * y) // before
+                               for x, y in zip(ext, top[width:])]
+                    elif pivot != before:
+                        ext = [x * pivot // before for x in ext]
+                row += ext
+            width = new
         piv = None
         for i in range(r, nrows):
             row = rows[i]
@@ -149,11 +181,10 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
                 for col, pivot, before, top in steps[done[i]:]:
                     a = row[col]
                     if a:
-                        for j in range(col + 1, ncols):
+                        for j in range(col + 1, width):
                             row[j] = (row[j] * pivot - a * top[j]) // before
-                        row[col] = 0
                     elif pivot != before:
-                        for j in range(col + 1, ncols):
+                        for j in range(col + 1, width):
                             row[j] = row[j] * pivot // before
                 done[i] = r
             if row[c]:
@@ -172,7 +203,11 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
         r += 1
         if r == nrows:
             break
-    return r, pivot_cols, origin[:r], rows[:r]
+    echelon = rows[:r]
+    for k, row in enumerate(echelon):
+        for col in pivot_cols[:k]:
+            row[col] = 0
+    return r, pivot_cols, origin[:r], echelon
 
 
 def rank_over_rationals(M: MonomialMatrix) -> int:
@@ -254,12 +289,19 @@ class DivisibilityCertificate(Record):
     checked_minors: tuple
 
 
+# The most random row subsets a certificate samples.  Each is held until the
+# duplicates are dropped, so the cap bounds memory; it is far above the default
+# 32 and every sample count the tests, CI, README and benchmark use.
+MINOR_SAMPLE_CAP = 10 ** 4
+
+
 def _sample_count(samples) -> int:
-    """The number of random row subsets a certificate samples: an int >= 0."""
+    """The number of random row subsets a certificate samples: an int in
+    [0, MINOR_SAMPLE_CAP], checked before anything is sampled."""
     samples = strict_int(samples, "minor sample count")
-    if samples < 0:
+    if not 0 <= samples <= MINOR_SAMPLE_CAP:
         raise ContractViolation(
-            f"minor sample count must be nonnegative, not {samples}"
+            f"minor sample count must be in [0, {MINOR_SAMPLE_CAP}], not {samples}"
         )
     return samples
 
@@ -553,12 +595,15 @@ def _kernel_polynomial(
     entry an integer by Cramer's rule, so back-substitution divides
     exactly.  Content divided out, leading sign normalized; vanishing at
     every row point is re-verified exactly; coprimality with f is
-    checked and recorded.
+    checked and recorded.  Only the columns up to the free one are read,
+    so the echelon rows may end right after it.
     """
     ncols = len(M.cols)
     pivot_set = set(pivot_cols)
     free = next(c for c in range(ncols) if c not in pivot_set)
     used = [c for c in pivot_cols if c < free]
+    if any(len(row) <= free for row in echelon[:len(used)]):
+        raise SoundnessError(f"an echelon row ends before the first free column {free}")
     vec = [0] * ncols
     vec[free] = echelon[len(used) - 1][used[-1]] if used else 1
     for k in range(len(used) - 1, -1, -1):

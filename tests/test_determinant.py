@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 import detsieve.determinant as determinant
+from detsieve.applications import QuadricInstance, count_quadric
 from detsieve.determinant import (
+    MINOR_SAMPLE_CAP,
     AuxiliaryPolynomial,
     MonomialMatrix,
+    _kernel_polynomial,
     _row_reduce,
     aux_pipeline,
     build_matrix,
@@ -77,6 +80,15 @@ def grid_matrix(entries, cols=None):
     if cols is None:
         cols = tuple((i, 0, 0) for i in range(len(entries[0])))
     return MonomialMatrix(rows, tuple(cols), tuple(tuple(r) for r in entries))
+
+
+def cover_matrix():
+    """(f, M) of the cover-B16 benchmark op: the one class of
+    3 x1^2 + x2^2 + x3^2 = 1001 in the box 16^3, 16 points against E(Y)."""
+    quadric = QuadricInstance(3, 1, 1, 1001, 16)
+    report = count_quadric(quadric, "pipeline").report
+    (cls,) = report.classes
+    return quadric.surface(), build_matrix(cls.points, report.exponent_set)
 
 
 class TestBuildMatrix:
@@ -410,6 +422,33 @@ class TestCongruenceReduce:
         cert = congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=0)
         assert [m.rows for m in cert.checked_minors] == [tuple(range(9))]
 
+    def test_over_the_cap_refused_before_sampling(self, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def sample(self, population, k):
+            raise Sampled
+
+        monkeypatch.setattr(random.Random, "sample", sample)
+        f, g, box, pts = rich_instance()
+        E = staircase(13, 2)
+        M = build_matrix(pts, E)
+        S = side_log_height(g, box)[1]
+        quadric = QuadricInstance(3, 1, 1, 1001, 16)
+        for bad in (MINOR_SAMPLE_CAP + 1, 10 ** 8):
+            with pytest.raises(ContractViolation, match="minor sample count"):
+                congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=bad)
+            for q in (5, 1):
+                with pytest.raises(ContractViolation, match="minor sample count"):
+                    congruence_certificates(M, g, q, E, S, samples=bad)
+            with pytest.raises(ContractViolation, match="minor sample count"):
+                aux_pipeline(f, g, 5, box, None, 0.5, pts, minor_samples=bad)
+            with pytest.raises(ContractViolation, match="minor sample count"):
+                count_quadric(quadric, "pipeline", minor_samples=bad)
+        # at the cap, sampling starts
+        with pytest.raises(Sampled):
+            congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=MINOR_SAMPLE_CAP)
+
     def test_first_axis_shift_rejected(self):
         _, g, _, pts = quadric_instance()
         E = staircase(2, 3)
@@ -494,6 +533,17 @@ class TestNullSpace:
         assert aux.coprime_to_f
         for pt in pts:
             assert aux.poly.evaluate(pt) == 0
+
+    def test_echelon_narrower_than_free_column_is_unsound(self):
+        f, M = cover_matrix()
+        _, pivot_cols, _, echelon = _row_reduce(M.entries)
+        free = next(c for c in range(len(M.cols)) if c not in pivot_cols)
+        aux = _kernel_polynomial(M, f, pivot_cols, echelon)
+        assert aux.poly.terms == {(0, 0, 0): 233, (0, 2, 0): -1, (0, 0, 2): -1}
+        for cut in (free, free - 1):
+            short = [row[:cut] for row in echelon]
+            with pytest.raises(SoundnessError, match="first free column"):
+                _kernel_polynomial(M, f, pivot_cols, short)
 
     def test_support_and_content(self):
         f, _, _, pts = rich_instance()
@@ -752,20 +802,29 @@ def low_rank_grid(rng, nrows, ncols, rank, bits, sparse):
 
 def assert_matches_reference(grid):
     """_row_reduce against the Fraction oracle: rank, pivot columns and
-    rows, and each echelon row up to scale.  Scaled to a unit pivot, the
-    k-th echelon row of forward elimination is the k-th reduced row plus
-    its own entry at each later pivot column times that pivot's row."""
+    rows, and each echelon row up to scale on the columns it covers.
+    Scaled to a unit pivot, the k-th echelon row of forward elimination is
+    the k-th reduced row plus its own entry at each later pivot column
+    times that pivot's row.  The echelon rows share one width, which takes
+    in every pivot column and the first free column."""
     rank, pivot_cols, pivot_rows, echelon = _row_reduce(grid)
     want_rank, want_cols, want_rows, rref = reference_row_reduce(grid)
     assert (rank, pivot_cols, pivot_rows) == (want_rank, want_cols, want_rows)
     assert len(echelon) == rank
+    if not echelon:
+        return rank
+    (width,) = {len(row) for row in echelon}
+    # the first free column, or the last column if none is free
+    ncols = len(grid[0])
+    free = next((c for c in range(ncols) if c not in pivot_cols), ncols - 1)
+    assert free < width <= ncols
     for k, c in enumerate(pivot_cols):
         row = [Fraction(v, echelon[k][c]) for v in echelon[k]]
         want = list(rref[k])
         for l in range(k + 1, rank):
             x = row[pivot_cols[l]]
             want = [w + x * b for w, b in zip(want, rref[l])]
-        assert row == want
+        assert row == want[:width]
     return rank
 
 
@@ -839,11 +898,10 @@ class TestEliminationOracle:
         assert any(len(set(map(tuple, g))) < len(g) for g in grids if any(map(any, g)))
 
     def test_rank_and_pivots_match_rational_elimination(self):
+        # the wide shapes start on a frontier of nrows + 1 columns
         for grid in oracle_grids():
-            rank, pivot_cols, pivot_rows, echelon = _row_reduce(grid)
-            want = reference_row_reduce(grid)
-            assert (rank, pivot_cols, pivot_rows) == want[:3], grid
-            assert len(echelon) == rank
+            assert_matches_reference(grid)
+            _, pivot_cols, pivot_rows, echelon = _row_reduce(grid)
             for k, c in enumerate(pivot_cols):
                 # the k-th pivot is the leading (k+1)-minor on the pivot rows
                 minor = [[grid[i][j] for j in pivot_cols[:k + 1]]
@@ -921,6 +979,44 @@ class TestEliminationOracle:
         M = build_matrix(list(enumerate_points(f, SideCondition(g, 7), box)), E)
         assert M.shape == (330, 25)
         assert assert_matches_reference(M.entries) == 25
+
+    def test_frontier_grids_match_rational_elimination(self):
+        # the frontier starts at nrows + 1 columns and doubles when the
+        # pivot scan reaches it
+        rng = random.Random(484)
+
+        def dense(ncols, zeros=0, bits=90):
+            return [0] * zeros + [rng.randrange(-(2**bits), 2**bits + 1) | 1
+                                  for _ in range(ncols - zeros)]
+
+        # leading zero columns: the first pivot lies past two widenings
+        lead = [dense(40, zeros=12) for _ in range(4)]
+        assert _row_reduce(lead)[1] == [12, 13, 14, 15]
+        assert_matches_reference(lead)
+        # pivots on both sides of each widening, 4 -> 8 -> 16: rows 1 and
+        # 2 took the first step before either widening and replay it
+        b, v, w = dense(40), dense(40, zeros=6), dense(40, zeros=10)
+        straddle = [b, [2 * x + y for x, y in zip(b, v)],
+                    [-3 * x + 5 * y + z for x, y, z in zip(b, v, w)]]
+        _, pivot_cols, _, echelon = _row_reduce(straddle)
+        assert pivot_cols == [0, 6, 10]
+        assert {len(row) for row in echelon} == {16}
+        assert_matches_reference(straddle)
+        # rank deficient: the scan widens all the way
+        deficient = low_rank_grid(rng, 6, 40, 3, 60, False)
+        rank, _, _, echelon = _row_reduce(deficient)
+        assert rank == 3
+        assert {len(row) for row in echelon} == {40}
+        assert_matches_reference(deficient)
+
+    def test_cover_matrix_matches_rational_elimination(self):
+        # the 16x484 matrix of the cover-B16 op: full row rank by column 32,
+        # so the echelon stops far short of the last column
+        _, M = cover_matrix()
+        assert M.shape == (16, 484)
+        assert assert_matches_reference(M.entries) == 16
+        (width,) = {len(row) for row in _row_reduce(M.entries)[3]}
+        assert width < 484
 
     def test_kernel_polynomial_matches_rational_kernel(self):
         f = P(3, {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1001})
