@@ -220,8 +220,15 @@ def build_exponent_set(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> Ex
 
 
 def _count_below(T: int, bounds: tuple) -> int:
-    """N(T): the number of e >= 0 with B1^e1 * B2^e2 * B3^e3 <= T."""
+    """N(T): the number of e >= 0 with B1^e1 * B2^e2 * B3^e3 <= T.
+
+    On an equal box this is e1 + e2 + e3 <= n, n = floor(log_B T), so
+    N(T) = C(n + 3, 3); any other box walks e1 and, for each, e2 under a
+    falling e3 cap.
+    """
     b1, b2, b3 = bounds
+    if b1 == b2 == b3:
+        return math.comb(_ilog(b1, T) + 3, 3) if T >= 1 else 0
     total = 0
     h1 = 1
     while h1 <= T:
@@ -245,7 +252,8 @@ def staircase_size(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> int:
 
     Members are the e with B^e <= T, the cutoff height, minus those with
     e >= m in every coordinate, which are m + e' with B^e' <= T // B^m:
-    |E(T)| = N(T) - N(T // B^m).
+    |E(T)| = N(T) - N(T // B^m).  On an equal box both counts are
+    binomials, so this costs two integer logs.
     """
     m = _dominant_vector(m)
     T = cutoff.height
@@ -505,9 +513,10 @@ def choose_Y(
     [2Z, 4Z], ..., one per block and GRID_COUNT at most, with
     Z = max(log_top, floor_const·log Bmax) and points snapped to integer
     heights.  The search probes block ends until one holds, galloping
-    (0, 1, 3, 7, ...) over powers but taking grids in turn, since each
-    doubles log T and a count costs about (log T)^2; then it bisects after
-    the last end that failed, so it returns what an increasing scan would.
+    (0, 1, 3, 7, ...) over powers, where a count is a binomial, but taking
+    grids in turn, since each doubles log T and a count on an unequal box
+    costs about (log T)^2; then it bisects after the last end that failed,
+    so it returns what an increasing scan would.
     """
     if floor_const < 0:
         raise ContractViolation("floor constant must be nonnegative")

@@ -17,8 +17,10 @@ from detsieve.enumeration import ResidueData, SideCondition, enumerate_points
 from detsieve.errors import ContractViolation, strict_int
 from detsieve.exponents import (
     INFINITE,
+    POWER_CAP,
     BoxBounds,
     ExactLog,
+    _count_below,
     _ilog,
     build_exponent_set,
     choose_Y,
@@ -161,6 +163,51 @@ def test_ilog_is_the_largest_fitting_power():
         assert b ** k <= T < b ** (k + 1), (b, T)
 
 
+def walk_count_below(T, bounds):
+    """N(T) by the walk over e1 and e2 under a falling e3 cap: the oracle
+    for _count_below's equal-box closed form."""
+    b1, b2, b3 = bounds
+    total = 0
+    h1 = 1
+    while h1 <= T:
+        T1 = T // h1
+        k = _ilog(b3, T1)
+        p = b3 ** k
+        while k >= 0:
+            total += k + 1
+            p *= b2
+            while k >= 0 and p > T1:
+                p //= b3
+                k -= 1
+        h1 *= b1
+    return total
+
+
+class TestCountBelow:
+    """_count_below against the walk: the closed form on equal boxes, the
+    walk itself on every other box."""
+
+    def test_equal_box_matches_the_walk(self):
+        rng = random.Random(2121)
+        for b in (2, 3, 16, 17, 60, 2 ** 61 - 1, 10 ** 30):
+            heights = {0, 1}
+            for k in range(41):
+                heights |= {b ** k - 1, b ** k, b ** k + 1}
+            heights |= {rng.randint(1, 10 ** rng.randint(1, 300)) for _ in range(6)}
+            for T in sorted(heights):
+                assert _count_below(T, (b, b, b)) == walk_count_below(T, (b, b, b)), (b, T)
+
+    def test_unequal_boxes_match_the_walk(self):
+        rng = random.Random(2122)
+        boxes = [(2, 3, 5), (12, 20, 30), (5, 5, 7), (7, 5, 5), (5, 7, 5), (10 ** 6, 1000, 1001)]
+        boxes += [tuple(rng.randint(2, 60) for _ in range(3)) for _ in range(30)]
+        for bounds in boxes:
+            if bounds[0] == bounds[1] == bounds[2]:
+                continue
+            for T in (0, 1, 2, 59, 60, 61, 10 ** 12, rng.randint(1, 10 ** 40)):
+                assert _count_below(T, bounds) == walk_count_below(T, bounds), (bounds, T)
+
+
 class TestStaircaseSize:
     """The counting identity against the members build_exponent_set lists."""
 
@@ -200,6 +247,22 @@ class TestStaircaseSize:
             assert staircase_size(ExactLog(T), (2, 1, 0), box) == sum(
                 1 for e in itertools.product(range(6), repeat=3) if box.height(e) <= T
             )
+
+    def test_equal_box_binomials_up_to_the_power_cap(self):
+        # B^n over B^m leaves B^(n - |m|): C(n+3, 3) - C(n-|m|+3, 3) members,
+        # and C(n+3, 3) when n < |m|
+        dominants = [m for m in itertools.product(range(4), repeat=3) if 1 <= sum(m) <= 3]
+        for b in (2, 17):
+            box = cube(b)
+            for n in range(POWER_CAP + 1):
+                cutoff = ExactLog.power(b, n)
+                for m in dominants:
+                    want = math.comb(n + 3, 3)
+                    if n >= sum(m):
+                        want -= math.comb(n - sum(m) + 3, 3)
+                    assert staircase_size(cutoff, m, box) == want, (b, n, m)
+                    if n <= 30 and b == 17:
+                        assert len(build_exponent_set(cutoff, m, box)) == want, (n, m)
 
     def test_equal_box_closed_form(self):
         # m = (2,0,0) on an equal box: (n+1)^2 members at cutoff n log B
