@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .arith import divisors, is_prime
+from .arith import divisors, iroot, is_prime
 from .determinant import CoverReport, _sample_count, aux_pipeline
 from .enumeration import PointSet, SideCondition, enumerate_points
 from .errors import ContractViolation, Record, SoundnessError, strict_int
@@ -25,9 +25,7 @@ from .polynomials import (
     _require_univariate,
     wronskian,
 )
-from mpmath import mp, mpf
-
-from .scalars import to_mpf, workprec
+from .scalars import power, rnd, root
 
 
 def _is_perfect_square(v: int) -> bool:
@@ -42,18 +40,7 @@ def _integer_nth_root(v: int, n: int) -> int | None:
         return None
     neg = v < 0
     a = -v if neg else v
-    if a == 0:
-        return 0
-    if n == 1:
-        return v
-    # integer Newton from 2^ceil(bits/n) > a^(1/n): it falls strictly
-    # until it reaches floor(a^(1/n)), where the next step stops falling
-    r = 1 << -(-a.bit_length() // n)
-    while True:
-        s = ((n - 1) * r + a // r ** (n - 1)) // n
-        if s >= r:
-            break
-        r = s
+    r = iroot(a, n)
     if r ** n != a:
         return None
     return -r if neg else r
@@ -109,9 +96,8 @@ def quadric_cover_scale(q: int, B: int):
     """Sharpened cover scale q^(-1/6) * B^(2/3) for the quadric pipeline."""
     if q < 1 or B < 1:
         raise ContractViolation("cover scale needs positive modulus and box")
-    with workprec():
-        # integer powers first so perfect-power inputs stay exact
-        return mp.root(to_mpf(B) ** 2, 3) / mp.root(to_mpf(q), 6)
+    # integer powers first so perfect-power inputs stay exact
+    return rnd(root(power(B, 2), 3) / root(rnd(q), 6))
 
 
 class QuadricCount(Record):
@@ -163,8 +149,9 @@ def count_quadric(
         3, {(0, 2, 0): ap[1], (0, 0, 2): ap[2], (0, 0, 0): -inst.n}
     )
     pts = enumerate_points(f, SideCondition(g, q), box)
-    with workprec():
-        scale = quadric_cover_scale(q, inst.B) * to_mpf(inst.B) ** to_mpf(epsilon)
+    if not 0 < epsilon < math.inf:
+        raise ContractViolation("epsilon must be positive and finite")
+    scale = rnd(quadric_cover_scale(q, inst.B) * power(inst.B, epsilon))
     report = aux_pipeline(
         f, g, q, box, None, epsilon, list(pts),
         seed=seed, minor_samples=minor_samples,
@@ -452,6 +439,8 @@ def _power_table(a: int, X: int) -> list:
 
 def _fixed_exponent(alpha) -> int:
     """round(alpha * 2^F) for an int, float, Fraction or mpf alpha in (-1, 0)."""
+    from mpmath import mpf
+
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float, Fraction, mpf)):
         raise ContractViolation(
             f"exponent must be an int, float, Fraction or mpf, not {alpha!r}"
@@ -501,7 +490,10 @@ def gcd_power_sum(alpha, X: int, n: int) -> GcdPowerSum:
     total, majorant, terms = _power_sums(a, X, n)
     if total > majorant:
         raise SoundnessError(f"power sum exceeds its majorant for {(alpha, X, n)}")
-    with workprec():
+    # the one use of mpmath left in the package, imported on first call
+    from mpmath import mp, mpf
+
+    with mp.workprec(96):
         return GcdPowerSum(
             total=mp.ldexp(mpf(total), -_FRACTION_BITS),
             majorant=mp.ldexp(mpf(majorant), -_FRACTION_BITS),

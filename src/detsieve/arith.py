@@ -1,6 +1,8 @@
-"""Exact integer arithmetic helpers: primality, factoring, divisors."""
+"""Exact integer arithmetic helpers: primality, factoring, divisors, roots."""
 
 from __future__ import annotations
+
+import math
 
 from .errors import ContractViolation
 
@@ -65,6 +67,22 @@ def divisors(n: int) -> list[int]:
     for p, k in fac.items():
         out = [d * p ** i for d in out for i in range(k + 1)]
     return sorted(out)
+
+
+def iroot(a: int, n: int) -> int:
+    """floor(a^(1/n)) for integers a >= 0 and n >= 1."""
+    if n == 2:
+        return math.isqrt(a)
+    if a < 2:
+        return a
+    # integer Newton from 2^ceil(bits/n) > a^(1/n): it falls strictly
+    # until it reaches floor(a^(1/n)), where the next step stops falling
+    r = 1 << -(-a.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + a // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_power_decompose(q: int) -> tuple[int, int] | None:

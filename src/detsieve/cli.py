@@ -32,7 +32,9 @@ from .determinant import (
     rank_over_rationals,
 )
 from .enumeration import ResidueData, SideCondition, enumerate_points
-from .errors import ContractViolation, HypothesisViolation, Record, SoundnessError, strict_int
+from .errors import (
+    CapExceeded, ContractViolation, HypothesisViolation, Record, SoundnessError, strict_int,
+)
 from .exponents import (
     BoxBounds,
     ExactLog,
@@ -687,7 +689,7 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}")
         report = run(args.command, config, seed=args.seed)
-    except UsageError as exc:
+    except (UsageError, CapExceeded) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ContractViolation as exc:

@@ -42,7 +42,7 @@ from .polynomials import (
     is_coprime,
     top_degree_part,
 )
-from .scalars import to_mpf, workprec
+from .scalars import rnd, root
 
 
 # -- matrices and exact linear algebra ----------------------------------------
@@ -773,8 +773,10 @@ def aux_pipeline(
                 f"residue prime {rp} shares a factor with the modulus {q}"
             )
 
+    if scale_override is not None and not abs(scale_override) < math.inf:
+        raise ContractViolation("scale override must be a finite number")
     params = compute_params(f, g, q, box, epsilon)
-    threshold = params.cover_scale_eps if scale_override is None else to_mpf(scale_override)
+    threshold = params.cover_scale_eps if scale_override is None else rnd(scale_override)
 
     point_set = PointSet(tuple(sorted(pts)), box, False)
     if threshold <= 1:
@@ -788,10 +790,11 @@ def aux_pipeline(
         classes = residue_split(point_set, residues, f)
         excluded = split_leftover(point_set, classes)
 
+    squared = rnd(threshold * threshold)
+
     def constraint(cutoff: ExactLog) -> bool:
         count = staircase_size(cutoff, params.dominant, box)
-        with workprec():
-            return to_mpf(count) * r * r > threshold * threshold
+        return rnd(rnd(rnd(count) * r) * r) > squared
 
     c_floor = floor_const if floor_const is not None else default_floor_constant(epsilon)
     cutoff = choose_Y(
@@ -852,8 +855,7 @@ def aux_pipeline(
             rvals = tuple(
                 (rp, p_adic_valuation(delta, rp)) for rp in residues.primes
             )
-            with workprec():
-                sqrt_er = float(to_mpf(e_count) ** to_mpf(0.5) * r)
+            sqrt_er = float(rnd(root(e_count) * r))
             rec = FalsificationRecord(
                 label=label,
                 rows=tuple(pivot_rows[:e_count]),

@@ -9,6 +9,11 @@ class ContractViolation(ValueError):
     """An argument failed a documented precondition."""
 
 
+class CapExceeded(ContractViolation):
+    """A request is over one of the package's work caps; the command line
+    reports it as a usage error."""
+
+
 class HypothesisViolation(RuntimeError):
     """Input data does not satisfy the hypotheses a method needs.
 

@@ -8,21 +8,21 @@ that the determinant reduction factors out.
 Exactness policy: box bounds are integers and every cutoff is the log
 of a known integer height T, so every membership test and every floor is
 decided by integer comparisons of the form B1^e1 * B2^e2 * B3^e3 <= T.
-Floating point (96-bit mpf) only enters the smooth parameters and the
-log-scale grid that proposes cutoff heights.
+Only the smooth parameters and the log-scale grid that proposes cutoff
+heights are not integers: they are 96-bit binary Fractions, rounded one
+operation at a time as ``scalars`` sets out.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
-from mpmath import mp
-
-from .errors import ContractViolation, Record, strict_int
+from .errors import CapExceeded, ContractViolation, Record, strict_int
 from .polynomials import ExponentVector, IntegerPolynomial
-from .scalars import mpexp, mplog, mpsqrt, to_mpf, workprec
+from .scalars import dot, exp, log, power, rnd, root
 
 INFINITE = math.inf
 
@@ -65,7 +65,7 @@ class BoxBounds(Record):
         return self.b1 == self.b2 == self.b3
 
     def log_heights(self) -> tuple:
-        return tuple(mplog(b) for b in self.bounds)
+        return tuple(map(log, self.bounds))
 
     def height(self, e: Sequence[int]) -> int:
         """Exact integer B^e."""
@@ -100,17 +100,23 @@ class ExactLog:
     Used for the staircase cutoff and for the side condition's top
     log-height, so comparisons against monomial heights are integer
     comparisons against T; value is the 96-bit log of T, for the smooth
-    parameters and the log-scale grid.
+    parameters and the log-scale grid, formed when first read.
     """
 
-    __slots__ = ("value", "height")
+    __slots__ = ("height", "_value")
 
     def __init__(self, height: int):
         height = strict_int(height, "height")
         if height < 1:
             raise ContractViolation("height must be a positive integer")
-        object.__setattr__(self, "value", mplog(height))
         object.__setattr__(self, "height", height)
+        object.__setattr__(self, "_value", None)
+
+    @property
+    def value(self) -> Fraction:
+        if self._value is None:
+            object.__setattr__(self, "_value", log(self.height))
+        return self._value
 
     def __setattr__(self, name, v):
         raise AttributeError("ExactLog is immutable")
@@ -285,9 +291,7 @@ def set_statistics(E: ExponentSet) -> SetStatistics:
         sums[0] += e[0]
         sums[1] += e[1]
         sums[2] += e[2]
-    logs = E.box.log_heights()
-    with workprec():
-        sum_log = sums[0] * logs[0] + sums[1] * logs[1] + sums[2] * logs[2]
+    sum_log = dot(sums, E.box.log_heights())
     se2 = sum(e[1] for e in E.restricted_members)
     se3 = sum(e[2] for e in E.restricted_members)
     return SetStatistics(len(E.members), sum_log, se2, se3)
@@ -305,14 +309,12 @@ def main_term_deviation(E: ExponentSet) -> tuple:
         raise ContractViolation("main terms vanish at cutoff height 1")
     stats = set_statistics(E)
     logs = E.box.log_heights()
-    with workprec():
-        log_top = sum(k * lg for k, lg in zip(E.dominant, logs))
-        denom = logs[0] * logs[1] * logs[2]
-        y = E.cutoff.value
-        main_count = log_top / denom * y ** 2 / 2
-        main_sum = log_top / denom * y ** 3 / 3
-        dev_count = abs(stats.count / main_count - 1)
-        dev_sum = abs(stats.sum_log / main_sum - 1)
+    ratio = rnd(dot(E.dominant, logs) / rnd(rnd(logs[0] * logs[1]) * logs[2]))
+    y = E.cutoff.value
+    main_count = rnd(ratio * rnd(y ** 2)) / 2
+    main_sum = rnd(rnd(ratio * rnd(y ** 3)) / 3)
+    dev_count = abs(rnd(rnd(stats.count / main_count) - 1))
+    dev_sum = abs(rnd(rnd(stats.sum_log / main_sum) - 1))
     return dev_count, dev_sum
 
 
@@ -367,30 +369,23 @@ def compute_params(
     q = strict_int(q, "modulus")
     if q < 1:
         raise ContractViolation("modulus must be a positive integer")
-    if not epsilon > 0:
-        raise ContractViolation("epsilon must be positive")
+    if not 0 < epsilon < INFINITE:
+        raise ContractViolation("epsilon must be positive and finite")
     m = max_exponent(f, box)
     if not any(m):
         raise ContractViolation("dominant exponent of f is zero")
 
     s_star, side = side_log_height(g, box)
     logs = box.log_heights()
-    with workprec():
-        log_top = sum(k * lg for k, lg in zip(m, logs))
-        prod_logs = logs[0] * logs[1] * logs[2]
-        root = mpsqrt(prod_logs / log_top)
-        log_q = mplog(q) if q > 1 else to_mpf(0)
-        log_bmax = mplog(box.bmax)
-        shrink = m[0] * logs[0] * log_q / (2 * side.value * log_top)
-        log_k = root * (1 - shrink)
-        cover_scale = mpexp(log_k)
-        cover_scale_eps = mpexp(log_k + epsilon * log_bmax)
-        gain = (
-            m[0]
-            * logs[0] ** to_mpf(1.5)
-            * mpsqrt(logs[1] * logs[2])
-            / (2 * side.value * log_top ** to_mpf(1.5))
-        )
+    log_top = dot(m, logs)
+    prod_logs = rnd(rnd(logs[0] * logs[1]) * logs[2])
+    shrink = rnd(rnd(rnd(m[0] * logs[0]) * log(q)) / rnd(2 * side.value * log_top))
+    log_k = rnd(root(rnd(prod_logs / log_top)) * rnd(1 - shrink))
+    slack = rnd(Fraction(epsilon) * log(box.bmax))
+    gain = rnd(
+        rnd(rnd(m[0] * power(logs[0], 1.5)) * root(rnd(logs[1] * logs[2])))
+        / rnd(2 * side.value * power(log_top, 1.5))
+    )
     return MethodParams(
         box=box,
         modulus=q,
@@ -400,8 +395,8 @@ def compute_params(
         side=side,
         top_height=box.height(m),
         log_top_height=log_top,
-        cover_scale=cover_scale,
-        cover_scale_eps=cover_scale_eps,
+        cover_scale=exp(log_k),
+        cover_scale_eps=exp(rnd(log_k + slack)),
         modulus_gain=gain,
     )
 
@@ -489,6 +484,28 @@ POWER_CAP = 512
 GRID_POINTS = 64
 GRID_COUNT = 24
 
+#: the most staircase columns the top height of a log grid may be sure to
+#: hold before choose_Y forms a height of that grid.  The largest grid a
+#: test, the README, CI or the benchmark reaches is sure of under 10^6.
+GRID_COLUMN_CAP = 10 ** 6
+
+
+def _sure_columns(x: Fraction, box: BoxBounds) -> int:
+    """A lower bound on the columns of any staircase in the box whose
+    cutoff height is floor(e^x) or more.
+
+    That height is at least 2^a, a = floor(1.44 x) - 1, as e > 2^1.44.
+    Some m_i > 0, so each e with e_i = 0 and B_j^e_j B_k^e_k <= 2^a is a
+    column; with b the bit lengths of the bounds, that takes in every
+    (u, v) with u b_j + v b_k <= a, at least (a // b_j + 1) a / (2 b_k)
+    of them.
+    """
+    a = math.floor(x * Fraction(144, 100)) - 1
+    if a < 1:
+        return 0
+    b1, b2, b3 = (b.bit_length() for b in box.bounds)
+    return min((a // bj + 1) * a // (2 * bk) for bj, bk in ((b2, b3), (b1, b3), (b1, b2)))
+
 
 def default_floor_constant(epsilon: float) -> int:
     """Minimum multiples of log B the cutoff must reach; grows as 1/epsilon."""
@@ -517,6 +534,10 @@ def choose_Y(
     grids in turn, since each doubles log T and a count on an unequal box
     costs about (log T)^2; then it bisects after the last end that failed,
     so it returns what an increasing scan would.
+
+    Before it forms a height of a grid, it refuses (CapExceeded) the grid
+    if its top, near exp(2^(g+1) Z), is sure to hold more than
+    GRID_COLUMN_CAP staircase columns; below that the constraint decides.
     """
     if floor_const < 0:
         raise ContractViolation("floor constant must be nonnegative")
@@ -531,28 +552,20 @@ def choose_Y(
     else:
         size, blocks, gallop = GRID_POINTS, GRID_COUNT, 1
         tried = f"on {GRID_COUNT} log grids from Z above the floor"
-        with workprec():
-            floor_value = floor_const * mplog(box.bmax)
-            z = max(to_mpf(log_top), floor_value)
+        floor_value = rnd(floor_const * log(box.bmax))
+        z = max(rnd(log_top), floor_value)
 
         @cache
         def candidate(i: int) -> ExactLog:
             g, k = divmod(i, GRID_POINTS)
-            low = z
-            if g:
-                # 2^g·Z rounded to 53 bits, not 96: the recorded cutoffs were
-                # chosen on this grid, and box (12, 20, 30) picks another at 96
-                with mp.workprec(53):
-                    low = z * 2 ** g
-            with workprec():
-                h = mpexp(low * (1 + to_mpf(k) / (GRID_POINTS - 1)))
-                near = int(mp.nint(h))
-                # snap heights that are integers up to rounding noise
-                if near >= 1 and abs(h - near) < mp.mpf(2) ** -60 * near:
-                    height = near
-                else:
-                    height = int(mp.floor(h))
-            return ExactLog(height)
+            start = _grid_start(z, g)
+            # the grid tops out at log height 2·start
+            if _sure_columns(2 * start, box) > GRID_COLUMN_CAP:
+                raise CapExceeded(
+                    f"cutoff search reaches log grid {g}, whose top height "
+                    f"holds over {GRID_COLUMN_CAP} staircase columns"
+                )
+            return ExactLog(_grid_height(start, k))
 
         # heights rise along the grid, and its last point, near exp(2Z),
         # always reaches the floor; later grids lie wholly above it
@@ -569,6 +582,24 @@ def choose_Y(
     if b >= blocks:
         raise ContractViolation(f"no cutoff {tried} satisfies the constraint")
     return candidate(_first_holding(holds, lo, b * size + size - 1))
+
+
+def _grid_start(z: Fraction, g: int) -> Fraction:
+    """2^g·Z, the log height grid g starts from.  For g > 0 it is rounded to
+    53 bits, not 96: the recorded cutoffs were chosen on this grid, and box
+    (12, 20, 30) picks another at 96."""
+    return rnd(z, 53) * 2 ** g if g else z
+
+
+def _grid_height(start: Fraction, k: int) -> int:
+    """The height at point k of the grid from log height start:
+    h = exp(start·(1 + k/(GRID_POINTS - 1))), snapped to the nearest
+    integer when within 2^-60 of it relative, else floored."""
+    h = exp(rnd(start * rnd(1 + rnd(Fraction(k, GRID_POINTS - 1)))))
+    near = round(h)
+    if near >= 1 and abs(h - near) < Fraction(near, 1 << 60):
+        return near
+    return math.floor(h)
 
 
 def _first_holding(holds: Callable[[int], bool], lo: int, hi: int) -> int:

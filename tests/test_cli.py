@@ -5,18 +5,22 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 import detsieve.applications
 import detsieve.cli
+import detsieve.determinant
+import detsieve.exponents
 from detsieve.cli import UsageError, _poly_field, fit_exponent, main, run
 from detsieve.determinant import aux_pipeline
-from detsieve.errors import ContractViolation, SoundnessError
+from detsieve.errors import CapExceeded, ContractViolation, SoundnessError
 from detsieve.exponents import (
     BoxBounds,
     ExactLog,
     build_exponent_set,
+    choose_Y,
     main_term_deviation,
     max_exponent,
     staircase_size,
@@ -521,6 +525,67 @@ class TestCertifyColumnCap:
             assert invoke(tmp_path, "certify", cfg) == 1
             err = capsys.readouterr().err
             assert err.startswith("usage error:") and "cutoff_base" in err
+
+
+class TestAuxGridCap:
+    AUX = {"f": CONG_F, "g": CONG_G, "q": 5, "box": [12, 20, 30], "epsilon": 0.5}
+
+    def test_huge_floor_refused_before_any_height_is_formed(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def never(*args):
+            raise Started("formed a grid height")
+
+        monkeypatch.setattr(detsieve.exponents, "_grid_height", never)
+        monkeypatch.setattr(detsieve.determinant, "staircase_size", never)
+        for floor_const in (10 ** 4, 10 ** 30):
+            assert invoke(tmp_path, "aux", dict(self.AUX, floor_const=floor_const)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "log grid 0" in err
+            assert "Traceback" not in err
+
+    def test_huge_scale_refused_below_the_cap(self, tmp_path, capsys, monkeypatch):
+        # the search walks grid after grid; no grid past the cap forms a
+        # height.  A tenth of the cap keeps the last counts short.
+        box = BoxBounds(*self.AUX["box"])
+        cap = detsieve.exponents.GRID_COLUMN_CAP // 10
+        monkeypatch.setattr(detsieve.exponents, "GRID_COLUMN_CAP", cap)
+        real = detsieve.exponents._grid_height
+        starts = []
+
+        def guarded(start, k):
+            if detsieve.exponents._sure_columns(2 * start, box) > cap:
+                raise Started("formed a height past the cap")
+            starts.append(start)
+            return real(start, k)
+
+        monkeypatch.setattr(detsieve.exponents, "_grid_height", guarded)
+        assert invoke(tmp_path, "aux", dict(self.AUX, scale_override=1e300)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "columns" in err
+        assert "Traceback" not in err
+        assert len(set(starts)) >= 5
+
+    def test_cap_sits_between_two_grids(self, monkeypatch):
+        box = BoxBounds(4, 8, 16)
+        z = Fraction(1, 1 << 8)
+        start = detsieve.exponents._grid_start
+        tops = [detsieve.exponents._sure_columns(2 * start(z, g), box) for g in range(24)]
+        g = next(g for g in range(24) if tops[g] > tops[g - 1] > 0)
+        for cap, refused in ((tops[g], g + 1), (tops[g] - 1, g)):
+            monkeypatch.setattr(detsieve.exponents, "GRID_COLUMN_CAP", cap)
+            with pytest.raises(CapExceeded, match=f"log grid {refused},"):
+                choose_Y(lambda y: False, box=box, floor_const=0, log_top=z)
+
+    def test_sure_columns_never_exceed_the_staircase(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            box = BoxBounds(*(rng.choice((2, 3, 12, 30, 1000, 10 ** 6)) for _ in range(3)))
+            m = tuple(rng.randint(0, 3) for _ in range(3))
+            if not any(m):
+                continue
+            x = Fraction(rng.uniform(0, 60))
+            cutoff = ExactLog(max(1, math.floor(math.exp(x))))
+            assert detsieve.exponents._sure_columns(x, box) <= staircase_size(cutoff, m, box)
 
 
 class TestMinorSampleCap:

@@ -633,6 +633,12 @@ class TestAuxPipeline:
         assert len(rep.classes) == 1
         assert rep.coverage_complete
 
+    def test_scale_override_must_be_finite(self):
+        f, g, box, pts = rich_instance()
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ContractViolation, match="scale override must be a finite"):
+                aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, scale_override=bad)
+
     def test_residue_split_classes(self):
         f, g, box, pts = quadric_instance()
         rep = aux_pipeline(f, g, 5, box, ResidueData((3,)), 0.5, pts, floor_const=10)

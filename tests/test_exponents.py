@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -42,6 +43,12 @@ P = IntegerPolynomial
 
 def cube(b):
     return BoxBounds(b, b, b)
+
+
+def exact(v) -> Fraction:
+    """The Fraction equal to an mpf."""
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp
 
 
 def staircase(n, base, m=(2, 0, 0)):
@@ -291,7 +298,8 @@ class TestSetStatistics:
         stats = set_statistics(E)
         total_degree = sum(sum(e) for e in E.members)
         with mp.workprec(96):
-            assert abs(stats.sum_log - total_degree * mp.log(10)) < mp.mpf(2) ** -80
+            want = exact(total_degree * mp.log(10))
+        assert abs(stats.sum_log - want) < Fraction(1, 2 ** 80)
 
 
 class TestMainTermDeviation:
@@ -497,6 +505,15 @@ class TestComputeParams:
             )
             assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
+    def test_epsilon_must_be_positive_and_finite(self):
+        f = P(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+        g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+        for bad in (0, -0.5, math.inf, math.nan):
+            with pytest.raises(ContractViolation, match="positive and finite"):
+                compute_params(f, g, 5, cube(4), bad)
+            with pytest.raises(ContractViolation, match="positive and finite"):
+                count_quadric(QuadricInstance(5, 1, 1, 6, 2), "pipeline", epsilon=bad)
+
     def test_side_polynomial_must_avoid_first_variable(self):
         f = P(3, {(2, 0, 0): 1, (0, 0, 0): -1})
         bad = P(3, {(1, 0, 0): 1, (0, 1, 0): 1})
@@ -608,10 +625,19 @@ class TestChooseY:
         got = choose_Y(constraint, box=box, floor_const=0, log_top=0)
         assert got.height == (10 ** 4) ** 100
 
+    def test_equal_box_forms_no_log(self, monkeypatch):
+        # the candidates are powers B^n, and the search never reads a log
+        def never(n, bits=96):
+            raise AssertionError(f"formed log {n}")
+
+        monkeypatch.setattr(detsieve.exponents, "log", never)
+        got = choose_Y(lambda c: c.height >= 10 ** 40, box=cube(10), floor_const=10, log_top=0)
+        assert got.height == 10 ** 40
+
     def test_grid_returns_low_end_when_trivial(self):
         box = BoxBounds(4, 8, 16)
         with mp.workprec(96):
-            low = mp.log(1000)
+            low = exact(mp.log(1000))
         got = choose_Y(lambda y: True, box=box, floor_const=0, log_top=low)
         assert got.height == 1000
 
@@ -653,7 +679,8 @@ def linear_choose_Y(constraint, *, box, floor_const, log_top):
         raise ContractViolation("no power cutoff satisfies the constraint")
     with mp.workprec(96):
         floor_value = floor_const * mp.log(box.bmax)
-        low = max(mp.mpf(log_top), floor_value)
+        low = max(mp.mpf(log_top.numerator) / log_top.denominator, floor_value)
+        floor_value = exact(floor_value)
     for _ in range(24):
         with mp.workprec(96):
             for k in range(64):
@@ -696,7 +723,7 @@ class TestChooseYSearch:
             c_floor = rng.choice((rng.randint(0, 40), rng.randint(0, 520)))
             target = rng.randint(0, 520)
             with mp.workprec(96):
-                threshold = target * mp.log(base)
+                threshold = exact(target * mp.log(base))
             kw = dict(box=cube(base), floor_const=c_floor, log_top=0)
             want, _ = self.outcome(linear_choose_Y, threshold, **kw)
             got, probes = self.outcome(choose_Y, threshold, **kw)
@@ -716,7 +743,7 @@ class TestChooseYSearch:
         # never reach it
         probes = []
         with mp.workprec(96):
-            threshold = 13 * mp.log(60)
+            threshold = exact(13 * mp.log(60))
         got = choose_Y(self.step(threshold, probes), box=cube(60), floor_const=10, log_top=0)
         assert got.height == 60 ** 13
         assert max(_exponent_of(60, p.height) for p in probes) <= 17
@@ -737,9 +764,9 @@ class TestChooseYSearch:
                 else:
                     c_floor, top = 0, rng.uniform(1, 2) * 2.0 ** -rng.randint(14, 22)
                     grids = rng.uniform(-0.5, 24.5)
-                log_top = mp.mpf(top)
-                z = max(log_top, c_floor * mp.log(box.bmax))
-                threshold = z * mp.mpf(2) ** grids
+                z = max(mp.mpf(top), c_floor * mp.log(box.bmax))
+                threshold = exact(z * mp.mpf(2) ** grids)
+            log_top = Fraction(top)
             kw = dict(box=box, floor_const=c_floor, log_top=log_top)
             want, _ = self.outcome(linear_choose_Y, threshold, **kw)
             got, probes = self.outcome(choose_Y, threshold, **kw)
@@ -749,7 +776,9 @@ class TestChooseYSearch:
                 # the end of every grid, one after another
                 assert len(probes) == 24
                 continue
-            grid = int(mp.floor(mp.log(got.value / z, 2) + mp.mpf(2) ** -40))
+            with mp.workprec(96):
+                ratio = mp.mpf(got.value.numerator) / got.value.denominator / z
+                grid = int(mp.floor(mp.log(ratio, 2) + mp.mpf(2) ** -40))
             seen.add(min(grid, 2))
             # the ends of grids 0..grid, then a bisection inside the last
             assert len(probes) <= grid + 1 + 6
@@ -762,17 +791,17 @@ class TestChooseYSearch:
 
         def counting(x):
             built.append(x)
-            return detsieve.scalars.mpexp(x)
+            return detsieve.scalars.exp(x)
 
-        monkeypatch.setattr(detsieve.exponents, "mpexp", counting)
+        monkeypatch.setattr(detsieve.exponents, "exp", counting)
         rng = random.Random(13)
         for _ in range(40):
             box = rng.choice((BoxBounds(4, 8, 16), BoxBounds(12, 20, 30)))
             c_floor = rng.randint(0, 16)
+            log_top = Fraction(rng.uniform(1, 50))
             with mp.workprec(96):
-                log_top = mp.mpf(rng.uniform(1, 50))
-                z = max(log_top, c_floor * mp.log(box.bmax))
-                threshold = z * mp.mpf(rng.uniform(0.9, 2.0))
+                z = max(mp.mpf(float(log_top)), c_floor * mp.log(box.bmax))
+                threshold = exact(z * mp.mpf(rng.uniform(0.9, 2.0)))
             del built[:]
             got = choose_Y(self.step(threshold, []), box=box, floor_const=c_floor,
                            log_top=log_top)

@@ -135,8 +135,10 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter: this test process has loaded both through pytest
     src = pathlib.Path(detsieve.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, detsieve.cli; print(' '.join(sys.modules))"
+    code = "import sys, detsieve, detsieve.cli; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout.split()
     assert "detsieve.cli" in out
     assert "dataclasses" not in out and "inspect" not in out
+    # the scalars are Python ints and Fractions: no mpmath either
+    assert "mpmath" not in out
