@@ -17,7 +17,7 @@ from typing import Sequence
 from .arith import divisors, iroot, is_prime
 from .determinant import CoverReport, _sample_count, aux_pipeline
 from .enumeration import PointSet, SideCondition, enumerate_points
-from .errors import ContractViolation, Record, SoundnessError, strict_int
+from .errors import CapExceeded, ContractViolation, Record, SoundnessError, strict_int
 from .exponents import BoxBounds
 from .polynomials import (
     IntegerPolynomial,
@@ -305,6 +305,18 @@ class UnlikeCount(Record):
     assumed_hypothesis: str | None = None
 
 
+# The most work count_unlike starts, in its mode's estimate: (2B+1)^4
+# quadruples for brute, (2B+1)^2 pair sums for meet-in-middle and 6B
+# slices of (2B+1)^2 fibers for sliced-pipeline.  The largest config the
+# tests, CI, README and benchmark run is brute at B = 20, 41^4 < 3 * 10^6.
+UNLIKE_WORK_CAP = 10 ** 8
+
+
+def _power_map(e: int, B: int) -> dict:
+    """{v: v^e} for every v in [-B, B]."""
+    return {v: v ** e for v in range(-B, B + 1)}
+
+
 def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount:
     """Exact count of box points on the unlike-powers hypersurface.
 
@@ -312,14 +324,21 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
     of x1^k + x4^k values; sliced-pipeline splits along u = x1 + x4 and
     enumerates each slice surface under its congruence side condition,
     so agreement with brute also validates the per-slice congruences.
+
+    A mode whose work estimate is over UNLIKE_WORK_CAP is refused
+    (CapExceeded) before anything is allocated.
     """
     if mode not in ("brute", "meet-in-middle", "sliced-pipeline"):
         raise ContractViolation(f"unknown unlike-powers mode {mode!r}")
     B, k, l, m, N = inst.B, inst.k, inst.l, inst.m, inst.N
+    n = 2 * B + 1
+    work = {"brute": n ** 4, "meet-in-middle": n ** 2, "sliced-pipeline": 6 * B * n ** 2}
+    if work[mode] > UNLIKE_WORK_CAP:
+        raise CapExceeded(
+            f"unlike mode '{mode}' at B = {B} needs over {UNLIKE_WORK_CAP} steps"
+        )
+    pk, pl, pm = (_power_map(e, B) for e in (k, l, m))
     rng = range(-B, B + 1)
-    pk = {v: v ** k for v in rng}
-    pl = {v: v ** l for v in rng}
-    pm = {v: v ** m for v in rng}
 
     if mode == "brute":
         count = 0
@@ -627,29 +646,22 @@ def excluded_subvarieties(inst: UnlikePowersInstance) -> SubvarietyReport:
         (x1, x2, x3, x4) for (x1, x4) in halves2 for (x2, x3) in pairs2
     )
 
-    # system 3: forces x3^m = N on the hypersurface
-    thirds3 = [x3 for x3 in rng if x3 ** m == N]
-    triples3 = []
-    for x1 in rng:
-        for x2 in rng:
-            x4 = _integer_nth_root(-(x1 ** k) - x2 ** l, k)
-            if x4 is not None and abs(x4) <= B:
-                triples3.append((x1, x2, x4))
-    pts3 = sorted(
-        (x1, x2, x3, x4) for (x1, x2, x4) in triples3 for x3 in thirds3
-    )
+    def forced(free: int, e_free: int, e_forced: int) -> list:
+        """Systems 3 and 4: x1^k + y^e_free + x4^k = 0, y = x_free, which
+        forces the other of x2, x3 to a root v of v^e_forced = N."""
+        roots = [v for v in rng if v ** e_forced == N]
+        pts = []
+        for x1 in rng:
+            for y in rng:
+                x4 = _integer_nth_root(-(x1 ** k) - y ** e_free, k)
+                if x4 is not None and abs(x4) <= B:
+                    pts.extend((x1, y, v, x4) if free == 2 else (x1, v, y, x4)
+                               for v in roots)
+        return sorted(pts)
 
-    # system 4: forces x2^l = N on the hypersurface
-    seconds4 = [x2 for x2 in rng if x2 ** l == N]
-    triples4 = []
-    for x1 in rng:
-        for x3 in rng:
-            x4 = _integer_nth_root(-(x1 ** k) - x3 ** m, k)
-            if x4 is not None and abs(x4) <= B:
-                triples4.append((x1, x3, x4))
-    pts4 = sorted(
-        (x1, x2, x3, x4) for (x1, x3, x4) in triples4 for x2 in seconds4
-    )
+    # system 3 forces x3^m = N on the hypersurface, system 4 x2^l = N
+    pts3 = forced(2, l, m)
+    pts4 = forced(3, m, l)
 
     systems = []
     union: set = set()

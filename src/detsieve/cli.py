@@ -31,7 +31,7 @@ from .determinant import (
     congruence_certificates,
     rank_over_rationals,
 )
-from .enumeration import ResidueData, SideCondition, enumerate_points
+from .enumeration import ResidueData, SideCondition, check_fibers, enumerate_points
 from .errors import (
     CapExceeded, ContractViolation, HypothesisViolation, Record, SoundnessError, strict_int,
 )
@@ -41,8 +41,8 @@ from .exponents import (
     build_exponent_set,
     main_term_deviation,
     max_exponent,
+    power_cutoff,
     side_log_height,
-    staircase_size,
 )
 from .polynomials import IntegerPolynomial
 
@@ -130,25 +130,32 @@ def _poly_field(cfg: dict, key: str) -> IntegerPolynomial:
         raise UsageError(f"field '{key}': {exc}") from None
 
 
-# The most fibers (x2, x3) a command may enumerate, (2 B2 + 1)(2 B3 + 1).
-# B1 does not count: a fiber's x1 values are roots, and a value table over
-# [-B1, B1] is built only when the fibers outnumber its entries.  The largest
-# box the tests, CI, README and benchmark enumerate is the certify box
-# [10^6, 1000, 1001], with 2001 * 2003 < 5 * 10^6 fibers.
-BOX_FIBER_CAP = 10 ** 8
+def _surface_fields(cfg: dict, q_default: int | None = None) -> tuple:
+    """(f, g, q, box, echo) of an enumerate, certify or aux config; echo is
+    the report's instance entry for them.
 
-
-def _check_fibers(b2: int, b3: int) -> None:
-    """Refuse, before anything is allocated, a box with over BOX_FIBER_CAP fibers."""
-    if (2 * b2 + 1) * (2 * b3 + 1) > BOX_FIBER_CAP:
-        raise UsageError(f"a box with x2, x3 bounds {b2}, {b3} needs over "
-                         f"{BOX_FIBER_CAP} fibers")
-
-
-def _box_field(cfg: dict) -> BoxBounds:
+    A box enumerate_points would refuse is refused here, before the
+    command's other fields are read and before certify counts a staircase,
+    which on a huge box can take minutes."""
+    f = _poly_field(cfg, "f")
+    g = _poly_field(cfg, "g")
+    q = _int_field(cfg, "q", q_default)
     box = BoxBounds(*_int_list_field(cfg, "box", 3))
-    _check_fibers(box.b2, box.b3)
-    return box
+    check_fibers(box)
+    echo = {"f": _poly_json(f), "g": _poly_json(g), "q": _count(q), "box": list(box.bounds)}
+    return f, g, q, box, echo
+
+
+def _quadric_field(cfg: dict, B_default: int | None = None) -> QuadricInstance:
+    a = _int_list_field(cfg, "a", 3)
+    return QuadricInstance(*a, _int_field(cfg, "n"), _int_field(cfg, "B", B_default))
+
+
+def _unlike_field(cfg: dict, B_default: int | None = None) -> UnlikePowersInstance:
+    return UnlikePowersInstance(
+        _int_field(cfg, "k"), _int_field(cfg, "l"), _int_field(cfg, "m"),
+        _int_field(cfg, "N"), _int_field(cfg, "B", B_default),
+    )
 
 
 # -- serialization helpers ----------------------------------------------------------
@@ -302,6 +309,15 @@ def _cover_json(report) -> tuple[dict, list, dict]:
     return result, certificates, diagnostics
 
 
+def _deviation_json(E) -> dict:
+    """The two main_term_deviation diagnostics of a staircase."""
+    dev_count, dev_sum = main_term_deviation(E)
+    return {
+        "main_term_deviation_count": _num(float(dev_count), "main-term-diagnostic"),
+        "main_term_deviation_sum": _num(float(dev_sum), "main-term-diagnostic"),
+    }
+
+
 def _timings(counts: dict) -> dict:
     out = {k: _exact(v) for k, v in sorted(counts.items())}
     out["note"] = "deterministic operation counters"
@@ -312,20 +328,13 @@ def _timings(counts: dict) -> dict:
 
 
 def _run_enumerate(cfg: dict, seed: int) -> dict:
-    f = _poly_field(cfg, "f")
-    g = _poly_field(cfg, "g")
-    q = _int_field(cfg, "q", 1)
-    box = _box_field(cfg)
+    f, g, q, box, instance = _surface_fields(cfg, 1)
     nonsingular = cfg.get("nonsingular_only", False)
     if not isinstance(nonsingular, bool):
         raise UsageError("field 'nonsingular_only' must be true or false")
     pts = enumerate_points(f, SideCondition(g, q), box, nonsingular_only=nonsingular)
     return {
-        "instance": {
-            "f": _poly_json(f), "g": _poly_json(g),
-            "q": _count(q), "box": list(box.bounds),
-            "nonsingular_only": nonsingular,
-        },
+        "instance": dict(instance, nonsingular_only=nonsingular),
         "result": {
             "count": _count(len(pts)),
             "points": _num([list(p) for p in pts], "exact"),
@@ -336,34 +345,8 @@ def _run_enumerate(cfg: dict, seed: int) -> dict:
     }
 
 
-# The most staircase columns `certify` builds, far above the largest
-# certify config of the tests (16 384 columns) and the benchmark (169).
-CERTIFY_COLUMN_CAP = 10 ** 6
-
-
-def _certify_cutoff(box: BoxBounds, m, base: int, power: int) -> ExactLog:
-    """The cutoff base^power unless its staircase has over CERTIFY_COLUMN_CAP
-    columns.  A bound from bit lengths refuses a huge power before
-    base ** power is formed: with base^power >= 2^a, each e with e_i = 0 < m_i
-    and e_j + e_k <= a // max(bits of B_j, B_k) is a column.  Then the exact
-    count decides."""
-    bits = [b.bit_length() for b in box.bounds]
-    a = power * (base.bit_length() - 1)
-    n = max((a // max(bits[:i] + bits[i + 1:]) for i in range(3) if m[i]), default=0)
-    if (n + 1) * (n + 2) // 2 <= CERTIFY_COLUMN_CAP:
-        cutoff = ExactLog.power(base, power)
-        if staircase_size(cutoff, m, box) <= CERTIFY_COLUMN_CAP:
-            return cutoff
-    raise UsageError(
-        f"certify at cutoff {base}^{power} needs over {CERTIFY_COLUMN_CAP} columns"
-    )
-
-
 def _run_certify(cfg: dict, seed: int) -> dict:
-    f = _poly_field(cfg, "f")
-    g = _poly_field(cfg, "g")
-    q = _int_field(cfg, "q")
-    box = _box_field(cfg)
+    f, g, q, box, instance = _surface_fields(cfg)
     base = _int_field(cfg, "cutoff_base", box.bmax)
     if base < 2:
         raise UsageError("field 'cutoff_base' must be an integer of at least 2")
@@ -372,7 +355,7 @@ def _run_certify(cfg: dict, seed: int) -> dict:
         raise UsageError("field 'cutoff_power' must be a positive integer")
     samples = _samples_field(cfg)
     m = max_exponent(f, box)
-    cutoff = _certify_cutoff(box, m, base, power)
+    cutoff = power_cutoff(base, power, m, box)
     E = build_exponent_set(cutoff, m, box)
     pts = enumerate_points(f, SideCondition(g, q), box)
     if not len(pts):
@@ -382,13 +365,8 @@ def _run_certify(cfg: dict, seed: int) -> dict:
     certs = congruence_certificates(
         M, g, q, E, S, samples=samples, rng=random.Random(seed)
     )
-    dev_count, dev_sum = main_term_deviation(E)
     return {
-        "instance": {
-            "f": _poly_json(f), "g": _poly_json(g),
-            "q": _count(q), "box": list(box.bounds),
-            "cutoff": _cutoff_json(cutoff),
-        },
+        "instance": dict(instance, cutoff=_cutoff_json(cutoff)),
         "result": {
             "points": _count(len(pts)),
             "set_size": _exact(len(E)),
@@ -396,11 +374,7 @@ def _run_certify(cfg: dict, seed: int) -> dict:
             "total_lambda": _exact(sum(c.lam for c in certs)),
         },
         "certificates": [_certificate_json(c) for c in certs],
-        "diagnostics": {
-            "dominant_exponent": list(m),
-            "main_term_deviation_count": _num(float(dev_count), "main-term-diagnostic"),
-            "main_term_deviation_sum": _num(float(dev_sum), "main-term-diagnostic"),
-        },
+        "diagnostics": {"dominant_exponent": list(m), **_deviation_json(E)},
         "timings": _timings({
             "points": len(pts),
             "minors_checked": sum(len(c.checked_minors) for c in certs),
@@ -409,10 +383,7 @@ def _run_certify(cfg: dict, seed: int) -> dict:
 
 
 def _run_aux(cfg: dict, seed: int) -> dict:
-    f = _poly_field(cfg, "f")
-    g = _poly_field(cfg, "g")
-    q = _int_field(cfg, "q")
-    box = _box_field(cfg)
+    f, g, q, box, instance = _surface_fields(cfg)
     epsilon = _float_field(cfg, "epsilon")
     residues = None
     if "residue_primes" in cfg:
@@ -432,20 +403,10 @@ def _run_aux(cfg: dict, seed: int) -> dict:
     E = report.exponent_set
     if E is None:
         E = build_exponent_set(report.cutoff, report.params.dominant, box)
-    dev_count, dev_sum = main_term_deviation(E)
-    diagnostics["main_term_deviation_count"] = _num(
-        float(dev_count), "main-term-diagnostic"
-    )
-    diagnostics["main_term_deviation_sum"] = _num(
-        float(dev_sum), "main-term-diagnostic"
-    )
+    diagnostics.update(_deviation_json(E))
     result["count"] = _count(len(pts))
     return {
-        "instance": {
-            "f": _poly_json(f), "g": _poly_json(g),
-            "q": _count(q), "box": list(box.bounds),
-            "epsilon": _flt(epsilon),
-        },
+        "instance": dict(instance, epsilon=_flt(epsilon)),
         "result": result,
         "certificates": certificates,
         "diagnostics": diagnostics,
@@ -454,13 +415,8 @@ def _run_aux(cfg: dict, seed: int) -> dict:
 
 
 def _run_quadric(cfg: dict, seed: int) -> dict:
-    a = _int_list_field(cfg, "a", 3)
-    n = _int_field(cfg, "n")
-    B = _int_field(cfg, "B")
+    inst = _quadric_field(cfg)
     mode = cfg.get("mode", "brute")
-    inst = QuadricInstance(a[0], a[1], a[2], n, B)
-    if mode in ("brute", "pipeline"):
-        _check_fibers(inst.B, inst.B)
     kwargs = {}
     if mode == "pipeline":
         kwargs["epsilon"] = _float_field(cfg, "epsilon", 0.5)
@@ -503,25 +459,9 @@ def _run_quadric(cfg: dict, seed: int) -> dict:
     }
 
 
-# The most work `unlike` starts, in its mode's estimate: (2B+1)^4
-# quadruples for brute, (2B+1)^2 pair sums for meet-in-middle and 6B
-# slices of (2B+1)^2 fibers for sliced-pipeline.  The largest config the
-# tests, CI, README and benchmark run is brute at B = 20, 41^4 < 3 * 10^6.
-UNLIKE_WORK_CAP = 10 ** 8
-
-
 def _run_unlike(cfg: dict, seed: int) -> dict:
-    inst = UnlikePowersInstance(
-        _int_field(cfg, "k"), _int_field(cfg, "l"), _int_field(cfg, "m"),
-        _int_field(cfg, "N"), _int_field(cfg, "B"),
-    )
+    inst = _unlike_field(cfg)
     mode = cfg.get("mode", "brute")
-    n = 2 * inst.B + 1
-    work = {"brute": n ** 4, "meet-in-middle": n ** 2, "sliced-pipeline": 6 * inst.B * n ** 2}
-    if isinstance(mode, str) and work.get(mode, 0) > UNLIKE_WORK_CAP:
-        raise UsageError(
-            f"unlike mode '{mode}' at B = {inst.B} needs over {UNLIKE_WORK_CAP} steps"
-        )
     out = count_unlike(inst, mode)
     exps = predicted_exponents(inst)
     result = {"count": _count(out.count)}
@@ -595,19 +535,10 @@ def _run_fit(cfg: dict, seed: int) -> dict:
     fit = fit_exponent(counts)
     diagnostics: dict = {}
     if "quadric" in cfg:
-        sub = cfg["quadric"]
-        inst = QuadricInstance(
-            *_int_list_field(sub, "a", 3), _int_field(sub, "n"), _int_field(sub, "B", 2)
-        )
-        exps = predicted_exponents(inst)
+        exps = predicted_exponents(_quadric_field(cfg["quadric"], 2))
         diagnostics["predicted_box_powers"] = [_frac(v) for v in exps.box_powers]
     if "unlike" in cfg:
-        sub = cfg["unlike"]
-        inst = UnlikePowersInstance(
-            _int_field(sub, "k"), _int_field(sub, "l"), _int_field(sub, "m"),
-            _int_field(sub, "N"), _int_field(sub, "B", 2),
-        )
-        exps = predicted_exponents(inst)
+        exps = predicted_exponents(_unlike_field(cfg["unlike"], 2))
         diagnostics["predicted_main_exponent"] = _flt(exps.main)
     return {
         "instance": {"counts": [[b, str(c)] for b, c in counts]},

@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .arith import is_prime
-from .errors import ContractViolation, Record, strict_int
+from .errors import CapExceeded, ContractViolation, Record, strict_int
 from .exponents import BoxBounds
 from .polynomials import IntegerPolynomial
 
@@ -178,6 +178,21 @@ def _value_table(p: Sequence[int], lo: int, hi: int) -> dict[int, list[int]]:
     return table
 
 
+# The most fibers (x2, x3) enumerate_points walks, (2 B2 + 1)(2 B3 + 1).
+# B1 does not count: a fiber's x1 values are roots, and a value table over
+# [-B1, B1] is built only when the fibers outnumber its entries.  The largest
+# box the tests, CI, README and benchmark enumerate is the certify box
+# [10^6, 1000, 1001], with 2001 * 2003 < 5 * 10^6 fibers.
+BOX_FIBER_CAP = 10 ** 8
+
+
+def check_fibers(box: BoxBounds) -> None:
+    """Refuse (CapExceeded) a box with over BOX_FIBER_CAP fibers (x2, x3)."""
+    if (2 * box.b2 + 1) * (2 * box.b3 + 1) > BOX_FIBER_CAP:
+        raise CapExceeded(f"a box with x2, x3 bounds {box.b2}, {box.b3} needs over "
+                          f"{BOX_FIBER_CAP} fibers")
+
+
 def enumerate_points(
     f: IntegerPolynomial,
     side: SideCondition,
@@ -205,7 +220,11 @@ def enumerate_points(
     value table of p over [-B1, B1] serves each fiber by a dict lookup of
     its c_0.  So the table never costs more evaluations than the fibers
     it serves, and a huge B1 with few fibers builds none.
+
+    A box with over BOX_FIBER_CAP fibers is refused (CapExceeded) before
+    anything is allocated.
     """
+    check_fibers(box)
     if f.nvars != 3:
         raise ContractViolation("surface polynomial must use arity 3")
     if f.is_zero:

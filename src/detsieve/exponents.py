@@ -94,7 +94,7 @@ def max_exponent(f: IntegerPolynomial, box: BoxBounds) -> ExponentVector:
 # -- log-height cutoffs -----------------------------------------------------
 
 
-class ExactLog:
+class ExactLog(Record):
     """log T for a known positive integer height T.
 
     Used for the staircase cutoff and for the side condition's top
@@ -103,23 +103,17 @@ class ExactLog:
     parameters and the log-scale grid, formed when first read.
     """
 
-    __slots__ = ("height", "_value")
+    height: int
 
-    def __init__(self, height: int):
-        height = strict_int(height, "height")
+    def __post_init__(self):
+        height = strict_int(self.height, "height")
         if height < 1:
             raise ContractViolation("height must be a positive integer")
         object.__setattr__(self, "height", height)
-        object.__setattr__(self, "_value", None)
 
-    @property
+    @cached_property
     def value(self) -> Fraction:
-        if self._value is None:
-            object.__setattr__(self, "_value", log(self.height))
-        return self._value
-
-    def __setattr__(self, name, v):
-        raise AttributeError("ExactLog is immutable")
+        return log(self.height)
 
     @classmethod
     def power(cls, base: int, n: int) -> "ExactLog":
@@ -130,14 +124,6 @@ class ExactLog:
 
     def __repr__(self):
         return f"ExactLog(log {self.height})"
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactLog):
-            return NotImplemented
-        return self.height == other.height
-
-    def __hash__(self):
-        return hash(self.height)
 
 
 # -- staircase sets ----------------------------------------------------------
@@ -484,27 +470,51 @@ POWER_CAP = 512
 GRID_POINTS = 64
 GRID_COUNT = 24
 
-#: the most staircase columns the top height of a log grid may be sure to
-#: hold before choose_Y forms a height of that grid.  The largest grid a
-#: test, the README, CI or the benchmark reaches is sure of under 10^6.
-GRID_COLUMN_CAP = 10 ** 6
+#: the most staircase columns a cutoff may be sure to hold before its
+#: height is formed, and that power_cutoff admits: far above the 16 384
+#: of the largest staircase a test, the README, CI or the benchmark builds.
+COLUMN_CAP = 10 ** 6
 
 
-def _sure_columns(x: Fraction, box: BoxBounds) -> int:
+def _log_bits(x: Fraction) -> int:
+    """a = floor(1.44 x) - 1, so that floor(e^x) >= 2^a, as e > 2^1.44."""
+    return math.floor(x * Fraction(144, 100)) - 1
+
+
+def _sure_columns(a: int, box: BoxBounds, m: Sequence[int] = (1, 1, 1)) -> int:
     """A lower bound on the columns of any staircase in the box whose
-    cutoff height is floor(e^x) or more.
+    cutoff height is 2^a or more, and whose dominant exponent is nonzero
+    only where m is.
 
-    That height is at least 2^a, a = floor(1.44 x) - 1, as e > 2^1.44.
     Some m_i > 0, so each e with e_i = 0 and B_j^e_j B_k^e_k <= 2^a is a
     column; with b the bit lengths of the bounds, that takes in every
     (u, v) with u b_j + v b_k <= a, at least (a // b_j + 1) a / (2 b_k)
     of them.
     """
-    a = math.floor(x * Fraction(144, 100)) - 1
     if a < 1:
         return 0
     b1, b2, b3 = (b.bit_length() for b in box.bounds)
-    return min((a // bj + 1) * a // (2 * bk) for bj, bk in ((b2, b3), (b1, b3), (b1, b2)))
+    pairs = ((b2, b3), (b1, b3), (b1, b2))
+    return min((a // bj + 1) * a // (2 * bk) for (bj, bk), mi in zip(pairs, m) if mi)
+
+
+def power_cutoff(base: int, n: int, m: Sequence[int], box: BoxBounds) -> ExactLog:
+    """The cutoff base^n, refused (CapExceeded) if its staircase for the
+    dominant exponent m holds over COLUMN_CAP columns.
+
+    base^n >= 2^a with a = n (bits of base - 1), so ``_sure_columns``
+    refuses a huge n before base ** n is formed; then ``staircase_size``
+    decides.
+    """
+    m = _dominant_vector(m)
+    base, n = strict_int(base, "cutoff base"), strict_int(n, "cutoff power")
+    if base < 2 or n < 0:
+        raise ContractViolation("power cutoff needs base >= 2 and n >= 0")
+    if _sure_columns(n * (base.bit_length() - 1), box, m) <= COLUMN_CAP:
+        cutoff = ExactLog.power(base, n)
+        if staircase_size(cutoff, m, box) <= COLUMN_CAP:
+            return cutoff
+    raise CapExceeded(f"the cutoff {base}^{n} needs over {COLUMN_CAP} staircase columns")
 
 
 def default_floor_constant(epsilon: float) -> int:
@@ -537,7 +547,7 @@ def choose_Y(
 
     Before it forms a height of a grid, it refuses (CapExceeded) the grid
     if its top, near exp(2^(g+1) Z), is sure to hold more than
-    GRID_COLUMN_CAP staircase columns; below that the constraint decides.
+    COLUMN_CAP staircase columns; below that the constraint decides.
     """
     if floor_const < 0:
         raise ContractViolation("floor constant must be nonnegative")
@@ -560,10 +570,10 @@ def choose_Y(
             g, k = divmod(i, GRID_POINTS)
             start = _grid_start(z, g)
             # the grid tops out at log height 2·start
-            if _sure_columns(2 * start, box) > GRID_COLUMN_CAP:
+            if _sure_columns(_log_bits(2 * start), box) > COLUMN_CAP:
                 raise CapExceeded(
                     f"cutoff search reaches log grid {g}, whose top height "
-                    f"holds over {GRID_COLUMN_CAP} staircase columns"
+                    f"holds over {COLUMN_CAP} staircase columns"
                 )
             return ExactLog(_grid_height(start, k))
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from detsieve import applications
+from detsieve import applications, enumeration
 from detsieve.applications import (
     QuadricInstance,
     _FRACTION_BITS,
@@ -28,7 +28,7 @@ from detsieve.applications import (
     quadric_cover_scale,
     wronskian_bound_check,
 )
-from detsieve.errors import ContractViolation, SoundnessError
+from detsieve.errors import CapExceeded, ContractViolation, SoundnessError
 from detsieve.polynomials import IntegerPolynomial
 
 P = IntegerPolynomial
@@ -119,6 +119,40 @@ class TestCountQuadric:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ContractViolation):
             count_quadric(QuadricInstance(1, 1, 1, 5, 10), mode="magic")
+
+
+class Started(Exception):
+    """Raised by a stand-in for the first step of the work: the call got
+    past its cap."""
+
+
+class TestWorkCaps:
+    def test_quadric_refused_at_the_fiber_cap(self, monkeypatch):
+        def stand_in(coeffs, xs):
+            raise Started(len(xs))
+
+        monkeypatch.setattr(enumeration, "_horner_row", stand_in)
+        # a box [B, B, B] walks (2B + 1)^2 fibers
+        for mode in ("brute", "pipeline"):
+            with pytest.raises(Started):
+                count_quadric(QuadricInstance(3, 1, 1, 1001, 4999), mode)
+            for B in (5000, 10 ** 30):
+                with pytest.raises(CapExceeded, match="fibers"):
+                    count_quadric(QuadricInstance(3, 1, 1, 1001, B), mode)
+
+    # brute (2B+1)^4, meet-in-middle (2B+1)^2, sliced-pipeline 6B (2B+1)^2
+    @pytest.mark.parametrize("mode, B", (("brute", 49), ("meet-in-middle", 4999),
+                                         ("sliced-pipeline", 160)))
+    def test_unlike_refused_at_the_work_cap(self, monkeypatch, mode, B):
+        def stand_in(e, B):
+            raise Started(e, B)
+
+        monkeypatch.setattr(applications, "_power_map", stand_in)
+        with pytest.raises(Started):
+            count_unlike(UnlikePowersInstance(13, 5, 3, 2, B), mode)
+        for over in (B + 1, 10 ** 30):
+            with pytest.raises(CapExceeded, match="needs over"):
+                count_unlike(UnlikePowersInstance(13, 5, 3, 2, over), mode)
 
 
 class TestBuildSlice:

@@ -12,6 +12,7 @@ import pytest
 import detsieve.applications
 import detsieve.cli
 import detsieve.determinant
+import detsieve.enumeration
 import detsieve.exponents
 from detsieve.cli import UsageError, _poly_field, fit_exponent, main, run
 from detsieve.determinant import aux_pipeline
@@ -425,11 +426,12 @@ class Started(Exception):
 class TestUnlikeWorkCap:
     @pytest.fixture(autouse=True)
     def no_count(self, monkeypatch):
-        # no test here starts the work: the stand-in raises at once
-        def stand_in(inst, mode):
-            raise Started(mode, inst.B)
+        # no test here starts the work: the first power table past the cap
+        # raises at once
+        def stand_in(e, B):
+            raise Started(e, B)
 
-        monkeypatch.setattr(detsieve.cli, "count_unlike", stand_in)
+        monkeypatch.setattr(detsieve.applications, "_power_map", stand_in)
 
     @pytest.mark.parametrize("mode", ("brute", "meet-in-middle", "sliced-pipeline"))
     def test_huge_box_refused_before_counting(self, tmp_path, capsys, mode):
@@ -448,12 +450,12 @@ class TestUnlikeWorkCap:
             return {"brute": n ** 4, "meet-in-middle": n ** 2,
                     "sliced-pipeline": 6 * b * n ** 2}[mode]
 
-        cap = detsieve.cli.UNLIKE_WORK_CAP
+        cap = detsieve.applications.UNLIKE_WORK_CAP
         assert work(B) <= cap < work(B + 1)
         cfg = {"k": 13, "l": 5, "m": 3, "N": 2, "B": B, "mode": mode}
         with pytest.raises(Started):
             run("unlike", cfg)
-        with pytest.raises(UsageError, match="needs over"):
+        with pytest.raises(CapExceeded, match="needs over"):
             run("unlike", dict(cfg, B=B + 1))
 
 
@@ -474,8 +476,8 @@ class TestCertifyColumnCap:
         def never(*args):
             raise Started("formed the cutoff")
 
-        monkeypatch.setattr(detsieve.cli.ExactLog, "power", never)
-        monkeypatch.setattr(detsieve.cli, "staircase_size", never)
+        monkeypatch.setattr(detsieve.exponents.ExactLog, "power", never)
+        monkeypatch.setattr(detsieve.exponents, "staircase_size", never)
         for base in (2, 10 ** 6):
             cfg = dict(self.CERTIFY, cutoff_base=base, cutoff_power=10 ** 30)
             assert invoke(tmp_path, "certify", cfg) == 1
@@ -489,7 +491,7 @@ class TestCertifyColumnCap:
         def columns(P):
             return math.comb(P + 2, 2) + math.comb(P - 18, 2)
 
-        cap = detsieve.cli.CERTIFY_COLUMN_CAP
+        cap = detsieve.exponents.COLUMN_CAP
         P = next(P for P in itertools.count(20) if columns(P + 1) > cap)
         box = BoxBounds(10 ** 6, 2, 2)
         for power in (P, P + 1):
@@ -497,7 +499,7 @@ class TestCertifyColumnCap:
         cfg = dict(self.CERTIFY, box=[10 ** 6, 2, 2])
         with pytest.raises(Started):
             run("certify", dict(cfg, cutoff_power=P))
-        with pytest.raises(UsageError, match="needs over"):
+        with pytest.raises(CapExceeded, match="needs over"):
             run("certify", dict(cfg, cutoff_power=P + 1))
 
     def test_lower_bound_never_refuses_a_config_under_the_cap(self, monkeypatch):
@@ -512,11 +514,11 @@ class TestCertifyColumnCap:
             m = max_exponent(f, box)
             exact = staircase_size(ExactLog.power(base, power), m, box)
             cfg = dict(self.CERTIFY, box=bounds, cutoff_base=base, cutoff_power=power)
-            monkeypatch.setattr(detsieve.cli, "CERTIFY_COLUMN_CAP", exact)
+            monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", exact)
             with pytest.raises(Started):
                 run("certify", cfg)
-            monkeypatch.setattr(detsieve.cli, "CERTIFY_COLUMN_CAP", exact - 1)
-            with pytest.raises(UsageError, match="needs over"):
+            monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", exact - 1)
+            with pytest.raises(CapExceeded, match="needs over"):
                 run("certify", cfg)
 
     def test_cutoff_base_below_two_is_a_usage_error(self, tmp_path, capsys):
@@ -547,13 +549,15 @@ class TestAuxGridCap:
         # the search walks grid after grid; no grid past the cap forms a
         # height.  A tenth of the cap keeps the last counts short.
         box = BoxBounds(*self.AUX["box"])
-        cap = detsieve.exponents.GRID_COLUMN_CAP // 10
-        monkeypatch.setattr(detsieve.exponents, "GRID_COLUMN_CAP", cap)
+        cap = detsieve.exponents.COLUMN_CAP // 10
+        monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", cap)
         real = detsieve.exponents._grid_height
         starts = []
+        sure_columns = detsieve.exponents._sure_columns
+        log_bits = detsieve.exponents._log_bits
 
         def guarded(start, k):
-            if detsieve.exponents._sure_columns(2 * start, box) > cap:
+            if sure_columns(log_bits(2 * start), box) > cap:
                 raise Started("formed a height past the cap")
             starts.append(start)
             return real(start, k)
@@ -568,11 +572,12 @@ class TestAuxGridCap:
     def test_cap_sits_between_two_grids(self, monkeypatch):
         box = BoxBounds(4, 8, 16)
         z = Fraction(1, 1 << 8)
-        start = detsieve.exponents._grid_start
-        tops = [detsieve.exponents._sure_columns(2 * start(z, g), box) for g in range(24)]
+        start, log_bits = detsieve.exponents._grid_start, detsieve.exponents._log_bits
+        tops = [detsieve.exponents._sure_columns(log_bits(2 * start(z, g)), box)
+                for g in range(24)]
         g = next(g for g in range(24) if tops[g] > tops[g - 1] > 0)
         for cap, refused in ((tops[g], g + 1), (tops[g] - 1, g)):
-            monkeypatch.setattr(detsieve.exponents, "GRID_COLUMN_CAP", cap)
+            monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", cap)
             with pytest.raises(CapExceeded, match=f"log grid {refused},"):
                 choose_Y(lambda y: False, box=box, floor_const=0, log_top=z)
 
@@ -585,7 +590,10 @@ class TestAuxGridCap:
                 continue
             x = Fraction(rng.uniform(0, 60))
             cutoff = ExactLog(max(1, math.floor(math.exp(x))))
-            assert detsieve.exponents._sure_columns(x, box) <= staircase_size(cutoff, m, box)
+            a = detsieve.exponents._log_bits(x)
+            exact = staircase_size(cutoff, m, box)
+            assert detsieve.exponents._sure_columns(a, box) <= exact
+            assert detsieve.exponents._sure_columns(a, box, m) <= exact
 
 
 class TestMinorSampleCap:
@@ -628,12 +636,12 @@ class TestBoxFiberCap:
 
     @pytest.fixture(autouse=True)
     def no_enumeration(self, monkeypatch):
-        # no test here enumerates a box: the stand-in raises at once
-        def stand_in(f, side, box, nonsingular_only=False):
-            raise Started(box.bounds)
+        # no test here walks a fiber: the first Horner pass past the cap
+        # raises at once
+        def stand_in(coeffs, xs):
+            raise Started(len(xs))
 
-        monkeypatch.setattr(detsieve.cli, "enumerate_points", stand_in)
-        monkeypatch.setattr(detsieve.applications, "enumerate_points", stand_in)
+        monkeypatch.setattr(detsieve.enumeration, "_horner_row", stand_in)
 
     @pytest.mark.parametrize("command", ("enumerate", "certify", "aux"))
     @pytest.mark.parametrize("box", ([2, 10 ** 30, 2], [2, 2, 10 ** 30]))
@@ -652,19 +660,31 @@ class TestBoxFiberCap:
 
     def test_cap_sits_between_two_box_sizes(self):
         # (2B + 1)^2 fibers on an x2, x3 square of side B
-        cap = detsieve.cli.BOX_FIBER_CAP
+        cap = detsieve.enumeration.BOX_FIBER_CAP
         B = 4999
         assert (2 * B + 1) ** 2 <= cap < (2 * B + 3) ** 2
         for command, cfg in self.CONFIGS.items():
             with pytest.raises(Started):
                 run(command, dict(cfg, box=[2, B, B]))
-            with pytest.raises(UsageError, match="fibers"):
+            with pytest.raises(CapExceeded, match="fibers"):
                 run(command, dict(cfg, box=[2, B + 1, B + 1]))
         for mode in ("brute", "pipeline"):
             with pytest.raises(Started):
                 run("quadric", dict(self.QUADRIC, B=B, mode=mode))
-            with pytest.raises(UsageError, match="fibers"):
+            with pytest.raises(CapExceeded, match="fibers"):
                 run("quadric", dict(self.QUADRIC, B=B + 1, mode=mode))
+
+    def test_certify_refuses_the_box_before_counting_its_staircase(self, monkeypatch):
+        # at power 200 the bit-length bound leaves the count to staircase_size,
+        # which on this box would take minutes
+        def never(*args):
+            raise Started("counted the staircase")
+
+        monkeypatch.setattr(detsieve.exponents, "staircase_size", never)
+        cfg = dict(self.CONFIGS["certify"], box=[2, 10 ** 30, 10 ** 30], cutoff_power=200)
+        del cfg["cutoff_base"]
+        with pytest.raises(CapExceeded, match="fibers"):
+            run("certify", cfg)
 
     def test_huge_x1_alone_is_not_capped(self):
         for command, cfg in self.CONFIGS.items():

@@ -16,7 +16,7 @@ from detsieve.enumeration import (
     residue_split,
     split_leftover,
 )
-from detsieve.errors import ContractViolation
+from detsieve.errors import CapExceeded, ContractViolation
 from detsieve.exponents import BoxBounds
 from detsieve.polynomials import IntegerPolynomial
 
@@ -322,6 +322,37 @@ class TestEnumeratePoints:
             lo = (2 * b + 1) // q
             hi = -((-(2 * b + 1)) // q)
             assert admissible * lo * lo <= direct <= admissible * hi * hi
+
+
+class Walked(Exception):
+    """Raised by a stand-in for the first Horner pass: a fiber walk began."""
+
+
+class TestFiberCap:
+    @pytest.fixture(autouse=True)
+    def no_walk(self, monkeypatch):
+        def stand_in(coeffs, xs):
+            raise Walked(len(xs))
+
+        monkeypatch.setattr(enumeration, "_horner_row", stand_in)
+
+    @pytest.mark.parametrize("bounds", ((2, 10 ** 30, 2), (2, 2, 10 ** 30), (2, 10 ** 12, 2)))
+    def test_huge_x2_or_x3_refused_before_any_fiber(self, bounds):
+        with pytest.raises(CapExceeded, match="fibers"):
+            enumerate_points(sphere(6), TRIVIAL_SIDE, BoxBounds(*bounds))
+
+    def test_cap_sits_between_two_box_sizes(self):
+        # (2B + 1)^2 fibers on an x2, x3 square of side B
+        B = 4999
+        assert (2 * B + 1) ** 2 <= enumeration.BOX_FIBER_CAP < (2 * B + 3) ** 2
+        with pytest.raises(Walked):
+            enumerate_points(sphere(6), TRIVIAL_SIDE, BoxBounds(2, B, B))
+        with pytest.raises(CapExceeded, match="fibers"):
+            enumerate_points(sphere(6), TRIVIAL_SIDE, BoxBounds(2, B + 1, B + 1))
+
+    def test_huge_x1_alone_is_not_capped(self):
+        with pytest.raises(Walked):
+            enumerate_points(sphere(6), TRIVIAL_SIDE, BoxBounds(10 ** 30, 2, 2))
 
 
 def row_roots_points(f, g, q, box, nonsingular_only=False):
