@@ -245,8 +245,7 @@ def build_slice(
         raise ContractViolation("beta must be nonzero")
     if h.nvars != 4:
         raise ContractViolation("slicing expects a four-variable polynomial")
-    if g.nvars != 3 or g.depends_on(0):
-        raise ContractViolation("side polynomial must be in (x2, x3) only")
+    SideCondition(g, 1)  # the contract on g; the slice fixes its own modulus
     return _slice(_substitute(alpha, beta, gamma, h), alpha, beta, gamma, h, g, u)
 
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import ContractViolation
+from .errors import CapExceeded, ContractViolation
 
 # deterministic Miller-Rabin witnesses for n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981
+
+#: the largest trial divisor ``factorize`` tries, about 1.7 * 10^5 steps
+TRIAL_DIVISION_CAP = 10 ** 6
 
 
 def is_prime(n: int) -> bool:
@@ -39,25 +42,42 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: multiplicity}; n must be nonzero."""
+    """Prime factorization of |n| as {prime: multiplicity}; n must be nonzero.
+
+    Trial division runs up to TRIAL_DIVISION_CAP.  A cofactor left above
+    it has no prime factor below the cap, and is accepted only as a prime
+    power p^k with p below ``_MR_LIMIT``, which ``is_prime`` decides;
+    any other is refused (CapExceeded).
+    """
     n = abs(int(n))
     if n == 0:
         raise ContractViolation("cannot factor zero")
+    whole = n
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 5
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_CAP:
         for p in (d, d + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    if d * d > n:
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    # every prime factor of n is at least d, so n = p^k has k <= log_d n
+    k = 1
+    while (p := iroot(n, k)) >= d:
+        if p ** k == n and p < _MR_LIMIT and is_prime(p):
+            out[p] = k
+            return out
+        k += 1
+    raise CapExceeded(f"cannot factor {whole}: trial division to {TRIAL_DIVISION_CAP} "
+                      f"leaves {n}, not a prime power below {_MR_LIMIT}")
 
 
 def divisors(n: int) -> list[int]:

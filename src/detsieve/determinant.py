@@ -27,21 +27,17 @@ from .exponents import (
     ExactLog,
     ExponentSet,
     MethodParams,
+    SideCondition,
     _ilog,
-    _shift_vector,
     build_exponent_set,
+    check_columns,
     choose_Y,
     compute_params,
     default_floor_constant,
     shift_multiplicity,
     staircase_size,
 )
-from .polynomials import (
-    IntegerPolynomial,
-    eval_monomial,
-    is_coprime,
-    top_degree_part,
-)
+from .polynomials import IntegerPolynomial, _as_exponent, eval_monomial, is_coprime
 from .scalars import rnd, root
 
 
@@ -443,15 +439,13 @@ def congruence_reduce(
     subset takes one determinant, det R_S.  Each of extra_subsets must
     name ncols distinct rows.
     """
-    q = strict_int(q, "modulus")
+    q = SideCondition(g, q).q
     samples = _sample_count(samples)
     decomp = prime_power_decompose(q)
     if decomp is None:
         raise ContractViolation(f"modulus {q} is not a prime power")
     p, j = decomp
-    t = _shift_vector(t)
-    if g.nvars != 3 or g.depends_on(0):
-        raise ContractViolation("side polynomial must be in (x2, x3) only")
+    t = _as_exponent(3, t)
     slot_order = _slot_orders(g.total_degree()).get(t)
     if slot_order is None:
         raise ContractViolation(
@@ -552,9 +546,7 @@ def congruence_certificates(
     The certified divisors multiply: their product divides every full
     minor, because valuations at distinct primes are independent.
     """
-    q = strict_int(q, "modulus")
-    if q < 1:
-        raise ContractViolation("modulus must be a positive integer")
+    q = SideCondition(g, q).q
     samples = _sample_count(samples)
     if q == 1:
         return ()
@@ -708,10 +700,10 @@ def _hypothesis_route(g: IntegerPolynomial, q: int, box: BoxBounds) -> str:
     if math.gcd(q, c0) == 1:
         return "constant-term"
     if box.equal:
+        # x2^l and x3^l, l = deg g, are top-degree terms whenever present
         l = g.total_degree()
-        g0 = top_degree_part(g)
-        a = g0.terms.get((0, l, 0), 0)
-        b = g0.terms.get((0, 0, l), 0)
+        a = g.terms.get((0, l, 0), 0)
+        b = g.terms.get((0, 0, l), 0)
         if math.gcd(q, c0, a, b) == 1:
             return "top-degree"
     raise HypothesisViolation(
@@ -743,13 +735,11 @@ def aux_pipeline(
     partial derivative of f is always appended so that singular surface
     points are covered too.
     """
-    if f.nvars != 3 or g.nvars != 3:
+    q = SideCondition(g, q).q
+    if f.nvars != 3:
         raise ContractViolation("pipeline is defined for three variables")
-    if f.is_zero or f.is_constant:
+    if f.is_constant:
         raise ContractViolation("surface polynomial must be non-constant")
-    q = strict_int(q, "modulus")
-    if q < 1:
-        raise ContractViolation("modulus must be a positive integer")
     minor_samples = _sample_count(minor_samples)
     if floor_const is not None and floor_const < 0:
         raise ContractViolation("floor constant must be nonnegative")
@@ -791,15 +781,18 @@ def aux_pipeline(
         excluded = split_leftover(point_set, classes)
 
     squared = rnd(threshold * threshold)
+    sizes = {}  # |E(Y)| at each cutoff height the search tries
 
     def constraint(cutoff: ExactLog) -> bool:
-        count = staircase_size(cutoff, params.dominant, box)
+        count = sizes[cutoff.height] = staircase_size(cutoff, params.dominant, box)
         return rnd(rnd(rnd(count) * r) * r) > squared
 
     c_floor = floor_const if floor_const is not None else default_floor_constant(epsilon)
     cutoff = choose_Y(
         constraint, box=box, floor_const=c_floor, log_top=params.log_top_height
     )
+    # the search sized the cutoff it returns: refuse it before any build
+    check_columns(sizes[cutoff.height])
 
     if classes:
         E_set = build_exponent_set(cutoff, params.dominant, box)
@@ -893,12 +886,8 @@ def aux_pipeline(
         counts["certificates"] += len(certs)
         counts["minors_checked"] += sum(len(c.checked_minors) for c in certs)
 
-    deriv_index = next(
-        (i for i in range(3) if not f.partial_derivative(i).is_zero), None
-    )
-    if deriv_index is None:
-        raise ContractViolation("surface polynomial has no nonzero derivative")
-    deriv = f.partial_derivative(deriv_index)
+    # f is non-constant, so some partial derivative is nonzero
+    deriv = next(d for d in map(f.partial_derivative, range(3)) if not d.is_zero)
     auxiliaries.append(
         AuxiliaryPolynomial(
             poly=deriv,

@@ -18,27 +18,8 @@ from typing import Mapping, Sequence
 
 from .arith import is_prime
 from .errors import CapExceeded, ContractViolation, Record, strict_int
-from .exponents import BoxBounds
+from .exponents import BoxBounds, SideCondition
 from .polynomials import IntegerPolynomial
-
-
-class SideCondition(Record):
-    """Congruence g(x2, x3) = 0 mod q imposed on surface points."""
-
-    g: IntegerPolynomial
-    q: int
-
-    def __post_init__(self):
-        if self.g.nvars != 3:
-            raise ContractViolation("side condition polynomial must use arity 3")
-        if self.g.is_constant:
-            raise ContractViolation("side condition polynomial must be non-constant")
-        if self.g.depends_on(0):
-            raise ContractViolation("side condition polynomial must not involve x1")
-        q = strict_int(self.q, "modulus")
-        if q < 1:
-            raise ContractViolation("modulus must be a positive integer")
-        object.__setattr__(self, "q", q)
 
 
 class PointSet(Record):
@@ -304,10 +285,7 @@ class ResidueData(Record):
 
     @property
     def product(self) -> int:
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
+        return math.prod(self.primes)
 
 
 def residue_split(

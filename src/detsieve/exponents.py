@@ -21,7 +21,7 @@ from functools import cache, cached_property
 from typing import Callable, Sequence
 
 from .errors import CapExceeded, ContractViolation, Record, strict_int
-from .polynomials import ExponentVector, IntegerPolynomial
+from .polynomials import ExponentVector, IntegerPolynomial, _as_exponent, eval_monomial
 from .scalars import dot, exp, log, power, rnd, root
 
 INFINITE = math.inf
@@ -69,15 +69,31 @@ class BoxBounds(Record):
 
     def height(self, e: Sequence[int]) -> int:
         """Exact integer B^e."""
-        h = 1
-        for b, k in zip(self.bounds, e):
-            if k:
-                h *= b ** int(k)
-        return h
+        return eval_monomial(self.bounds, e)
 
     def order_key(self, e: Sequence[int]) -> tuple:
         """Sort key of the box order: (B^e, e)."""
         return (self.height(e), tuple(e))
+
+
+class SideCondition(Record):
+    """Congruence g(x2, x3) = 0 mod q imposed on surface points: the one
+    check of a (g, q) pair, which every function taking one builds."""
+
+    g: IntegerPolynomial
+    q: int
+
+    def __post_init__(self):
+        if self.g.nvars != 3:
+            raise ContractViolation("side condition polynomial must use arity 3")
+        if self.g.is_constant:
+            raise ContractViolation("side condition polynomial must be non-constant")
+        if self.g.depends_on(0):
+            raise ContractViolation("side condition polynomial must not involve x1")
+        q = strict_int(self.q, "modulus")
+        if q < 1:
+            raise ContractViolation("modulus must be a positive integer")
+        object.__setattr__(self, "q", q)
 
 
 def max_exponent(f: IntegerPolynomial, box: BoxBounds) -> ExponentVector:
@@ -130,9 +146,7 @@ class ExactLog(Record):
 
 
 def _dominant_vector(m) -> ExponentVector:
-    m = tuple(strict_int(v, "dominant exponent entry") for v in m)
-    if len(m) != 3 or any(v < 0 for v in m):
-        raise ContractViolation(f"dominant exponent {m} must be three nonnegative integers")
+    m = _as_exponent(3, m)
     if not any(m):
         raise ContractViolation("dominant exponent must be nonzero")
     return m
@@ -176,7 +190,9 @@ def build_exponent_set(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> Ex
 
     Members are the e with B^e <= T, the cutoff height, and e_i < m_i in
     at least one coordinate.  They come out sorted by the box order: by
-    height B^e, ties broken lexicographically.
+    height B^e, ties broken lexicographically.  Only members are visited:
+    once e1 >= m1 and e2 >= m2, a member needs e3 < m3, so each e3 walk
+    ends at its first non-member.
     """
     m = _dominant_vector(m)
     T = cutoff.height
@@ -188,11 +204,13 @@ def build_exponent_set(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> Ex
         h12 = h1
         e2 = 0
         while h12 <= T:
+            stop = m[2] if e1 >= m[0] and e2 >= m[1] else INFINITE
+            if not stop:
+                break
             h = h12
             e3 = 0
-            while h <= T:
-                if e1 < m[0] or e2 < m[1] or e3 < m[2]:
-                    keyed.append((h, (e1, e2, e3)))
+            while h <= T and e3 < stop:
+                keyed.append((h, (e1, e2, e3)))
                 h *= b3
                 e3 += 1
             h12 *= b2
@@ -346,15 +364,9 @@ def compute_params(
     epsilon: float,
 ) -> MethodParams:
     """Derive the growth parameters for surface f with side condition g mod q."""
-    if f.nvars != 3 or g.nvars != 3:
+    q = SideCondition(g, q).q
+    if f.nvars != 3:
         raise ContractViolation("parameters are defined for three variables")
-    if g.is_constant:
-        raise ContractViolation("side condition polynomial must be non-constant")
-    if g.depends_on(0):
-        raise ContractViolation("side condition polynomial must not involve x1")
-    q = strict_int(q, "modulus")
-    if q < 1:
-        raise ContractViolation("modulus must be a positive integer")
     if not 0 < epsilon < INFINITE:
         raise ContractViolation("epsilon must be positive and finite")
     m = max_exponent(f, box)
@@ -390,16 +402,8 @@ def compute_params(
 # -- shift multiplicities ----------------------------------------------------
 
 
-def _shift_vector(t) -> ExponentVector:
-    t = tuple(strict_int(v, "shift entry") for v in t)
-    if len(t) != 3 or any(v < 0 for v in t):
-        raise ContractViolation(f"shift {t} must be three nonnegative integers")
-    return t
-
-
 def _chain_start(e: Sequence[int], t: Sequence[int], E: ExponentSet) -> tuple:
-    e = tuple(strict_int(v, "exponent entry") for v in e)
-    t = _shift_vector(t)
+    e, t = _as_exponent(3, e), _as_exponent(3, t)
     if e not in E.restricted_set:
         raise ContractViolation(f"{e} is not a restricted member of the set")
     return e, t
@@ -457,7 +461,7 @@ def shift_multiplicity(e: Sequence[int], t: Sequence[int], E: ExponentSet, S: Ex
 def lambda_total(E: ExponentSet, t: Sequence[int], S: ExactLog) -> int:
     """Total modulus exponent factored out of any full minor: sum of
     per-column multiplicities over the restricted members."""
-    t = _shift_vector(t)
+    t = _as_exponent(3, t)
     return sum(shift_multiplicity(e, t, E, S) for e in E.restricted_members)
 
 
@@ -515,6 +519,14 @@ def power_cutoff(base: int, n: int, m: Sequence[int], box: BoxBounds) -> ExactLo
         if staircase_size(cutoff, m, box) <= COLUMN_CAP:
             return cutoff
     raise CapExceeded(f"the cutoff {base}^{n} needs over {COLUMN_CAP} staircase columns")
+
+
+def check_columns(size: int) -> None:
+    """Refuse (CapExceeded) a chosen cutoff of over COLUMN_CAP columns.
+    Never inside a search's constraint: probes past the answer hold more."""
+    if size > COLUMN_CAP:
+        raise CapExceeded(f"the chosen cutoff needs {size} staircase columns, "
+                          f"over {COLUMN_CAP}")
 
 
 def default_floor_constant(epsilon: float) -> int:

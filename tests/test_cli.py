@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -594,6 +595,69 @@ class TestAuxGridCap:
             exact = staircase_size(cutoff, m, box)
             assert detsieve.exponents._sure_columns(a, box) <= exact
             assert detsieve.exponents._sure_columns(a, box, m) <= exact
+
+
+class TestAuxCutoffCap:
+    # x1^10 + x2^2 + x3^2 = 3 on the equal box 5: the cutoff the search
+    # chooses at scale 1100 holds 1 210 360 staircase columns
+    AUX = {
+        "f": {"nvars": 3, "terms": [[[10, 0, 0], 1], [[0, 2, 0], 1], [[0, 0, 2], 1],
+                                    [[0, 0, 0], -3]]},
+        "g": {"nvars": 3, "terms": [[[0, 2, 0], 1], [[0, 0, 2], 1], [[0, 0, 0], -2]]},
+        "q": 5, "box": [5, 5, 5], "epsilon": 0.5, "scale_override": 1100,
+    }
+
+    def test_equal_box_over_the_cap_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise Started("built a staircase")
+
+        monkeypatch.setattr(detsieve.determinant, "build_exponent_set", never)
+        monkeypatch.setattr(detsieve.cli, "build_exponent_set", never)
+        assert invoke(tmp_path, "aux", self.AUX) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "1210360 staircase columns" in err
+        assert "Traceback" not in err
+
+    def test_cap_at_the_chosen_size_keeps_the_report(self, tmp_path, capsys, monkeypatch):
+        cfg = TestTypedFields.AUX
+        want = invoke_json(tmp_path, capsys, "aux", cfg)
+        size = int(want["diagnostics"]["set_size"]["value"])
+        monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", size)
+        assert invoke_json(tmp_path, capsys, "aux", cfg) == want
+        monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", size - 1)
+        with pytest.raises(CapExceeded, match=f"needs {size} staircase columns"):
+            run("aux", cfg)
+
+
+class TestModulusFactoring:
+    CERTIFY = {
+        "f": {"nvars": 3, "terms": [[[2, 0, 0], 5], [[0, 2, 0], 1], [[0, 0, 2], 1],
+                                    [[0, 0, 0], -7]]},
+        "g": {"nvars": 3, "terms": [[[0, 2, 0], 1], [[0, 0, 2], 1], [[0, 0, 0], -2]]},
+        "box": [2, 2, 2], "cutoff_base": 2, "cutoff_power": 3,
+    }
+
+    def test_mersenne_61_certified_within_a_second(self, tmp_path, capsys):
+        q = 2 ** 61 - 1
+        start = time.perf_counter()
+        report = invoke_json(tmp_path, capsys, "certify", dict(self.CERTIFY, q=q))
+        assert time.perf_counter() - start < 1
+        (cert,) = report["certificates"]
+        assert report["result"]["points"]["value"] == "8"
+        assert cert["prime"]["value"] == str(q) and cert["prime_exponent"]["value"] == 1
+
+    @pytest.mark.parametrize("command", ("certify", "aux"))
+    def test_modulus_past_the_factoring_cap_is_a_usage_error(self, tmp_path, capsys,
+                                                             command):
+        q = 2 ** 89 - 1
+        cfg = dict(self.CERTIFY, q=q)
+        if command == "aux":
+            del cfg["cutoff_base"], cfg["cutoff_power"]
+            cfg.update(epsilon=0.5, floor_const=0, scale_override=1.5)
+        assert invoke(tmp_path, command, cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(q) in err
+        assert "Traceback" not in err
 
 
 class TestMinorSampleCap:

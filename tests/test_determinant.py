@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import detsieve.determinant as determinant
+import detsieve.exponents
 from detsieve.applications import QuadricInstance, count_quadric
 from detsieve.determinant import (
     MINOR_SAMPLE_CAP,
@@ -27,7 +28,7 @@ from detsieve.determinant import (
     select_shift,
 )
 from detsieve.enumeration import ResidueData, SideCondition, enumerate_points
-from detsieve.errors import ContractViolation, HypothesisViolation, SoundnessError
+from detsieve.errors import CapExceeded, ContractViolation, HypothesisViolation, SoundnessError
 from detsieve.exponents import (
     INFINITE,
     BoxBounds,
@@ -714,6 +715,40 @@ class TestAuxPipeline:
         b = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=10, seed=9)
         assert [c.outcome for c in a.classes] == [c.outcome for c in b.classes]
         assert a.auxiliaries[0].poly.terms == b.auxiliaries[0].poly.terms
+
+
+class TestAuxColumnCap:
+    """aux_pipeline refuses a chosen cutoff over COLUMN_CAP columns once the
+    search ends, before it builds anything."""
+
+    BOX = BoxBounds(5, 5, 5)
+
+    def x1_tenth(self, c, s):
+        """x1^10 + x2^2 + x3^2 = -c with x2^2 + x3^2 = -s mod 5."""
+        f = P(3, {(10, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): c})
+        g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): s})
+        return f, g, list(enumerate_points(f, SideCondition(g, 5), self.BOX))
+
+    @pytest.mark.parametrize("c, s, count", ((-3, -2, 8), (-7, -7, 0)))
+    def test_equal_box_over_the_cap_refused_before_any_build(self, monkeypatch, c, s, count):
+        def never(*args):
+            raise AssertionError("built a staircase")
+
+        monkeypatch.setattr(determinant, "build_exponent_set", never)
+        f, g, pts = self.x1_tenth(c, s)
+        assert len(pts) == count
+        with pytest.raises(CapExceeded, match="needs 1210360 staircase columns"):
+            aux_pipeline(f, g, 5, self.BOX, None, 0.5, pts, scale_override=1100)
+
+    @pytest.mark.parametrize("instance", (quadric_instance, point_free_instance))
+    def test_cap_at_the_chosen_size_keeps_the_report(self, monkeypatch, instance):
+        f, g, box, pts = instance()
+        want = aux_pipeline(f, g, 5, box, None, 0.5, pts)
+        monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", want.set_size)
+        assert aux_pipeline(f, g, 5, box, None, 0.5, pts) == want
+        monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", want.set_size - 1)
+        with pytest.raises(CapExceeded, match=f"needs {want.set_size} staircase"):
+            aux_pipeline(f, g, 5, box, None, 0.5, pts)
 
 
 # -- the fraction-free elimination against the rational one it replaced -----------

@@ -852,3 +852,87 @@ def _exponent_of(base, height):
 
 def staircase_at(cutoff, box):
     return build_exponent_set(cutoff, (2, 0, 0), box)
+
+
+class TestBuildVisitsOnlyMembers:
+    """The build ends each e3 walk at its first non-member; what it keeps
+    must still be every lattice point under the cutoff that avoids m."""
+
+    BOXES = ((2, 2, 2), (2, 3, 5), (7, 2, 3), (3, 3, 10), (12, 20, 30))
+    HEIGHTS = (1, 2, 50, 10 ** 5)
+
+    def test_members_equal_a_filter_over_the_full_lattice(self):
+        ms = [m for m in itertools.product(range(3), repeat=3) if any(m)]
+        for bounds in self.BOXES:
+            box = BoxBounds(*bounds)
+            for T in self.HEIGHTS:
+                lattice = sorted(
+                    (box.height(e), e)
+                    for e in itertools.product(range(T.bit_length()), repeat=3)
+                    if box.height(e) <= T
+                )
+                for m in ms:
+                    want = tuple(e for _, e in lattice
+                                 if any(a < b for a, b in zip(e, m)))
+                    got = build_exponent_set(ExactLog(T), m, box)
+                    assert got.members == want, (bounds, T, m)
+                    assert got.restricted_members == tuple(e for e in want if e[0] < m[0])
+
+
+class TestSideConditionContract:
+    """Every function that takes (g, q) refuses a bad pair with the message
+    SideCondition gives it: the contract is written once."""
+
+    F = IntegerPolynomial(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+    G = IntegerPolynomial(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+    BAD = {
+        "g of arity 4": (IntegerPolynomial(4, {(0, 2, 0, 0): 1, (0, 0, 0, 0): -6}), 5),
+        "constant g": (IntegerPolynomial(3, {(0, 0, 0): 6}), 5),
+        "g with x1": (IntegerPolynomial(3, {(1, 0, 0): 1, (0, 2, 0): 1}), 5),
+        "q = 0": (G, 0),
+        "q = '5'": (G, "5"),
+    }
+
+    @classmethod
+    def calls(cls):
+        from detsieve.applications import build_slice
+        from detsieve.determinant import build_matrix, congruence_certificates, congruence_reduce
+
+        f, box = cls.F, cube(2)
+        pts = list(enumerate_points(f, SideCondition(cls.G, 5), box))
+        E = build_exponent_set(ExactLog.power(2, 3), (2, 0, 0), box)
+        M = build_matrix(pts, E)
+        S = ExactLog.power(2, 2)
+        h = IntegerPolynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 0, 1): 1})
+        return {
+            "compute_params": lambda g, q: compute_params(f, g, q, box, 0.5),
+            "aux_pipeline": lambda g, q: aux_pipeline(f, g, q, box, None, 0.5, pts),
+            "congruence_certificates": lambda g, q: congruence_certificates(M, g, q, E, S),
+            "congruence_reduce": lambda g, q: congruence_reduce(M, g, q, (0, 0, 0), E, S),
+            # a slice's side condition has modulus 1, so only g can be bad
+            "build_slice": lambda g, q: build_slice(1, 1, 0, h, g, 1),
+            "enumerate_points": lambda g, q: enumerate_points(f, SideCondition(g, q), box),
+        }
+
+    NAMES = ("compute_params", "aux_pipeline", "congruence_certificates",
+             "congruence_reduce", "build_slice", "enumerate_points")
+
+    @pytest.mark.parametrize("name, bad", [
+        (name, bad) for name, bad in itertools.product(NAMES, BAD)
+        # build_slice takes no modulus
+        if not (name == "build_slice" and bad.startswith("q"))
+    ])
+    def test_refused_with_the_side_condition_message(self, name, bad):
+        g, q = self.BAD[bad]
+        with pytest.raises(ContractViolation) as want:
+            SideCondition(g, q)
+        with pytest.raises(ContractViolation) as got:
+            self.calls()[name](g, q)
+        assert str(got.value) == str(want.value)
+
+    def test_importable_from_every_old_home(self):
+        import detsieve
+        import detsieve.enumeration
+
+        assert detsieve.SideCondition is detsieve.exponents.SideCondition
+        assert detsieve.enumeration.SideCondition is detsieve.exponents.SideCondition
