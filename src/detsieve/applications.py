@@ -17,7 +17,7 @@ from typing import Sequence
 from .arith import divisors, iroot, is_prime
 from .determinant import CoverReport, _sample_count, aux_pipeline
 from .enumeration import PointSet, SideCondition, enumerate_points
-from .errors import CapExceeded, ContractViolation, Record, SoundnessError, strict_int
+from .errors import CapExceeded, ContractViolation, Record, SoundnessError, strict_int, strict_real
 from .exponents import BoxBounds
 from .polynomials import (
     IntegerPolynomial,
@@ -135,6 +135,7 @@ def count_quadric(
     if mode != "pipeline":
         raise ContractViolation(f"unknown quadric mode {mode!r}")
     minor_samples = _sample_count(minor_samples)
+    strict_real(epsilon, "epsilon", "positive")
 
     a = inst.coefficients
     lead = max(range(3), key=lambda i: (abs(a[i]), -i))
@@ -148,12 +149,11 @@ def count_quadric(
     g = IntegerPolynomial(
         3, {(0, 2, 0): ap[1], (0, 0, 2): ap[2], (0, 0, 0): -inst.n}
     )
-    pts = enumerate_points(f, SideCondition(g, q), box)
-    if not 0 < epsilon < math.inf:
-        raise ContractViolation("epsilon must be positive and finite")
+    side = SideCondition(g, q)
+    pts = enumerate_points(f, side, box)
     scale = rnd(quadric_cover_scale(q, inst.B) * power(inst.B, epsilon))
     report = aux_pipeline(
-        f, g, q, box, None, epsilon, list(pts),
+        f, side, box, None, epsilon, list(pts),
         seed=seed, minor_samples=minor_samples,
         floor_const=floor_const, scale_override=scale,
     )

@@ -106,12 +106,20 @@ def iroot(a: int, n: int) -> int:
 
 
 def prime_power_decompose(q: int) -> tuple[int, int] | None:
-    """(p, j) with q = p^j when q > 1 is a prime power, else None."""
+    """(p, j) with q = p^j when q > 1 is a prime power, else None.
+
+    p is q's exact j-th root for the largest such j, so q is a prime power
+    only as p^j, and one ``is_prime(p)`` decides it without factoring q.
+    A p past is_prime's range goes to ``factorize(q)``, which refuses it
+    (CapExceeded) or finds two primes: a single one would be p itself.
+    """
     q = int(q)
     if q < 2:
         return None
-    fac = factorize(q)
-    if len(fac) != 1:
+    j = q.bit_length()
+    while (p := iroot(q, j)) ** j != q:
+        j -= 1
+    if p >= _MR_LIMIT:
+        factorize(q)
         return None
-    [(p, j)] = fac.items()
-    return p, j
+    return (p, j) if is_prime(p) else None

@@ -42,7 +42,6 @@ from .exponents import (
     main_term_deviation,
     max_exponent,
     power_cutoff,
-    side_log_height,
 )
 from .polynomials import IntegerPolynomial
 
@@ -357,14 +356,12 @@ def _run_certify(cfg: dict, seed: int) -> dict:
     m = max_exponent(f, box)
     cutoff = power_cutoff(base, power, m, box)
     E = build_exponent_set(cutoff, m, box)
-    pts = enumerate_points(f, SideCondition(g, q), box)
+    side = SideCondition(g, q)
+    pts = enumerate_points(f, side, box)
     if not len(pts):
         raise ContractViolation("no points to certify")
     M = build_matrix(list(pts), E)
-    _, S = side_log_height(g, box)
-    certs = congruence_certificates(
-        M, g, q, E, S, samples=samples, rng=random.Random(seed)
-    )
+    certs = congruence_certificates(M, side, E, samples=samples, rng=random.Random(seed))
     return {
         "instance": dict(instance, cutoff=_cutoff_json(cutoff)),
         "result": {
@@ -393,9 +390,10 @@ def _run_aux(cfg: dict, seed: int) -> dict:
     if cfg.get("scale_override") is not None:
         scale_override = _float_field(cfg, "scale_override")
     samples = _samples_field(cfg)
-    pts = enumerate_points(f, SideCondition(g, q), box)
+    side = SideCondition(g, q)
+    pts = enumerate_points(f, side, box)
     report = aux_pipeline(
-        f, g, q, box, residues, epsilon, list(pts),
+        f, side, box, residues, epsilon, list(pts),
         seed=seed, minor_samples=samples,
         floor_const=floor_const, scale_override=scale_override,
     )

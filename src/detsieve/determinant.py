@@ -20,7 +20,9 @@ from typing import Mapping, Sequence
 
 from .arith import factorize, is_prime, prime_power_decompose
 from .enumeration import PointSet, ResidueData, residue_split, split_leftover
-from .errors import ContractViolation, HypothesisViolation, Record, SoundnessError, strict_int
+from .errors import (
+    ContractViolation, HypothesisViolation, Record, SoundnessError, strict_int, strict_real,
+)
 from .exponents import (
     INFINITE,
     BoxBounds,
@@ -35,6 +37,7 @@ from .exponents import (
     compute_params,
     default_floor_constant,
     shift_multiplicity,
+    side_log_height,
     staircase_size,
 )
 from .polynomials import IntegerPolynomial, _as_exponent, eval_monomial, is_coprime
@@ -318,10 +321,10 @@ def _slot_orders(l: int) -> dict:
     }
 
 
-def select_shift(g: IntegerPolynomial, q: int) -> tuple:
+def select_shift(side: SideCondition) -> tuple:
     """Shift-vector policy: the constant slot if its coefficient is a unit
     mod q, else one of the two pure top-degree slots."""
-    q = strict_int(q, "modulus")
+    g, q = SideCondition.check(side).g, side.q
     for t in _slot_orders(g.total_degree()):
         if math.gcd(q, g.terms.get(t, 0)) == 1:
             return t
@@ -414,11 +417,9 @@ def _check_unitriangular(a_cols, keys) -> None:
 
 def congruence_reduce(
     M: MonomialMatrix,
-    g: IntegerPolynomial,
-    q: int,
+    side: SideCondition,
     t: Sequence[int],
     E: ExponentSet,
-    S,
     *,
     samples: int = 32,
     rng: random.Random | None = None,
@@ -428,7 +429,9 @@ def congruence_reduce(
 
     Requires a prime-power modulus, rows satisfying the congruence, and
     the constant slot or a pure top-degree slot x2^l or x3^l (l = deg g)
-    whose coefficient in g is a unit mod q.  Column i of the
+    whose coefficient in g is a unit mod q.  Each column's mu is its
+    shift multiplicity under the side height, g's tallest monomial in the
+    box of E (``side_log_height``).  Column i of the
     column-operation matrix A holds the coefficients of x^(e - mu t)
     times gq^mu, gq being g rescaled to coefficient 1 at the slot, and
     column i of the reduced matrix R holds its values divided by q^mu,
@@ -439,7 +442,7 @@ def congruence_reduce(
     subset takes one determinant, det R_S.  Each of extra_subsets must
     name ncols distinct rows.
     """
-    q = SideCondition(g, q).q
+    g, q = SideCondition.check(side).g, side.q
     samples = _sample_count(samples)
     decomp = prime_power_decompose(q)
     if decomp is None:
@@ -470,9 +473,8 @@ def congruence_reduce(
     if gq.terms.get(t, 0) != 1:
         raise SoundnessError("reduced side polynomial lost its unit slot")
 
-    mus = tuple(
-        (e, shift_multiplicity(e, t, E, S)) for e in E.restricted_members
-    )
+    S = side_log_height(g, E.box)[1]
+    mus = tuple((e, shift_multiplicity(e, t, E, S)) for e in E.restricted_members)
     lam = sum(mu for _, mu in mus)
     divisor = q ** lam
 
@@ -532,10 +534,8 @@ def congruence_reduce(
 
 def congruence_certificates(
     M: MonomialMatrix,
-    g: IntegerPolynomial,
-    q: int,
+    side: SideCondition,
     E: ExponentSet,
-    S,
     *,
     samples: int = 32,
     rng: random.Random | None = None,
@@ -544,22 +544,18 @@ def congruence_certificates(
     """One certificate per prime power dividing q; empty for q = 1.
 
     The certified divisors multiply: their product divides every full
-    minor, because valuations at distinct primes are independent.
+    minor, because valuations at distinct primes are independent.  q is
+    factored once here; each prime power's side condition goes down whole.
     """
-    q = SideCondition(g, q).q
+    g, q = SideCondition.check(side).g, side.q
     samples = _sample_count(samples)
     if q == 1:
         return ()
     out = []
     for p, j in sorted(factorize(q).items()):
-        qp = p ** j
-        t = select_shift(g, qp)
-        out.append(
-            congruence_reduce(
-                M, g, qp, t, E, S,
-                samples=samples, rng=rng, extra_subsets=extra_subsets,
-            )
-        )
+        side_p = SideCondition(g, p ** j)
+        out.append(congruence_reduce(M, side_p, select_shift(side_p), E, samples=samples,
+                                     rng=rng, extra_subsets=extra_subsets))
     return tuple(out)
 
 
@@ -670,10 +666,10 @@ class ClassOutcome(Record):
 class CoverReport(Record):
     """Everything the cover construction produced, exactly as computed.
 
-    ``set_size`` is |E(Y)| at the chosen ``cutoff``.  The staircase
-    ``exponent_set`` itself is built only when some class builds a
-    matrix; with no class to cover (no points) it is ``None`` and the
-    size comes from ``staircase_size`` alone.
+    ``set_size`` is |E(Y)| at the chosen ``cutoff``, as the cutoff search
+    counted it.  The staircase ``exponent_set`` itself is built only when
+    some class builds a matrix; with no class to cover (no points) it is
+    ``None``.
     """
 
     branch: str
@@ -695,16 +691,16 @@ class CoverReport(Record):
     counts: Mapping[str, int]
 
 
-def _hypothesis_route(g: IntegerPolynomial, q: int, box: BoxBounds) -> str:
-    c0 = g.constant_term()
-    if math.gcd(q, c0) == 1:
+def _hypothesis_route(side: SideCondition, box: BoxBounds) -> str:
+    c0 = side.g.constant_term()
+    if math.gcd(side.q, c0) == 1:
         return "constant-term"
     if box.equal:
         # x2^l and x3^l, l = deg g, are top-degree terms whenever present
-        l = g.total_degree()
-        a = g.terms.get((0, l, 0), 0)
-        b = g.terms.get((0, 0, l), 0)
-        if math.gcd(q, c0, a, b) == 1:
+        l = side.g.total_degree()
+        a = side.g.terms.get((0, l, 0), 0)
+        b = side.g.terms.get((0, 0, l), 0)
+        if math.gcd(side.q, c0, a, b) == 1:
             return "top-degree"
     raise HypothesisViolation(
         "modulus shares a factor with the side polynomial's constant term, "
@@ -714,8 +710,7 @@ def _hypothesis_route(g: IntegerPolynomial, q: int, box: BoxBounds) -> str:
 
 def aux_pipeline(
     f: IntegerPolynomial,
-    g: IntegerPolynomial,
-    q: int,
+    side: SideCondition,
     box: BoxBounds,
     residues: ResidueData | None,
     epsilon: float,
@@ -735,16 +730,14 @@ def aux_pipeline(
     partial derivative of f is always appended so that singular surface
     points are covered too.
     """
-    q = SideCondition(g, q).q
+    g, q = SideCondition.check(side).g, side.q
     if f.nvars != 3:
         raise ContractViolation("pipeline is defined for three variables")
     if f.is_constant:
         raise ContractViolation("surface polynomial must be non-constant")
     minor_samples = _sample_count(minor_samples)
-    if floor_const is not None and floor_const < 0:
-        raise ContractViolation("floor constant must be nonnegative")
 
-    route = _hypothesis_route(g, q, box)
+    route = _hypothesis_route(side, box)
 
     pts = tuple(tuple(strict_int(x, "point coordinate") for x in p) for p in points)
     for pt in pts:
@@ -763,9 +756,9 @@ def aux_pipeline(
                 f"residue prime {rp} shares a factor with the modulus {q}"
             )
 
-    if scale_override is not None and not abs(scale_override) < math.inf:
-        raise ContractViolation("scale override must be a finite number")
-    params = compute_params(f, g, q, box, epsilon)
+    if scale_override is not None:
+        strict_real(scale_override, "scale override")
+    params = compute_params(f, side, box, epsilon)
     threshold = params.cover_scale_eps if scale_override is None else rnd(scale_override)
 
     point_set = PointSet(tuple(sorted(pts)), box, False)
@@ -792,17 +785,16 @@ def aux_pipeline(
         constraint, box=box, floor_const=c_floor, log_top=params.log_top_height
     )
     # the search sized the cutoff it returns: refuse it before any build
-    check_columns(sizes[cutoff.height])
+    e_count = sizes[cutoff.height]
+    check_columns(e_count)
 
+    # only a class builds a matrix; with none, the size of E(Y) is reported
+    E_set = None
     if classes:
         E_set = build_exponent_set(cutoff, params.dominant, box)
-        e_count = len(E_set)
-    else:
-        # no class builds a matrix, so only the size of E(Y) is reported
-        E_set = None
-        e_count = staircase_size(cutoff, params.dominant, box)
+        if len(E_set) != e_count:
+            raise SoundnessError(f"the staircase holds {len(E_set)} columns, not {e_count}")
     cap = _ilog(box.bmin, cutoff.height)
-    S = params.side
     rng = random.Random(seed)
 
     auxiliaries: list[AuxiliaryPolynomial] = []
@@ -830,8 +822,7 @@ def aux_pipeline(
         certs: tuple = ()
         if q > 1 and J >= e_count:
             certs = congruence_certificates(
-                M, g, q, E_set, S,
-                samples=minor_samples, rng=rng,
+                M, side, E_set, samples=minor_samples, rng=rng,
                 extra_subsets=(pivot_rows[:e_count],) if full else (),
             )
         rec = aux_index = None

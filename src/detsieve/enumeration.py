@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .arith import is_prime
-from .errors import CapExceeded, ContractViolation, Record, strict_int
+from .errors import CapExceeded, ContractViolation, Record, strict_int, strict_real
 from .exponents import BoxBounds, SideCondition
 from .polynomials import IntegerPolynomial
 
@@ -211,7 +211,7 @@ def enumerate_points(
     if f.is_zero:
         raise ContractViolation("surface polynomial is zero")
     b1, b2, b3 = box.bounds
-    q = side.q
+    q = SideCondition.check(side).q
     coeff_polys = f.coefficients_in(0)
     zero = IntegerPolynomial.zero(3)
     # c_j(x2, x3) = coefficient of x1^j, grouped once so each row y costs
@@ -329,6 +329,10 @@ def split_leftover(P: PointSet, classes: Mapping[tuple, PointSet]) -> tuple:
 
 # -- bad prime products --------------------------------------------------------
 
+#: the most evaluations of f, p^3 for each prime p up to the prime cap, that
+#: the point-count heuristic makes: prime caps up to 61 (966 291 of them)
+HEURISTIC_EVALUATION_CAP = 10 ** 6
+
 
 def bad_prime_product(
     source: str,
@@ -347,7 +351,9 @@ def bad_prime_product(
     flagging p when the count of solutions mod p strays from p^2 by more
     than slack * p^(3/2), compared exactly; slack is a finite nonnegative
     int, float or Fraction.  The heuristic is explicitly that, and its
-    output is labelled accordingly in reports.
+    output is labelled accordingly in reports.  It evaluates f at p^3
+    points per prime, and refuses (CapExceeded) before counting any when
+    they sum to over HEURISTIC_EVALUATION_CAP.
     """
     if source == "user-supplied":
         value = 0 if value is None else strict_int(value, "bad prime product")
@@ -367,18 +373,17 @@ def bad_prime_product(
     if source == "point-count-heuristic":
         if f is None:
             raise ContractViolation("heuristic mode needs the surface polynomial")
-        real = (isinstance(slack, (int, Fraction)) and not isinstance(slack, bool)
-                or isinstance(slack, float) and math.isfinite(slack))
-        if not real or slack < 0:
-            raise ContractViolation(
-                f"slack must be a finite nonnegative number, not {slack!r}"
-            )
         # |count - p^2| > slack p^(3/2), squared on both sides to stay exact
-        slack_sq = Fraction(slack) ** 2
+        slack_sq = Fraction(strict_real(slack, "slack", "nonnegative")) ** 2
+        primes, evaluations = [], 0
+        for p in filter(is_prime, range(2, strict_int(prime_cap, "prime cap") + 1)):
+            primes.append(p)
+            evaluations += p ** 3
+            if evaluations > HEURISTIC_EVALUATION_CAP:
+                raise CapExceeded(f"the point-count heuristic to prime cap {prime_cap} "
+                                  f"needs over {HEURISTIC_EVALUATION_CAP} evaluations")
         out = 1
-        for p in range(2, strict_int(prime_cap, "prime cap") + 1):
-            if not is_prime(p):
-                continue
+        for p in primes:
             count = 0
             for x1 in range(p):
                 for x2 in range(p):

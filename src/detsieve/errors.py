@@ -1,8 +1,10 @@
-"""Exception types shared across the package, the one integer check, and
-``Record``, the base of every immutable result record (boxes, point sets,
-certificates, reports)."""
+"""Exception types shared across the package, the one integer check and
+the one real-number check, and ``Record``, the base of every immutable
+result record (boxes, point sets, certificates, reports)."""
 
+import math
 import operator
+from fractions import Fraction
 
 
 class ContractViolation(ValueError):
@@ -40,6 +42,19 @@ def strict_int(v, what: str) -> int:
         except TypeError:
             pass
     raise ContractViolation(f"{what} must be an integer, not {v!r}")
+
+
+def strict_real(v, what: str, sign: str = ""):
+    """v, if it is an int, a float or a Fraction but not a bool, and finite;
+    sign "nonnegative" or "positive" also bounds it below.  Else
+    ContractViolation.  Ints and Fractions of any size pass.  The one rule
+    for what counts as real input."""
+    if (isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v)):
+        if not sign or v > 0 or v == 0 and sign == "nonnegative":
+            return v
+    rule = f"{sign} and finite" if sign else "a finite number"
+    raise ContractViolation(f"{what} must be {rule}, not {v!r}")
 
 
 # the default of a Record field that has none

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
-from .errors import CapExceeded, ContractViolation, Record, strict_int
+from .errors import CapExceeded, ContractViolation, Record, strict_int, strict_real
 from .polynomials import ExponentVector, IntegerPolynomial, _as_exponent, eval_monomial
 from .scalars import dot, exp, log, power, rnd, root
 
@@ -78,7 +78,7 @@ class BoxBounds(Record):
 
 class SideCondition(Record):
     """Congruence g(x2, x3) = 0 mod q imposed on surface points: the one
-    check of a (g, q) pair, which every function taking one builds."""
+    check of a (g, q) pair, passed whole to every function that takes one."""
 
     g: IntegerPolynomial
     q: int
@@ -94,6 +94,13 @@ class SideCondition(Record):
         if q < 1:
             raise ContractViolation("modulus must be a positive integer")
         object.__setattr__(self, "q", q)
+
+    @classmethod
+    def check(cls, side) -> "SideCondition":
+        """side if it is a SideCondition, else ContractViolation."""
+        if not isinstance(side, cls):
+            raise ContractViolation(f"side must be a SideCondition, not {type(side).__name__}")
+        return side
 
 
 def max_exponent(f: IntegerPolynomial, box: BoxBounds) -> ExponentVector:
@@ -358,31 +365,29 @@ def side_log_height(g: IntegerPolynomial, box: BoxBounds) -> tuple[ExponentVecto
 
 def compute_params(
     f: IntegerPolynomial,
-    g: IntegerPolynomial,
-    q: int,
+    side: SideCondition,
     box: BoxBounds,
     epsilon: float,
 ) -> MethodParams:
     """Derive the growth parameters for surface f with side condition g mod q."""
-    q = SideCondition(g, q).q
+    g, q = SideCondition.check(side).g, side.q
     if f.nvars != 3:
         raise ContractViolation("parameters are defined for three variables")
-    if not 0 < epsilon < INFINITE:
-        raise ContractViolation("epsilon must be positive and finite")
+    strict_real(epsilon, "epsilon", "positive")
     m = max_exponent(f, box)
     if not any(m):
         raise ContractViolation("dominant exponent of f is zero")
 
-    s_star, side = side_log_height(g, box)
+    s_star, S = side_log_height(g, box)
     logs = box.log_heights()
     log_top = dot(m, logs)
     prod_logs = rnd(rnd(logs[0] * logs[1]) * logs[2])
-    shrink = rnd(rnd(rnd(m[0] * logs[0]) * log(q)) / rnd(2 * side.value * log_top))
+    shrink = rnd(rnd(rnd(m[0] * logs[0]) * log(q)) / rnd(2 * S.value * log_top))
     log_k = rnd(root(rnd(prod_logs / log_top)) * rnd(1 - shrink))
     slack = rnd(Fraction(epsilon) * log(box.bmax))
     gain = rnd(
         rnd(rnd(m[0] * power(logs[0], 1.5)) * root(rnd(logs[1] * logs[2])))
-        / rnd(2 * side.value * power(log_top, 1.5))
+        / rnd(2 * S.value * power(log_top, 1.5))
     )
     return MethodParams(
         box=box,
@@ -390,7 +395,7 @@ def compute_params(
         epsilon=float(epsilon),
         dominant=m,
         side_exponent=s_star,
-        side=side,
+        side=S,
         top_height=box.height(m),
         log_top_height=log_top,
         cover_scale=exp(log_k),
@@ -561,7 +566,7 @@ def choose_Y(
     if its top, near exp(2^(g+1) Z), is sure to hold more than
     COLUMN_CAP staircase columns; below that the constraint decides.
     """
-    if floor_const < 0:
+    if strict_int(floor_const, "floor constant") < 0:
         raise ContractViolation("floor constant must be nonnegative")
 
     if box.equal:

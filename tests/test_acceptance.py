@@ -38,7 +38,6 @@ from detsieve.exponents import (
     compute_params,
     main_term_deviation,
     max_exponent,
-    side_log_height,
 )
 from detsieve.polynomials import (
     IntegerPolynomial,
@@ -103,9 +102,8 @@ def test_criterion_01_certificate_soundness():
         if len(pts) < len(E.members):
             continue
         M = build_matrix(list(pts), E)
-        S = side_log_height(g, box)[1]
         certs = congruence_certificates(
-            M, g, q, E, S, samples=8, rng=random.Random(kept)
+            M, SideCondition(g, q), E, samples=8, rng=random.Random(kept)
         )
         assert len(certs) == 1
         cert = certs[0]
@@ -140,16 +138,16 @@ def test_criterion_02_auxiliary_soundness():
     g8 = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
     box8 = BoxBounds(2, 2, 2)
     pts8 = enumerate_points(f8, SideCondition(g8, 5), box8)
-    reports.append((f8, aux_pipeline(f8, g8, 5, box8, ResidueData(()), 0.5,
+    reports.append((f8, aux_pipeline(f8, SideCondition(g8, 5), box8, ResidueData(()), 0.5,
                                      pts8, floor_const=10)))
-    reports.append((f8, aux_pipeline(f8, g8, 5, box8, ResidueData((3,)), 0.5,
+    reports.append((f8, aux_pipeline(f8, SideCondition(g8, 5), box8, ResidueData((3,)), 0.5,
                                      pts8, floor_const=10)))
 
     sphere = P(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -5})
     gs = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -5})
     box24 = BoxBounds(10, 10, 10)
     pts24 = enumerate_points(sphere, SideCondition(gs, 1), box24)
-    reports.append((sphere, aux_pipeline(sphere, gs, 1, box24, ResidueData((3,)),
+    reports.append((sphere, aux_pipeline(sphere, SideCondition(gs, 1), box24, ResidueData((3,)),
                                          0.5, pts24, floor_const=6)))
 
     rng = random.Random(88)
@@ -273,7 +271,7 @@ def test_criterion_04_exact_formula_spot_checks():
     f = P(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
     g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
     box = BoxBounds(10, 10, 10)
-    params = compute_params(f, g, 5, box, 0.5)
+    params = compute_params(f, SideCondition(g, 5), box, 0.5)
     expected = 1 / (4 * math.sqrt(2))
     assert abs(float(params.modulus_gain) - expected) <= 1e-12 * expected
     elapsed = time.monotonic() - t0

@@ -120,6 +120,16 @@ class TestCountQuadric:
         with pytest.raises(ContractViolation):
             count_quadric(QuadricInstance(1, 1, 1, 5, 10), mode="magic")
 
+    @pytest.mark.parametrize("epsilon", ("0.5", True, math.nan, 0, -1))
+    def test_epsilon_refused_before_enumeration(self, monkeypatch, epsilon):
+        # "0.5" used to enumerate the whole box, then raise a bare TypeError
+        def stand_in(*args):
+            raise Started
+
+        monkeypatch.setattr(applications, "enumerate_points", stand_in)
+        with pytest.raises(ContractViolation, match="epsilon must be positive and finite"):
+            count_quadric(QuadricInstance(3, 1, 1, 1001, 10), "pipeline", epsilon=epsilon)
+
 
 class Started(Exception):
     """Raised by a stand-in for the first step of the work: the call got

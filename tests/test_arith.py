@@ -1,11 +1,14 @@
-"""Factoring under its trial-division cap."""
+"""Factoring under its trial-division cap, and prime powers without it."""
 
 import random
 import time
 
 import pytest
 
-from detsieve.arith import TRIAL_DIVISION_CAP, divisors, factorize, is_prime
+import detsieve.arith
+from detsieve.arith import (
+    TRIAL_DIVISION_CAP, divisors, factorize, is_prime, prime_power_decompose,
+)
 from detsieve.errors import CapExceeded
 
 
@@ -52,3 +55,40 @@ class TestFactorize:
     def test_undecided_cofactor_refused_naming_the_number(self, n):
         with pytest.raises(CapExceeded, match=str(n)):
             factorize(n)
+
+
+def factored_decompose(q):
+    """prime_power_decompose through a full factorization: the oracle."""
+    if q < 2:
+        return None
+    fac = naive_factorize(q)
+    return next(iter(fac.items())) if len(fac) == 1 else None
+
+
+class TestPrimePowerDecompose:
+    def test_matches_the_factorization(self):
+        rng = random.Random(25)
+        for q in list(range(-3, 2000)) + [rng.randrange(10 ** 6) for _ in range(3000)]:
+            assert prime_power_decompose(q) == factored_decompose(q), q
+        for q in (2 ** 64, 3 ** 40, 720, 10007 * 10009, 7 ** 30):
+            assert prime_power_decompose(q) == factored_decompose(q), q
+
+    def test_prime_powers_past_the_trial_division_cap_need_no_factoring(self, monkeypatch):
+        def never(n):
+            raise AssertionError(f"factorize({n})")
+
+        monkeypatch.setattr(detsieve.arith, "factorize", never)
+        m61 = 2 ** 61 - 1
+        assert prime_power_decompose(1000003 ** 2) == (1000003, 2)
+        assert prime_power_decompose(m61) == (m61, 1)
+        assert prime_power_decompose(m61 ** 2) == (m61, 2)
+        # two primes past the cap: not a prime power, where factorize refuses
+        assert prime_power_decompose(1000003 * 1000033) is None
+
+    def test_a_root_past_the_primality_range_is_refused(self):
+        for q in (2 ** 89 - 1, (2 ** 89 - 1) ** 2):
+            with pytest.raises(CapExceeded, match=str(q)):
+                prime_power_decompose(q)
+        # past that range too, but factorize finds two primes: 2 and 2^81 + 17
+        r = 2 ** 81 + 17
+        assert is_prime(r) and prime_power_decompose(2 * r) is None

@@ -169,8 +169,8 @@ class TestReportSchema:
             assert report["result"]["classes"] == []
             bounds = BoxBounds(*box)
             rep = aux_pipeline(
-                _poly_field(cfg, "f"), _poly_field(cfg, "g"), 5, bounds,
-                None, 0.5, [], floor_const=10,
+                _poly_field(cfg, "f"), detsieve.exponents.SideCondition(_poly_field(cfg, "g"), 5),
+                bounds, None, 0.5, [], floor_const=10,
             )
             assert rep.exponent_set is None
             E = build_exponent_set(rep.cutoff, rep.params.dominant, bounds)

@@ -35,7 +35,6 @@ from detsieve.exponents import (
     ExactLog,
     build_exponent_set,
     max_exponent,
-    side_log_height,
     staircase_size,
 )
 from detsieve.polynomials import IntegerPolynomial, eval_monomial
@@ -151,19 +150,20 @@ class TestIntegerInputs:
         f, g, box, pts = quadric_instance()
         for bad in self.BAD:
             with pytest.raises(ContractViolation, match="modulus must be an integer"):
-                aux_pipeline(f, g, bad, box, ResidueData(()), 0.5, pts, floor_const=10)
+                aux_pipeline(f, SideCondition(g, bad), box, ResidueData(()), 0.5, pts,
+                             floor_const=10)
             points = [(bad, 1, 0)] + list(pts)
             with pytest.raises(ContractViolation, match="point coordinate must be an integer"):
-                aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, points, floor_const=10)
+                aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, points,
+                             floor_const=10)
 
     def test_certificates_reject_non_integer_modulus(self):
         _, g, box, pts = quadric_instance()
         E = staircase(2, 2)
         M = build_matrix(pts, E)
-        S = side_log_height(g, box)[1]
         for bad in self.BAD:
             with pytest.raises(ContractViolation, match="modulus must be an integer"):
-                congruence_certificates(M, g, bad, E, S)
+                congruence_certificates(M, SideCondition(g, bad), E)
 
     def test_reduce_and_shift_reject_non_integer_modulus(self):
         # 5.0 and 5.7 used to reach math.gcd as a bare TypeError, and True
@@ -173,9 +173,9 @@ class TestIntegerInputs:
         M = build_matrix(pts, E)
         for bad in (5.0, 5.7, True, "5"):
             with pytest.raises(ContractViolation, match="modulus must be an integer"):
-                congruence_reduce(M, g, bad, (0, 0, 0), E, ExactLog.power(2, 2))
+                congruence_reduce(M, SideCondition(g, bad), (0, 0, 0), E)
             with pytest.raises(ContractViolation, match="modulus must be an integer"):
-                select_shift(g, bad)
+                select_shift(SideCondition(g, bad))
 
     def test_minor_rows_must_be_integers(self):
         # rows (0.9, 1.7) used to be read as rows (0, 1)
@@ -202,13 +202,12 @@ class TestIntegerInputs:
         f, g, box, pts = rich_instance()
         E = staircase(2, 2)
         M = build_matrix(pts, E)
-        S = side_log_height(g, box)[1]
         ncols = M.shape[1]
         assert M.shape[0] > ncols
         for bad in self.BAD:
             extra = [bad] + list(range(1, ncols))
             with pytest.raises(ContractViolation, match="row index must be an integer"):
-                congruence_certificates(M, g, 5, E, S, extra_subsets=(extra,))
+                congruence_certificates(M, SideCondition(g, 5), E, extra_subsets=(extra,))
 
 
 class TestRankAndMinors:
@@ -281,20 +280,20 @@ class TestValuations:
 class TestSelectShift:
     def test_unit_constant_prefers_origin(self):
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
-        assert select_shift(g, 5) == (0, 0, 0)
+        assert select_shift(SideCondition(g, 5)) == (0, 0, 0)
 
     def test_falls_back_to_second_axis(self):
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): -1, (0, 0, 0): -20})
-        assert select_shift(g, 5) == (0, 2, 0)
+        assert select_shift(SideCondition(g, 5)) == (0, 2, 0)
 
     def test_falls_back_to_third_axis(self):
         g = P(3, {(0, 2, 0): 5, (0, 0, 2): -1, (0, 0, 0): -20})
-        assert select_shift(g, 5) == (0, 0, 2)
+        assert select_shift(SideCondition(g, 5)) == (0, 0, 2)
 
     def test_no_admissible_shift(self):
         g = P(3, {(0, 2, 0): 5, (0, 0, 2): -5, (0, 0, 0): -10})
         with pytest.raises(ContractViolation):
-            select_shift(g, 5)
+            select_shift(SideCondition(g, 5))
 
 
 class TestCongruenceReduce:
@@ -302,7 +301,7 @@ class TestCongruenceReduce:
         _, g, _, pts = quadric_instance()
         E = staircase(2, 3)
         M = build_matrix(pts, E)
-        cert = congruence_reduce(M, g, 5, (0, 0, 0), E, ExactLog.power(2, 2))
+        cert = congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E)
         assert cert.lam == 4
         assert cert.certified_divisor == 5**4
         assert cert.det_transform == 1
@@ -315,7 +314,7 @@ class TestCongruenceReduce:
         _, g, _, pts = quadric_instance()
         E = staircase(2, 1)
         M = build_matrix(pts, E)
-        cert = congruence_reduce(M, g, 5, (0, 0, 0), E, ExactLog.power(2, 2))
+        cert = congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E)
         assert cert.lam == 0
         assert cert.certified_divisor == 1
 
@@ -332,7 +331,7 @@ class TestCongruenceReduce:
         E = staircase(4, 3)
         M = build_matrix(pts, E)
         cert = congruence_reduce(
-            M, g, q, (0, 2, 0), E, ExactLog.power(4, 2),
+            M, SideCondition(g, q), (0, 2, 0), E,
             samples=8, rng=random.Random(3),
         )
         assert cert.lam == 4
@@ -345,9 +344,8 @@ class TestCongruenceReduce:
         M = build_matrix(pts, E)
         assert len(pts) == 32
         assert rank_over_rationals(M) == 9
-        S = side_log_height(g, BoxBounds(13, 13, 13))[1]
         cert = congruence_reduce(
-            M, g, 5, (0, 0, 0), E, S, samples=16, rng=random.Random(7)
+            M, SideCondition(g, 5), (0, 0, 0), E, samples=16, rng=random.Random(7)
         )
         assert cert.lam == 1
         nonzero = [m for m in cert.checked_minors if not m.determinant_zero]
@@ -387,7 +385,7 @@ class TestCongruenceReduce:
         E = staircase(2, 3)
         M = build_matrix(pts, E)
         with pytest.raises(ContractViolation):
-            congruence_reduce(M, g, 6, (0, 0, 0), E, ExactLog.power(2, 2))
+            congruence_reduce(M, SideCondition(g, 6), (0, 0, 0), E)
 
     def test_non_unit_coefficient_rejected(self):
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -5})
@@ -396,7 +394,7 @@ class TestCongruenceReduce:
         E = staircase(2, 3)
         M = build_matrix(pts, E)
         with pytest.raises(ContractViolation, match="not a unit"):
-            congruence_reduce(M, g, 5, (0, 0, 0), E, ExactLog.power(2, 2))
+            congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E)
 
     def test_violating_point_named(self):
         _, g, _, pts = quadric_instance()
@@ -404,23 +402,22 @@ class TestCongruenceReduce:
         E = staircase(2, 3)
         M = build_matrix(list(pts) + [bad], E)
         with pytest.raises(ContractViolation, match=r"\(1, 1, 1\)"):
-            congruence_reduce(M, g, 5, (0, 0, 0), E, ExactLog.power(2, 2))
+            congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E)
 
     def test_negative_sample_count_rejected(self):
         # -3 used to sample no subsets and check the identity subset alone
         f, g, box, pts = rich_instance()
         E = staircase(13, 2)
         M = build_matrix(pts, E)
-        S = side_log_height(g, box)[1]
         for bad in (-3, -1, 2.5, True):
             with pytest.raises(ContractViolation, match="minor sample count"):
-                congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=bad)
+                congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E, samples=bad)
             for q in (5, 1):
                 with pytest.raises(ContractViolation, match="minor sample count"):
-                    congruence_certificates(M, g, q, E, S, samples=bad)
+                    congruence_certificates(M, SideCondition(g, q), E, samples=bad)
             with pytest.raises(ContractViolation, match="minor sample count"):
-                aux_pipeline(f, g, 5, box, None, 0.5, pts, minor_samples=bad)
-        cert = congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=0)
+                aux_pipeline(f, SideCondition(g, 5), box, None, 0.5, pts, minor_samples=bad)
+        cert = congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E, samples=0)
         assert [m.rows for m in cert.checked_minors] == [tuple(range(9))]
 
     def test_over_the_cap_refused_before_sampling(self, monkeypatch):
@@ -434,28 +431,27 @@ class TestCongruenceReduce:
         f, g, box, pts = rich_instance()
         E = staircase(13, 2)
         M = build_matrix(pts, E)
-        S = side_log_height(g, box)[1]
         quadric = QuadricInstance(3, 1, 1, 1001, 16)
         for bad in (MINOR_SAMPLE_CAP + 1, 10 ** 8):
             with pytest.raises(ContractViolation, match="minor sample count"):
-                congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=bad)
+                congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E, samples=bad)
             for q in (5, 1):
                 with pytest.raises(ContractViolation, match="minor sample count"):
-                    congruence_certificates(M, g, q, E, S, samples=bad)
+                    congruence_certificates(M, SideCondition(g, q), E, samples=bad)
             with pytest.raises(ContractViolation, match="minor sample count"):
-                aux_pipeline(f, g, 5, box, None, 0.5, pts, minor_samples=bad)
+                aux_pipeline(f, SideCondition(g, 5), box, None, 0.5, pts, minor_samples=bad)
             with pytest.raises(ContractViolation, match="minor sample count"):
                 count_quadric(quadric, "pipeline", minor_samples=bad)
         # at the cap, sampling starts
         with pytest.raises(Sampled):
-            congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=MINOR_SAMPLE_CAP)
+            congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E, samples=MINOR_SAMPLE_CAP)
 
     def test_first_axis_shift_rejected(self):
         _, g, _, pts = quadric_instance()
         E = staircase(2, 3)
         M = build_matrix(pts, E)
         with pytest.raises(ContractViolation):
-            congruence_reduce(M, g, 5, (1, 0, 0), E, ExactLog.power(2, 2))
+            congruence_reduce(M, SideCondition(g, 5), (1, 0, 0), E)
 
     @pytest.mark.parametrize("t, g_terms", (
         ((0, 1, 1), {(0, 1, 1): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6}),
@@ -470,7 +466,7 @@ class TestCongruenceReduce:
         E = staircase(2, 3)
         M = build_matrix(pts, E)
         with pytest.raises(ContractViolation, match="neither the constant slot"):
-            congruence_reduce(M, g, 5, t, E, ExactLog.power(2, 2))
+            congruence_reduce(M, SideCondition(g, 5), t, E)
 
 
 class TestCompositeCertificates:
@@ -486,8 +482,7 @@ class TestCompositeCertificates:
         assert all(g.evaluate(p) % 15 == 0 for p in pts)
         E = staircase(6, 2)
         M = build_matrix(pts, E)
-        S = side_log_height(g, box)[1]
-        certs = congruence_certificates(M, g, 15, E, S, rng=random.Random(11))
+        certs = congruence_certificates(M, SideCondition(g, 15), E, rng=random.Random(11))
         assert len(certs) == 2
         assert [c.prime for c in certs] == [3, 5]
         assert all(c.base_modulus in (3, 5) for c in certs)
@@ -497,12 +492,45 @@ class TestCompositeCertificates:
                 delta = minor_determinant(M, m.rows)
                 assert delta % divisor == 0
 
+    @staticmethod
+    def exact_zero_instance():
+        """Points where g = x2^2 + x3^2 - 26 vanishes, so under every modulus."""
+        g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -26})
+        pts = [(x1, x2, x3) for x1 in range(-6, 7) for x2 in (-5, -1, 1, 5)
+               for x3 in (-5, -1, 1, 5) if x2 * x2 + x3 * x3 == 26]
+        E = staircase(6, 2)
+        return build_matrix(pts, E), g, E
+
+    @pytest.mark.parametrize("q", (5, 15, 405, 2 ** 61 - 1))
+    def test_the_modulus_is_factored_once(self, monkeypatch, q):
+        # each congruence_reduce used to factor its prime power again
+        import detsieve.arith
+
+        calls = []
+
+        def spy(n, real=detsieve.arith.factorize):
+            calls.append(n)
+            return real(n)
+
+        for module in (determinant, detsieve.arith):
+            monkeypatch.setattr(module, "factorize", spy)
+        M, g, E = self.exact_zero_instance()
+        certs = congruence_certificates(M, SideCondition(g, q), E, samples=2)
+        assert calls == [q]
+        assert math.prod(c.base_modulus for c in certs) == q
+
+    def test_two_primes_past_the_trial_division_cap_are_no_prime_power(self):
+        # factoring 1000003 * 1000033 used to be refused (CapExceeded)
+        M, g, E = self.exact_zero_instance()
+        with pytest.raises(ContractViolation, match="is not a prime power") as raised:
+            congruence_reduce(M, SideCondition(g, 1000003 * 1000033), (0, 0, 0), E)
+        assert not isinstance(raised.value, CapExceeded)
+
     def test_unit_modulus_no_certificates(self):
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
         E = staircase(2, 2)
         M = build_matrix([(0, 1, 0)], E)
-        S = side_log_height(g, BoxBounds(2, 2, 2))[1]
-        assert congruence_certificates(M, g, 1, E, S) == ()
+        assert congruence_certificates(M, SideCondition(g, 1), E) == ()
 
 
 class TestNullSpace:
@@ -562,7 +590,7 @@ class TestNullSpace:
 class TestAuxPipeline:
     def test_standard_branch_emits_cover(self):
         f, g, box, pts = quadric_instance()
-        rep = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=10)
+        rep = aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts, floor_const=10)
         assert rep.branch == "standard"
         assert rep.hypothesis_route == "constant-term"
         assert [c.outcome for c in rep.classes] == ["aux"]
@@ -581,7 +609,7 @@ class TestAuxPipeline:
         f, g, _, _ = quadric_instance()
         box = BoxBounds(12, 20, 30)
         pts = enumerate_points(f, SideCondition(g, 5), box)
-        rep = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts)
+        rep = aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts)
         assert rep.cutoff.height == 353265586727888747578466418333164285171073024
         assert rep.set_size == 1443
 
@@ -590,11 +618,12 @@ class TestAuxPipeline:
         for box in (BoxBounds(12, 20, 30), BoxBounds(12, 12, 12)):
             pts = enumerate_points(f, SideCondition(g, 5), box)
             with pytest.raises(ContractViolation, match="floor constant must be nonnegative"):
-                aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=-1)
+                aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
+                             floor_const=-1)
 
     def test_singular_cover_is_partial_derivative(self):
         f, g, box, pts = quadric_instance()
-        rep = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=10)
+        rep = aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts, floor_const=10)
         last = rep.auxiliaries[-1]
         assert last.role == "singular-cover"
         assert last.poly.terms in (
@@ -604,7 +633,7 @@ class TestAuxPipeline:
     def test_falsified_branch_reports_exact_minor(self):
         f, g, box, pts = rich_instance()
         rep = aux_pipeline(
-            f, g, 5, box, ResidueData(()), 0.5, pts,
+            f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
             scale_override=2, floor_const=2,
         )
         assert [c.outcome for c in rep.classes] == ["falsified"]
@@ -628,21 +657,42 @@ class TestAuxPipeline:
     def test_single_cover_branch(self):
         f, g, box, pts = rich_instance()
         rep = aux_pipeline(
-            f, g, 5, box, ResidueData(()), 0.5, pts, scale_override=0.5
+            f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts, scale_override=0.5
         )
         assert rep.branch == "single-cover"
         assert len(rep.classes) == 1
         assert rep.coverage_complete
 
+    @pytest.mark.parametrize("kwargs, message", (
+        ({"epsilon": "0.5"}, "epsilon must be positive and finite"),
+        ({"epsilon": True}, "epsilon must be positive and finite"),
+        ({"scale_override": "2"}, "scale override must be a finite number"),
+        ({"scale_override": True}, "scale override must be a finite number"),
+        ({"floor_const": "3"}, "floor constant must be an integer"),
+        ({"floor_const": 2.5}, "floor constant must be an integer"),
+        ({"floor_const": True}, "floor constant must be an integer"),
+    ), ids=("epsilon-str", "epsilon-bool", "scale-str", "scale-bool", "floor-str",
+            "floor-float", "floor-bool"))
+    def test_numeric_options_refused_by_one_rule(self, kwargs, message):
+        # the strings used to raise a bare TypeError, 2.5 to say "height must
+        # be an integer" and True to be taken, recorded as floor_constant True
+        f, g, box, pts = quadric_instance()
+        args = {"epsilon": 0.5, **kwargs}
+        epsilon = args.pop("epsilon")
+        with pytest.raises(ContractViolation, match=message):
+            aux_pipeline(f, SideCondition(g, 5), box, None, epsilon, pts, **args)
+
     def test_scale_override_must_be_finite(self):
         f, g, box, pts = rich_instance()
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ContractViolation, match="scale override must be a finite"):
-                aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, scale_override=bad)
+                aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
+                             scale_override=bad)
 
     def test_residue_split_classes(self):
         f, g, box, pts = quadric_instance()
-        rep = aux_pipeline(f, g, 5, box, ResidueData((3,)), 0.5, pts, floor_const=10)
+        rep = aux_pipeline(f, SideCondition(g, 5), box, ResidueData((3,)), 0.5, pts,
+                           floor_const=10)
         assert rep.residue_product == 3
         assert len(rep.classes) == 8
         covered = set()
@@ -655,24 +705,24 @@ class TestAuxPipeline:
         f, _, _, _ = quadric_instance()
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -5})
         with pytest.raises(HypothesisViolation):
-            aux_pipeline(f, g, 5, BoxBounds(2, 2, 3), ResidueData(()), 0.5, [])
+            aux_pipeline(f, SideCondition(g, 5), BoxBounds(2, 2, 3), ResidueData(()), 0.5, [])
 
     def test_equal_box_top_degree_route(self):
         f, _, box, pts = quadric_instance()
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -5})
         kept = [p for p in pts if g.evaluate(p) % 5 == 0]
-        rep = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, kept, floor_const=10)
+        rep = aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, kept, floor_const=10)
         assert rep.hypothesis_route == "top-degree"
 
     def test_residue_prime_dividing_modulus_rejected(self):
         f, g, box, pts = quadric_instance()
         with pytest.raises(HypothesisViolation):
-            aux_pipeline(f, g, 5, box, ResidueData((5,)), 0.5, pts)
+            aux_pipeline(f, SideCondition(g, 5), box, ResidueData((5,)), 0.5, pts)
 
     def test_off_surface_point_rejected(self):
         f, g, box, _ = quadric_instance()
         with pytest.raises(ContractViolation):
-            aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, [(1, 1, 1)])
+            aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, [(1, 1, 1)])
 
     def test_builds_the_staircase_once(self, monkeypatch):
         import detsieve.determinant
@@ -695,24 +745,37 @@ class TestAuxPipeline:
                          (uneven, uneven_pts, {"floor_const": 10}),
                          (uneven, uneven_pts, {"floor_const": 10, "scale_override": 40})):
             built.clear()
-            rep = aux_pipeline(f, g, 5, b, ResidueData(()), 0.5, p, **kw)
+            rep = aux_pipeline(f, SideCondition(g, 5), b, ResidueData(()), 0.5, p, **kw)
             assert built == [rep.exponent_set]
             assert rep.set_size == staircase_size(rep.cutoff, rep.params.dominant, b)
         # no points, so no class builds a matrix and nothing is built
         f, g, box, pts = point_free_instance()
         assert not pts
         built.clear()
-        rep = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=10)
+        rep = aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts, floor_const=10)
         assert built == []
         assert rep.exponent_set is None
         assert rep.classes == ()
         assert rep.set_size == staircase_size(rep.cutoff, rep.params.dominant, box)
         assert rep.set_size == len(build_exponent_set(rep.cutoff, rep.params.dominant, box))
 
+    def test_a_staircase_off_the_searched_size_is_a_soundness_error(self, monkeypatch):
+        # |E(Y)| is read from the search's counts; the built set must match
+        def smaller(cutoff, m, box):
+            return build_exponent_set(ExactLog(cutoff.height // 2), m, box)
+
+        monkeypatch.setattr(determinant, "build_exponent_set", smaller)
+        f, g, box, pts = quadric_instance()
+        with pytest.raises(SoundnessError, match="the staircase holds"):
+            aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
+                         floor_const=10)
+
     def test_deterministic_across_seeds_for_structure(self):
         f, g, box, pts = quadric_instance()
-        a = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=10, seed=1)
-        b = aux_pipeline(f, g, 5, box, ResidueData(()), 0.5, pts, floor_const=10, seed=9)
+        a = aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts, floor_const=10,
+                         seed=1)
+        b = aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts, floor_const=10,
+                         seed=9)
         assert [c.outcome for c in a.classes] == [c.outcome for c in b.classes]
         assert a.auxiliaries[0].poly.terms == b.auxiliaries[0].poly.terms
 
@@ -738,17 +801,17 @@ class TestAuxColumnCap:
         f, g, pts = self.x1_tenth(c, s)
         assert len(pts) == count
         with pytest.raises(CapExceeded, match="needs 1210360 staircase columns"):
-            aux_pipeline(f, g, 5, self.BOX, None, 0.5, pts, scale_override=1100)
+            aux_pipeline(f, SideCondition(g, 5), self.BOX, None, 0.5, pts, scale_override=1100)
 
     @pytest.mark.parametrize("instance", (quadric_instance, point_free_instance))
     def test_cap_at_the_chosen_size_keeps_the_report(self, monkeypatch, instance):
         f, g, box, pts = instance()
-        want = aux_pipeline(f, g, 5, box, None, 0.5, pts)
+        want = aux_pipeline(f, SideCondition(g, 5), box, None, 0.5, pts)
         monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", want.set_size)
-        assert aux_pipeline(f, g, 5, box, None, 0.5, pts) == want
+        assert aux_pipeline(f, SideCondition(g, 5), box, None, 0.5, pts) == want
         monkeypatch.setattr(detsieve.exponents, "COLUMN_CAP", want.set_size - 1)
         with pytest.raises(CapExceeded, match=f"needs {want.set_size} staircase"):
-            aux_pipeline(f, g, 5, box, None, 0.5, pts)
+            aux_pipeline(f, SideCondition(g, 5), box, None, 0.5, pts)
 
 
 # -- the fraction-free elimination against the rational one it replaced -----------
@@ -1099,14 +1162,15 @@ BENCHMARK_CERTIFY = {
 
 
 def diagonal_certify(a, n, q, B, power):
-    """(M, g, q, E, S) as ``detsieve certify`` builds them for a diagonal quadric."""
+    """(M, side, E) as ``detsieve certify`` builds them for a diagonal quadric."""
     a1, a2, a3 = a
     f = P(3, {(2, 0, 0): a1, (0, 2, 0): a2, (0, 0, 2): a3, (0, 0, 0): -n})
     g = P(3, {(0, 2, 0): a2, (0, 0, 2): a3, (0, 0, 0): -n})
     box = BoxBounds(B, B, B)
     E = build_exponent_set(ExactLog.power(B, power), max_exponent(f, box), box)
-    pts = enumerate_points(f, SideCondition(g, q), box)
-    return build_matrix(list(pts), E), g, q, E, side_log_height(g, box)[1]
+    side = SideCondition(g, q)
+    pts = enumerate_points(f, side, box)
+    return build_matrix(list(pts), E), side, E
 
 
 def certificate_corpus():
@@ -1118,14 +1182,14 @@ def certificate_corpus():
         a = tuple(rng.choice((-3, -2, -1, 1, 2, 3, 5)) for _ in range(3))
         n, B, power = rng.randint(-60, 60), rng.randint(5, 12), rng.choice((2, 3))
         try:
-            M, g, q, E, S = diagonal_certify(a, n, q, B, power)
+            M, side, E = diagonal_certify(a, n, q, B, power)
         except ContractViolation:  # no points
             continue
         if not len(E) <= M.shape[0] or len(E) > 20:
             continue
         try:
             certs = congruence_certificates(
-                M, g, q, E, S, samples=6, rng=random.Random(len(out))
+                M, side, E, samples=6, rng=random.Random(len(out))
             )
         except ContractViolation:  # no admissible shift
             continue
@@ -1170,11 +1234,11 @@ def spy_determinants(monkeypatch, M):
 
 
 def slot_certificate(slot):
-    """(M, g, q, t, E, S) of a certificate on the constant, x2^2 or x3^2 slot."""
+    """(M, side, t, E) of a certificate on the constant, x2^2 or x3^2 slot."""
     if slot == "constant":
         _, g, _, pts = quadric_instance()
         E = staircase(2, 3)
-        return build_matrix(pts, E), g, 5, (0, 0, 0), E, ExactLog.power(2, 2)
+        return build_matrix(pts, E), SideCondition(g, 5), (0, 0, 0), E
     # g = x2^2 - x3^2 - 20: both pure top-degree coefficients are units mod 5
     q, c = 5, 2
     g = P(3, {(0, 2, 0): 1, (0, 0, 2): -1, (0, 0, 0): -q * c * c})
@@ -1182,7 +1246,7 @@ def slot_certificate(slot):
     pts = enumerate_points(f, SideCondition(g, q), BoxBounds(4, 4, 4))
     E = staircase(4, 3)
     t = (0, 2, 0) if slot == "x2" else (0, 0, 2)
-    return build_matrix(pts, E), g, q, t, E, ExactLog.power(4, 2)
+    return build_matrix(pts, E), SideCondition(g, q), t, E
 
 
 # per slot, the member farthest on the wrong side of any diagonal: the
@@ -1198,8 +1262,8 @@ WRONG_SIDE = {
 class TestCertificateChecks:
     @pytest.mark.parametrize("name", sorted(BENCHMARK_CERTIFY))
     def test_benchmark_matrices_match_two_determinant_oracle(self, name):
-        M, g, q, E, S = diagonal_certify(*BENCHMARK_CERTIFY[name])
-        (cert,) = congruence_certificates(M, g, q, E, S, rng=random.Random(3))
+        M, side, E = diagonal_certify(*BENCHMARK_CERTIFY[name])
+        (cert,) = congruence_certificates(M, side, E, rng=random.Random(3))
         if name == "certify-Y16^12":
             # 16 points under 169 columns: no full row subset to sample
             assert M.shape == (16, 169)
@@ -1224,20 +1288,20 @@ class TestCertificateChecks:
     def test_row_subset_with_a_repeated_row_raises(self):
         # [0, 0, 2, ..., 24] is no minor; it used to be recorded as a
         # checked minor with determinant zero
-        M, g, q, E, S = diagonal_certify(*BENCHMARK_CERTIFY["certify-q7-B25"])
+        M, side, E = diagonal_certify(*BENCHMARK_CERTIFY["certify-q7-B25"])
         ncols = M.shape[1]
         for bad in ([0, 0] + list(range(2, ncols)), [5] * ncols):
             with pytest.raises(ContractViolation, match="distinct rows"):
-                congruence_certificates(M, g, q, E, S, samples=0, extra_subsets=(bad,))
-        (cert,) = congruence_certificates(M, g, q, E, S, samples=0,
+                congruence_certificates(M, side, E, samples=0, extra_subsets=(bad,))
+        (cert,) = congruence_certificates(M, side, E, samples=0,
                                           extra_subsets=(range(1, ncols + 1),))
         assert [m.rows for m in cert.checked_minors] == [
             tuple(range(ncols)), tuple(range(1, ncols + 1))]
 
     def test_one_determinant_per_sampled_minor(self, monkeypatch):
-        M, g, q, E, S = diagonal_certify(*BENCHMARK_CERTIFY["certify-q7-B25"])
+        M, side, E = diagonal_certify(*BENCHMARK_CERTIFY["certify-q7-B25"])
         calls = spy_determinants(monkeypatch, M)
-        (cert,) = congruence_certificates(M, g, q, E, S, rng=random.Random(3))
+        (cert,) = congruence_certificates(M, side, E, rng=random.Random(3))
         # det R_S per subset; det A = 1 by structure and det M_S is never formed
         assert calls == {"A": 0, "R": len(cert.checked_minors), "M": 0}
 
@@ -1250,7 +1314,7 @@ class TestCertificateChecks:
         M = build_matrix(pts, E)
         assert M.shape[0] >= len(E)
         calls = spy_determinants(monkeypatch, M)
-        cert = congruence_reduce(M, g, 5, (0, 0, 0), E, ExactLog.power(2, 2), samples=4)
+        cert = congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E, samples=4)
         assert cert.checked_minors
         assert all(m.determinant_zero for m in cert.checked_minors)
         assert calls == {"A": 0, "R": len(cert.checked_minors), "M": 0}
@@ -1260,11 +1324,11 @@ class TestCertificateChecks:
         _, g, box, pts = rich_instance()
         E = staircase(13, 2)
         M = build_matrix(pts, E)
-        S = side_log_height(g, box)[1]
-        return M, g, E, S
+        return M, g, E
 
-    def reduce(self, M, g, E, S):
-        return congruence_reduce(M, g, 5, (0, 0, 0), E, S, samples=16, rng=random.Random(7))
+    def reduce(self, M, g, E):
+        return congruence_reduce(M, SideCondition(g, 5), (0, 0, 0), E, samples=16,
+                                 rng=random.Random(7))
 
     def corrupt_operations(self, monkeypatch, corrupt):
         real = determinant._column_operations
@@ -1278,8 +1342,8 @@ class TestCertificateChecks:
 
     @pytest.mark.parametrize("column", ("reduced", "untouched"))
     def test_wrong_reduced_entry_raises(self, monkeypatch, column):
-        M, g, E, S = self.rich_certificate()
-        cert = self.reduce(M, g, E, S)
+        M, g, E = self.rich_certificate()
+        cert = self.reduce(M, g, E)
         (e, _), = [(e, mu) for e, mu in cert.multiplicities if mu]
         i = E.members.index(e) if column == "reduced" else E.members.index((1, 0, 0))
 
@@ -1288,11 +1352,11 @@ class TestCertificateChecks:
 
         self.corrupt_operations(monkeypatch, corrupt)
         with pytest.raises(SoundnessError, match=f"column {i} of M A"):
-            self.reduce(M, g, E, S)
+            self.reduce(M, g, E)
 
     def test_wrong_column_operation_entry_raises(self, monkeypatch):
-        M, g, E, S = self.rich_certificate()
-        cert = self.reduce(M, g, E, S)
+        M, g, E = self.rich_certificate()
+        cert = self.reduce(M, g, E)
         (e, _), = [(e, mu) for e, mu in cert.multiplicities if mu]
         i = E.members.index(e)
 
@@ -1302,19 +1366,19 @@ class TestCertificateChecks:
 
         self.corrupt_operations(monkeypatch, corrupt)
         with pytest.raises(SoundnessError, match=f"column {i} of M A"):
-            self.reduce(M, g, E, S)
+            self.reduce(M, g, E)
 
     def replaced_column(self, slot):
         """A certificate on the slot, one replaced column i, its divisor, and
         a row k on the wrong side of column i's diagonal."""
-        M, g, q, t, E, S = slot_certificate(slot)
-        cert = congruence_reduce(M, g, q, t, E, S, samples=4, rng=random.Random(7))
+        M, side, t, E = slot_certificate(slot)
+        cert = congruence_reduce(M, side, t, E, samples=4, rng=random.Random(7))
         assert cert.shift == t and cert.lam >= 1 and cert.det_transform == 1
         k = E.members.index(WRONG_SIDE[slot](E))
         i = next(E.members.index(e) for e, mu in cert.multiplicities
                  if mu and E.members.index(e) != k)
         mu = dict(cert.multiplicities)[E.members[i]]
-        return (M, g, q, t, E, S), i, q ** mu, k
+        return (M, side, t, E), i, side.q ** mu, k
 
     @pytest.mark.parametrize("slot", sorted(WRONG_SIDE))
     def test_diagonal_of_two_raises(self, monkeypatch, slot):
@@ -1352,7 +1416,7 @@ class TestCertificateChecks:
         # dropping column i's diagonal 1 takes M[:, i] off M A; R D follows
         # with divisor 1 and R's column set to d * R[:, i] - M[:, i]
         args, i, d, _ = self.replaced_column("constant")
-        M, E = args[0], args[4]
+        M, E = args[0], args[3]
         if not replaced:
             i, d = E.members.index((0, 0, 2)), 1
 

@@ -653,3 +653,21 @@ class TestBadPrimeProduct:
     def test_unknown_source(self):
         with pytest.raises(ContractViolation):
             bad_prime_product("oracle")
+
+    def test_heuristic_refused_over_its_evaluation_cap(self, monkeypatch):
+        # sum of p^3 over primes p <= 61 is 966 291, and 1 267 054 to 67;
+        # a prime cap of 200 used to run about 86 million evaluations
+        class Started(Exception):
+            pass
+
+        def stand_in(self, point):
+            raise Started
+
+        monkeypatch.setattr(IntegerPolynomial, "evaluate", stand_in)
+        f = sphere(5)
+        for cap in (60, 61, 66):
+            with pytest.raises(Started):
+                bad_prime_product("point-count-heuristic", f=f, prime_cap=cap)
+        for cap in (67, 200, 10 ** 30):
+            with pytest.raises(CapExceeded, match="evaluations"):
+                bad_prime_product("point-count-heuristic", f=f, prime_cap=cap)

@@ -15,7 +15,7 @@ import detsieve.scalars
 from detsieve.applications import QuadricInstance, count_quadric
 from detsieve.determinant import aux_pipeline
 from detsieve.enumeration import ResidueData, SideCondition, enumerate_points
-from detsieve.errors import ContractViolation, strict_int
+from detsieve.errors import ContractViolation, strict_int, strict_real
 from detsieve.exponents import (
     INFINITE,
     POWER_CAP,
@@ -62,6 +62,20 @@ class TestIntegerContract:
         for bad in (True, False, 2.5, 2.0, "5", None, [1], math.inf, math.nan):
             with pytest.raises(ContractViolation, match="x must be an integer"):
                 strict_int(bad, "x")
+
+    def test_strict_real(self):
+        for v in (7, -2.5, Fraction(-1, 3), 10 ** 400, Fraction(10 ** 400, 3), 0, 0.0):
+            assert strict_real(v, "x") is v
+        for bad in (True, False, "0.5", None, 1j, math.inf, -math.inf, math.nan):
+            with pytest.raises(ContractViolation, match="x must be a finite number"):
+                strict_real(bad, "x")
+        assert strict_real(0, "x", "nonnegative") == 0
+        assert strict_real(Fraction(1, 10 ** 400), "x", "positive") > 0
+        for v, sign in ((-1, "nonnegative"), (Fraction(-1, 2), "nonnegative"),
+                        (0, "positive"), (0.0, "positive"), (-3.5, "positive"),
+                        (math.inf, "positive"), (True, "positive")):
+            with pytest.raises(ContractViolation, match=f"x must be {sign} and finite"):
+                strict_real(v, "x", sign)
 
     def test_box_bounds_are_stored_as_ints(self):
         class Index:
@@ -370,7 +384,7 @@ class TestIntegerExponents:
         box = cube(10)
         for bad in self.BAD:
             with pytest.raises(ContractViolation, match="modulus must be an integer"):
-                compute_params(f, g, bad, box, 0.5)
+                compute_params(f, SideCondition(g, bad), box, 0.5)
 
 
 class TestLambdaTotal:
@@ -471,7 +485,7 @@ class TestComputeParams:
         f = P(3, {(2, 0, 0): q, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
         box = cube(b)
-        return compute_params(f, g, q, box, 0.5)
+        return compute_params(f, SideCondition(g, q), box, 0.5)
 
     def test_modulus_gain_quarter_root_two(self):
         params = self._quadric(5, 10)
@@ -510,7 +524,7 @@ class TestComputeParams:
         g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
         for bad in (0, -0.5, math.inf, math.nan):
             with pytest.raises(ContractViolation, match="positive and finite"):
-                compute_params(f, g, 5, cube(4), bad)
+                compute_params(f, SideCondition(g, 5), cube(4), bad)
             with pytest.raises(ContractViolation, match="positive and finite"):
                 count_quadric(QuadricInstance(5, 1, 1, 6, 2), "pipeline", epsilon=bad)
 
@@ -518,9 +532,9 @@ class TestComputeParams:
         f = P(3, {(2, 0, 0): 1, (0, 0, 0): -1})
         bad = P(3, {(1, 0, 0): 1, (0, 1, 0): 1})
         with pytest.raises(ContractViolation):
-            compute_params(bad, bad, 2, cube(4), 0.5)
+            compute_params(bad, SideCondition(bad, 2), cube(4), 0.5)
         with pytest.raises(ContractViolation):
-            compute_params(f, P.constant(3, 3), 2, cube(4), 0.5)
+            compute_params(f, SideCondition(P.constant(3, 3), 2), cube(4), 0.5)
 
 
 class TestSideLogHeight:
@@ -825,7 +839,7 @@ class TestChooseYSearch:
             g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -n})
             box = BoxBounds(*box)
             pts = enumerate_points(f, SideCondition(g, q), box)
-            aux_pipeline(f, g, q, box, ResidueData(residues), 0.5, list(pts))
+            aux_pipeline(f, SideCondition(g, q), box, ResidueData(residues), 0.5, list(pts))
 
         runs = {
             "cover-B10": lambda: count_quadric(QuadricInstance(3, 1, 1, 1001, 10), "pipeline"),
@@ -840,8 +854,8 @@ class TestChooseYSearch:
             del calls[:]
             go()
             probes[name] = len(calls)
-        assert probes == {"cover-B10": 5, "cover-B16": 8, "cover-B17": 8,
-                          "aux-B30-p5-p7": 1, "rung-B60": 15, "aux-grid-12-20-30": 8}
+        assert probes == {"cover-B10": 4, "cover-B16": 8, "cover-B17": 8,
+                          "aux-B30-p5-p7": 1, "rung-B60": 14, "aux-grid-12-20-30": 8}
 
 
 def _exponent_of(base, height):
@@ -894,25 +908,35 @@ class TestSideConditionContract:
     }
 
     @classmethod
-    def calls(cls):
-        from detsieve.applications import build_slice
-        from detsieve.determinant import build_matrix, congruence_certificates, congruence_reduce
+    def side_calls(cls):
+        """The six functions that take a side condition, each called on one."""
+        from detsieve.determinant import (
+            build_matrix, congruence_certificates, congruence_reduce, select_shift,
+        )
 
         f, box = cls.F, cube(2)
         pts = list(enumerate_points(f, SideCondition(cls.G, 5), box))
         E = build_exponent_set(ExactLog.power(2, 3), (2, 0, 0), box)
         M = build_matrix(pts, E)
-        S = ExactLog.power(2, 2)
-        h = IntegerPolynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 0, 1): 1})
         return {
-            "compute_params": lambda g, q: compute_params(f, g, q, box, 0.5),
-            "aux_pipeline": lambda g, q: aux_pipeline(f, g, q, box, None, 0.5, pts),
-            "congruence_certificates": lambda g, q: congruence_certificates(M, g, q, E, S),
-            "congruence_reduce": lambda g, q: congruence_reduce(M, g, q, (0, 0, 0), E, S),
-            # a slice's side condition has modulus 1, so only g can be bad
-            "build_slice": lambda g, q: build_slice(1, 1, 0, h, g, 1),
-            "enumerate_points": lambda g, q: enumerate_points(f, SideCondition(g, q), box),
+            "compute_params": lambda side: compute_params(f, side, box, 0.5),
+            "aux_pipeline": lambda side: aux_pipeline(f, side, box, None, 0.5, pts),
+            "congruence_certificates": lambda side: congruence_certificates(M, side, E),
+            "congruence_reduce": lambda side: congruence_reduce(M, side, (0, 0, 0), E),
+            "select_shift": select_shift,
+            "enumerate_points": lambda side: enumerate_points(f, side, box),
         }
+
+    @classmethod
+    def calls(cls):
+        from detsieve.applications import build_slice
+
+        h = IntegerPolynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 0, 1): 1})
+        calls = {name: lambda g, q, call=call: call(SideCondition(g, q))
+                 for name, call in cls.side_calls().items()}
+        # a slice's side condition has modulus 1, so only g can be bad
+        calls["build_slice"] = lambda g, q: build_slice(1, 1, 0, h, g, 1)
+        return calls
 
     NAMES = ("compute_params", "aux_pipeline", "congruence_certificates",
              "congruence_reduce", "build_slice", "enumerate_points")
@@ -929,6 +953,15 @@ class TestSideConditionContract:
         with pytest.raises(ContractViolation) as got:
             self.calls()[name](g, q)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", ("compute_params", "aux_pipeline", "congruence_certificates",
+                                      "congruence_reduce", "select_shift", "enumerate_points"))
+    @pytest.mark.parametrize("side", (G, (G, 5)), ids=("polynomial", "pair"))
+    def test_a_side_that_is_not_a_side_condition_is_refused(self, name, side):
+        # enumerate_points(f, g, box) used to fail with a bare AttributeError
+        kind = type(side).__name__
+        with pytest.raises(ContractViolation, match=f"side must be a SideCondition, not {kind}"):
+            self.side_calls()[name](side)
 
     def test_importable_from_every_old_home(self):
         import detsieve

@@ -16,6 +16,7 @@ from detsieve.errors import ContractViolation
 from detsieve.exponents import (
     BoxBounds,
     ExactLog,
+    SideCondition,
     _grid_height,
     _grid_start,
     build_exponent_set,
@@ -218,7 +219,7 @@ class TestOracleSweep:
             g = P(3, {(0, rng.randint(1, 3), rng.randint(0, 2)): 1, (0, 0, 0): -3})
             q = rng.choice((1, rng.randint(2, 10 ** 4)))
             epsilon = rng.uniform(0.05, 2)
-            params = compute_params(f, g, q, box, epsilon)
+            params = compute_params(f, SideCondition(g, q), box, epsilon)
             got = (params.side.value, params.log_top_height, params.cover_scale,
                    params.cover_scale_eps, params.modulus_gain)
             want = mp_params(f, g, q, box, epsilon)
