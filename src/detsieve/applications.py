@@ -17,8 +17,8 @@ from typing import Sequence
 from .arith import divisors, iroot, is_prime
 from .determinant import CoverReport, _sample_count, aux_pipeline
 from .enumeration import PointSet, SideCondition, enumerate_points
-from .errors import CapExceeded, ContractViolation, Record, SoundnessError, strict_int, strict_real
-from .exponents import BoxBounds
+from .errors import CapExceeded, ContractViolation, Record, SoundnessError, strict_int
+from .exponents import BoxBounds, check_epsilon
 from .polynomials import (
     IntegerPolynomial,
     _pseudo_remainder,
@@ -135,7 +135,7 @@ def count_quadric(
     if mode != "pipeline":
         raise ContractViolation(f"unknown quadric mode {mode!r}")
     minor_samples = _sample_count(minor_samples)
-    strict_real(epsilon, "epsilon", "positive")
+    check_epsilon(epsilon)
 
     a = inst.coefficients
     lead = max(range(3), key=lambda i: (abs(a[i]), -i))
@@ -310,6 +310,10 @@ class UnlikeCount(Record):
 # tests, CI, README and benchmark run is brute at B = 20, 41^4 < 3 * 10^6.
 UNLIKE_WORK_CAP = 10 ** 8
 
+# The most pair sums meet-in-middle keeps in its table, about 46 bytes each
+# (460 MB at the cap): it admits B up to 1 580.
+UNLIKE_TABLE_CAP = 10 ** 7
+
 
 def _power_map(e: int, B: int) -> dict:
     """{v: v^e} for every v in [-B, B]."""
@@ -324,7 +328,8 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
     enumerates each slice surface under its congruence side condition,
     so agreement with brute also validates the per-slice congruences.
 
-    A mode whose work estimate is over UNLIKE_WORK_CAP is refused
+    A mode whose work estimate is over UNLIKE_WORK_CAP, or a
+    meet-in-middle table of over UNLIKE_TABLE_CAP pair sums, is refused
     (CapExceeded) before anything is allocated.
     """
     if mode not in ("brute", "meet-in-middle", "sliced-pipeline"):
@@ -335,6 +340,10 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
     if work[mode] > UNLIKE_WORK_CAP:
         raise CapExceeded(
             f"unlike mode '{mode}' at B = {B} needs over {UNLIKE_WORK_CAP} steps"
+        )
+    if mode == "meet-in-middle" and n ** 2 > UNLIKE_TABLE_CAP:
+        raise CapExceeded(
+            f"unlike mode '{mode}' at B = {B} needs over {UNLIKE_TABLE_CAP} pair sums"
         )
     pk, pl, pm = (_power_map(e, B) for e in (k, l, m))
     rng = range(-B, B + 1)
@@ -523,8 +532,7 @@ def gcd_power_sum(alpha, X: int, n: int) -> GcdPowerSum:
 
 
 class WronskianReport(Record):
-    applicable: bool
-    wronskian_nonzero: bool
+    applicable: bool  # the Wronskian is nonzero
     lhs: int
     rhs: int
     passed: bool
@@ -567,8 +575,7 @@ def wronskian_bound_check(
     w = wronskian(powers)
     if w.is_zero:
         return WronskianReport(
-            applicable=False, wronskian_nonzero=False,
-            lhs=0, rhs=0, passed=False, divisibility_ok=False,
+            applicable=False, lhs=0, rhs=0, passed=False, divisibility_ok=False,
             degrees=degrees, exps=exps,
         )
 
@@ -581,8 +588,7 @@ def wronskian_bound_check(
             divisor = divisor * g ** s
     # prem(w, divisor) vanishes exactly when divisor divides w over Q
     return WronskianReport(
-        applicable=True, wronskian_nonzero=True,
-        lhs=lhs, rhs=rhs, passed=lhs <= rhs,
+        applicable=True, lhs=lhs, rhs=rhs, passed=lhs <= rhs,
         divisibility_ok=_pseudo_remainder(w, divisor, 0).is_zero,
         degrees=degrees, exps=exps,
     )

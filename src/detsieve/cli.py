@@ -243,8 +243,8 @@ def _cover_json(report) -> tuple[dict, list, dict]:
         entry = {
             "label": [list(map(int, t)) for t in oc.label],
             "points": _num([list(p) for p in oc.points], "exact"),
-            "rows": _exact(oc.row_count),
-            "columns": _exact(oc.column_count),
+            "rows": _exact(len(oc.points)),
+            "columns": _exact(report.set_size),
             "rank": _exact(oc.rank),
             "outcome": oc.outcome,
             "aux_index": oc.aux_index,
@@ -256,7 +256,7 @@ def _cover_json(report) -> tuple[dict, list, dict]:
                 "rows": list(rec.rows),
                 "determinant": _count(rec.determinant),
                 "sqrt_columns_times_r": _flt(rec.sqrt_e_times_r),
-                "threshold": _flt(rec.threshold),
+                "threshold": _flt(report.threshold),
                 "valuations": [
                     {
                         "prime": _count(p),

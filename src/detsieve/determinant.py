@@ -253,11 +253,14 @@ def prime_power_valuation(n: int, p: int, j: int):
 
 
 class CheckedMinor(Record):
-    """One verified row subset: whether its minor vanishes, and its valuation."""
+    """One verified row subset and its minor's valuation, None if it is 0."""
 
     rows: tuple
-    determinant_zero: bool
     valuation: int | None
+
+    @property
+    def determinant_zero(self) -> bool:
+        return self.valuation is None
 
 
 class DivisibilityCertificate(Record):
@@ -267,25 +270,28 @@ class DivisibilityCertificate(Record):
     integer lift s with z*coefficient - q*lift = 1, the per-column
     multiplicities, and the reduced matrix left after factoring the
     modulus out column by column.  det_transform is the determinant of
-    the column-operation matrix A.  It is always 1: A is unitriangular
-    in the monomial order that the shift slot fixes, which is checked in
-    one pass over A's entries.
+    the column-operation matrix A, a constant of the class: A is
+    unitriangular in the monomial order that the shift slot fixes, which
+    is checked in one pass over A's entries.
     """
 
     base_modulus: int
     prime: int
     prime_exponent: int
     lam: int
-    certified_divisor: int
     shift: tuple
     coefficient: int
     inverse: int
     lift: int
     multiplicities: tuple
-    det_transform: int
-    columns: tuple
     reduced_entries: tuple
     checked_minors: tuple
+
+    det_transform = 1
+
+    @property
+    def certified_divisor(self) -> int:
+        return self.base_modulus ** self.lam
 
 
 # The most random row subsets a certificate samples.  Each is held until the
@@ -507,26 +513,20 @@ def congruence_reduce(
                 )
             # q^lam times an integer: its valuation is at least lam
             delta = divisor * integer_determinant([reduced_entries[i] for i in sub])
-            if delta == 0:
-                checked.append(CheckedMinor(sub, True, None))
-            else:
-                checked.append(
-                    CheckedMinor(sub, False, prime_power_valuation(delta, p, j))
-                )
+            checked.append(
+                CheckedMinor(sub, prime_power_valuation(delta, p, j) if delta else None)
+            )
 
     return DivisibilityCertificate(
         base_modulus=q,
         prime=p,
         prime_exponent=j,
         lam=lam,
-        certified_divisor=divisor,
         shift=t,
         coefficient=c_t,
         inverse=z,
         lift=s,
         multiplicities=mus,
-        det_transform=1,
-        columns=E.members,
         reduced_entries=reduced_entries,
         checked_minors=tuple(checked),
     )
@@ -568,7 +568,6 @@ class AuxiliaryPolynomial(Record):
     poly: IntegerPolynomial
     vanishes_on: tuple
     coprime_to_f: bool
-    degree_bound: int
     role: str = "class-cover"
 
 
@@ -617,7 +616,6 @@ def _kernel_polynomial(
         poly=poly,
         vanishes_on=M.rows,
         coprime_to_f=is_coprime(poly, f),
-        degree_bound=poly.total_degree(),
     )
 
 
@@ -640,22 +638,18 @@ def null_space_polynomial(M: MonomialMatrix, f: IntegerPolynomial) -> AuxiliaryP
 class FalsificationRecord(Record):
     """A nonzero full minor where the vanishing argument demanded zero."""
 
-    label: tuple
     rows: tuple
     determinant: int
-    column_count: int
-    row_count: int
     sqrt_e_times_r: float
-    threshold: float
     valuations: tuple  # (prime, exponent, lam, valuation or None)
     residue_valuations: tuple = ()  # (residue prime, exact valuation)
 
 
 class ClassOutcome(Record):
+    """One residue class: a row per point, the report's set_size columns."""
+
     label: tuple
     points: tuple
-    row_count: int
-    column_count: int
     rank: int
     outcome: str  # 'aux' or 'falsified'
     aux_index: int | None
@@ -686,7 +680,6 @@ class CoverReport(Record):
     classes: tuple
     auxiliaries: tuple
     leftover: tuple
-    falsifications: tuple
     coverage_complete: bool
     counts: Mapping[str, int]
 
@@ -799,7 +792,6 @@ def aux_pipeline(
 
     auxiliaries: list[AuxiliaryPolynomial] = []
     outcomes: list[ClassOutcome] = []
-    falsifications: list[FalsificationRecord] = []
     leftover: list = list(excluded)
     counts = {
         "classes": len(classes),
@@ -816,11 +808,10 @@ def aux_pipeline(
         counts["matrices_built"] += 1
         rank, pivot_cols, pivot_rows, echelon = _row_reduce(M.entries)
         counts["rank_computations"] += 1
-        J = len(class_points)
 
         full = rank == e_count
         certs: tuple = ()
-        if q > 1 and J >= e_count:
+        if q > 1 and len(class_points) >= e_count:
             certs = congruence_certificates(
                 M, side, E_set, samples=minor_samples, rng=rng,
                 extra_subsets=(pivot_rows[:e_count],) if full else (),
@@ -839,19 +830,13 @@ def aux_pipeline(
             rvals = tuple(
                 (rp, p_adic_valuation(delta, rp)) for rp in residues.primes
             )
-            sqrt_er = float(rnd(root(e_count) * r))
             rec = FalsificationRecord(
-                label=label,
                 rows=tuple(pivot_rows[:e_count]),
                 determinant=delta,
-                column_count=e_count,
-                row_count=J,
-                sqrt_e_times_r=sqrt_er,
-                threshold=float(threshold),
+                sqrt_e_times_r=float(rnd(root(e_count) * r)),
                 valuations=vals,
                 residue_valuations=rvals,
             )
-            falsifications.append(rec)
             leftover.extend(class_points)
         else:
             aux = _kernel_polynomial(M, f, pivot_cols, echelon)
@@ -865,8 +850,6 @@ def aux_pipeline(
             ClassOutcome(
                 label=label,
                 points=class_points,
-                row_count=J,
-                column_count=e_count,
                 rank=rank,
                 outcome="falsified" if full else "aux",
                 aux_index=aux_index,
@@ -884,7 +867,6 @@ def aux_pipeline(
             poly=deriv,
             vanishes_on=(),
             coprime_to_f=is_coprime(deriv, f),
-            degree_bound=deriv.total_degree(),
             role="singular-cover",
         )
     )
@@ -910,7 +892,6 @@ def aux_pipeline(
         classes=tuple(outcomes),
         auxiliaries=tuple(auxiliaries),
         leftover=tuple(sorted(leftover_set)),
-        falsifications=tuple(falsifications),
         coverage_complete=coverage_complete,
         counts=counts,
     )

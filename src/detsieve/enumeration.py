@@ -350,8 +350,8 @@ def bad_prime_product(
     |2 a1 a2 a3 n| for diagonal quadrics, and a point-count heuristic
     flagging p when the count of solutions mod p strays from p^2 by more
     than slack * p^(3/2), compared exactly; slack is a finite nonnegative
-    int, float or Fraction.  The heuristic is explicitly that, and its
-    output is labelled accordingly in reports.  It evaluates f at p^3
+    int, float or Fraction.  The heuristic is explicitly that, a guess;
+    no report or CLI command carries its output.  It evaluates f at p^3
     points per prime, and refuses (CapExceeded) before counting any when
     they sum to over HEURISTIC_EVALUATION_CAP.
     """

@@ -342,13 +342,11 @@ class MethodParams(Record):
     much each factor of the congruence modulus shrinks the cover.
     """
 
-    box: BoxBounds
     modulus: int
     epsilon: float
     dominant: ExponentVector
     side_exponent: ExponentVector
     side: ExactLog
-    top_height: int
     log_top_height: object
     cover_scale: object
     cover_scale_eps: object
@@ -363,6 +361,21 @@ def side_log_height(g: IntegerPolynomial, box: BoxBounds) -> tuple[ExponentVecto
     return s_star, ExactLog(box.height(s_star))
 
 
+#: the largest epsilon admitted: the B^epsilon slack of the cover scale is
+#: meaningless past a few units, and the largest epsilon a test, CI, the
+#: README or the benchmark uses is 3
+EPSILON_CAP = 10
+
+
+def check_epsilon(epsilon):
+    """epsilon if it is an int, float or Fraction in (0, EPSILON_CAP], else
+    ContractViolation: the one epsilon rule, checked before any work."""
+    strict_real(epsilon, "epsilon", "positive")
+    if epsilon > EPSILON_CAP:
+        raise ContractViolation(f"epsilon must be at most {EPSILON_CAP}")
+    return epsilon
+
+
 def compute_params(
     f: IntegerPolynomial,
     side: SideCondition,
@@ -373,7 +386,7 @@ def compute_params(
     g, q = SideCondition.check(side).g, side.q
     if f.nvars != 3:
         raise ContractViolation("parameters are defined for three variables")
-    strict_real(epsilon, "epsilon", "positive")
+    check_epsilon(epsilon)
     m = max_exponent(f, box)
     if not any(m):
         raise ContractViolation("dominant exponent of f is zero")
@@ -390,13 +403,11 @@ def compute_params(
         / rnd(2 * S.value * power(log_top, 1.5))
     )
     return MethodParams(
-        box=box,
         modulus=q,
         epsilon=float(epsilon),
         dominant=m,
         side_exponent=s_star,
         side=S,
-        top_height=box.height(m),
         log_top_height=log_top,
         cover_scale=exp(log_k),
         cover_scale_eps=exp(rnd(log_k + slack)),
@@ -536,9 +547,7 @@ def check_columns(size: int) -> None:
 
 def default_floor_constant(epsilon: float) -> int:
     """Minimum multiples of log B the cutoff must reach; grows as 1/epsilon."""
-    if not epsilon > 0:
-        raise ContractViolation("epsilon must be positive")
-    return max(10, math.ceil(4 / epsilon))
+    return max(10, math.ceil(4 / check_epsilon(epsilon)))
 
 
 def choose_Y(

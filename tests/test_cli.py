@@ -193,6 +193,42 @@ class TestReportSchema:
         report = invoke_json(tmp_path, capsys, "unlike", cfg)
         assert report["result"]["count"]["value"] == "2"
 
+    def test_unlike_sliced_pipeline_report(self, tmp_path, capsys):
+        cfg = {"k": 13, "l": 5, "m": 3, "N": 2, "B": 5, "mode": "sliced-pipeline"}
+        result = invoke_json(tmp_path, capsys, "unlike", cfg)["result"]
+        assert result["count"] == {"value": "18", "provenance": "exact"}
+        assert result["zero_slice_count"] == {"value": "11", "provenance": "exact"}
+        assert result["slices"] == [[1, {"value": "4", "provenance": "exact"}],
+                                    [2, {"value": "3", "provenance": "exact"}]]
+        assert result["assumed_hypothesis"] == (
+            "slice surfaces assumed geometrically irreducible for every nonzero u"
+        )
+        meet = invoke_json(tmp_path, capsys, "unlike", dict(cfg, mode="meet-in-middle"))
+        assert meet["result"] == {"count": result["count"]}
+
+    def test_class_entries_read_each_number_from_its_owner(self, tmp_path, capsys):
+        # one class, falsified: its rows are its points, its columns the
+        # report's set size, and its threshold the report's threshold
+        f = {"nvars": 3, "terms": [[[2, 0, 0], 5], [[0, 2, 0], 1], [[0, 0, 2], 1],
+                                   [[0, 0, 0], -174]]}
+        g = {"nvars": 3, "terms": [[[0, 2, 0], 1], [[0, 0, 2], 1], [[0, 0, 0], -174]]}
+        cfg = {"f": f, "g": g, "q": 5, "box": [13, 13, 13], "epsilon": 0.5,
+               "scale_override": 2, "floor_const": 2}
+        report = invoke_json(tmp_path, capsys, "aux", cfg)
+        (entry,) = report["result"]["classes"]
+        diag = report["diagnostics"]
+        assert entry["outcome"] == "falsified"
+        assert entry["rows"]["value"] == len(entry["points"]["value"]) == 32
+        assert entry["columns"]["value"] == diag["set_size"]["value"] == 9
+        rec = entry["falsification"]
+        assert rec["threshold"] == diag["threshold"] == {"value": 2.0, "provenance": "float"}
+        assert len(rec["rows"]) == 9
+        (cert,) = (report["certificates"][i] for i in entry["certificate_indices"])
+        assert cert["det_transform"]["value"] == "1"
+        assert cert["certified_divisor"]["value"] == str(5 ** cert["lambda"]["value"])
+        for m in cert["checked_minors"]:
+            assert m["determinant_zero"] == (m["valuation"] is None)
+
     def test_timings_are_counters(self, tmp_path, capsys):
         cfg = {"f": SPHERE5, "g": TRIVIAL_G, "box": [10, 10, 10]}
         report = invoke_json(tmp_path, capsys, "enumerate", cfg)
@@ -442,8 +478,9 @@ class TestUnlikeWorkCap:
         assert err.startswith("usage error:") and "needs over" in err
         assert "Traceback" not in err
 
-    # brute (2B+1)^4, meet-in-middle (2B+1)^2, sliced-pipeline 6B (2B+1)^2
-    @pytest.mark.parametrize("mode, B", (("brute", 49), ("meet-in-middle", 4999),
+    # brute (2B+1)^4 steps, meet-in-middle a table of (2B+1)^2 pair sums,
+    # sliced-pipeline 6B (2B+1)^2 steps
+    @pytest.mark.parametrize("mode, B", (("brute", 49), ("meet-in-middle", 1580),
                                          ("sliced-pipeline", 160)))
     def test_cap_sits_between_two_box_sizes(self, mode, B):
         def work(b):
@@ -451,13 +488,30 @@ class TestUnlikeWorkCap:
             return {"brute": n ** 4, "meet-in-middle": n ** 2,
                     "sliced-pipeline": 6 * b * n ** 2}[mode]
 
-        cap = detsieve.applications.UNLIKE_WORK_CAP
+        apps = detsieve.applications
+        cap = apps.UNLIKE_TABLE_CAP if mode == "meet-in-middle" else apps.UNLIKE_WORK_CAP
         assert work(B) <= cap < work(B + 1)
         cfg = {"k": 13, "l": 5, "m": 3, "N": 2, "B": B, "mode": mode}
         with pytest.raises(Started):
             run("unlike", cfg)
         with pytest.raises(CapExceeded, match="needs over"):
             run("unlike", dict(cfg, B=B + 1))
+
+
+class TestEpsilonCap:
+    AUX = {"f": CONG_F, "g": CONG_G, "q": 5, "box": [2, 2, 2], "epsilon": 1e300}
+    QUADRIC = {"a": [3, 1, 1], "n": 1001, "B": 10, "mode": "pipeline", "epsilon": 1e8}
+
+    # 1e300 used to end in an OverflowError traceback, 1e8 to run past 20 s
+    @pytest.mark.parametrize("command, cfg", (("aux", AUX), ("quadric", QUADRIC)),
+                             ids=("aux", "quadric"))
+    def test_huge_epsilon_refused_at_once(self, tmp_path, capsys, command, cfg):
+        start = time.perf_counter()
+        assert invoke(tmp_path, command, cfg) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid instance:") and "epsilon must be at most" in err
+        assert "Traceback" not in err
 
 
 class TestCertifyColumnCap:

@@ -598,7 +598,7 @@ class TestAuxPipeline:
         assert rep.set_size == 121
         assert rep.coverage_complete
         assert rep.leftover == ()
-        assert rep.falsifications == ()
+        assert [c.falsification for c in rep.classes] == [None]
         cover = rep.auxiliaries[0]
         for pt in pts:
             assert cover.poly.evaluate(pt) == 0
@@ -638,10 +638,10 @@ class TestAuxPipeline:
         )
         assert [c.outcome for c in rep.classes] == ["falsified"]
         assert rep.set_size == 9
-        assert len(rep.falsifications) == 1
-        rec = rep.falsifications[0]
-        assert rec.determinant != 0
         (cls,) = rep.classes
+        rec = cls.falsification
+        assert rec is not None
+        assert rec.determinant != 0
         M = build_matrix(cls.points, rep.exponent_set)
         assert rec.determinant == minor_determinant(M, rec.rows)
         assert rec.determinant == fraction_determinant([M.entries[i] for i in rec.rows])

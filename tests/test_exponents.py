@@ -17,6 +17,7 @@ from detsieve.determinant import aux_pipeline
 from detsieve.enumeration import ResidueData, SideCondition, enumerate_points
 from detsieve.errors import ContractViolation, strict_int, strict_real
 from detsieve.exponents import (
+    EPSILON_CAP,
     INFINITE,
     POWER_CAP,
     BoxBounds,
@@ -527,6 +528,20 @@ class TestComputeParams:
                 compute_params(f, SideCondition(g, 5), cube(4), bad)
             with pytest.raises(ContractViolation, match="positive and finite"):
                 count_quadric(QuadricInstance(5, 1, 1, 6, 2), "pipeline", epsilon=bad)
+
+    def test_epsilon_capped_by_one_rule(self):
+        # 1e300 and 10**400 used to raise a bare OverflowError
+        f = P(3, {(2, 0, 0): 5, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+        side = SideCondition(P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6}), 5)
+        for bad in (EPSILON_CAP + 1, 10.000001, Fraction(21, 2), 1e300, 10 ** 400):
+            with pytest.raises(ContractViolation, match=f"epsilon must be at most {EPSILON_CAP}"):
+                compute_params(f, side, cube(4), bad)
+            with pytest.raises(ContractViolation, match=f"epsilon must be at most {EPSILON_CAP}"):
+                default_floor_constant(bad)
+        params = compute_params(f, side, cube(4), EPSILON_CAP)
+        assert params.epsilon == EPSILON_CAP
+        assert default_floor_constant(EPSILON_CAP) == 10
+        assert default_floor_constant(Fraction(1, 10)) == 40
 
     def test_side_polynomial_must_avoid_first_variable(self):
         f = P(3, {(2, 0, 0): 1, (0, 0, 0): -1})

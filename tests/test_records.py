@@ -39,9 +39,9 @@ class TestConstruction:
         assert PointSet((), box, True).nonsingular_only is True
         assert ResidueData().primes == ()
         x = IntegerPolynomial.variable(3, 1)
-        assert AuxiliaryPolynomial(x, (), True, 1).role == "class-cover"
-        assert AuxiliaryPolynomial(x, (), True, 1, role="leftover").role == "leftover"
-        rec = FalsificationRecord((), (0,), 1, 1, 1, 1.0, 2.0, ())
+        assert AuxiliaryPolynomial(x, (), True).role == "class-cover"
+        assert AuxiliaryPolynomial(x, (), True, role="leftover").role == "leftover"
+        rec = FalsificationRecord((0,), 1, 1.0, ())
         assert rec.residue_valuations == ()
 
     def test_missing_extra_and_repeated_arguments(self):
