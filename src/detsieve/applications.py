@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .arith import divisors, iroot, is_prime
 from .determinant import CoverReport, _sample_count, aux_pipeline
-from .enumeration import PointSet, SideCondition, enumerate_points
+from .enumeration import DEGREE_CAP, SideCondition, enumerate_points
 from .errors import CapExceeded, ContractViolation, Record, SoundnessError, strict_int
 from .exponents import BoxBounds, check_epsilon
 from .polynomials import (
@@ -102,7 +102,7 @@ def quadric_cover_scale(q: int, B: int):
 
 class QuadricCount(Record):
     count: int
-    points: PointSet
+    points: tuple
     mode: str
     permutation: tuple | None = None
     modulus: int | None = None
@@ -153,7 +153,7 @@ def count_quadric(
     pts = enumerate_points(f, side, box)
     scale = rnd(quadric_cover_scale(q, inst.B) * power(inst.B, epsilon))
     report = aux_pipeline(
-        f, side, box, None, epsilon, list(pts),
+        f, side, box, None, epsilon, pts,
         seed=seed, minor_samples=minor_samples,
         floor_const=floor_const, scale_override=scale,
     )
@@ -182,6 +182,9 @@ class UnlikePowersInstance(Record):
             object.__setattr__(self, name, strict_int(getattr(self, name), name))
         if min(self.k, self.l, self.m) < 2:
             raise ContractViolation("all exponents must be at least 2")
+        if max(self.k, self.l, self.m) > DEGREE_CAP:
+            raise CapExceeded(f"exponent {max(self.k, self.l, self.m)} is over "
+                              f"the degree cap {DEGREE_CAP}")
         if self.N == 0:
             raise ContractViolation("target must be nonzero")
         if self.B < 1:

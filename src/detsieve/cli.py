@@ -358,9 +358,9 @@ def _run_certify(cfg: dict, seed: int) -> dict:
     E = build_exponent_set(cutoff, m, box)
     side = SideCondition(g, q)
     pts = enumerate_points(f, side, box)
-    if not len(pts):
+    if not pts:
         raise ContractViolation("no points to certify")
-    M = build_matrix(list(pts), E)
+    M = build_matrix(pts, E)
     certs = congruence_certificates(M, side, E, samples=samples, rng=random.Random(seed))
     return {
         "instance": dict(instance, cutoff=_cutoff_json(cutoff)),
@@ -393,7 +393,7 @@ def _run_aux(cfg: dict, seed: int) -> dict:
     side = SideCondition(g, q)
     pts = enumerate_points(f, side, box)
     report = aux_pipeline(
-        f, side, box, residues, epsilon, list(pts),
+        f, side, box, residues, epsilon, pts,
         seed=seed, minor_samples=samples,
         floor_const=floor_const, scale_override=scale_override,
     )
@@ -613,11 +613,21 @@ def main(argv=None) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config: {exc}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}")
+        except (OSError, ValueError) as exc:
+            # ValueError: not UTF-8, or an integer past CPython's digit limit
+            raise UsageError(f"cannot read config: {exc}")
         report = run(args.command, config, seed=args.seed)
+        text = json.dumps(report, sort_keys=True, indent=2)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise UsageError(f"cannot write report: {exc}")
+        else:
+            print(text)
     except (UsageError, CapExceeded) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -630,13 +640,6 @@ def main(argv=None) -> int:
     except SoundnessError as exc:
         print(f"soundness failure (bug): {exc}", file=sys.stderr)
         return 3
-
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 

@@ -19,7 +19,7 @@ import random
 from typing import Mapping, Sequence
 
 from .arith import factorize, is_prime, prime_power_decompose
-from .enumeration import PointSet, ResidueData, residue_split, split_leftover
+from .enumeration import ResidueData, residue_split, split_leftover
 from .errors import (
     ContractViolation, HypothesisViolation, Record, SoundnessError, strict_int, strict_real,
 )
@@ -754,17 +754,11 @@ def aux_pipeline(
     params = compute_params(f, side, box, epsilon)
     threshold = params.cover_scale_eps if scale_override is None else rnd(scale_override)
 
-    point_set = PointSet(tuple(sorted(pts)), box, False)
-    if threshold <= 1:
-        branch = "single-cover"
-        r = 1
-        classes = {(): point_set} if pts else {}
-        excluded: tuple = ()
-    else:
-        branch = "standard"
-        r = residues.product
-        classes = residue_split(point_set, residues, f)
-        excluded = split_leftover(point_set, classes)
+    # at threshold <= 1 one class covers every point, so none is split off
+    split_by = residues if threshold > 1 else ResidueData(())
+    branch = "standard" if threshold > 1 else "single-cover"
+    r = split_by.product
+    classes = residue_split(pts, split_by, f)
 
     squared = rnd(threshold * threshold)
     sizes = {}  # |E(Y)| at each cutoff height the search tries
@@ -792,7 +786,7 @@ def aux_pipeline(
 
     auxiliaries: list[AuxiliaryPolynomial] = []
     outcomes: list[ClassOutcome] = []
-    leftover: list = list(excluded)
+    leftover: list = list(split_leftover(pts, classes))
     counts = {
         "classes": len(classes),
         "points": len(pts),
@@ -802,8 +796,7 @@ def aux_pipeline(
         "minors_checked": 0,
     }
 
-    for label in sorted(classes):
-        class_points = classes[label].points
+    for label, class_points in classes.items():
         M = build_matrix(class_points, E_set)
         counts["matrices_built"] += 1
         rank, pivot_cols, pivot_rows, echelon = _row_reduce(M.entries)

@@ -22,20 +22,6 @@ from .exponents import BoxBounds, SideCondition
 from .polynomials import IntegerPolynomial
 
 
-class PointSet(Record):
-    """Sorted integer points found in a box, with the flags that shaped them."""
-
-    points: tuple
-    box: BoxBounds
-    nonsingular_only: bool = False
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
 def _horner_row(coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
     """Values of sum(coeffs[k] x^k) at every x of xs, one pass per degree."""
     if not coeffs:
@@ -167,6 +153,13 @@ def _value_table(p: Sequence[int], lo: int, hi: int) -> dict[int, list[int]]:
 BOX_FIBER_CAP = 10 ** 8
 
 
+# The highest total degree of f and of g that enumerate_points takes, and the
+# highest unlike exponent k, l or m.  The tests, CI, README and benchmark use
+# at most 14 for f, 6 for g and 15 for an exponent; an x3^100000 in f, or an
+# unlike k of 10^7, ran for seconds to minutes before any result.
+DEGREE_CAP = 1000
+
+
 def check_fibers(box: BoxBounds) -> None:
     """Refuse (CapExceeded) a box with over BOX_FIBER_CAP fibers (x2, x3)."""
     if (2 * box.b2 + 1) * (2 * box.b3 + 1) > BOX_FIBER_CAP:
@@ -179,8 +172,10 @@ def enumerate_points(
     side: SideCondition,
     box: BoxBounds,
     nonsingular_only: bool = False,
-) -> PointSet:
+) -> tuple:
     """Exact enumeration of the congruence-constrained surface points.
+
+    Returns the sorted tuple of points (x1, x2, x3).
 
     Fibers over admissible (x2, x3); each fiber reduces to integer root
     finding for f(., x2, x3).  g mod q depends only on x2 and x3 mod q,
@@ -202,8 +197,8 @@ def enumerate_points(
     its c_0.  So the table never costs more evaluations than the fibers
     it serves, and a huge B1 with few fibers builds none.
 
-    A box with over BOX_FIBER_CAP fibers is refused (CapExceeded) before
-    anything is allocated.
+    A box with over BOX_FIBER_CAP fibers, or an f or g of total degree
+    over DEGREE_CAP, is refused (CapExceeded) before anything is allocated.
     """
     check_fibers(box)
     if f.nvars != 3:
@@ -212,6 +207,10 @@ def enumerate_points(
         raise ContractViolation("surface polynomial is zero")
     b1, b2, b3 = box.bounds
     q = SideCondition.check(side).q
+    for p, what in ((f, "surface"), (side.g, "side")):
+        if p.total_degree() > DEGREE_CAP:
+            raise CapExceeded(f"the {what} polynomial has degree {p.total_degree()}, "
+                              f"over the degree cap {DEGREE_CAP}")
     coeff_polys = f.coefficients_in(0)
     zero = IntegerPolynomial.zero(3)
     # c_j(x2, x3) = coefficient of x1^j, grouped once so each row y costs
@@ -263,7 +262,7 @@ def enumerate_points(
                     points.append(pt)
 
     points.sort()
-    return PointSet(tuple(points), box, nonsingular_only)
+    return tuple(points)
 
 
 # -- residue-class splitting -------------------------------------------------
@@ -289,11 +288,12 @@ class ResidueData(Record):
 
 
 def residue_split(
-    P: PointSet, residues: ResidueData, f: IntegerPolynomial
-) -> dict[tuple, PointSet]:
+    points: Sequence[tuple], residues: ResidueData, f: IntegerPolynomial
+) -> dict[tuple, tuple]:
     """Partition points by their reductions mod each residue prime.
 
-    The class label is the tuple of reduced points.  A point whose
+    Returns {label: sorted tuple of points}, labels in sorted order.  The
+    class label is the tuple of reduced points.  A point whose
     reduction mod some prime is a singular point of the reduced surface
     is dropped from every class.  With no primes at all there is a
     single class labelled () holding everything.
@@ -302,7 +302,7 @@ def residue_split(
         raise ContractViolation("surface polynomial must use arity 3")
     grads = [f.partial_derivative(i) for i in range(3)]
     classes: dict[tuple, list] = {}
-    for pt in P.points:
+    for pt in points:
         labels = []
         keep = True
         for p in residues.primes:
@@ -313,18 +313,15 @@ def residue_split(
             labels.append(red)
         if keep:
             classes.setdefault(tuple(labels), []).append(pt)
-    return {
-        label: PointSet(tuple(sorted(pts)), P.box, P.nonsingular_only)
-        for label, pts in sorted(classes.items())
-    }
+    return {label: tuple(sorted(pts)) for label, pts in sorted(classes.items())}
 
 
-def split_leftover(P: PointSet, classes: Mapping[tuple, PointSet]) -> tuple:
-    """Points of P not present in any class (singular reductions)."""
+def split_leftover(points: Sequence[tuple], classes: Mapping[tuple, Sequence]) -> tuple:
+    """Points not present in any class (singular reductions)."""
     seen = set()
-    for ps in classes.values():
-        seen.update(ps.points)
-    return tuple(pt for pt in P.points if pt not in seen)
+    for pts in classes.values():
+        seen.update(pts)
+    return tuple(pt for pt in points if pt not in seen)
 
 
 # -- bad prime products --------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one integer check and
 the one real-number check, and ``Record``, the base of every immutable
-result record (boxes, point sets, certificates, reports)."""
+result record (boxes, certificates, reports)."""
 
 import math
 import operator
@@ -33,6 +33,21 @@ class SoundnessError(AssertionError):
     """
 
 
+# every int of at most this many bits has under 4 300 decimal digits, the
+# most that CPython's int-to-string conversion allows by default
+_SHOWN_BITS = 14_000
+
+
+def _shown(v) -> str:
+    """repr(v), except that an int or Fraction of over _SHOWN_BITS bits, which
+    repr may refuse, is named by its type and size."""
+    if isinstance(v, (int, Fraction)):
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        if bits > _SHOWN_BITS:
+            return f"a {bits}-bit {type(v).__name__}"
+    return repr(v)
+
+
 def strict_int(v, what: str) -> int:
     """v as an int: any integer type (one with ``__index__``) but a bool,
     else ContractViolation.  The one rule for what counts as integer input."""
@@ -41,7 +56,7 @@ def strict_int(v, what: str) -> int:
             return operator.index(v)
         except TypeError:
             pass
-    raise ContractViolation(f"{what} must be an integer, not {v!r}")
+    raise ContractViolation(f"{what} must be an integer, not {_shown(v)}")
 
 
 def strict_real(v, what: str, sign: str = ""):
@@ -54,7 +69,7 @@ def strict_real(v, what: str, sign: str = ""):
         if not sign or v > 0 or v == 0 and sign == "nonnegative":
             return v
     rule = f"{sign} and finite" if sign else "a finite number"
-    raise ContractViolation(f"{what} must be {rule}, not {v!r}")
+    raise ContractViolation(f"{what} must be {rule}, not {_shown(v)}")
 
 
 # the default of a Record field that has none

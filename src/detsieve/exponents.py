@@ -277,18 +277,13 @@ def staircase_size(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> int:
     return _count_below(T, box.bounds) - _count_below(T // box.height(m), box.bounds)
 
 
-class SetStatistics(tuple):
-    """(count, sum_log, sum_e2, sum_e3) with named access."""
+class SetStatistics(Record):
+    """What set_statistics measures of an ExponentSet."""
 
-    __slots__ = ()
-
-    def __new__(cls, count, sum_log, sum_e2, sum_e3):
-        return super().__new__(cls, (count, sum_log, sum_e2, sum_e3))
-
-    count = property(lambda s: s[0])
-    sum_log = property(lambda s: s[1])
-    sum_e2 = property(lambda s: s[2])
-    sum_e3 = property(lambda s: s[3])
+    count: int
+    sum_log: Fraction
+    sum_e2: int
+    sum_e3: int
 
 
 def set_statistics(E: ExponentSet) -> SetStatistics:

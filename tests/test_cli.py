@@ -15,6 +15,7 @@ import detsieve.cli
 import detsieve.determinant
 import detsieve.enumeration
 import detsieve.exponents
+from detsieve.applications import UnlikePowersInstance
 from detsieve.cli import UsageError, _poly_field, fit_exponent, main, run
 from detsieve.determinant import aux_pipeline
 from detsieve.errors import CapExceeded, ContractViolation, SoundnessError
@@ -77,6 +78,27 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["enumerate", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", (
+        # json.load raises a plain ValueError past the 4 300-digit limit
+        b'{"a": [1, 1, 1], "n": ' + b"7" * 5000 + b', "B": 10}',
+        b'{"a": [1, 1, 1], "n": 5, "B": 10, "note": "\xff"}',
+    ), ids=("5000-digit-integer", "not-utf8"))
+    def test_unparseable_config_is_a_usage_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main(["quadric", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot read config:")
+        assert "Traceback" not in err
+
+    def test_out_into_a_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        cfg = {"f": SPHERE5, "g": TRIVIAL_G, "box": [10, 10, 10]}
+        out = tmp_path / "missing" / "report.json"
+        assert invoke(tmp_path, "enumerate", cfg, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write report:")
+        assert not out.exists()
 
     def test_invalid_instance(self, tmp_path, capsys):
         cfg = {"a": [1, 1, 1], "n": -4, "B": 10}  # rational lines possible
@@ -512,6 +534,51 @@ class TestEpsilonCap:
         err = capsys.readouterr().err
         assert err.startswith("invalid instance:") and "epsilon must be at most" in err
         assert "Traceback" not in err
+
+
+class TestDegreeCap:
+    X1_SQUARE = [[2, 0, 0], 1]
+    ENUMERATE = {
+        "f": {"nvars": 3, "terms": [X1_SQUARE, [[0, 0, 100000], 1], [[0, 0, 0], -2]]},
+        "g": {"nvars": 3, "terms": [[[0, 2, 0], 1], [[0, 0, 0], -1]]},
+        "q": 3, "box": [2, 2, 2],
+    }
+    UNLIKE = {"k": 10_000_001, "l": 5, "m": 3, "N": 2, "B": 5}
+
+    # x3^100000 used to take 4.9 s, k = 10 000 001 to run past 30 s
+    @pytest.mark.parametrize("command, cfg", (("enumerate", ENUMERATE), ("unlike", UNLIKE)),
+                             ids=("enumerate", "unlike"))
+    def test_huge_degree_refused_at_once(self, tmp_path, capsys, command, cfg):
+        start = time.perf_counter()
+        assert invoke(tmp_path, command, cfg) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "degree cap 1000" in err
+        assert "Traceback" not in err
+
+    def test_cap_sits_between_two_degrees(self):
+        cap = detsieve.enumeration.DEGREE_CAP
+
+        def term(e2, e3):
+            return {"nvars": 3, "terms": [[[0, e2, e3], 1], [[0, 0, 0], -1]]}
+
+        f_at = {"nvars": 3, "terms": [self.X1_SQUARE, [[0, 0, cap], 1], [[0, 0, 0], -2]]}
+        report = run("enumerate", dict(self.ENUMERATE, f=f_at))
+        # x1, x3 = +-1 and x2^2 = 1 mod 3 at x2 = +-1, +-2
+        assert report["result"]["count"]["value"] == "16"
+        # x2^999 x3 = 1 mod 3: x1 = +-1, x3 = +-1, two x2 for each x3
+        report = run("enumerate", dict(self.ENUMERATE, f=f_at, g=term(cap - 1, 1)))
+        assert report["result"]["count"]["value"] == "8"
+        f_over = dict(f_at, terms=[self.X1_SQUARE, [[0, 0, cap + 1], 1], [[0, 0, 0], -2]])
+        with pytest.raises(CapExceeded, match="surface polynomial has degree 1001"):
+            run("enumerate", dict(self.ENUMERATE, f=f_over))
+        with pytest.raises(CapExceeded, match="side polynomial has degree 1001"):
+            run("enumerate", dict(self.ENUMERATE, f=f_at, g=term(cap, 1)))
+        for name in ("k", "l", "m"):
+            exps = {"k": 13, "l": 5, "m": 3}
+            UnlikePowersInstance(**dict(exps, **{name: cap}), N=2, B=5)
+            with pytest.raises(CapExceeded, match="exponent 1001 is over the degree cap"):
+                UnlikePowersInstance(**dict(exps, **{name: cap + 1}), N=2, B=5)
 
 
 class TestCertifyColumnCap:

@@ -663,6 +663,22 @@ class TestAuxPipeline:
         assert len(rep.classes) == 1
         assert rep.coverage_complete
 
+    @pytest.mark.parametrize("primes", ((3,), (3, 7)))
+    def test_single_cover_keeps_one_class_whatever_the_primes(self, primes):
+        # at threshold <= 1 one class covers every point, so the caller's
+        # primes split nothing and leave r = 1, yet are still reported
+        f, g, box, pts = rich_instance()
+        rep = aux_pipeline(
+            f, SideCondition(g, 5), box, ResidueData(primes), 0.5, pts, scale_override=0.5
+        )
+        assert rep.branch == "single-cover"
+        assert rep.residue_primes == primes
+        assert rep.residue_product == 1
+        assert [c.label for c in rep.classes] == [()]
+        assert len(pts) == 32
+        assert rep.classes[0].points == tuple(sorted(pts))
+        assert rep.coverage_complete
+
     @pytest.mark.parametrize("kwargs, message", (
         ({"epsilon": "0.5"}, "epsilon must be positive and finite"),
         ({"epsilon": True}, "epsilon must be positive and finite"),

@@ -8,7 +8,6 @@ import pytest
 
 import detsieve.enumeration as enumeration
 from detsieve.enumeration import (
-    PointSet,
     ResidueData,
     SideCondition,
     bad_prime_product,
@@ -99,7 +98,6 @@ class TestEnumeratePoints:
         assert (0, 0, 0) in set(all_pts)
         assert (0, 0, 0) not in set(smooth)
         assert len(all_pts) == len(smooth) + 1
-        assert smooth.nonsingular_only
 
     def test_matches_naive_on_random_quadrics(self):
         rng = random.Random(404)

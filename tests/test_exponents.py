@@ -15,13 +15,14 @@ import detsieve.scalars
 from detsieve.applications import QuadricInstance, count_quadric
 from detsieve.determinant import aux_pipeline
 from detsieve.enumeration import ResidueData, SideCondition, enumerate_points
-from detsieve.errors import ContractViolation, strict_int, strict_real
+from detsieve.errors import ContractViolation, Record, strict_int, strict_real
 from detsieve.exponents import (
     EPSILON_CAP,
     INFINITE,
     POWER_CAP,
     BoxBounds,
     ExactLog,
+    SetStatistics,
     _count_below,
     _ilog,
     build_exponent_set,
@@ -77,6 +78,15 @@ class TestIntegerContract:
                         (math.inf, "positive"), (True, "positive")):
             with pytest.raises(ContractViolation, match=f"x must be {sign} and finite"):
                 strict_real(v, "x", sign)
+
+    def test_huge_refused_value_is_described_by_its_size(self):
+        # repr of either value raises CPython's 4 300-digit ValueError
+        with pytest.raises(ContractViolation,
+                           match="^epsilon must be positive and finite, not a 16610-bit int$"):
+            strict_real(-10 ** 5000, "epsilon", "positive")
+        with pytest.raises(ContractViolation,
+                           match="^box bound must be an integer, not a 16610-bit Fraction$"):
+            strict_int(Fraction(10 ** 5000, 3), "box bound")
 
     def test_box_bounds_are_stored_as_ints(self):
         class Index:
@@ -305,6 +315,13 @@ class TestSetStatistics:
         stats = set_statistics(staircase(3, 10))
         assert stats.sum_e2 == 14
         assert stats.sum_e3 == 14
+
+    def test_is_a_frozen_record(self):
+        stats = set_statistics(staircase(3, 10))
+        assert isinstance(stats, Record)
+        assert stats == SetStatistics(16, stats.sum_log, 14, 14)
+        with pytest.raises(AttributeError, match="frozen"):
+            stats.count = 0
 
     def test_log_sum_exact_multiple(self):
         # every member height is a power of the base, so the log-sum is

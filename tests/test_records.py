@@ -11,7 +11,7 @@ import pytest
 import detsieve
 from detsieve.applications import QuadricExponents, SubvarietyReport
 from detsieve.determinant import AuxiliaryPolynomial, FalsificationRecord
-from detsieve.enumeration import PointSet, ResidueData, SideCondition
+from detsieve.enumeration import ResidueData, SideCondition
 from detsieve.errors import ContractViolation, Record
 from detsieve.exponents import BoxBounds, ExactLog, build_exponent_set
 from detsieve.polynomials import IntegerPolynomial
@@ -34,9 +34,6 @@ class TestConstruction:
         assert (a.b1, a.b2, a.b3) == (2, 3, 4)
 
     def test_defaults(self):
-        box = BoxBounds(2, 2, 2)
-        assert PointSet((), box).nonsingular_only is False
-        assert PointSet((), box, True).nonsingular_only is True
         assert ResidueData().primes == ()
         x = IntegerPolynomial.variable(3, 1)
         assert AuxiliaryPolynomial(x, (), True).role == "class-cover"
@@ -47,8 +44,8 @@ class TestConstruction:
     def test_missing_extra_and_repeated_arguments(self):
         with pytest.raises(TypeError, match="missing field 'b3'"):
             BoxBounds(2, 3)
-        with pytest.raises(TypeError, match="missing field 'box'"):
-            PointSet(())
+        with pytest.raises(TypeError, match="missing field 'vanishes_on'"):
+            AuxiliaryPolynomial(IntegerPolynomial.variable(3, 1))
         with pytest.raises(TypeError, match="3 fields, not 4"):
             BoxBounds(2, 3, 4, 5)
         with pytest.raises(TypeError, match="no field 'b4'"):
@@ -110,10 +107,8 @@ class TestValueSemantics:
     def test_repr(self):
         assert repr(BoxBounds(2, 3, 4)) == "BoxBounds(b1=2, b2=3, b3=4)"
         assert repr(ResidueData((7, 5))) == "ResidueData(primes=(5, 7))"
-        assert repr(PointSet(((0, 1, 2),), BoxBounds(2, 2, 2))) == (
-            "PointSet(points=((0, 1, 2),), box=BoxBounds(b1=2, b2=2, b3=2), "
-            "nonsingular_only=False)"
-        )
+        x2 = IntegerPolynomial.variable(3, 1)
+        assert repr(SideCondition(x2, 3)) == "SideCondition(g=x2, q=3)"
 
 
 class TestSubclasses:
