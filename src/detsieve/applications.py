@@ -374,7 +374,9 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
     h = _alternating_factor(k)
     sub = _substitute(1, 1, 0, h)
     g3 = IntegerPolynomial(3, {(0, l, 0): 1, (0, 0, m): 1, (0, 0, 0): -N})
-    box = BoxBounds(B, B, B)
+    # a box bound is at least 2: at B = 1 the slices are enumerated in the
+    # box of 2 and their points outside the cube dropped
+    box = BoxBounds(*[max(B, 2)] * 3)
 
     # u = 0 forces x4 = -x1 for odd k; the count splits off as a cylinder
     fibers = sum(
@@ -390,7 +392,7 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
         sl = _slice(sub, 1, 1, 0, h, g3, u)
         side = SideCondition(g3, sl.modulus)
         pts = enumerate_points(sl.slice_poly, side, box)
-        here = sum(1 for (x1, _, _) in pts if abs(u - x1) <= B)
+        here = sum(1 for pt in pts if abs(u - pt[0]) <= B and max(map(abs, pt)) <= B)
         if here:
             per_slice.append((u, here))
         total += here

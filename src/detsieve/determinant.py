@@ -9,7 +9,10 @@ rows and kernel vectors come from one fraction-free (Bareiss) integer
 elimination; there is no rational arithmetic.  The elimination is lazy in
 rows and in columns: it touches a row only when the pivot scan reaches it,
 and it computes a column only when the scan reaches it, so its echelon
-rows cover only the columns the scan reached.
+rows cover only the columns the scan reached.  The cover pipeline hands it
+rows that compute monomial values a slice at a time, so a class computes
+only the cells the scan reaches; only a class that takes certificates,
+which check M A = R D on every cell, builds the whole matrix.
 """
 
 from __future__ import annotations
@@ -62,31 +65,48 @@ class MonomialMatrix(Record):
         return self.entries[j][i]
 
 
+class _ValueRow:
+    """One point's row of monomial values, computed a slice at a time.
+
+    The powers x^0..x^top of each coordinate (0^0 = 1) are tabulated once,
+    up to the staircase's largest exponent on that axis, so each cell is one
+    product of three table entries.  Only slices are read: ``_row_reduce``
+    takes ``row[:width]`` and ``row[width:new]``, so a grid of these rows
+    computes only the columns its pivot scan reaches.
+    """
+
+    __slots__ = ("cols", "powers")
+
+    def __init__(self, point: tuple, E: ExponentSet):
+        self.cols = E.members
+        self.powers = []
+        for x, top in zip(point, E.tops):
+            run = [1]
+            for _ in range(top):
+                run.append(run[-1] * x)
+            self.powers.append(run)
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __getitem__(self, s: slice) -> list:
+        a, b, c = self.powers
+        return [a[i] * b[j] * c[k] for i, j, k in self.cols[s]]
+
+
 def build_matrix(points: Sequence, E: ExponentSet) -> MonomialMatrix:
-    """Monomial-value matrix with one row per point, one column per member."""
+    """Monomial-value matrix with one row per point, one column per member:
+    every cell of each point's ``_ValueRow``."""
     pts = tuple(tuple(strict_int(x, "point coordinate") for x in p) for p in points)
     if not pts:
         raise ContractViolation("matrix needs at least one point")
     for p in pts:
         if len(p) != 3:
             raise ContractViolation(f"point {p} is not a triple")
-    cols = E.members
-    if not cols:
+    if not E.members:
         raise ContractViolation("matrix needs at least one column")
-    # per point, the powers x^0..x^top of each coordinate (0^0 = 1), so
-    # each cell is one product of three table entries
-    tops = [max(e[k] for e in cols) for k in range(3)]
-    entries = []
-    for p in pts:
-        powers = []
-        for x, top in zip(p, tops):
-            run = [1]
-            for _ in range(top):
-                run.append(run[-1] * x)
-            powers.append(run)
-        a, b, c = powers
-        entries.append(tuple(a[i] * b[j] * c[k] for i, j, k in cols))
-    return MonomialMatrix(rows=pts, cols=cols, entries=tuple(entries))
+    entries = tuple(tuple(_ValueRow(p, E)[:]) for p in pts)
+    return MonomialMatrix(rows=pts, cols=E.members, entries=entries)
 
 
 def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
@@ -572,9 +592,10 @@ class AuxiliaryPolynomial(Record):
 
 
 def _kernel_polynomial(
-    M: MonomialMatrix, f: IntegerPolynomial, pivot_cols: Sequence[int], echelon
+    points: tuple, cols: tuple, f: IntegerPolynomial, pivot_cols: Sequence[int], echelon
 ) -> AuxiliaryPolynomial:
-    """Kernel polynomial of M read off its echelon form.
+    """Kernel polynomial of the value matrix of points under the monomials
+    cols, read off its echelon form.
 
     The vector is supported on the first free column and the pivot
     columns before it; it is unique up to scale there.  Taking the free
@@ -585,7 +606,7 @@ def _kernel_polynomial(
     checked and recorded.  Only the columns up to the free one are read,
     so the echelon rows may end right after it.
     """
-    ncols = len(M.cols)
+    ncols = len(cols)
     pivot_set = set(pivot_cols)
     free = next(c for c in range(ncols) if c not in pivot_set)
     used = [c for c in pivot_cols if c < free]
@@ -606,15 +627,15 @@ def _kernel_polynomial(
     if lead < 0:
         ints = [-v for v in ints]
 
-    poly = IntegerPolynomial(3, {e: c for e, c in zip(M.cols, ints) if c})
+    poly = IntegerPolynomial(3, {e: c for e, c in zip(cols, ints) if c})
     if poly.is_zero:
         raise SoundnessError("kernel extraction produced the zero polynomial")
-    for pt in M.rows:
+    for pt in points:
         if poly.evaluate(pt) != 0:
             raise SoundnessError(f"kernel polynomial fails to vanish at {pt}")
     return AuxiliaryPolynomial(
         poly=poly,
-        vanishes_on=M.rows,
+        vanishes_on=points,
         coprime_to_f=is_coprime(poly, f),
     )
 
@@ -629,7 +650,7 @@ def null_space_polynomial(M: MonomialMatrix, f: IntegerPolynomial) -> AuxiliaryP
     rank, pivot_cols, _, echelon = _row_reduce(M.entries)
     if rank >= len(M.cols):
         raise ContractViolation("no null vector: the matrix has full column rank")
-    return _kernel_polynomial(M, f, pivot_cols, echelon)
+    return _kernel_polynomial(M.rows, M.cols, f, pivot_cols, echelon)
 
 
 # -- the cover pipeline -----------------------------------------------------------
@@ -797,14 +818,20 @@ def aux_pipeline(
     }
 
     for label, class_points in classes.items():
-        M = build_matrix(class_points, E_set)
+        certified = q > 1 and len(class_points) >= e_count
+        if certified:
+            # certificates check M A = R D on every cell: only they build M
+            M = build_matrix(class_points, E_set)
+            grid = M.entries
+        else:
+            grid = [_ValueRow(pt, E_set) for pt in class_points]
         counts["matrices_built"] += 1
-        rank, pivot_cols, pivot_rows, echelon = _row_reduce(M.entries)
+        rank, pivot_cols, pivot_rows, echelon = _row_reduce(grid)
         counts["rank_computations"] += 1
 
         full = rank == e_count
         certs: tuple = ()
-        if q > 1 and len(class_points) >= e_count:
+        if certified:
             certs = congruence_certificates(
                 M, side, E_set, samples=minor_samples, rng=rng,
                 extra_subsets=(pivot_rows[:e_count],) if full else (),
@@ -832,7 +859,7 @@ def aux_pipeline(
             )
             leftover.extend(class_points)
         else:
-            aux = _kernel_polynomial(M, f, pivot_cols, echelon)
+            aux = _kernel_polynomial(class_points, E_set.members, f, pivot_cols, echelon)
             if aux.poly.total_degree() > cap:
                 raise SoundnessError(
                     "kernel polynomial exceeds the cutoff degree cap"
@@ -864,9 +891,14 @@ def aux_pipeline(
         )
     )
 
+    # a class point's own kernel covers it unless something is wrong, so
+    # it is tried first, then every auxiliary
     leftover_set = set(leftover)
+    own = {pt: a.poly for a in auxiliaries for pt in a.vanishes_on}
     coverage_complete = all(
-        pt in leftover_set or any(a.poly.evaluate(pt) == 0 for a in auxiliaries)
+        pt in leftover_set
+        or pt in own and own[pt].evaluate(pt) == 0
+        or any(a.poly.evaluate(pt) == 0 for a in auxiliaries)
         for pt in pts
     )
 

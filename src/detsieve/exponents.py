@@ -177,6 +177,11 @@ class ExponentSet(Record):
     def restricted_set(self) -> frozenset:
         return frozenset(self.restricted_members)
 
+    @cached_property
+    def tops(self) -> tuple:
+        """The largest exponent of each variable over the members."""
+        return tuple(map(max, zip(*self.members)))
+
     def __len__(self) -> int:
         return len(self.members)
 

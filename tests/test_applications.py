@@ -318,6 +318,15 @@ class TestCountUnlike:
             seen_signs.add((N > 0, brute > 0))
         assert seen_signs == {(False, False), (False, True), (True, False), (True, True)}
 
+    @pytest.mark.parametrize("B, want", ((1, 10), (2, 12)))
+    def test_three_modes_agree_on_the_smallest_boxes(self, B, want):
+        # a box bound is at least 2, so at B = 1 the slices are enumerated in
+        # the box of 2 and only their points inside the cube are counted
+        inst = UnlikePowersInstance(13, 5, 3, 2, B)
+        counts = {mode: count_unlike(inst, mode).count
+                  for mode in ("brute", "meet-in-middle", "sliced-pipeline")}
+        assert counts == dict.fromkeys(counts, want)
+
     def test_substitution_is_done_once_per_count(self, monkeypatch):
         # every slice evaluates u-powers of one substituted polynomial, so
         # the polynomial products per count do not grow with the slices

@@ -134,6 +134,121 @@ class TestBuildMatrix:
             )
 
 
+def frontier_slices(nrows, ncols):
+    """The slices _row_reduce takes of a row of a grid with nrows rows: the
+    start frontier of nrows + 1 columns, then each doubling up to ncols."""
+    width = min(ncols, nrows + 1)
+    out = [slice(None, width)]
+    while width < ncols:
+        new = min(ncols, 2 * width)
+        out.append(slice(width, new))
+        width = new
+    return out
+
+
+def spy_cells(monkeypatch):
+    """Count the cells every _ValueRow computes, build_matrix's included."""
+    cells = [0]
+    real = determinant._ValueRow.__getitem__
+
+    def spy(row, s):
+        out = real(row, s)
+        cells[0] += len(out)
+        return out
+
+    monkeypatch.setattr(determinant._ValueRow, "__getitem__", spy)
+    return cells
+
+
+def spy_builds(monkeypatch):
+    """Record every matrix build_matrix returns."""
+    built = []
+    real = determinant.build_matrix
+
+    def spy(points, E):
+        built.append(real(points, E))
+        return built[-1]
+
+    monkeypatch.setattr(determinant, "build_matrix", spy)
+    return built
+
+
+class TestValueRows:
+    """The elimination's lazy rows: every slice equals the eager entries."""
+
+    BIG = 2**70 - 5
+    POINTS = ((0, 0, 0), (0, -1, 5), (-3, 0, -2), (BIG, -BIG, 1), (-7, 11, -13),
+              (1, -1, 0), (-BIG, 0, BIG + 8), (2**69, 3, -(2**69)))
+
+    @pytest.mark.parametrize("E", (
+        staircase(3, 4), staircase(4, 6, (3, 1, 0)),
+        build_exponent_set(ExactLog.power(9, 3), (2, 0, 0), BoxBounds(2, 9, 30)),
+        build_exponent_set(ExactLog.power(16, 17), (2, 0, 0), BoxBounds(16, 16, 16)),
+    ), ids=("equal-3", "dominant-310", "unequal", "wide"))
+    def test_every_slice_shape_matches_eager_entries(self, E):
+        ncols = len(E)
+        for p in self.POINTS:
+            row = determinant._ValueRow(p, E)
+            want = [eval_monomial(p, e) for e in E.members]
+            assert len(row) == ncols
+            assert row[:] == want
+            for i in range(ncols + 1):
+                assert row[i:i] == []
+                assert row[i:i + 1] == want[i:i + 1]
+            for nrows in (1, 2, 3, 16, ncols):
+                shapes = frontier_slices(nrows, ncols)
+                pieces = [row[s] for s in shapes]
+                assert pieces == [want[s] for s in shapes]
+                assert sum(pieces, []) == want
+
+    def test_lazy_grid_reduces_like_the_built_matrix(self):
+        # wide of full row rank (8x16, 10x16 and the 16x484 cover-B16
+        # class), wide with repeated rows, which widens to full width
+        # (12x16 of rank 8), and tall (32x16): the same echelon, bit for bit
+        few, rich = quadric_instance()[3], rich_instance()[3]
+        cover = count_quadric(QuadricInstance(3, 1, 1, 1001, 16), "pipeline").report
+        cases = [(few, staircase(2, 3)), (few + few[:4], staircase(2, 3)),
+                 (rich, staircase(13, 3)), (rich[:10], staircase(13, 3)),
+                 (cover.classes[0].points, cover.exponent_set)]
+        for pts, E in cases:
+            lazy = [determinant._ValueRow(p, E) for p in pts]
+            assert _row_reduce(lazy) == _row_reduce(build_matrix(pts, E).entries)
+
+    def test_cover_b16_computes_only_the_cells_the_scan_reaches(self, monkeypatch):
+        # 16 points under 484 columns: the frontier starts at 17 columns and
+        # doubles once, so at most 16 x 34 of the 7 744 cells are computed
+        cells = spy_cells(monkeypatch)
+        built = spy_builds(monkeypatch)
+        report = count_quadric(QuadricInstance(3, 1, 1, 1001, 16), "pipeline").report
+        (cls,) = report.classes
+        assert (len(cls.points), report.set_size) == (16, 484)
+        assert cls.outcome == "aux" and cls.certificates == ()
+        assert built == []
+        assert 0 < cells[0] <= 16 * 34
+
+    def test_certified_class_builds_the_full_matrix(self, monkeypatch):
+        # q = 5 and 32 points against 9 columns: the class takes a
+        # certificate, so its whole matrix is built and checked
+        f, g, box, pts = rich_instance()
+        cells = spy_cells(monkeypatch)
+        built = spy_builds(monkeypatch)
+        rep = aux_pipeline(
+            f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
+            scale_override=2, floor_const=2,
+        )
+        (cls,) = rep.classes
+        assert cls.certificates and rep.set_size == 9
+        (M,) = built
+        assert M.rows == cls.points
+        assert M.entries == tuple(
+            tuple(eval_monomial(p, e) for e in rep.exponent_set.members) for p in cls.points
+        )
+        assert cells[0] == 32 * 9
+        for cert in cls.certificates:
+            assert_two_determinant_relation(M, cert)
+        assert cls.falsification.determinant == minor_determinant(M, cls.falsification.rows)
+
+
 class TestIntegerInputs:
     """Points and moduli must be integers: a float, a bool or a string is
     refused instead of truncated or parsed."""
@@ -567,12 +682,12 @@ class TestNullSpace:
         f, M = cover_matrix()
         _, pivot_cols, _, echelon = _row_reduce(M.entries)
         free = next(c for c in range(len(M.cols)) if c not in pivot_cols)
-        aux = _kernel_polynomial(M, f, pivot_cols, echelon)
+        aux = _kernel_polynomial(M.rows, M.cols, f, pivot_cols, echelon)
         assert aux.poly.terms == {(0, 0, 0): 233, (0, 2, 0): -1, (0, 0, 2): -1}
         for cut in (free, free - 1):
             short = [row[:cut] for row in echelon]
             with pytest.raises(SoundnessError, match="first free column"):
-                _kernel_polynomial(M, f, pivot_cols, short)
+                _kernel_polynomial(M.rows, M.cols, f, pivot_cols, short)
 
     def test_support_and_content(self):
         f, _, _, pts = rich_instance()
@@ -716,6 +831,66 @@ class TestAuxPipeline:
             covered.update(cls.points)
         assert covered == set(pts)
         assert rep.coverage_complete
+
+    def test_coverage_check_evaluates_about_once_per_point(self, monkeypatch):
+        # the aux-B30-p5-p7 benchmark op: 96 one-point classes and 97
+        # auxiliaries.  Each kernel is checked once at its class point when
+        # it is extracted and once more by the coverage check, which tries a
+        # point's own kernel first; trying every auxiliary in turn took 2 000
+        f = P(3, {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1001})
+        side = SideCondition(f - P(3, {(2, 0, 0): 3}), 3)
+        box = BoxBounds(30, 30, 30)
+        pts = enumerate_points(f, side, box)
+        calls = []
+        real = P.evaluate
+
+        def spy(poly, pt):
+            calls.append((poly, tuple(pt)))  # keeps every poly alive
+            return real(poly, pt)
+
+        monkeypatch.setattr(P, "evaluate", spy)
+        rep = aux_pipeline(f, side, box, ResidueData((5, 7)), 0.5, pts)
+        assert (len(pts), len(rep.classes), len(rep.auxiliaries)) == (96, 96, 97)
+        assert rep.coverage_complete
+        on_points = set(pts)
+        aux = {id(a.poly) for a in rep.auxiliaries}
+        evaluations = sum(1 for poly, pt in calls if id(poly) in aux and pt in on_points)
+        assert evaluations <= 2 * len(pts)
+
+    def test_uncovered_point_leaves_coverage_incomplete(self, monkeypatch):
+        # 8 one-point classes of 5 x1^2 + x2^2 + x3^2 = 6, each x1 = +-1, so
+        # the singular cover 10 x1 vanishes at none of them
+        f, g, box, pts = quadric_instance()
+        real = determinant._kernel_polynomial
+        wrong = []  # the classes whose kernel is replaced by the constant 1
+
+        def kernel(points, *args):
+            aux = real(points, *args)
+            if points[0] in wrong:
+                return AuxiliaryPolynomial(P.constant(3, 1), points, True)
+            return aux
+
+        monkeypatch.setattr(determinant, "_kernel_polynomial", kernel)
+
+        def run():
+            return aux_pipeline(f, SideCondition(g, 5), box, ResidueData((3,)), 0.5, pts,
+                                floor_const=10)
+
+        assert run().coverage_complete
+        # one class's own kernel misses its point, but another class's
+        # kernel still covers it: (1, 0, 1) lies on 1 - x3, the kernel of
+        # (-1, 0, 1) too
+        rep = run()
+        first = rep.classes[0].points[0]
+        assert any(a.poly.evaluate(first) == 0 for a in rep.auxiliaries[1:-1])
+        wrong.append(first)
+        assert run().coverage_complete
+        # no kernel vanishes anywhere: every point escapes
+        wrong[:] = pts
+        rep = run()
+        assert len(rep.classes) == 8 and rep.leftover == ()
+        assert all(rep.auxiliaries[-1].poly.evaluate(pt) != 0 for pt in pts)
+        assert not rep.coverage_complete
 
     def test_constant_term_hypothesis_enforced(self):
         f, _, _, _ = quadric_instance()
