@@ -84,6 +84,13 @@ class QuadricInstance(Record):
         )
 
 
+def _cube_points(f: IntegerPolynomial, side: SideCondition, B: int) -> tuple:
+    """``enumerate_points`` in the cube [-B, B]^3: a box bound is at least 2,
+    so at B = 1 the box of 2 is enumerated and its points outside the cube dropped."""
+    pts = enumerate_points(f, side, BoxBounds(*[max(B, 2)] * 3))
+    return pts if B > 1 else tuple(pt for pt in pts if max(map(abs, pt)) <= 1)
+
+
 def q_of_n(n: int) -> int:
     """Column count of the cutoff-n staircase: C(n+3,3) - C(n+1,3)."""
     n = strict_int(n, "cutoff index")
@@ -126,11 +133,9 @@ def count_quadric(
     every point ends up covered by an emitted polynomial or the leftover
     list.
     """
-    box = BoxBounds(inst.B, inst.B, inst.B)
     if mode == "brute":
-        f = inst.surface()
         side = SideCondition(IntegerPolynomial.variable(3, 1), 1)
-        pts = enumerate_points(f, side, box)
+        pts = _cube_points(inst.surface(), side, inst.B)
         return QuadricCount(count=len(pts), points=pts, mode=mode)
     if mode != "pipeline":
         raise ContractViolation(f"unknown quadric mode {mode!r}")
@@ -150,6 +155,7 @@ def count_quadric(
         3, {(0, 2, 0): ap[1], (0, 0, 2): ap[2], (0, 0, 0): -inst.n}
     )
     side = SideCondition(g, q)
+    box = BoxBounds(inst.B, inst.B, inst.B)
     pts = enumerate_points(f, side, box)
     scale = rnd(quadric_cover_scale(q, inst.B) * power(inst.B, epsilon))
     report = aux_pipeline(
@@ -308,7 +314,7 @@ class UnlikeCount(Record):
 
 
 # The most work count_unlike starts, in its mode's estimate: (2B+1)^4
-# quadruples for brute, (2B+1)^2 pair sums for meet-in-middle and 6B
+# quadruples for brute, (2B+1)^2 pair sums for meet-in-middle and 4B + 1
 # slices of (2B+1)^2 fibers for sliced-pipeline.  The largest config the
 # tests, CI, README and benchmark run is brute at B = 20, 41^4 < 3 * 10^6.
 UNLIKE_WORK_CAP = 10 ** 8
@@ -323,13 +329,18 @@ def _power_map(e: int, B: int) -> dict:
     return {v: v ** e for v in range(-B, B + 1)}
 
 
+def _fiber_surface(inst: UnlikePowersInstance) -> IntegerPolynomial:
+    """x2^l + x3^m - N: every slice's side polynomial, and the u = 0 slice."""
+    return IntegerPolynomial(3, {(0, inst.l, 0): 1, (0, 0, inst.m): 1, (0, 0, 0): -inst.N})
+
+
 def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount:
     """Exact count of box points on the unlike-powers hypersurface.
 
     brute loops over all quadruples; meet-in-middle hashes the multiset
-    of x1^k + x4^k values; sliced-pipeline splits along u = x1 + x4 and
-    enumerates each slice surface under its congruence side condition,
-    so agreement with brute also validates the per-slice congruences.
+    of x1^k + x4^k values; sliced-pipeline splits along u = x1 + x4 in
+    [-2B, 2B] and enumerates each slice surface under its congruence side
+    condition, so agreement with brute also validates the per-slice congruences.
 
     A mode whose work estimate is over UNLIKE_WORK_CAP, or a
     meet-in-middle table of over UNLIKE_TABLE_CAP pair sums, is refused
@@ -339,7 +350,7 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
         raise ContractViolation(f"unknown unlike-powers mode {mode!r}")
     B, k, l, m, N = inst.B, inst.k, inst.l, inst.m, inst.N
     n = 2 * B + 1
-    work = {"brute": n ** 4, "meet-in-middle": n ** 2, "sliced-pipeline": 6 * B * n ** 2}
+    work = {"brute": n ** 4, "meet-in-middle": n ** 2, "sliced-pipeline": (4 * B + 1) * n ** 2}
     if work[mode] > UNLIKE_WORK_CAP:
         raise CapExceeded(
             f"unlike mode '{mode}' at B = {B} needs over {UNLIKE_WORK_CAP} steps"
@@ -348,9 +359,29 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
         raise CapExceeded(
             f"unlike mode '{mode}' at B = {B} needs over {UNLIKE_TABLE_CAP} pair sums"
         )
+
+    if mode == "sliced-pipeline":
+        inst.validate_theorem_mode()
+        h = _alternating_factor(k)
+        sub = _substitute(1, 1, 0, h)
+        g3 = _fiber_surface(inst)
+        # x4 = u - x1 stays in [-B, B] only for |u| <= 2B; at u = 0 the slice
+        # surface is g3 itself, the cylinder x4 = -x1 over its fibers
+        counts = {}
+        for u in range(-2 * B, 2 * B + 1):
+            sl = _slice(sub, 1, 1, 0, h, g3, u)
+            pts = _cube_points(sl.slice_poly, SideCondition(g3, sl.modulus), B)
+            counts[u] = sum(1 for pt in pts if abs(u - pt[0]) <= B)
+        zero_slice = counts.pop(0)
+        return UnlikeCount(
+            count=zero_slice + sum(counts.values()), mode=mode, zero_slice=zero_slice,
+            per_slice=tuple((u, c) for u, c in counts.items() if c),
+            assumed_hypothesis="slice surfaces assumed geometrically irreducible "
+                               "for every nonzero u",
+        )
+
     pk, pl, pm = (_power_map(e, B) for e in (k, l, m))
     rng = range(-B, B + 1)
-
     if mode == "brute":
         count = 0
         for x1 in rng:
@@ -363,45 +394,9 @@ def count_unlike(inst: UnlikePowersInstance, mode: str = "brute") -> UnlikeCount
                             count += 1
         return UnlikeCount(count=count, mode=mode)
 
-    if mode == "meet-in-middle":
-        outer = Counter(pk[x1] + pk[x4] for x1 in rng for x4 in rng)
-        count = sum(
-            outer.get(N - pl[x2] - pm[x3], 0) for x2 in rng for x3 in rng
-        )
-        return UnlikeCount(count=count, mode=mode)
-
-    inst.validate_theorem_mode()
-    h = _alternating_factor(k)
-    sub = _substitute(1, 1, 0, h)
-    g3 = IntegerPolynomial(3, {(0, l, 0): 1, (0, 0, m): 1, (0, 0, 0): -N})
-    # a box bound is at least 2: at B = 1 the slices are enumerated in the
-    # box of 2 and their points outside the cube dropped
-    box = BoxBounds(*[max(B, 2)] * 3)
-
-    # u = 0 forces x4 = -x1 for odd k; the count splits off as a cylinder
-    fibers = sum(
-        1 for x2 in rng for x3 in rng if pl[x2] + pm[x3] == N
-    )
-    zero_slice = fibers * (2 * B + 1)
-
-    total = zero_slice
-    per_slice = []
-    for u in range(-3 * B, 3 * B + 1):
-        if u == 0:
-            continue
-        sl = _slice(sub, 1, 1, 0, h, g3, u)
-        side = SideCondition(g3, sl.modulus)
-        pts = enumerate_points(sl.slice_poly, side, box)
-        here = sum(1 for pt in pts if abs(u - pt[0]) <= B and max(map(abs, pt)) <= B)
-        if here:
-            per_slice.append((u, here))
-        total += here
-    return UnlikeCount(
-        count=total, mode=mode,
-        zero_slice=zero_slice, per_slice=tuple(per_slice),
-        assumed_hypothesis="slice surfaces assumed geometrically irreducible "
-                           "for every nonzero u",
-    )
+    outer = Counter(pk[x1] + pk[x4] for x1 in rng for x4 in rng)
+    count = sum(outer.get(N - pl[x2] - pm[x3], 0) for x2 in rng for x3 in rng)
+    return UnlikeCount(count=count, mode=mode)
 
 
 # -- gcd-twisted power sums ------------------------------------------------------
@@ -415,6 +410,9 @@ class GcdPowerSum(Record):
 
 #: fractional bits of the fixed-point power table: 96 plus 32 guard bits
 _FRACTION_BITS = 96 + 32
+
+# The largest range X of gcd_power_sum, whose table holds X + 1 ints of ~128 bits
+POWER_SUM_RANGE_CAP = 10 ** 6
 
 
 def _power_table(a: int, X: int) -> list:
@@ -512,13 +510,16 @@ def gcd_power_sum(alpha, X: int, n: int) -> GcdPowerSum:
     ``alpha`` is an int, float, ``Fraction`` or ``mpf`` strictly between
     -1 and 0, taken to the nearest multiple of 2^-F (exactly, for a
     float); ``X`` and ``n`` are positive ints.  Anything else, bools and
-    strings included, is a ``ContractViolation``.
+    strings included, is a ``ContractViolation``; an X over
+    POWER_SUM_RANGE_CAP is a ``CapExceeded``, before any allocation.
     """
     a = _fixed_exponent(alpha)
     X = strict_int(X, "range X")
     n = strict_int(n, "twist n")
     if X < 1 or n < 1:
         raise ContractViolation(f"range X = {X} and twist n = {n} must be positive")
+    if X > POWER_SUM_RANGE_CAP:
+        raise CapExceeded(f"range X = {X} is over the cap {POWER_SUM_RANGE_CAP}")
     total, majorant, terms = _power_sums(a, X, n)
     if total > majorant:
         raise SoundnessError(f"power sum exceeds its majorant for {(alpha, X, n)}")
@@ -638,12 +639,10 @@ def excluded_subvarieties(inst: UnlikePowersInstance) -> SubvarietyReport:
         poly4({(k, 0, 0, 0): 1, (0, 0, m, 0): 1, (0, 0, 0, k): 1}),
     )
 
-    # system 1: odd k forces x4 = -x1, leaving the fiber x2^l + x3^m = N
-    pts1 = sorted(
-        (x1, x2, x3, -x1)
-        for x1 in rng for x2 in rng for x3 in rng
-        if x2 ** l + x3 ** m == N
-    )
+    # system 1: odd k forces x4 = -x1, the u = 0 cylinder over the fibers
+    # x2^l + x3^m = N
+    g3 = _fiber_surface(inst)
+    pts1 = [(*pt, -pt[0]) for pt in _cube_points(g3, SideCondition(g3, 1), B)]
 
     # system 2: x2^l = -x3^m, and x1^k + x4^k = N
     pairs2 = [(x2, x3) for x2 in rng for x3 in rng if x2 ** l + x3 ** m == 0]

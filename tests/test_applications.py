@@ -1,5 +1,6 @@
 """Quadric counts, threefold slices, power-sum bounds, subvariety covers."""
 
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -120,6 +121,19 @@ class TestCountQuadric:
         with pytest.raises(ContractViolation):
             count_quadric(QuadricInstance(1, 1, 1, 5, 10), mode="magic")
 
+    def test_brute_counts_the_unit_cube(self):
+        # a box bound is at least 2, so the box of 2 is enumerated and its
+        # points outside [-1, 1]^3 are dropped
+        got = count_quadric(QuadricInstance(3, 1, 1, 5, 1))
+        plain = [x for x in itertools.product(range(-1, 2), repeat=3)
+                 if 3 * x[0] ** 2 + x[1] ** 2 + x[2] ** 2 == 5]
+        assert got.count == 8
+        assert list(got.points) == plain
+
+    def test_pipeline_refuses_the_unit_cube(self):
+        with pytest.raises(ContractViolation, match="box bound 1 is below 2"):
+            count_quadric(QuadricInstance(3, 1, 1, 5, 1), "pipeline")
+
     @pytest.mark.parametrize("epsilon", ("0.5", True, math.nan, 0, -1))
     def test_epsilon_refused_before_enumeration(self, monkeypatch, epsilon):
         # "0.5" used to enumerate the whole box, then raise a bare TypeError
@@ -164,19 +178,34 @@ class TestWorkCaps:
                     count_quadric(QuadricInstance(3, 1, 1, 1001, B), mode)
 
     # brute (2B+1)^4 steps, meet-in-middle a table of (2B+1)^2 pair sums,
-    # sliced-pipeline 6B (2B+1)^2 steps
+    # sliced-pipeline 4B + 1 slices of (2B+1)^2 steps
     @pytest.mark.parametrize("mode, B", (("brute", 49), ("meet-in-middle", 1580),
-                                         ("sliced-pipeline", 160)))
+                                         ("sliced-pipeline", 183)))
     def test_unlike_refused_at_the_work_cap(self, monkeypatch, mode, B):
-        def stand_in(e, B):
-            raise Started(e, B)
+        def stand_in(*args):
+            raise Started(*args)
 
-        monkeypatch.setattr(applications, "_power_map", stand_in)
+        # the power maps start brute and meet-in-middle, the alternating
+        # factor sliced-pipeline
+        for name in ("_power_map", "_alternating_factor"):
+            monkeypatch.setattr(applications, name, stand_in)
         with pytest.raises(Started):
             count_unlike(UnlikePowersInstance(13, 5, 3, 2, B), mode)
         for over in (B + 1, 10 ** 30):
             with pytest.raises(CapExceeded, match="needs over"):
                 count_unlike(UnlikePowersInstance(13, 5, 3, 2, over), mode)
+
+    def test_power_sum_range_refused_at_the_cap(self, monkeypatch):
+        def stand_in(a, X):
+            raise Started(X)
+
+        monkeypatch.setattr(applications, "_power_table", stand_in)
+        cap = applications.POWER_SUM_RANGE_CAP
+        with pytest.raises(Started):
+            gcd_power_sum(-0.5, cap, 6)
+        for over in (cap + 1, 10 ** 30):
+            with pytest.raises(CapExceeded, match="range X"):
+                gcd_power_sum(-0.5, over, 6)
 
 
 class TestBuildSlice:
@@ -326,6 +355,49 @@ class TestCountUnlike:
         counts = {mode: count_unlike(inst, mode).count
                   for mode in ("brute", "meet-in-middle", "sliced-pipeline")}
         assert counts == dict.fromkeys(counts, want)
+
+    @pytest.mark.parametrize("B", (1, 2, 3))
+    def test_one_enumeration_per_slice_of_the_cube(self, monkeypatch, B):
+        # x4 = u - x1 lies in [-B, B] only for u in [-2B, 2B], and the u = 0
+        # cylinder is enumerated like every other slice.  The slice surface
+        # u * h_u + g has constant term u^k - N, and modulus |u| (1 at u = 0).
+        k, N = 13, 2
+        seen = []
+        enumerate_points = applications.enumerate_points
+
+        def spy(f, side, box):
+            u = _integer_nth_root(f.evaluate((0, 0, 0)) + N, k)
+            seen.append((u, side.q))
+            return enumerate_points(f, side, box)
+
+        monkeypatch.setattr(applications, "enumerate_points", spy)
+        count_unlike(UnlikePowersInstance(k, 5, 3, N, B), "sliced-pipeline")
+        assert len(seen) == 4 * B + 1
+        assert seen == [(u, abs(u) or 1) for u in range(-2 * B, 2 * B + 1)]
+
+    # 2^13 + 2^13 = 16384 with x2^5 + x3^3 = 0 at (-1, 1), (0, 0), (1, -1);
+    # 3^13 + 3^13 + 1^5 + 2^3 = 3188655
+    @pytest.mark.parametrize("N, B, u, want", ((16384, 2, 4, 3), (3188655, 3, 6, 1)))
+    def test_points_on_the_extreme_slices_only(self, N, B, u, want):
+        inst = UnlikePowersInstance(13, 5, 3, N, B)
+        counts = {mode: count_unlike(inst, mode).count
+                  for mode in ("brute", "meet-in-middle", "sliced-pipeline")}
+        assert counts == dict.fromkeys(counts, want)
+        sliced = count_unlike(inst, "sliced-pipeline")
+        assert (sliced.zero_slice, sliced.per_slice) == (0, ((u, want),))
+
+    @pytest.mark.parametrize("B", (1, 2, 3, 5))
+    def test_zero_slice_is_the_cylinder_over_the_fibers(self, B):
+        # the oracle is a hand count: odd k forces x4 = -x1 at u = 0, so
+        # each fiber x2^l + x3^m = N carries 2B + 1 points
+        rng = range(-B, B + 1)
+        total = 0
+        for N in (1, 2, 9, 33, -31):
+            fibers = sum(1 for x2 in rng for x3 in rng if x2 ** 5 + x3 ** 3 == N)
+            got = count_unlike(UnlikePowersInstance(13, 5, 3, N, B), "sliced-pipeline")
+            assert got.zero_slice == fibers * (2 * B + 1)
+            total += fibers
+        assert total > 0
 
     def test_substitution_is_done_once_per_count(self, monkeypatch):
         # every slice evaluates u-powers of one substituted polynomial, so

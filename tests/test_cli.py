@@ -485,12 +485,13 @@ class Started(Exception):
 class TestUnlikeWorkCap:
     @pytest.fixture(autouse=True)
     def no_count(self, monkeypatch):
-        # no test here starts the work: the first power table past the cap
-        # raises at once
-        def stand_in(e, B):
-            raise Started(e, B)
+        # no test here starts the work: the first power table, or in
+        # sliced-pipeline the alternating factor, past the cap raises at once
+        def stand_in(*args):
+            raise Started(*args)
 
-        monkeypatch.setattr(detsieve.applications, "_power_map", stand_in)
+        for name in ("_power_map", "_alternating_factor"):
+            monkeypatch.setattr(detsieve.applications, name, stand_in)
 
     @pytest.mark.parametrize("mode", ("brute", "meet-in-middle", "sliced-pipeline"))
     def test_huge_box_refused_before_counting(self, tmp_path, capsys, mode):
@@ -501,14 +502,14 @@ class TestUnlikeWorkCap:
         assert "Traceback" not in err
 
     # brute (2B+1)^4 steps, meet-in-middle a table of (2B+1)^2 pair sums,
-    # sliced-pipeline 6B (2B+1)^2 steps
+    # sliced-pipeline 4B + 1 slices of (2B+1)^2 steps
     @pytest.mark.parametrize("mode, B", (("brute", 49), ("meet-in-middle", 1580),
-                                         ("sliced-pipeline", 160)))
+                                         ("sliced-pipeline", 183)))
     def test_cap_sits_between_two_box_sizes(self, mode, B):
         def work(b):
             n = 2 * b + 1
             return {"brute": n ** 4, "meet-in-middle": n ** 2,
-                    "sliced-pipeline": 6 * b * n ** 2}[mode]
+                    "sliced-pipeline": (4 * b + 1) * n ** 2}[mode]
 
         apps = detsieve.applications
         cap = apps.UNLIKE_TABLE_CAP if mode == "meet-in-middle" else apps.UNLIKE_WORK_CAP
@@ -518,6 +519,23 @@ class TestUnlikeWorkCap:
             run("unlike", cfg)
         with pytest.raises(CapExceeded, match="needs over"):
             run("unlike", dict(cfg, B=B + 1))
+
+
+class TestQuadricUnitCube:
+    # 3x1^2 + x2^2 + x3^2 = 5 has 8 points in [-1, 1]^3
+    CFG = {"a": [3, 1, 1], "n": 5, "B": 1}
+
+    def test_brute_counts_the_unit_cube(self, tmp_path, capsys):
+        report = invoke_json(tmp_path, capsys, "quadric", self.CFG)
+        plain = sum(1 for x in itertools.product(range(-1, 2), repeat=3)
+                    if 3 * x[0] ** 2 + x[1] ** 2 + x[2] ** 2 == 5)
+        assert report["result"]["count"]["value"] == str(plain) == "8"
+
+    def test_pipeline_refuses_the_unit_cube(self, tmp_path, capsys):
+        # the pipeline's box bounds are at least 2
+        assert invoke(tmp_path, "quadric", dict(self.CFG, mode="pipeline")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid instance:") and "Traceback" not in err
 
 
 class TestEpsilonCap:
