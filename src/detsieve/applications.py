@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .arith import divisors, iroot, is_prime
+from .arith import divisors, is_prime
 from .determinant import CoverReport, _sample_count, aux_pipeline
 from .enumeration import DEGREE_CAP, SideCondition, enumerate_points
 from .errors import CapExceeded, ContractViolation, Record, SoundnessError, strict_int
@@ -30,20 +30,6 @@ from .scalars import power, rnd, root
 
 def _is_perfect_square(v: int) -> bool:
     return v >= 0 and math.isqrt(v) ** 2 == v
-
-
-def _integer_nth_root(v: int, n: int) -> int | None:
-    """The integer r with r^n = v, if one exists."""
-    if n < 1:
-        raise ContractViolation("root index must be positive")
-    if v < 0 and n % 2 == 0:
-        return None
-    neg = v < 0
-    a = -v if neg else v
-    r = iroot(a, n)
-    if r ** n != a:
-        return None
-    return -r if neg else r
 
 
 # -- diagonal quadrics ----------------------------------------------------------
@@ -91,6 +77,10 @@ def _cube_points(f: IntegerPolynomial, side: SideCondition, B: int) -> tuple:
     return pts if B > 1 else tuple(pt for pt in pts if max(map(abs, pt)) <= 1)
 
 
+#: the side condition x2 = 0 mod 1, which every point meets
+_FREE_SIDE = SideCondition(IntegerPolynomial.variable(3, 1), 1)
+
+
 def q_of_n(n: int) -> int:
     """Column count of the cutoff-n staircase: C(n+3,3) - C(n+1,3)."""
     n = strict_int(n, "cutoff index")
@@ -108,12 +98,15 @@ def quadric_cover_scale(q: int, B: int):
 
 
 class QuadricCount(Record):
-    count: int
     points: tuple
     mode: str
     permutation: tuple | None = None
     modulus: int | None = None
     report: CoverReport | None = None
+
+    @property
+    def count(self) -> int:
+        return len(self.points)
 
 
 def count_quadric(
@@ -134,9 +127,7 @@ def count_quadric(
     list.
     """
     if mode == "brute":
-        side = SideCondition(IntegerPolynomial.variable(3, 1), 1)
-        pts = _cube_points(inst.surface(), side, inst.B)
-        return QuadricCount(count=len(pts), points=pts, mode=mode)
+        return QuadricCount(points=_cube_points(inst.surface(), _FREE_SIDE, inst.B), mode=mode)
     if mode != "pipeline":
         raise ContractViolation(f"unknown quadric mode {mode!r}")
     minor_samples = _sample_count(minor_samples)
@@ -165,10 +156,7 @@ def count_quadric(
     )
     if not report.coverage_complete:
         raise SoundnessError("a quadric point escaped every emitted cover")
-    return QuadricCount(
-        count=len(pts), points=pts, mode=mode,
-        permutation=perm, modulus=q, report=report,
-    )
+    return QuadricCount(points=pts, mode=mode, permutation=perm, modulus=q, report=report)
 
 
 # -- sums of unlike powers ------------------------------------------------------
@@ -226,7 +214,10 @@ class ThreefoldSlice(Record):
     u: int
     h_u: IntegerPolynomial
     slice_poly: IntegerPolynomial
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.u == 0
 
     @property
     def modulus(self) -> int:
@@ -290,7 +281,7 @@ def _slice(sub: IntegerPolynomial, alpha: int, beta: int, gamma: int,
                        for acc in (h_acc, s_acc))
     return ThreefoldSlice(
         alpha=alpha, beta=beta, gamma=gamma, h=h, g=g, u=u,
-        h_u=h_u, slice_poly=slice_poly, degenerate=(u == 0),
+        h_u=h_u, slice_poly=slice_poly,
     )
 
 
@@ -541,10 +532,13 @@ class WronskianReport(Record):
     applicable: bool  # the Wronskian is nonzero
     lhs: int
     rhs: int
-    passed: bool
     divisibility_ok: bool
     degrees: tuple
     exps: tuple
+
+    @property
+    def passed(self) -> bool:
+        return self.applicable and self.lhs <= self.rhs
 
 
 def wronskian_bound_check(
@@ -581,7 +575,7 @@ def wronskian_bound_check(
     w = wronskian(powers)
     if w.is_zero:
         return WronskianReport(
-            applicable=False, lhs=0, rhs=0, passed=False, divisibility_ok=False,
+            applicable=False, lhs=0, rhs=0, divisibility_ok=False,
             degrees=degrees, exps=exps,
         )
 
@@ -594,7 +588,7 @@ def wronskian_bound_check(
             divisor = divisor * g ** s
     # prem(w, divisor) vanishes exactly when divisor divides w over Q
     return WronskianReport(
-        applicable=True, lhs=lhs, rhs=rhs, passed=lhs <= rhs,
+        applicable=True, lhs=lhs, rhs=rhs,
         divisibility_ok=_pseudo_remainder(w, divisor, 0).is_zero,
         degrees=degrees, exps=exps,
     )
@@ -623,10 +617,14 @@ class SubvarietyReport(Record):
 
 def excluded_subvarieties(inst: UnlikePowersInstance) -> SubvarietyReport:
     """The four coordinate-subsum systems that can carry excess points,
-    each intersected with the hypersurface, with exact box point counts."""
+    each intersected with the hypersurface, with exact box point counts.
+
+    Every system's points come from ``_cube_points``, five enumerations in
+    all, so a B over 4 999 is refused (CapExceeded) at the fiber cap
+    before any fiber is walked.
+    """
     inst.validate_theorem_mode()
     k, l, m, N, B = inst.k, inst.l, inst.m, inst.N, inst.B
-    rng = range(-B, B + 1)
     f4 = inst.hypersurface()
 
     def poly4(terms):
@@ -641,32 +639,27 @@ def excluded_subvarieties(inst: UnlikePowersInstance) -> SubvarietyReport:
 
     # system 1: odd k forces x4 = -x1, the u = 0 cylinder over the fibers
     # x2^l + x3^m = N
-    g3 = _fiber_surface(inst)
-    pts1 = [(*pt, -pt[0]) for pt in _cube_points(g3, SideCondition(g3, 1), B)]
+    pts1 = [(*pt, -pt[0]) for pt in _cube_points(_fiber_surface(inst), _FREE_SIDE, B)]
 
-    # system 2: x2^l = -x3^m, and x1^k + x4^k = N
-    pairs2 = [(x2, x3) for x2 in rng for x3 in rng if x2 ** l + x3 ** m == 0]
-    halves2 = []
-    for x1 in rng:
-        x4 = _integer_nth_root(N - x1 ** k, k)
-        if x4 is not None and abs(x4) <= B:
-            halves2.append((x1, x4))
-    pts2 = sorted(
-        (x1, x2, x3, x4) for (x1, x4) in halves2 for (x2, x3) in pairs2
+    # system 2: the curves x2^l + x3^m = 0 and x1^k + x4^k = N, each written
+    # in slots 1 and 3; x2 = 0 mod 2 max(B, 2) + 1 admits only the row x2 = 0
+    row = SideCondition(_FREE_SIDE.g, 2 * max(B, 2) + 1)
+    inner, outer = (
+        [(a, c) for a, _, c in _cube_points(
+            IntegerPolynomial(3, {(e1, 0, 0): 1, (0, 0, e3): 1, (0, 0, 0): -t}), row, B)]
+        for e1, e3, t in ((l, m, 0), (k, k, N))
     )
+    pts2 = sorted((x1, x2, x3, x4) for x1, x4 in outer for x2, x3 in inner)
 
     def forced(free: int, e_free: int, e_forced: int) -> list:
-        """Systems 3 and 4: x1^k + y^e_free + x4^k = 0, y = x_free, which
-        forces the other of x2, x3 to a root v of v^e_forced = N."""
-        roots = [v for v in rng if v ** e_forced == N]
-        pts = []
-        for x1 in rng:
-            for y in rng:
-                x4 = _integer_nth_root(-(x1 ** k) - y ** e_free, k)
-                if x4 is not None and abs(x4) <= B:
-                    pts.extend((x1, y, v, x4) if free == 2 else (x1, v, y, x4)
-                               for v in roots)
-        return sorted(pts)
+        """Systems 3 and 4: the surface x1^k + y^e_free + x4^k = 0 in
+        (x1, y, x4), y = x_free, which forces the other of x2, x3 to a root
+        v of v^e_forced = N."""
+        surface = IntegerPolynomial(3, {(k, 0, 0): 1, (0, e_free, 0): 1, (0, 0, k): 1})
+        pts = _cube_points(surface, _FREE_SIDE, B)
+        roots = [v for v in range(-B, B + 1) if v ** e_forced == N]
+        return sorted((x1, y, v, x4) if free == 2 else (x1, v, y, x4)
+                      for x1, y, x4 in pts for v in roots)
 
     # system 3 forces x3^m = N on the hypersurface, system 4 x2^l = N
     pts3 = forced(2, l, m)

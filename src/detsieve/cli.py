@@ -309,7 +309,10 @@ def _cover_json(report) -> tuple[dict, list, dict]:
 
 
 def _deviation_json(E) -> dict:
-    """The two main_term_deviation diagnostics of a staircase."""
+    """The two main_term_deviation diagnostics of a staircase; none at cutoff
+    height 1, where both main terms vanish."""
+    if E.cutoff.height == 1:
+        return {}
     dev_count, dev_sum = main_term_deviation(E)
     return {
         "main_term_deviation_count": _num(float(dev_count), "main-term-diagnostic"),

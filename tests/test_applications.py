@@ -15,7 +15,6 @@ from detsieve.applications import (
     _FRACTION_BITS,
     _alternating_factor,
     _fixed_exponent,
-    _integer_nth_root,
     _power_sums,
     _power_table,
     UnlikePowersInstance,
@@ -366,7 +365,8 @@ class TestCountUnlike:
         enumerate_points = applications.enumerate_points
 
         def spy(f, side, box):
-            u = _integer_nth_root(f.evaluate((0, 0, 0)) + N, k)
+            c0 = f.evaluate((0, 0, 0))
+            (u,) = (u for u in range(-2 * B, 2 * B + 1) if u ** k == c0 + N)
             seen.append((u, side.q))
             return enumerate_points(f, side, box)
 
@@ -721,39 +721,57 @@ class TestExcludedSubvarieties:
         rep = excluded_subvarieties(UnlikePowersInstance(13, 3, 2, 10**400, 2))
         assert [s.count for s in rep.systems] == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("k", (13, 15))
+    @pytest.mark.parametrize("l, m", ((3, 2), (5, 3), (4, 3)))
+    def test_every_system_complete_against_a_plain_loop(self, k, l, m):
+        # each system's points are exactly the box points where both its
+        # equation and the hypersurface vanish
+        def system_values(x1, x2, x3, x4):
+            return (x1 ** k + x4 ** k, x2 ** l + x3 ** m,
+                    x1 ** k + x2 ** l + x4 ** k, x1 ** k + x3 ** m + x4 ** k)
 
-class TestIntegerNthRoot:
-    def test_root_a_float_guess_misses(self):
-        r = 2**60 + 1
-        assert _integer_nth_root(r**13, 13) == r
-        assert _integer_nth_root(-(r**13), 13) == -r
-        assert _integer_nth_root(r**13 + 1, 13) is None
+        nonempty = [0] * 4
+        for N in (1, -1, 2, 9, -8, 16384):
+            for B in (1, 2, 3):
+                rng = range(-B, B + 1)
+                want = [[] for _ in range(4)]
+                for pt in itertools.product(rng, repeat=4):
+                    if pt[0] ** k + pt[1] ** l + pt[2] ** m + pt[3] ** k != N:
+                        continue
+                    for i, v in enumerate(system_values(*pt)):
+                        if v == 0:
+                            want[i].append(pt)
+                rep = excluded_subvarieties(UnlikePowersInstance(k, l, m, N, B))
+                assert [s.points for s in rep.systems] == [tuple(w) for w in want]
+                assert rep.union_points == tuple(sorted(set().union(*want)))
+                nonempty = [c + bool(w) for c, w in zip(nonempty, want)]
+        assert all(nonempty), nonempty
 
-    def test_exact_and_inexact_powers_around_2_1000(self):
-        for n in range(2, 14):
-            for r in (2 ** (1000 // n) - 1, 2 ** (1000 // n) + 3,
-                      2 ** (1000 // n + 1) + 5, 3 ** (1000 // n)):
-                v = r**n
-                assert _integer_nth_root(v, n) == r
-                assert _integer_nth_root(v - 1, n) is None
-                assert _integer_nth_root(v + 1, n) is None
-                if n % 2:
-                    assert _integer_nth_root(-v, n) == -r
-                else:
-                    assert _integer_nth_root(-v, n) is None
-            # the powers above straddle 2^1000
-            assert (2 ** (1000 // n) - 1) ** n < 2**1000 < (2 ** (1000 // n + 1) + 5) ** n
+    @pytest.mark.parametrize("B", (1, 3, 9))
+    def test_five_enumerations_whatever_the_box(self, monkeypatch, B):
+        # one for system 1, one per curve of system 2, one each for 3 and 4
+        calls = []
+        enumerate_points = applications.enumerate_points
 
-    def test_small_values(self):
-        assert _integer_nth_root(-7, 1) == -7
-        for n in range(2, 8):
-            roots = {r**n: r for r in range(0, 40)}
-            for v in range(0, 40**2):
-                assert _integer_nth_root(v, n) == roots.get(v), (v, n)
-        assert _integer_nth_root(-8, 3) == -2
-        assert _integer_nth_root(-4, 2) is None
-        with pytest.raises(ContractViolation):
-            _integer_nth_root(4, 0)
+        def spy(f, side, box):
+            calls.append(box)
+            return enumerate_points(f, side, box)
+
+        monkeypatch.setattr(applications, "enumerate_points", spy)
+        excluded_subvarieties(UnlikePowersInstance(13, 5, 3, 1, B))
+        assert len(calls) == 5
+
+    def test_refused_at_the_fiber_cap(self, monkeypatch):
+        def stand_in(coeffs, xs):
+            raise Started(len(xs))
+
+        monkeypatch.setattr(enumeration, "_horner_row", stand_in)
+        # the cube [-B, B]^3 walks (2B + 1)^2 fibers
+        with pytest.raises(Started):
+            excluded_subvarieties(UnlikePowersInstance(13, 5, 3, 2, 4999))
+        for B in (5000, 10 ** 30):
+            with pytest.raises(CapExceeded, match="fibers"):
+                excluded_subvarieties(UnlikePowersInstance(13, 5, 3, 2, B))
 
 
 class TestPredictedExponents:

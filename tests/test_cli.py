@@ -472,10 +472,19 @@ class TestStrictIntegers:
 
     def test_floor_const_zero_exits_cleanly(self, tmp_path, capsys):
         # a floor of 0 lets aux pick cutoff height 1, where the main terms
-        # vanish; this used to escape as a ZeroDivisionError
-        cfg = dict(TestTypedFields.AUX, floor_const=0, residue_primes=[3])
-        assert invoke(tmp_path, "aux", cfg) == 1
-        assert capsys.readouterr().err.startswith("invalid instance: main terms vanish")
+        # vanish; this used to escape as a ZeroDivisionError.  The report leaves out the two deviation
+        # diagnostics, and the library call still refuses that height.
+        sphere6 = {"nvars": 3, "terms": SPHERE5["terms"][:3] + [[[0, 0, 0], -6]]}
+        configs = [dict(TestTypedFields.AUX, floor_const=0, residue_primes=[3])]
+        configs += [{"f": sphere6, "g": CONG_G, "q": q, "box": [3, 3, 3], "epsilon": 0.5,
+                     "floor_const": 0, "scale_override": 0.5} for q in (5, 1)]
+        for cfg in configs:
+            diag = invoke_json(tmp_path, capsys, "aux", cfg)["diagnostics"]
+            assert diag["cutoff"]["height"]["value"] == "1"
+            assert not any(key.startswith("main_term_deviation") for key in diag)
+        E = build_exponent_set(ExactLog(1), (2, 0, 0), BoxBounds(3, 3, 3))
+        with pytest.raises(ContractViolation, match="cutoff height 1"):
+            main_term_deviation(E)
 
 
 class Started(Exception):
