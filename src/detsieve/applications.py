@@ -619,9 +619,9 @@ def excluded_subvarieties(inst: UnlikePowersInstance) -> SubvarietyReport:
     """The four coordinate-subsum systems that can carry excess points,
     each intersected with the hypersurface, with exact box point counts.
 
-    Every system's points come from ``_cube_points``, five enumerations in
-    all, so a B over 4 999 is refused (CapExceeded) at the fiber cap
-    before any fiber is walked.
+    Every system's points come from ``_cube_points``, at most five
+    enumerations, so a B over 4 999 is refused (CapExceeded) at the fiber
+    cap before any fiber is walked.
     """
     inst.validate_theorem_mode()
     k, l, m, N, B = inst.k, inst.l, inst.m, inst.N, inst.B
@@ -654,10 +654,10 @@ def excluded_subvarieties(inst: UnlikePowersInstance) -> SubvarietyReport:
     def forced(free: int, e_free: int, e_forced: int) -> list:
         """Systems 3 and 4: the surface x1^k + y^e_free + x4^k = 0 in
         (x1, y, x4), y = x_free, which forces the other of x2, x3 to a root
-        v of v^e_forced = N."""
-        surface = IntegerPolynomial(3, {(k, 0, 0): 1, (0, e_free, 0): 1, (0, 0, k): 1})
-        pts = _cube_points(surface, _FREE_SIDE, B)
+        v of v^e_forced = N; enumerated only when there is such a root."""
         roots = [v for v in range(-B, B + 1) if v ** e_forced == N]
+        surface = IntegerPolynomial(3, {(k, 0, 0): 1, (0, e_free, 0): 1, (0, 0, k): 1})
+        pts = _cube_points(surface, _FREE_SIDE, B) if roots else ()
         return sorted((x1, y, v, x4) if free == 2 else (x1, v, y, x4)
                       for x1, y, x4 in pts for v in roots)
 

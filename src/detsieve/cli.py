@@ -630,7 +630,11 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise UsageError(f"cannot write report: {exc}")
         else:
-            print(text)
+            print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: with no stdout, the flush at exit tries no write
+        sys.stdout = None
+        return 1
     except (UsageError, CapExceeded) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -241,45 +241,42 @@ def build_exponent_set(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> Ex
     )
 
 
-def _count_below(T: int, bounds: tuple) -> int:
-    """N(T): the number of e >= 0 with B1^e1 * B2^e2 * B3^e3 <= T.
-
-    On an equal box this is e1 + e2 + e3 <= n, n = floor(log_B T), so
-    N(T) = C(n + 3, 3); any other box walks e1 and, for each, e2 under a
-    falling e3 cap.
-    """
-    b1, b2, b3 = bounds
-    if b1 == b2 == b3:
-        return math.comb(_ilog(b1, T) + 3, 3) if T >= 1 else 0
+def _count_pairs(T: int, b: int, c: int) -> int:
+    """The number of (u, v) >= 0 with b^u * c^v <= T, for T >= 1: C(n + 2, 2)
+    with n = floor(log_b T) when b = c, else one two-pointer walk."""
+    if b == c:
+        return math.comb(_ilog(b, T) + 2, 2)
     total = 0
-    h1 = 1
-    while h1 <= T:
-        T1 = T // h1
-        # two-pointer walk: p = B2^e2 * B3^k with k the largest e3 that fits
-        k = _ilog(b3, T1)
-        p = b3 ** k
-        while k >= 0:
-            total += k + 1
-            p *= b2
-            while k >= 0 and p > T1:
-                p //= b3
-                k -= 1
-        h1 *= b1
+    # p = b^u * c^k with k the largest v that fits
+    k = _ilog(c, T)
+    p = c ** k
+    while k >= 0:
+        total += k + 1
+        p *= b
+        while k >= 0 and p > T:
+            p //= c
+            k -= 1
     return total
 
 
 def staircase_size(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> int:
     """|E(T)|, the member count of build_exponent_set(cutoff, m, box),
-    without building a member.
-
-    Members are the e with B^e <= T, the cutoff height, minus those with
-    e >= m in every coordinate, which are m + e' with B^e' <= T // B^m:
-    |E(T)| = N(T) - N(T // B^m).  On an equal box both counts are
-    binomials, so this costs two integer logs.
-    """
+    without building a member: the disjoint slabs {e1 < m1},
+    {e1 >= m1, e2 < m2} and {e1 >= m1, e2 >= m2, e3 < m3}.  Each value of a
+    slab's bounded coordinate, the earlier ones at m, is a height h; it
+    leaves the pairs of the other two coordinates under T // h, until h > T."""
     m = _dominant_vector(m)
     T = cutoff.height
-    return _count_below(T, box.bounds) - _count_below(T // box.height(m), box.bounds)
+    b1, b2, b3 = box.bounds
+    total = 0
+    h = 1
+    for mi, b, pair in zip(m, box.bounds, ((b2, b3), (b1, b3), (b1, b2))):
+        for _ in range(mi):
+            if h > T:
+                return total
+            total += _count_pairs(T // h, *pair)
+            h *= b
+    return total
 
 
 class SetStatistics(Record):
@@ -566,14 +563,13 @@ def choose_Y(
     [2Z, 4Z], ..., one per block and GRID_COUNT at most, with
     Z = max(log_top, floor_const·log Bmax) and points snapped to integer
     heights.  The search probes block ends until one holds, galloping
-    (0, 1, 3, 7, ...) over powers, where a count is a binomial, but taking
-    grids in turn, since each doubles log T and a count on an unequal box
-    costs about (log T)^2; then it bisects after the last end that failed,
-    so it returns what an increasing scan would.
+    (0, 1, 3, 7, ...) over powers but taking grids in turn, then bisects
+    after the last end that failed, so it returns what an increasing scan would.
 
     Before it forms a height of a grid, it refuses (CapExceeded) the grid
-    if its top, near exp(2^(g+1) Z), is sure to hold more than
-    COLUMN_CAP staircase columns; below that the constraint decides.
+    if its top, near exp(2^(g+1) Z), is sure to hold more than COLUMN_CAP
+    staircase columns; below that the constraint decides.  So a gallop over
+    grids could refuse a search that an increasing scan would complete.
     """
     if strict_int(floor_const, "floor constant") < 0:
         raise ContractViolation("floor constant must be nonnegative")

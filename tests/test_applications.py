@@ -761,6 +761,22 @@ class TestExcludedSubvarieties:
         excluded_subvarieties(UnlikePowersInstance(13, 5, 3, 1, B))
         assert len(calls) == 5
 
+    @pytest.mark.parametrize("B", (1, 3, 9))
+    def test_no_forced_root_skips_systems_3_and_4(self, monkeypatch, B):
+        # 2 is neither a cube nor a fifth power, so systems 3 and 4 have no
+        # point and enumerate nothing
+        calls = []
+        enumerate_points = applications.enumerate_points
+
+        def spy(f, side, box):
+            calls.append(box)
+            return enumerate_points(f, side, box)
+
+        monkeypatch.setattr(applications, "enumerate_points", spy)
+        rep = excluded_subvarieties(UnlikePowersInstance(13, 5, 3, 2, B))
+        assert len(calls) == 3
+        assert rep.systems[2].points == rep.systems[3].points == ()
+
     def test_refused_at_the_fiber_cap(self, monkeypatch):
         def stand_in(coeffs, xs):
             raise Started(len(xs))

@@ -1,10 +1,15 @@
 """Exit codes, report schema, determinism, slope fitting."""
 
+import errno
+import io
 import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -99,6 +104,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: cannot write report:")
         assert not out.exists()
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        cfg = {"f": SPHERE5, "g": TRIVIAL_G, "box": [10, 10, 10]}
+        assert invoke(tmp_path, "enumerate", cfg) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_leaves_nothing_for_the_exit_flush(self, tmp_path):
+        # a buffered stdout would otherwise fail again when Python flushes
+        # it at exit, with an "Exception ignored" message and exit 120
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"f": SPHERE5, "g": TRIVIAL_G, "box": [3, 3, 3]}))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = os.path.dirname(os.path.dirname(detsieve.cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "detsieve.cli", "enumerate", "--config", str(path)],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_invalid_instance(self, tmp_path, capsys):
         cfg = {"a": [1, 1, 1], "n": -4, "B": 10}  # rational lines possible
@@ -717,6 +750,14 @@ class TestAuxGridCap:
         assert err.startswith("usage error:") and "columns" in err
         assert "Traceback" not in err
         assert len(set(starts)) >= 5
+
+    def test_huge_scale_refused_within_a_second(self, tmp_path, capsys):
+        # the probes of grids 0 to 6 count staircases of up to 6 300 bits
+        start = time.perf_counter()
+        assert invoke(tmp_path, "aux", dict(self.AUX, scale_override=1e300)) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "cutoff search reaches log grid 7" in err
 
     def test_cap_sits_between_two_grids(self, monkeypatch):
         box = BoxBounds(4, 8, 16)

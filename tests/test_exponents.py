@@ -1,5 +1,6 @@
 """Staircase sets, method scalars, lambda sums, cutoff selection."""
 
+import functools
 import itertools
 import math
 import random
@@ -23,7 +24,6 @@ from detsieve.exponents import (
     BoxBounds,
     ExactLog,
     SetStatistics,
-    _count_below,
     _ilog,
     build_exponent_set,
     choose_Y,
@@ -195,29 +195,49 @@ def test_ilog_is_the_largest_fitting_power():
         assert b ** k <= T < b ** (k + 1), (b, T)
 
 
+@functools.cache
+def walk_pairs(T, b, c):
+    """The number of (u, v) >= 0 with b^u * c^v <= T, by the walk over u
+    under a falling v cap."""
+    total = 0
+    k = _ilog(c, T)
+    p = c ** k
+    while k >= 0:
+        total += k + 1
+        p *= b
+        while k >= 0 and p > T:
+            p //= c
+            k -= 1
+    return total
+
+
+@functools.cache
 def walk_count_below(T, bounds):
-    """N(T) by the walk over e1 and e2 under a falling e3 cap: the oracle
-    for _count_below's equal-box closed form."""
+    """N(T), the number of e >= 0 with B^e <= T, by the walk over e1 and
+    the pairs (e2, e3) under T // B1^e1: with N(T // B^m) the oracle for
+    staircase_size.  N(T // B^m) walks the same pairs, so both are cached."""
     b1, b2, b3 = bounds
     total = 0
     h1 = 1
     while h1 <= T:
-        T1 = T // h1
-        k = _ilog(b3, T1)
-        p = b3 ** k
-        while k >= 0:
-            total += k + 1
-            p *= b2
-            while k >= 0 and p > T1:
-                p //= b3
-                k -= 1
+        total += walk_pairs(T // h1, b2, b3)
         h1 *= b1
     return total
 
 
+#: every nonzero dominant exponent in {0..3}^3
+DOMINANTS = [m for m in itertools.product(range(4), repeat=3) if any(m)]
+
+
 class TestCountBelow:
-    """_count_below against the walk: the closed form on equal boxes, the
-    walk itself on every other box."""
+    """staircase_size against the walk: |E(T)| = N(T) - N(T // B^m), the
+    members below T less the e >= m, which are m + e' with B^e' <= T // B^m."""
+
+    @staticmethod
+    def check(T, m, box):
+        bounds = box.bounds
+        want = walk_count_below(T, bounds) - walk_count_below(T // box.height(m), bounds)
+        assert staircase_size(ExactLog(T), m, box) == want, (bounds, m, T)
 
     def test_equal_box_matches_the_walk(self):
         rng = random.Random(2121)
@@ -226,8 +246,9 @@ class TestCountBelow:
             for k in range(41):
                 heights |= {b ** k - 1, b ** k, b ** k + 1}
             heights |= {rng.randint(1, 10 ** rng.randint(1, 300)) for _ in range(6)}
-            for T in sorted(heights):
-                assert _count_below(T, (b, b, b)) == walk_count_below(T, (b, b, b)), (b, T)
+            for T in sorted(heights - {0}):
+                for m in DOMINANTS:
+                    self.check(T, m, cube(b))
 
     def test_unequal_boxes_match_the_walk(self):
         rng = random.Random(2122)
@@ -236,8 +257,27 @@ class TestCountBelow:
         for bounds in boxes:
             if bounds[0] == bounds[1] == bounds[2]:
                 continue
-            for T in (0, 1, 2, 59, 60, 61, 10 ** 12, rng.randint(1, 10 ** 40)):
-                assert _count_below(T, bounds) == walk_count_below(T, bounds), (bounds, T)
+            for T in (1, 2, 59, 60, 61, 10 ** 12, rng.randint(1, 10 ** 40)):
+                for m in DOMINANTS:
+                    self.check(T, m, BoxBounds(*bounds))
+
+    def test_large_heights_on_the_grid_box(self):
+        # the aux-grid box and dominant, at heights the cutoff search's
+        # later grids reach
+        rng = random.Random(2123)
+        for bits in (150, 500, 1000, 2000):
+            for T in (2 ** bits - 1, 2 ** bits, rng.getrandbits(bits) | 1):
+                self.check(T, (0, 0, 2), BoxBounds(12, 20, 30))
+
+    def test_huge_dominant_on_a_cube(self):
+        # the count stops at the first slab height over T, so |m| = 1000
+        # costs at most about n pair counts; below 7^1000 every e is a member
+        box = cube(7)
+        for n in (0, 1, 100, 999, 1000, 1001, 1500):
+            T = 7 ** n
+            want = math.comb(n + 3, 3) - (math.comb(n - 1000 + 3, 3) if n >= 1000 else 0)
+            for m in ((1000, 0, 0), (0, 0, 1000), (300, 300, 400)):
+                assert staircase_size(ExactLog(T), m, box) == want, (n, m)
 
 
 class TestStaircaseSize:
