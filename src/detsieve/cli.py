@@ -567,6 +567,40 @@ _HANDLERS = {
 # -- entry point ------------------------------------------------------------------------
 
 
+_quote = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(x, pad: str, parts: list) -> list:
+    """Append x to parts as json.dumps(x, sort_keys=True, indent=2) would; pad opens x's line."""
+    t = type(x)
+    if t is int:
+        parts.append(int.__repr__(x))
+    elif t is str:
+        parts.append(_quote(x))
+    elif t is dict:
+        sep = "{" + (inner := pad + "  ")
+        for k in sorted(x):
+            parts.append(sep + _quote(k) + ": ")  # a key that is not a str raises TypeError
+            _encode(x[k], inner, parts)
+            sep = "," + inner
+        parts.append(pad + "}" if x else "{}")
+    elif t is list or t is tuple:
+        sep = "[" + (inner := pad + "  ")
+        for v in x:
+            parts.append(sep)
+            _encode(v, inner, parts)
+            sep = "," + inner
+        parts.append(pad + "]" if x else "[]")
+    elif t is float:
+        parts.append(_FLOAT_WORDS.get(s := float.__repr__(x), s))
+    elif t is bool or x is None:
+        parts.append("true" if x else "false" if t is bool else "null")
+    else:  # types are matched exactly, as no report needs a subclass
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    return parts
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -622,7 +656,7 @@ def main(argv=None) -> int:
             # ValueError: not UTF-8, or an integer past CPython's digit limit
             raise UsageError(f"cannot read config: {exc}")
         report = run(args.command, config, seed=args.seed)
-        text = json.dumps(report, sort_keys=True, indent=2)
+        text = "".join(_encode(report, "\n", []))
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:

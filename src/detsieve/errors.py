@@ -98,7 +98,9 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = type(self)._fields
-        if kwargs or len(args) != len(fields):
+        if not args and kwargs.keys() == fields.keys():
+            args = [kwargs[field] for field in fields]  # every field by keyword
+        elif kwargs or len(args) != len(fields):
             name = type(self).__name__
             if len(args) > len(fields):
                 raise TypeError(f"{name} takes {len(fields)} fields, not {len(args)}")

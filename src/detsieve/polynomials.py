@@ -429,6 +429,10 @@ def is_coprime(f: IntegerPolynomial, g: IntegerPolynomial) -> bool:
         return g.is_constant
     if g.is_zero:
         return f.is_constant
+    # a degree-1 a has an irreducible primitive part, dividing b iff a | content(a) b
+    for a, b in ((f, g), (g, f)):
+        if a.total_degree() == 1:
+            return exact_divide(b * a.content(), a) is None
     return polynomial_gcd(f, g).is_constant
 
 

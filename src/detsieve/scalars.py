@@ -34,11 +34,11 @@ def _scaled(m: int, e: int) -> Fraction:
 
 def rnd(x, bits: int = PRECISION_BITS) -> Fraction:
     """x (an int, float or Fraction) rounded to a bits-bit mantissa, ties
-    to even."""
+    to even; an x that has one already is returned as it is."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
     n, d = x.as_integer_ratio()
-    if not n:
+    if not d & (d - 1) and abs(n).bit_length() <= bits:
         return x
     a = abs(n)
     # q = floor(|x| 2^s) has bits or bits + 1 bits; keep bits of them

@@ -1,4 +1,4 @@
-"""Exit codes, report schema, determinism, slope fitting."""
+"""Exit codes, report schema, the report writer, determinism, slope fitting."""
 
 import errno
 import io
@@ -296,6 +296,101 @@ class TestReportSchema:
         code = invoke(tmp_path, "enumerate", cfg, "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["result"]["count"]["value"] == "24"
+
+
+# one config per command; quadric's is a list config
+EVERY_COMMAND = {
+    "enumerate": {"f": SPHERE5, "g": TRIVIAL_G, "box": [3, 3, 3]},
+    "certify": {"f": CONG_F, "g": CONG_G, "q": 5, "box": [2, 2, 2],
+                "cutoff_base": 2, "cutoff_power": 3},
+    "aux": {"f": CONG_F, "g": CONG_G, "q": 5, "box": [4, 4, 4], "epsilon": 0.5,
+            "residue_primes": [3]},
+    "quadric": [{"a": [1, 1, 1], "n": 5, "B": 4},
+                {"a": [3, 1, 1], "n": 1001, "B": 10, "mode": "pipeline"}],
+    "unlike": {"k": 13, "l": 5, "m": 3, "N": 2, "B": 5, "mode": "sliced-pipeline"},
+    "fit": {"counts": [[10, 100], [20, 400], [40, 1600]],
+            "quadric": {"a": [1, 1, 1], "n": 5}, "unlike": {"k": 5, "l": 3, "m": 2, "N": 4}},
+}
+
+# characters json.dumps escapes or spells out: quotes, backslashes, control
+# characters, DEL, non-ASCII inside and outside the basic plane
+FUZZ_CHARS = 'ab Z"\\/\n\r\t\b\f\x00\x1f\x7f\xe9\u20ac\u2028\U0001f600'
+FUZZ_SCALARS = [
+    None, True, False, 0, -1, 2 ** 64, -(2 ** 64) - 1, 10 ** 40, 0.0, -0.0, 0.1, -2.5,
+    1e16, 1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf, "", [], {}, (), [[]],
+    {"": {}}, [(), {}],
+]
+
+
+def fuzz_text(rng):
+    return "".join(rng.choice(FUZZ_CHARS) for _ in range(rng.randrange(6)))
+
+
+def fuzz_tree(rng, depth):
+    kind = rng.randrange(6 if depth else 3)
+    if kind == 0:
+        return rng.choice(FUZZ_SCALARS)
+    if kind == 1:
+        return rng.choice((rng.uniform(-1e6, 1e6), rng.randint(-(2 ** 70), 2 ** 70)))
+    if kind == 2:
+        return fuzz_text(rng)
+    items = [fuzz_tree(rng, depth - 1) for _ in range(rng.randrange(5))]
+    if kind == 3:
+        return items
+    if kind == 4:
+        return tuple(items)
+    return {fuzz_text(rng): v for v in items}
+
+
+def dumps(x) -> str:
+    """What the CLI writes for x, less the final newline."""
+    return "".join(detsieve.cli._encode(x, "\n", []))
+
+
+def str_keys_only(x) -> bool:
+    if isinstance(x, dict):
+        return all(type(k) is str and str_keys_only(v) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return all(map(str_keys_only, x))
+    return True
+
+
+class TestReportWriter:
+    """The CLI writes exactly json.dumps(report, sort_keys=True, indent=2)."""
+
+    def test_every_command_matches_json_dumps(self, tmp_path, capsys):
+        assert set(EVERY_COMMAND) == set(detsieve.cli._HANDLERS)
+        for command, config in EVERY_COMMAND.items():
+            report = run(command, config, seed=3)
+            assert str_keys_only(report), command
+            want = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+            out = tmp_path / f"{command}.json"
+            assert invoke(tmp_path, command, config, "--seed", "3", "--out", str(out)) == 0
+            assert out.read_bytes() == want, command
+            assert invoke(tmp_path, command, config, "--seed", "3") == 0
+            assert capsys.readouterr().out.encode() == want, command
+
+    def test_fuzzed_trees_match_json_dumps(self):
+        rng = random.Random(32)
+        trees = FUZZ_SCALARS + [fuzz_tree(rng, 4) for _ in range(600)]
+        for tree in trees:
+            assert dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+        assert dumps("\x00\u20ac\U0001f600") == '"\\u0000\\u20ac\\ud83d\\ude00"'
+        assert dumps([math.nan, -math.inf, -0.0]) == "[\n  NaN,\n  -Infinity,\n  -0.0\n]"
+
+    @pytest.mark.parametrize("bad", [{1, 2}, Fraction(1, 3), [{"a": frozenset()}], object()])
+    def test_what_json_dumps_refuses_is_refused(self, bad):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            dumps(bad)
+
+    @pytest.mark.parametrize("bad", [{1: "a"}, {"a": {None: 1}}, [{2.5: 0}], {True: 1}])
+    def test_a_key_that_is_not_a_str_is_refused(self, bad):
+        # json.dumps writes these keys as strings; reports have none
+        json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            dumps(bad)
 
 
 class TestDeterminism:

@@ -218,6 +218,62 @@ class TestGcdAndCoprime:
         assert checked >= 50 and nonconstant >= 25
 
 
+    def test_degree_one_side_agrees_with_the_gcd(self):
+        # a degree-1 side is settled by one exact division by its primitive
+        # part; the gcd decides the same pairs, in both argument orders
+        rng = random.Random(28)
+        f = poly3({(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1001})
+        x1, x2, x3 = (P.variable(3, i) for i in range(3))
+
+        def random_line():
+            while True:
+                used = rng.sample(range(3), rng.randint(1, 3))
+                line = sum((P.variable(3, i) * P.constant(3, rng.choice((-3, -1, 1, 2, 5)))
+                            for i in used), P.constant(3, rng.randint(-6, 6)))
+                if line.total_degree() == 1:
+                    return line * P.constant(3, rng.choice((1, 1, 2, -4, 6)))
+
+        lines = [
+            x1 - x2,                                              # divides x1^2 - x2^2
+            poly3({(1, 0, 0): 2, (0, 1, 0): 4, (0, 0, 0): -6}),  # content 2
+            x3 + P.constant(3, 5),                                # x3 alone
+        ] + [random_line() for _ in range(60)]
+        partners = [f, x1 * x1 - x2 * x2, P.constant(3, 4)]
+        checked = seen_factor = 0
+        for line in lines:
+            k = P.constant(3, rng.choice((1, 2, -3)))
+            others = partners + [
+                line * _random_poly(rng, 3, 3, 2) * k,
+                _random_poly(rng, 3, max_terms=4, max_deg=2),
+                line * k,
+                random_line(),
+            ]
+            for other in others:
+                if other.is_zero:
+                    continue
+                want = polynomial_gcd(line, other).is_constant
+                assert is_coprime(line, other) == is_coprime(other, line) == want, (line, other)
+                checked += 1
+                seen_factor += not want
+        assert checked > 350 and seen_factor > 100, (checked, seen_factor)
+        # 2x1 + 4x2 - 6 divides a multiple of x1 + 2x2 - 3 that 2 does not divide
+        half = poly3({(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 0): -3})
+        assert not is_coprime(lines[1], half * x3) and not is_coprime(half * x3, lines[1])
+        assert not is_coprime(x1 - x2, x1 * x1 - x2 * x2)
+        # a line in a variable the other side does not use
+        w = P(4, {(0, 0, 0, 1): 2, (0, 0, 0, 0): 1})
+        g = P(4, {(2, 0, 0, 0): 1, (0, 1, 0, 0): -7})
+        assert is_coprime(w, g) and is_coprime(g, w)
+        assert not is_coprime(w, g * w) and not is_coprime(g * w, w)
+
+    def test_zero_cases_are_unchanged(self):
+        x1 = P.variable(3, 0)
+        zero = P.zero(3)
+        assert not is_coprime(zero, zero)
+        assert not is_coprime(zero, x1) and not is_coprime(x1, zero)
+        assert is_coprime(zero, P.constant(3, 2)) and is_coprime(P.constant(3, -1), zero)
+
+
 class TestWronskian:
     def test_constant_and_t(self):
         one = R([1])

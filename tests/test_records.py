@@ -33,6 +33,18 @@ class TestConstruction:
         assert a == BoxBounds(b1=2, b2=3, b3=4) == BoxBounds(2, b3=4, b2=3)
         assert (a.b1, a.b2, a.b3) == (2, 3, 4)
 
+    def test_every_field_by_keyword_in_any_order(self):
+        x = IntegerPolynomial.variable(3, 1)
+        want = AuxiliaryPolynomial(x, ((0, 1, 0),), False, "leftover")
+        got = AuxiliaryPolynomial(role="leftover", coprime_to_f=False,
+                                  vanishes_on=((0, 1, 0),), poly=x)
+        assert got == want and got._values() == (x, ((0, 1, 0),), False, "leftover")
+        assert BoxBounds(b3=4, b1=2, b2=3).bounds == (2, 3, 4)
+        with pytest.raises(TypeError, match="no field 'b4'"):
+            BoxBounds(b3=4, b1=2, b4=3)
+        with pytest.raises(ContractViolation):
+            BoxBounds(b3=4, b1=2, b2=True)
+
     def test_defaults(self):
         assert ResidueData().primes == ()
         x = IntegerPolynomial.variable(3, 1)

@@ -109,6 +109,51 @@ class TestAgainstMpmath:
                 assert scalars.power(x, 1.5) == exact(mpf(x) ** mp.mpf(1.5)), x
 
 
+def rnd_by_division(x, bits: int = scalars.PRECISION_BITS) -> Fraction:
+    """scalars.rnd as it was before exact inputs returned early: every input
+    takes the shifted division and comes back through _scaled."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    n, d = x.as_integer_ratio()
+    if not n:
+        return x
+    a = abs(n)
+    s = bits - a.bit_length() + d.bit_length()
+    for s in (s, s - 1):
+        num, den = (a << s, d) if s >= 0 else (a, d << -s)
+        q, r = divmod(num, den)
+        if q.bit_length() == bits:
+            break
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return scalars._scaled(-q if n < 0 else q, -s)
+
+
+class TestExactInputs:
+    def test_rnd_is_unchanged_on_exact_and_inexact_inputs(self):
+        rng = random.Random(22)
+        xs = [0, 1, -1, 0.0, -0.0, 0.1, 1e300, 5e-324, Fraction(0), Fraction(-3, 8)]
+        for _ in range(3000):
+            width = rng.choice((1, 20, 52, 53, 54, 95, 96, 97, 140))
+            n = rng.choice((-1, 1)) * rng.randint(1 << (width - 1), (1 << width) - 1)
+            d = rng.choice((1, 1 << rng.randint(0, 200), rng.randint(1, 10 ** 30) | 1))
+            xs += [n, Fraction(n, d), Fraction(n, d * 3)]
+            xs.append(rng.uniform(-1e6, 1e6))
+        exact_inputs = 0
+        for x in xs:
+            for bits in (53, 96):
+                got, want = scalars.rnd(x, bits), rnd_by_division(x, bits)
+                assert type(got) is Fraction and got == want, (x, bits)
+                n, d = Fraction(x).as_integer_ratio()
+                exact_inputs += not d & (d - 1) and abs(n).bit_length() <= bits
+        assert exact_inputs > 2000
+
+    def test_an_exact_fraction_comes_back_as_it_is(self):
+        x = Fraction((1 << 96) - 1, 1 << 40)
+        assert scalars.rnd(x) is x
+        assert scalars.rnd(Fraction((1 << 97) - 1, 1 << 40)) != Fraction((1 << 97) - 1, 1 << 40)
+
+
 # -- the code the scalars replaced, kept as the oracle ------------------------
 
 
