@@ -5,7 +5,9 @@ g(x2, x3) congruent to 0 mod q.  Enumeration finds the admissible
 (x2, x3) pairs on a window of at most q values per axis, repeats them
 with period q across the box, then finds the integer roots of each
 resulting univariate fiber polynomial in x1, or looks them up in one
-value table when the x1 part is the same on every fiber.  Everything is
+value table when the x1 part is the same on every fiber.  A table-served
+row looks up each distinct -P(x3) once when the fiber constant splits as
+c_0 = A(x2) + P(x3), and each fiber once otherwise.  Everything is
 integer arithmetic.
 """
 
@@ -195,7 +197,11 @@ def enumerate_points(
     keeping their admissible z0; once their fibers reach 2 B1 + 1, one
     value table of p over [-B1, B1] serves each fiber by a dict lookup of
     its c_0.  So the table never costs more evaluations than the fibers
-    it serves, and a huge B1 with few fibers builds none.
+    it serves, and a huge B1 with few fibers builds none.  When no term
+    of c_0 mixes x2 and x3, c_0 = A(x2) + P(x3): the fibers of a residue
+    are grouped once by their value -P(z), and each row looks up each
+    distinct value shifted by A(y) once, for all the fibers sharing it.
+    A c_0 that mixes them is looked up once per fiber.
 
     A box with over BOX_FIBER_CAP fibers, or an f or g of total degree
     over DEGREE_CAP, is refused (CapExceeded) before anything is allocated.
@@ -243,13 +249,30 @@ def enumerate_points(
                 table = _value_table(p, -b1, b1)
                 break
 
+    # c_0 = A(x2) + P(x3) when no term of c_0 mixes x2 and x3: then fiber
+    # (y, z) looks up -P(z) - A(y), and a row needs one lookup per distinct
+    # -P(z) of the residue, found once for all its rows
+    c0_terms = coeff_polys.get(0, zero).terms
+    split = table is not None and not any(e2 and e3 for _, e2, e3 in c0_terms)
+    if split:
+        p_row = _z_row(coeff_groups[0], 0)
+        a_terms = [(e2, c) for (_, e2, _), c in c0_terms.items() if e2]
+
     points: list[tuple] = []
     for y0, z0s in chain(counted, scan):
         zs = [z for z0 in z0s for z in range(z0, b3 + 1, q)]
+        if split:
+            by_value: dict[int, list[int]] = {}
+            for i, v in enumerate(_horner_row(p_row, zs)):
+                by_value.setdefault(-v, []).append(i)
         for y in range(y0, b2 + 1, q):
             if table is None:
                 cols = [_horner_row(_z_row(groups, y), zs) for groups in coeff_groups]
                 solved = _row_roots(cols, -b1, b1)
+            elif split:
+                a = sum(c * y ** e2 for e2, c in a_terms)
+                solved = ((i, xs) for v, idxs in by_value.items()
+                          if (xs := table.get(v - a)) for i in idxs)
             else:
                 c0s = _horner_row(_z_row(coeff_groups[0], y), zs)
                 solved = ((i, xs) for i, c in enumerate(c0s) if (xs := table.get(-c)))

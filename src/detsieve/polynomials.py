@@ -297,22 +297,33 @@ def _lex_leading(f: IntegerPolynomial) -> tuple[ExponentVector, int]:
 
 
 def exact_divide(f: IntegerPolynomial, g: IntegerPolynomial) -> IntegerPolynomial | None:
-    """Quotient f/g when g divides f exactly over Z, else None."""
+    """Quotient f/g when g divides f exactly over Z, else None.
+
+    Divides by lex-leading terms on a plain remainder dict: each step
+    takes qc x^de * g off it term by term, so every quotient term is a
+    new lex-smaller exponent and the quotient is wrapped once at the end.
+    """
     f._require_same_arity(g)
     if g.is_zero:
         raise ContractViolation("division by the zero polynomial")
     quot: dict[ExponentVector, int] = {}
-    rem = f
+    rem = dict(f._terms)
     ge, gc = _lex_leading(g)
-    while not rem.is_zero:
-        re, rc = _lex_leading(rem)
+    g_terms = g._terms.items()
+    while rem:
+        re = max(rem)
         de = tuple(a - b for a, b in zip(re, ge))
-        if any(v < 0 for v in de) or rc % gc:
+        if any(v < 0 for v in de) or rem[re] % gc:
             return None
-        qc = rc // gc
-        quot[de] = quot.get(de, 0) + qc
-        rem = rem - IntegerPolynomial.monomial(f.nvars, de, qc) * g
-    return IntegerPolynomial(f.nvars, quot)
+        qc = quot[de] = rem[re] // gc
+        for e, c in g_terms:
+            e = tuple(a + b for a, b in zip(de, e))
+            r = rem.get(e, 0) - qc * c
+            if r:
+                rem[e] = r
+            else:
+                del rem[e]
+    return IntegerPolynomial._canonical(f.nvars, quot)
 
 
 def _pseudo_remainder(a: IntegerPolynomial, b: IntegerPolynomial, v: int) -> IntegerPolynomial:

@@ -512,6 +512,114 @@ class TestValueTable:
         assert list(enumerate_points(f, side, BoxBounds(10 ** 30, 2, 2))) == sorted(want)
 
 
+class CountingTable(dict):
+    """A value table that counts its lookups."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def spy_lookups(monkeypatch):
+    """Every value table enumerate_points builds, each counting its lookups."""
+    tables = []
+    value_table = enumeration._value_table
+
+    def spy_value_table(p, lo, hi):
+        tables.append(CountingTable(value_table(p, lo, hi)))
+        return tables[-1]
+
+    monkeypatch.setattr(enumeration, "_value_table", spy_value_table)
+    return tables
+
+
+def window_residues(g, q, b2, b3):
+    """(rows, the x3 values) of each admissible residue y0 of the x2-window, in
+    scan order: the fibers of a residue are its rows times its x3 values."""
+    out = []
+    for y0 in range(-b2, min(b2, q - b2 - 1) + 1):
+        zs = [z for z in range(-b3, b3 + 1) if g.evaluate((0, y0, z)) % q == 0]
+        if zs:
+            out.append((range(y0, b2 + 1, q), zs))
+    return out
+
+
+class TestGroupedLookups:
+    """A table-served c_0 = A(x2) + P(x3) looks up each distinct -P(x3) once per row."""
+
+    def test_one_lookup_per_row_and_distinct_value(self, monkeypatch):
+        # 3 x1^2 + x2^2 + x3^2 = 1001, q = 1: one residue of 2B + 1 rows, each
+        # looking up the B + 1 distinct values of -z^2 for z in [-B, B]
+        b = 12
+        f = poly3({(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1001})
+        box = BoxBounds(b, b, b)
+        tables = spy_lookups(monkeypatch)
+        got = list(enumerate_points(f, TRIVIAL_SIDE, box))
+        assert got == naive_points(f, TRIVIAL_SIDE.g, 1, box)
+        assert [t.gets for t in tables] == [(2 * b + 1) * (b + 1)]
+
+    def test_mixed_c0_keeps_one_lookup_per_fiber(self, monkeypatch):
+        # x1^2 + x2^2 + x2 x3 + x3^2 = 49: the x2 x3 term ties every fiber's
+        # constant to both coordinates, so each of the 41^2 fibers looks up once
+        f = poly3({(2, 0, 0): 1, (0, 2, 0): 1, (0, 1, 1): 1, (0, 0, 2): 1, (0, 0, 0): -49})
+        box = BoxBounds(20, 20, 20)
+        tables = spy_lookups(monkeypatch)
+        got = list(enumerate_points(f, TRIVIAL_SIDE, box))
+        assert len(got) == 56 and got == naive_points(f, TRIVIAL_SIDE.g, 1, box)
+        assert [t.gets for t in tables] == [41 * 41]
+
+    def test_nonsingular_filter_drops_the_apex(self, monkeypatch):
+        # the cone x1^2 + x2^2 - x3^2 = 0 is singular only at the origin
+        f = poly3({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})
+        box = BoxBounds(6, 6, 6)
+        tables = spy_lookups(monkeypatch)
+        got = list(enumerate_points(f, TRIVIAL_SIDE, box, nonsingular_only=True))
+        assert len(tables) == 1 and tables[0].gets == 13 * 7
+        assert got == naive_points(f, TRIVIAL_SIDE.g, 1, box, nonsingular_only=True)
+        assert (0, 0, 0) not in got
+        assert (0, 0, 0) in enumerate_points(f, TRIVIAL_SIDE, box)
+
+    @pytest.mark.parametrize("terms", ({(1, 0, 0): 1}, {(2, 0, 0): 1, (1, 0, 0): -1}),
+                             ids=("x1", "x1^2-x1"))
+    def test_zero_fiber_constant(self, monkeypatch, terms):
+        # c_0 = 0: every fiber looks up the one value 0, once per row
+        f = poly3(terms)
+        box = BoxBounds(2, 5, 5)
+        tables = spy_lookups(monkeypatch)
+        got = list(enumerate_points(f, TRIVIAL_SIDE, box))
+        assert got == naive_points(f, TRIVIAL_SIDE.g, 1, box)
+        assert len(got) == 11 * 11 * len(terms) and [t.gets for t in tables] == [11]
+
+    # 2 x1^2 + x1 + x2^3 - 2 x2 + x3^2 + 3 x3 = 3 under x2 + 2 x3 = 0 mod q on
+    # box (B1, 9, 10): every y0 of the x2-window is a residue, and B1 puts
+    # 2 B1 + 1 just past the first residue's fibers, so the table is built
+    # while the window is being scanned
+    F = poly3({(2, 0, 0): 2, (1, 0, 0): 1, (0, 3, 0): 1, (0, 1, 0): -2,
+               (0, 0, 2): 1, (0, 0, 1): 3, (0, 0, 0): -3})
+    G = poly3({(0, 1, 0): 1, (0, 0, 1): 2})
+
+    @pytest.mark.parametrize("q", (3, 13))
+    @pytest.mark.parametrize("nonsingular", (False, True), ids=("all", "nonsingular"))
+    def test_windows_match_naive_box_loop(self, monkeypatch, q, nonsingular):
+        residues = window_residues(self.G, q, 9, 10)
+        fibers = [len(rows) * len(zs) for rows, zs in residues]
+        b1 = fibers[0] // 2 + 1
+        assert len(residues) == q and fibers[0] < 2 * b1 + 1 <= sum(fibers)
+        box = BoxBounds(b1, 9, 10)
+        want = naive_points(self.F, self.G, q, box, nonsingular)
+        tables = spy_lookups(monkeypatch)
+        got = list(enumerate_points(self.F, SideCondition(self.G, q), box,
+                                    nonsingular_only=nonsingular))
+        assert want and got == want
+        # every residue's rows look up the distinct values of -(z^2 + 3 z)
+        lookups = sum(len(rows) * len({z * z + 3 * z for z in zs}) for rows, zs in residues)
+        assert [t.gets for t in tables] == [lookups] and lookups < sum(fibers)
+
+
 def scan_roots(cs, lo, hi):
     """Integer roots in [lo, hi] by evaluating at every point."""
     return [x for x in range(lo, hi + 1) if sum(c * x ** k for k, c in enumerate(cs)) == 0]

@@ -274,6 +274,57 @@ class TestGcdAndCoprime:
         assert is_coprime(zero, P.constant(3, 2)) and is_coprime(P.constant(3, -1), zero)
 
 
+def exact_divide_by_polynomials(f, g):
+    """The former exact_divide, one polynomial subtraction per quotient term:
+    the oracle for the dict remainder."""
+    quot = {}
+    rem = f
+    ge = max(g.terms)
+    gc = g.terms[ge]
+    while not rem.is_zero:
+        re = max(rem.terms)
+        rc = rem.terms[re]
+        de = tuple(a - b for a, b in zip(re, ge))
+        if any(v < 0 for v in de) or rc % gc:
+            return None
+        qc = rc // gc
+        quot[de] = quot.get(de, 0) + qc
+        rem = rem - P.monomial(f.nvars, de, qc) * g
+    return P(f.nvars, quot)
+
+
+class TestExactDivide:
+    @pytest.mark.parametrize("nvars", (1, 2, 3))
+    def test_matches_the_polynomial_oracle(self, nvars):
+        rng = random.Random(3300 + nvars)
+        divisible = undivisible = 0
+        for _ in range(300):
+            g = _random_poly(rng, nvars, 4, 3)
+            if g.is_zero:
+                continue
+            h = _random_poly(rng, nvars, 4, 3)
+            # a multiple of g, a multiple plus a small remainder, or anything
+            f = rng.choice((g * h, g * h + _random_poly(rng, nvars, 2, 2, 3), h))
+            got, want = exact_divide(f, g), exact_divide_by_polynomials(f, g)
+            assert got == want, (f, g)
+            if want is None:
+                undivisible += 1
+            else:
+                assert want * g == f
+                divisible += 1
+        assert divisible > 80 and undivisible > 80, (divisible, undivisible)
+
+    def test_known_quotients(self):
+        x1, x2 = P.variable(3, 0), P.variable(3, 1)
+        assert exact_divide(x1 * x1 - x2 * x2, x1 - x2) == x1 + x2
+        assert exact_divide(6 * x1 * x2 + 4 * x2, 2 * x2) == 3 * x1 + 2
+        assert exact_divide(P.zero(3), x1) == P.zero(3)
+        assert exact_divide(x1 + 1, 2 * x1 + 2) is None
+        assert exact_divide(x2, x1) is None
+        with pytest.raises(ContractViolation):
+            exact_divide(x1, P.zero(3))
+
+
 class TestWronskian:
     def test_constant_and_t(self):
         one = R([1])
