@@ -17,7 +17,9 @@ from typing import Sequence
 from .arith import divisors, is_prime
 from .determinant import CoverReport, _sample_count, aux_pipeline
 from .enumeration import DEGREE_CAP, SideCondition, enumerate_points
-from .errors import CapExceeded, ContractViolation, Record, SoundnessError, strict_int
+from .errors import (
+    CapExceeded, ContractViolation, Record, SoundnessError, strict_int, strict_real,
+)
 from .exponents import BoxBounds, check_epsilon
 from .polynomials import (
     IntegerPolynomial,
@@ -459,18 +461,10 @@ def _power_table(a: int, X: int) -> list:
 
 
 def _fixed_exponent(alpha) -> int:
-    """round(alpha * 2^F) for an int, float, Fraction or mpf alpha in (-1, 0)."""
-    from mpmath import mpf
-
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float, Fraction, mpf)):
-        raise ContractViolation(
-            f"exponent must be an int, float, Fraction or mpf, not {alpha!r}"
-        )
+    """round(alpha * 2^F) for an int, float or Fraction alpha in (-1, 0)."""
+    alpha = strict_real(alpha, "exponent")
     if not -1 < alpha < 0:
         raise ContractViolation("exponent must lie strictly between -1 and 0")
-    if isinstance(alpha, mpf):
-        man, exp = alpha.man_exp  # the mantissa of |alpha|
-        alpha = -int(man) * Fraction(2) ** exp
     return round(Fraction(alpha) * (1 << _FRACTION_BITS))
 
 
@@ -498,7 +492,7 @@ def gcd_power_sum(alpha, X: int, n: int) -> GcdPowerSum:
     rounding is monotone, so the order survives, and each result is
     within 2^-96 plus the table's entry error of the true sum.
 
-    ``alpha`` is an int, float, ``Fraction`` or ``mpf`` strictly between
+    ``alpha`` is an int, float or ``Fraction`` strictly between
     -1 and 0, taken to the nearest multiple of 2^-F (exactly, for a
     float); ``X`` and ``n`` are positive ints.  Anything else, bools and
     strings included, is a ``ContractViolation``; an X over

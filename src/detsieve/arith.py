@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapExceeded, ContractViolation
+from .errors import CapExceeded, ContractViolation, strict_int
 
 # deterministic Miller-Rabin witnesses for n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -15,7 +15,7 @@ TRIAL_DIVISION_CAP = 10 ** 6
 
 
 def is_prime(n: int) -> bool:
-    n = int(n)
+    n = strict_int(n, "primality argument")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -49,7 +49,7 @@ def factorize(n: int) -> dict[int, int]:
     power p^k with p below ``_MR_LIMIT``, which ``is_prime`` decides;
     any other is refused (CapExceeded).
     """
-    n = abs(int(n))
+    n = abs(strict_int(n, "factoring argument"))
     if n == 0:
         raise ContractViolation("cannot factor zero")
     whole = n
@@ -113,7 +113,7 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
     A p past is_prime's range goes to ``factorize(q)``, which refuses it
     (CapExceeded) or finds two primes: a single one would be p itself.
     """
-    q = int(q)
+    q = strict_int(q, "prime power candidate")
     if q < 2:
         return None
     j = q.bit_length()

@@ -169,7 +169,7 @@ def _exact(value) -> dict:
 
 
 def _count(n: int) -> dict:
-    return _num(str(int(n)), "exact")
+    return _num(str(n), "exact")
 
 
 def _flt(value) -> dict:
@@ -241,7 +241,7 @@ def _cover_json(report) -> tuple[dict, list, dict]:
             cert_idx.append(len(certificates))
             certificates.append(_certificate_json(cert))
         entry = {
-            "label": [list(map(int, t)) for t in oc.label],
+            "label": [list(t) for t in oc.label],
             "points": _num([list(p) for p in oc.points], "exact"),
             "rows": _exact(len(oc.points)),
             "columns": _exact(report.set_size),
@@ -294,7 +294,7 @@ def _cover_json(report) -> tuple[dict, list, dict]:
     diagnostics = {
         "params": _params_json(report.params),
         "threshold": _flt(report.threshold),
-        "residue_primes": [int(p) for p in report.residue_primes],
+        "residue_primes": list(report.residue_primes),
         "residue_product": _exact(report.residue_product),
         "cutoff": _cutoff_json(report.cutoff),
         "floor_constant": _exact(report.floor_constant),

@@ -112,15 +112,17 @@ def build_matrix(points: Sequence, E: ExponentSet) -> MonomialMatrix:
 def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
     """Exact determinant, read from the shared Bareiss elimination.
 
-    For a full-rank square grid the last pivot of ``_row_reduce`` is the
-    determinant of the rows in pivot order, so the determinant is that
-    pivot times the sign of the row order; a rank-deficient grid gives 0.
+    Each cell is read by ``strict_int``.  For a full-rank square grid the
+    last pivot of ``_row_reduce`` is the determinant of the rows in pivot
+    order, so the determinant is that pivot times the sign of the row
+    order; a rank-deficient grid gives 0.
     """
     n = len(grid)
     if n == 0:
         return 1
     if any(len(row) != n for row in grid):
         raise ContractViolation("determinant of a non-square grid")
+    grid = [[x if type(x) is int else strict_int(x, "matrix entry") for x in r] for r in grid]
     rank, _, order, echelon = _row_reduce(grid)
     if rank < n:
         return 0
@@ -135,7 +137,7 @@ def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
 
 
 def _row_reduce(grid: Sequence[Sequence[int]]):
-    """Fraction-free (Bareiss) forward elimination over the integers.
+    """Fraction-free (Bareiss) forward elimination of a grid of ints, read as they are.
 
     Returns (rank, pivot_cols, pivot_rows, echelon) where pivot_rows are
     indices of original rows forming an independent spanning subset and
@@ -170,7 +172,7 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
     width = min(ncols, nrows + 1)
-    rows = [list(map(int, r[:width])) for r in grid]
+    rows = [list(r[:width]) for r in grid]
     origin = list(range(nrows))
     done = [0] * nrows  # how many steps each row has had
     steps: list[tuple] = []
@@ -183,7 +185,7 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
             # before it, so every top it reads is already widened
             new = min(ncols, 2 * width)
             for i, row in enumerate(rows):
-                ext = list(map(int, grid[origin[i]][width:new]))
+                ext = grid[origin[i]][width:new]
                 for col, pivot, before, top in steps[:done[i]]:
                     a = row[col]
                     if a:

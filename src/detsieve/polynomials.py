@@ -182,7 +182,7 @@ class IntegerPolynomial:
             raise ContractViolation("polynomials have different arities")
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, IntegerPolynomial):
             other = IntegerPolynomial.constant(self.nvars, other)
         self._require_same_arity(other)
         acc = dict(self._terms)
@@ -200,7 +200,7 @@ class IntegerPolynomial:
         return self._canonical(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, IntegerPolynomial):
             other = IntegerPolynomial.constant(self.nvars, other)
         return self + (-other)
 
@@ -208,7 +208,8 @@ class IntegerPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, IntegerPolynomial):
+            other = strict_int(other, "polynomial scalar")
             if other == 0:
                 return IntegerPolynomial.zero(self.nvars)
             return self._canonical(
@@ -229,6 +230,7 @@ class IntegerPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        k = strict_int(k, "polynomial power")
         if k < 0:
             raise ContractViolation("negative power of a polynomial")
         out = IntegerPolynomial.constant(self.nvars, 1)

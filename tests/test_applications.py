@@ -497,12 +497,12 @@ class TestGcdPowerSum:
 
     def test_exponent_types(self):
         want = gcd_power_sum(-0.5, 40, 6)
-        for alpha in (Fraction(-1, 2), mp.mpf(-0.5)):
-            assert gcd_power_sum(alpha, 40, 6) == want
-        for bad in ("-0.5", True, False, Decimal("-0.5"), [-0.5], None, -0.5j):
-            with pytest.raises(ContractViolation, match="int, float, Fraction or mpf"):
+        assert gcd_power_sum(Fraction(-1, 2), 40, 6) == want
+        for bad in ("-0.5", True, False, Decimal("-0.5"), [-0.5], None, -0.5j,
+                    mp.mpf(-0.5), mp.mpf(0), float("nan"), float("-inf")):
+            with pytest.raises(ContractViolation, match="exponent must be a finite number"):
                 gcd_power_sum(bad, 40, 6)
-        for bad in (-1, 0, float("nan"), float("-inf"), Fraction(-3, 2), mp.mpf(0)):
+        for bad in (-1, 0, Fraction(-3, 2)):
             with pytest.raises(ContractViolation, match="strictly between -1 and 0"):
                 gcd_power_sum(bad, 40, 6)
 
@@ -513,9 +513,6 @@ class TestGcdPowerSum:
             assert _fixed_exponent(alpha) == Fraction(alpha) * one
         # -2/3 * 2^F ends in .67: the nearest integer, not the truncation
         assert _fixed_exponent(Fraction(-2, 3)) == round(Fraction(-2 * one, 3))
-        with mp.workprec(300):
-            two_thirds = -mp.mpf(2) / 3
-        assert _fixed_exponent(two_thirds) == round(Fraction(-2 * one, 3))
         assert _fixed_exponent(-1e-300) == 0
 
     @pytest.mark.parametrize("alpha", [

@@ -9,7 +9,7 @@ import detsieve.arith
 from detsieve.arith import (
     TRIAL_DIVISION_CAP, divisors, factorize, is_prime, prime_power_decompose,
 )
-from detsieve.errors import CapExceeded
+from detsieve.errors import CapExceeded, ContractViolation
 
 
 def naive_factorize(n):
@@ -92,3 +92,12 @@ class TestPrimePowerDecompose:
         # past that range too, but factorize finds two primes: 2 and 2^81 + 17
         r = 2 ** 81 + 17
         assert is_prime(r) and prime_power_decompose(2 * r) is None
+
+
+@pytest.mark.parametrize("bad", (7.9, "7", True), ids=("float", "str", "bool"))
+@pytest.mark.parametrize("f", (is_prime, factorize, divisors, prime_power_decompose),
+                         ids=lambda f: f.__name__)
+def test_non_integer_argument_refused(f, bad):
+    # int() read 7.9 and "7" as the prime 7, and True as 1
+    with pytest.raises(ContractViolation, match="must be an integer"):
+        f(bad)

@@ -303,6 +303,21 @@ class TestIntegerInputs:
             with pytest.raises(ContractViolation, match="outside 0..1"):
                 minor_determinant(M, rows)
 
+    def test_determinant_cells_must_be_integers(self):
+        # int() read 2.5 as 2 and "3" as 3, so these gave 2 and 3
+        for grid in ([[2.5, 0], [0, 1]], [["3", 0], [0, 1]], [[3, 0], [0, True]]):
+            with pytest.raises(ContractViolation, match="matrix entry must be an integer"):
+                integer_determinant(grid)
+
+        class Index:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        assert integer_determinant([[Index(2), 3], [Index(5), Index(7)]]) == -1
+
     def test_valuation_arguments_must_be_integers(self):
         # p_adic_valuation(8.9, 2.5) used to read as p_adic_valuation(8, 2) = 3
         with pytest.raises(ContractViolation, match="prime p must be an integer"):

@@ -433,6 +433,26 @@ class TestStrictConstruction:
             with pytest.raises(ContractViolation):
                 P.monomial(3, (1, 0, 0), bad)
 
+    def test_operands_that_are_not_polynomials_must_be_integers(self):
+        # p * True used to read True as 1, and p * 2.5 raised AttributeError
+        p = P(3, {(1, 0, 0): 1, (0, 0, 0): 2})
+        for op in (lambda: p * True, lambda: p * 2.5, lambda: 2.5 * p, lambda: p + 2.5,
+                   lambda: p - "3", lambda: "3" - p, lambda: p ** 2.0, lambda: p ** True):
+            with pytest.raises(ContractViolation, match="must be an integer"):
+                op()
+
+    def test_operands_of_any_integer_type(self):
+        class Index:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        p = P(3, {(1, 0, 0): 1, (0, 0, 0): 2})
+        assert p * Index(3) == p * 3 and p + Index(2) == p + 2 and p - Index(2) == p - 2
+        assert p ** Index(2) == p * p
+
     def test_arithmetic_results_are_canonical(self):
         # results skip re-validation, so check them against the strict
         # constructor: int exponents of the right arity, no zero coefficient

@@ -1,5 +1,7 @@
-"""The Record base of the result records, and what importing the CLI loads."""
+"""The Record base of the result records, what importing the CLI loads, and
+the Python grammar the package sources need."""
 
+import ast
 import functools
 import os
 import pathlib
@@ -149,3 +151,12 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert "dataclasses" not in out and "inspect" not in out
     # the scalars are Python ints and Fractions: no mpmath either
     assert "mpmath" not in out
+
+
+def test_sources_parse_as_python_3_10():
+    # the package supports Python 3.10; this checks grammar only (syntax
+    # such as except* or PEP 695 generics), not stdlib APIs added later
+    paths = sorted(pathlib.Path(detsieve.__file__).resolve().parent.glob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
