@@ -365,12 +365,14 @@ def _run_certify(cfg: dict, seed: int) -> dict:
         raise ContractViolation("no points to certify")
     M = build_matrix(pts, E)
     certs = congruence_certificates(M, side, E, samples=samples, rng=random.Random(seed))
+    # det M_S = q^lam det R_S: a nonzero checked minor is a nonzero |E|-minor of M
+    nonzero = any(not m.determinant_zero for c in certs for m in c.checked_minors)
     return {
         "instance": dict(instance, cutoff=_cutoff_json(cutoff)),
         "result": {
             "points": _count(len(pts)),
             "set_size": _exact(len(E)),
-            "rank": _exact(rank_over_rationals(M)),
+            "rank": _exact(len(E) if nonzero else rank_over_rationals(M)),
             "total_lambda": _exact(sum(c.lam for c in certs)),
         },
         "certificates": [_certificate_json(c) for c in certs],

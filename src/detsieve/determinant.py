@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .arith import factorize, is_prime, prime_power_decompose
@@ -51,11 +52,21 @@ from .scalars import rnd, root
 
 
 class MonomialMatrix(Record):
-    """Grid of monomial values: entry (j, i) is rows[j] raised to cols[i]."""
+    """Grid of monomial values: entry (j, i) is rows[j] raised to cols[i].
+
+    Each cell is read by ``strict_int``, so a float, str or bool cell is
+    refused; a cell of another integer type is stored as its int.
+    """
 
     rows: tuple
     cols: tuple
     entries: tuple
+
+    def __post_init__(self):
+        if set(map(type, chain.from_iterable(self.entries))) - {int}:
+            object.__setattr__(self, "entries", tuple(
+                tuple(x if type(x) is int else strict_int(x, "matrix entry") for x in row)
+                for row in self.entries))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -115,7 +126,10 @@ def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
     Each cell is read by ``strict_int``.  For a full-rank square grid the
     last pivot of ``_row_reduce`` is the determinant of the rows in pivot
     order, so the determinant is that pivot times the sign of the row
-    order; a rank-deficient grid gives 0.
+    order; a rank-deficient grid gives 0.  The elimination is told that the
+    grid is square, so it gives a singular grid up at its first free
+    column or at its first row found to depend on the pivot rows, whichever
+    the scan meets first.
     """
     n = len(grid)
     if n == 0:
@@ -123,7 +137,7 @@ def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
     if any(len(row) != n for row in grid):
         raise ContractViolation("determinant of a non-square grid")
     grid = [[x if type(x) is int else strict_int(x, "matrix entry") for x in r] for r in grid]
-    rank, _, order, echelon = _row_reduce(grid)
+    rank, _, order, echelon = _row_reduce(grid, square=True)
     if rank < n:
         return 0
     # sort the row order back by transpositions, one sign flip each
@@ -136,7 +150,7 @@ def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
     return sign * echelon[-1][-1]
 
 
-def _row_reduce(grid: Sequence[Sequence[int]]):
+def _row_reduce(grid: Sequence[Sequence[int]], *, square: bool = False):
     """Fraction-free (Bareiss) forward elimination of a grid of ints, read as they are.
 
     Returns (rank, pivot_cols, pivot_rows, echelon) where pivot_rows are
@@ -168,6 +182,18 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
     include every pivot column and the first free column.  A square or
     tall grid starts at full width; a rank-deficient wide one widens to
     full width, each column computed once.
+
+    With ``square`` set (only ``integer_determinant`` sets it, on an n x n
+    grid) the scan stops as soon as the grid is known to be singular, and
+    the rank returned is then only known to be below n; the pivots,
+    rows and echelon rows are those found so far.  It stops at the first
+    free column, and at a caught-up row that is zero from the scan column
+    on.  Before a free column every column scanned has a pivot, so the
+    scan column is r, and such a row's entries on columns r..n-1 are the
+    (r+1)-minors of the r pivot rows and that row on the pivot columns and
+    one more column.  As they all vanish and the r pivot rows are
+    independent, the row lies in their span and the grid is singular.  The
+    check runs only on a zero cell of a square grid.
     """
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
@@ -211,7 +237,11 @@ def _row_reduce(grid: Sequence[Sequence[int]]):
             if row[c]:
                 piv = i
                 break
+            if square and not any(row[c + 1:]):
+                break
         if piv is None:
+            if square:
+                break
             continue
         # the scan caught up rows r..piv alike, so done needs no swap
         rows[r], rows[piv] = rows[piv], rows[r]

@@ -806,6 +806,62 @@ class TestCertifyColumnCap:
             assert err.startswith("usage error:") and "cutoff_base" in err
 
 
+class TestCertifyRank:
+    """certify reads its rank as |E| from a nonzero checked minor, else by
+    elimination; either way it is the rank of the matrix."""
+
+    TALL_F = {"nvars": 3, "terms": [[[2, 0, 0], 7], [[0, 2, 0], 1], [[0, 0, 2], -1],
+                                    [[0, 0, 0], -7]]}
+    TALL = {"f": TALL_F, "g": dict(TALL_F, terms=TALL_F["terms"][1:]), "q": 7,
+            "box": [25, 25, 25], "cutoff_base": 25, "cutoff_power": 4}
+    WIDE = {"f": CONG_F, "g": CONG_G, "q": 5, "box": [2, 2, 2],
+            "cutoff_base": 2, "cutoff_power": 3}
+
+    @staticmethod
+    def matrix_rank(cfg):
+        """The rank of the config's matrix, built and eliminated outside the CLI."""
+        f, g = _poly_field(cfg, "f"), _poly_field(cfg, "g")
+        box = BoxBounds(*cfg["box"])
+        m = max_exponent(f, box)
+        E = build_exponent_set(ExactLog.power(cfg["cutoff_base"], cfg["cutoff_power"]), m, box)
+        side = detsieve.exponents.SideCondition(g, cfg["q"])
+        pts = detsieve.enumeration.enumerate_points(f, side, box)
+        return detsieve.determinant.rank_over_rationals(detsieve.determinant.build_matrix(pts, E))
+
+    def certify(self, monkeypatch, cfg):
+        """(report, checked minors, eliminations): the rank_over_rationals
+        calls certify makes are counted."""
+        calls = []
+        real = detsieve.cli.rank_over_rationals
+        monkeypatch.setattr(detsieve.cli, "rank_over_rationals",
+                            lambda M: calls.append(M.shape) or real(M))
+        report = run("certify", cfg)
+        minors = [m for c in report["certificates"] for m in c["checked_minors"]]
+        return report, minors, len(calls)
+
+    def test_nonzero_minor_gives_full_rank(self, monkeypatch):
+        report, minors, eliminations = self.certify(monkeypatch, self.TALL)
+        assert not all(m["determinant_zero"] for m in minors)
+        assert report["result"]["rank"]["value"] == self.matrix_rank(self.TALL) == 25
+        assert eliminations == 0
+
+    def test_wide_matrix_without_minors_is_eliminated(self, monkeypatch):
+        report, minors, eliminations = self.certify(monkeypatch, self.WIDE)
+        assert minors == []
+        assert report["result"]["rank"]["value"] == self.matrix_rank(self.WIDE) == 8
+        assert eliminations == 1
+
+    def test_vanishing_minors_leave_the_rank_to_elimination(self, monkeypatch):
+        # the first 25 points are dependent, so the one checked minor
+        # vanishes, yet the 330 points have full rank
+        cfg = dict(self.TALL, minor_samples=0)
+        report, minors, eliminations = self.certify(monkeypatch, cfg)
+        assert [m["determinant_zero"] for m in minors] == [True]
+        assert minors[0]["rows"] == list(range(25))
+        assert report["result"]["rank"]["value"] == self.matrix_rank(cfg) == 25
+        assert eliminations == 1
+
+
 class TestAuxGridCap:
     AUX = {"f": CONG_F, "g": CONG_G, "q": 5, "box": [12, 20, 30], "epsilon": 0.5}
 

@@ -318,6 +318,54 @@ class TestIntegerInputs:
 
         assert integer_determinant([[Index(2), 3], [Index(5), Index(7)]]) == -1
 
+    # the rows and columns of a hand-built 2 x 2 matrix; a 0.5 cell used to
+    # run through Bareiss as a float
+    HAND_ROWS = ((0, 0, 0), (1, 0, 0))
+
+    def hand_matrix(self, bad):
+        return MonomialMatrix(self.HAND_ROWS, self.HAND_ROWS, ((bad, 1), (1, 2)))
+
+    def test_matrix_cells_must_be_integers(self):
+        for bad in (0.5, "3", True):
+            with pytest.raises(ContractViolation, match="matrix entry must be an integer"):
+                self.hand_matrix(bad)
+
+        class Index:
+            def __index__(self):
+                return 4
+
+        M = self.hand_matrix(Index())
+        assert M.entries == ((4, 1), (1, 2))
+        assert {type(x) for row in M.entries for x in row} == {int}
+        assert rank_over_rationals(M) == 2
+
+    def test_rank_refuses_non_integer_cells(self):
+        # 0.5 used to give rank 2, and "3" a TypeError
+        for bad in (0.5, "3", True):
+            with pytest.raises(ContractViolation, match="matrix entry must be an integer"):
+                rank_over_rationals(self.hand_matrix(bad))
+
+    def test_null_space_refuses_non_integer_cells(self):
+        f = P(3, {(2, 0, 0): 1, (0, 0, 0): -1})
+        for bad in (0.5, "3", True):
+            with pytest.raises(ContractViolation, match="matrix entry must be an integer"):
+                null_space_polynomial(self.hand_matrix(bad), f)
+
+    def test_certificates_refuse_non_integer_cells(self):
+        # the bad cell sits in a column the certificate replaces, so no
+        # minor reads it: only the matrix itself can refuse it
+        M, side, _, E = slot_certificate("x2")
+        (cert,) = congruence_certificates(M, side, E, samples=0)
+        e = next(e for e, mu in cert.multiplicities if mu)
+        i = M.cols.index(e)
+        j = next(j for j, row in enumerate(M.entries) if abs(row[i]) > 1)
+        for bad in (0.5, "3", True):
+            entries = [list(row) for row in M.entries]
+            entries[j][i] = bad
+            with pytest.raises(ContractViolation, match="matrix entry must be an integer"):
+                congruence_certificates(MonomialMatrix(M.rows, M.cols, tuple(map(tuple, entries))),
+                                        side, E)
+
     def test_valuation_arguments_must_be_integers(self):
         # p_adic_valuation(8.9, 2.5) used to read as p_adic_valuation(8, 2) = 3
         with pytest.raises(ContractViolation, match="prime p must be an integer"):
@@ -1353,6 +1401,136 @@ class TestEliminationOracle:
             assert aux.poly.terms == reference_kernel_terms(M)
             cases += 1
         assert cases >= 30
+
+
+# -- the square stop: a determinant gives a singular grid up early ----------------
+
+
+def square_grids():
+    """Seeded n x n grids for n = 1..12: a dense grid; for every position,
+    the grid with that row a combination of the other rows, and with that
+    row zero; two equal rows; and rows proportional to the first."""
+    rng = random.Random(35)
+    out = []
+    for n in range(1, 13):
+        bits = 90 if n % 4 == 3 else 6
+        base = [[rng.randrange(-(2**bits), 2**bits + 1) for _ in range(n)] for _ in range(n)]
+        out.append(base)
+        for k in range(n):
+            coeffs = [rng.randrange(-3, 4) for _ in range(n)]
+            dependent = [list(r) for r in base]
+            dependent[k] = [sum(c * base[i][j] for i, c in enumerate(coeffs) if i != k)
+                            for j in range(n)]
+            zero = [list(r) for r in base]
+            zero[k] = [0] * n
+            out += [dependent, zero]
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            equal = [list(r) for r in base]
+            equal[j] = list(base[i])
+            scaled = [list(r) for r in base]
+            for i in rng.sample(range(1, n), rng.randrange(1, n)):
+                scaled[i] = [rng.choice((-5, -1, 2, 7)) * x for x in base[0]]
+            out += [equal, scaled]
+    return out
+
+
+def spliced(rng, n, bits):
+    """A dense n x n grid, n >= 3, whose row 1 is twice row 0 plus a
+    multiple of the last unit row: after the first step row 1 is zero on
+    every column but the last, so the scan meets it with a zero cell at
+    column 1 and a nonzero cell after it."""
+    rows = [[rng.randrange(-(2**bits), 2**bits + 1) | 1 for _ in range(n)] for _ in range(n)]
+    rows[1] = [2 * x for x in rows[0]]
+    rows[1][-1] += rng.choice((-3, 1, 4))
+    return rows
+
+
+class TestSquareStop:
+    def test_square_grids_cover_the_cases(self):
+        grids = square_grids()
+        dets = [fraction_determinant(g) for g in grids]
+        assert {len(g) for g in grids} == set(range(1, 13))
+        assert sum(d == 0 for d in dets) > 100 and sum(d != 0 for d in dets) >= 12
+        assert any(abs(v).bit_length() > 80 for g in grids for row in g for v in row)
+
+    def test_determinant_matches_fraction_elimination(self):
+        for grid in square_grids():
+            n = len(grid)
+            det = integer_determinant(grid)
+            assert det == fraction_determinant(grid), grid
+            stopped = _row_reduce(grid, square=True)
+            if det:
+                # a nonsingular grid never stops: every result is the full one
+                assert stopped == _row_reduce(grid)
+            else:
+                assert stopped[0] < n
+            # without the flag the elimination runs to the end
+            rank = assert_matches_reference(grid)
+            assert rank_over_rationals(grid_matrix(grid)) == rank
+
+    def test_stops_at_the_first_dependent_row(self):
+        # row k is a combination of the rows before it; with 60-bit rows no
+        # minor vanishes by chance, so pivots 0..k-1 come from rows 0..k-1
+        rng = random.Random(1550)
+        for n in range(1, 13):
+            for k in range(n):
+                grid = [[rng.randrange(-(2**60), 2**60 + 1) for _ in range(n)]
+                        for _ in range(n)]
+                coeffs = [rng.choice((-2, -1, 1, 3)) for _ in range(k)]
+                grid[k] = [sum(c * grid[i][j] for i, c in enumerate(coeffs))
+                           for j in range(n)]
+                rank, pivot_cols, pivot_rows, _ = _row_reduce(grid, square=True)
+                assert (rank, pivot_cols, pivot_rows) == (k, list(range(k)), list(range(k)))
+                assert integer_determinant(grid) == 0
+                assert _row_reduce(grid)[0] == n - 1
+
+    def test_zero_cell_before_a_nonzero_tail_does_not_stop(self):
+        small = [[1, 2, 3], [2, 4, 7], [0, 1, 0]]
+        assert integer_determinant(small) == fraction_determinant(small) == -1
+        assert _row_reduce(small, square=True) == _row_reduce(small)
+        rng = random.Random(7)
+        nonsingular = 0
+        for n in range(3, 13):
+            for bits in (5, 70):
+                grid = spliced(rng, n, bits)
+                # row 1 after the first step: zero but for its last cell
+                step = [x * grid[0][0] - grid[1][0] * y for x, y in zip(grid[1], grid[0])]
+                assert not any(step[:-1]) and step[-1]
+                det = integer_determinant(grid)
+                assert det == fraction_determinant(grid)
+                if det:
+                    nonsingular += 1
+                    assert _row_reduce(grid, square=True) == _row_reduce(grid)
+        assert nonsingular >= 15
+
+    def test_rank_and_kernel_run_the_full_elimination(self):
+        # square singular monomial matrices: the stop would report a lower
+        # rank, so rank_over_rationals and null_space_polynomial must not take it
+        f = P(3, {(2, 0, 0): 3, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1001})
+        rng = random.Random(2718)
+        lower = 0
+        for trial in range(40):
+            E = staircase(2, 3) if trial % 2 else staircase(3, 2)
+            n = len(E)
+            if trial % 4 < 2:
+                # repeated points: a dependent row at a seeded position
+                pts = [tuple(rng.randrange(-9, 10) for _ in range(3)) for _ in range(n)]
+                for _ in range(1 + trial % 3):
+                    i, j = sorted(rng.sample(range(n), 2))
+                    pts[j] = pts[i]
+            else:
+                # a plane x1 = 0 zeroes every column with x1 in it
+                pts = [(0, rng.randrange(-5, 6), rng.randrange(-5, 6)) for _ in range(n)]
+            M = build_matrix(pts, E)
+            assert M.shape == (n, n)
+            want = reference_row_reduce(M.entries)[0]
+            assert want < n
+            assert integer_determinant(M.entries) == 0
+            assert rank_over_rationals(M) == want
+            assert null_space_polynomial(M, f).poly.terms == reference_kernel_terms(M)
+            lower += _row_reduce(M.entries, square=True)[0] < want
+        assert lower >= 10
 
 
 # -- certificates: one whole-matrix identity, one determinant per minor ----------
