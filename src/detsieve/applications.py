@@ -93,6 +93,7 @@ def q_of_n(n: int) -> int:
 
 def quadric_cover_scale(q: int, B: int):
     """Sharpened cover scale q^(-1/6) * B^(2/3) for the quadric pipeline."""
+    q, B = strict_int(q, "modulus q"), strict_int(B, "box B")
     if q < 1 or B < 1:
         raise ContractViolation("cover scale needs positive modulus and box")
     # integer powers first so perfect-power inputs stay exact

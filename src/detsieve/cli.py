@@ -13,7 +13,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .applications import (
@@ -168,16 +167,13 @@ def _exact(value) -> dict:
     return _num(value, "exact")
 
 
-def _count(n: int) -> dict:
+def _count(n) -> dict:
+    """An exact int or Fraction, written as its string."""
     return _num(str(n), "exact")
 
 
 def _flt(value) -> dict:
     return _num(float(value), "float")
-
-
-def _frac(value: Fraction) -> dict:
-    return _num(str(value), "exact")
 
 
 def _poly_json(p: IntegerPolynomial) -> dict:
@@ -437,9 +433,9 @@ def _run_quadric(cfg: dict, seed: int) -> dict:
     result = {"count": _count(out.count)}
     certificates: list = []
     diagnostics: dict = {
-        "predicted_box_powers": [_frac(v) for v in exps.box_powers],
+        "predicted_box_powers": [_count(v) for v in exps.box_powers],
         "predicted_coefficient_powers": [
-            _frac(v) for v in exps.coefficient_powers
+            _count(v) for v in exps.coefficient_powers
         ],
     }
     timings = {"points": len(out.points)}
@@ -539,7 +535,7 @@ def _run_fit(cfg: dict, seed: int) -> dict:
     diagnostics: dict = {}
     if "quadric" in cfg:
         exps = predicted_exponents(_quadric_field(cfg["quadric"], 2))
-        diagnostics["predicted_box_powers"] = [_frac(v) for v in exps.box_powers]
+        diagnostics["predicted_box_powers"] = [_count(v) for v in exps.box_powers]
     if "unlike" in cfg:
         exps = predicted_exponents(_unlike_field(cfg["unlike"], 2))
         diagnostics["predicted_main_exponent"] = _flt(exps.main)

@@ -51,6 +51,15 @@ from .scalars import rnd, root
 # -- matrices and exact linear algebra ----------------------------------------
 
 
+def _int_cells(grid):
+    """grid as it is when every cell is exactly an int, else its cells read by
+    ``strict_int`` into a tuple of tuples; the type scan runs at C level."""
+    if set(map(type, chain.from_iterable(grid))) - {int}:
+        return tuple(tuple(x if type(x) is int else strict_int(x, "matrix entry") for x in row)
+                     for row in grid)
+    return grid
+
+
 class MonomialMatrix(Record):
     """Grid of monomial values: entry (j, i) is rows[j] raised to cols[i].
 
@@ -63,10 +72,7 @@ class MonomialMatrix(Record):
     entries: tuple
 
     def __post_init__(self):
-        if set(map(type, chain.from_iterable(self.entries))) - {int}:
-            object.__setattr__(self, "entries", tuple(
-                tuple(x if type(x) is int else strict_int(x, "matrix entry") for x in row)
-                for row in self.entries))
+        object.__setattr__(self, "entries", _int_cells(self.entries))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -136,8 +142,7 @@ def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
         return 1
     if any(len(row) != n for row in grid):
         raise ContractViolation("determinant of a non-square grid")
-    grid = [[x if type(x) is int else strict_int(x, "matrix entry") for x in r] for r in grid]
-    rank, _, order, echelon = _row_reduce(grid, square=True)
+    rank, _, order, echelon = _row_reduce(_int_cells(grid), square=True)
     if rank < n:
         return 0
     # sort the row order back by transpositions, one sign flip each
@@ -296,7 +301,10 @@ def p_adic_valuation(n: int, p: int):
 
 
 def prime_power_valuation(n: int, p: int, j: int):
-    """Largest k with (p^j)^k dividing n; infinite for n = 0."""
+    """Largest k with (p^j)^k dividing n, for j >= 1; infinite for n = 0."""
+    j = strict_int(j, "prime exponent j")
+    if j < 1:
+        raise ContractViolation(f"prime exponent j must be at least 1, not {j}")
     v = p_adic_valuation(n, p)
     return INFINITE if v == INFINITE else v // j
 

@@ -26,6 +26,15 @@ def _as_exponent(nvars: int, e) -> ExponentVector:
     return e
 
 
+def _variable_index(nvars: int, i) -> int:
+    """i as the index of one of nvars variables, else ContractViolation."""
+    if type(i) is not int:
+        i = strict_int(i, "variable index")
+    if not 0 <= i < nvars:
+        raise ContractViolation(f"variable index {i} out of range for {nvars} variables")
+    return i
+
+
 def eval_monomial(point: Sequence[int], e: ExponentVector) -> int:
     """x^e at an integer point, with 0^0 = 1."""
     out = 1
@@ -43,7 +52,7 @@ class IntegerPolynomial:
     not occur.
     """
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, int] | Iterable):
         nvars = strict_int(nvars, "nvars")
@@ -60,7 +69,6 @@ class IntegerPolynomial:
                 acc.pop(e, None)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", acc)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _canonical(cls, nvars: int, terms: dict) -> "IntegerPolynomial":
@@ -69,7 +77,6 @@ class IntegerPolynomial:
         p = cls.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_hash", None)
         return p
 
     def __setattr__(self, name, value):  # immutability guard
@@ -92,7 +99,7 @@ class IntegerPolynomial:
     @classmethod
     def variable(cls, nvars: int, i: int) -> "IntegerPolynomial":
         e = [0] * nvars
-        e[i] = 1
+        e[_variable_index(nvars, i)] = 1
         return cls(nvars, {tuple(e): 1})
 
     # -- basic queries -------------------------------------------------
@@ -119,6 +126,7 @@ class IntegerPolynomial:
         return max(sum(e) for e in self._terms)
 
     def degree_in(self, i: int) -> int:
+        i = _variable_index(self.nvars, i)
         if not self._terms:
             return -1
         return max(e[i] for e in self._terms)
@@ -132,6 +140,7 @@ class IntegerPolynomial:
         return frozenset(used)
 
     def depends_on(self, i: int) -> bool:
+        i = _variable_index(self.nvars, i)
         return any(e[i] for e in self._terms)
 
     def content(self) -> int:
@@ -146,11 +155,7 @@ class IntegerPolynomial:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.nvars, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -254,8 +259,7 @@ class IntegerPolynomial:
         return sum(c * eval_monomial(point, e) for e, c in self._terms.items())
 
     def partial_derivative(self, i: int) -> "IntegerPolynomial":
-        if not 0 <= i < self.nvars:
-            raise ContractViolation(f"variable index {i} out of range")
+        i = _variable_index(self.nvars, i)
         acc = {}
         for e, c in self._terms.items():
             if e[i]:
@@ -270,6 +274,7 @@ class IntegerPolynomial:
         Returns {j: c_j} with self = sum c_j * x_i^j, each c_j in the
         same arity but free of x_i.
         """
+        i = _variable_index(self.nvars, i)
         buckets: dict[int, dict] = {}
         for e, c in self._terms.items():
             j = e[i]
@@ -452,33 +457,6 @@ def is_coprime(f: IntegerPolynomial, g: IntegerPolynomial) -> bool:
 # -- Wronskians -------------------------------------------------------------
 
 
-def _poly_matrix_det(rows: list[list[IntegerPolynomial]]) -> IntegerPolynomial:
-    """Determinant of a small square matrix of polynomials, by expansion."""
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    cols = tuple(range(n))
-    memo: dict[tuple[int, tuple[int, ...]], IntegerPolynomial] = {}
-
-    def det(r: int, cs: tuple[int, ...]) -> IntegerPolynomial:
-        if not cs:
-            return IntegerPolynomial.constant(nvars, 1)
-        key = (r, cs)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = IntegerPolynomial.zero(nvars)
-        for k, c in enumerate(cs):
-            entry = rows[r][c]
-            if not entry.is_zero:
-                sub = det(r + 1, cs[:k] + cs[k + 1 :])
-                term = entry * sub
-                acc = acc + (term if k % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
-    return det(0, cols)
-
-
 def _require_univariate(polys: Iterable, what: str) -> list[IntegerPolynomial]:
     """polys as a list of IntegerPolynomials in one variable, else
     ContractViolation."""
@@ -497,7 +475,8 @@ def wronskian(polys: Sequence[IntegerPolynomial]) -> IntegerPolynomial:
     Takes a nonempty sequence of ``IntegerPolynomial``s with ``nvars == 1``
     (anything else is a ContractViolation).  Row i holds the i-th
     derivatives, so a single polynomial is its own Wronskian and
-    W(1, t) = 1.
+    W(1, t) = 1.  W is read off ``integer_determinant`` of that matrix at
+    one integer point t = N (Kronecker substitution).
     """
     ps = _require_univariate(polys, "wronskian entries")
     if not ps:
@@ -505,4 +484,19 @@ def wronskian(polys: Sequence[IntegerPolynomial]) -> IntegerPolynomial:
     rows = [ps]
     for _ in range(len(ps) - 1):
         rows.append([p.partial_derivative(0) for p in rows[-1]])
-    return _poly_matrix_det(rows)
+    # determinant imports this module, so it is imported at the call
+    from .determinant import integer_determinant
+
+    # W is a signed sum over permutations of products of one entry per row,
+    # so each coefficient of W is at most, in absolute value, the permanent
+    # of the entries' coefficient sums ||p||_1, and that is at most S, the
+    # product of the row sums of ||p||_1.  With N = 2S + 1 each coefficient
+    # is exactly one balanced base-N digit of W(N).
+    S = math.prod(sum(sum(map(abs, p._terms.values())) for p in row) for row in rows)
+    N = 2 * S + 1
+    v = integer_determinant([[p.evaluate((N,)) for p in row] for row in rows])
+    digits = []
+    while v:
+        v, d = divmod(v + S, N)  # d - S is the lowest digit, in -S..S
+        digits.append(((len(digits),), d - S))
+    return IntegerPolynomial(1, digits)

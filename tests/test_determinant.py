@@ -8,7 +8,7 @@ import pytest
 
 import detsieve.determinant as determinant
 import detsieve.exponents
-from detsieve.applications import QuadricInstance, count_quadric
+from detsieve.applications import QuadricInstance, count_quadric, quadric_cover_scale
 from detsieve.determinant import (
     MINOR_SAMPLE_CAP,
     AuxiliaryPolynomial,
@@ -37,7 +37,7 @@ from detsieve.exponents import (
     max_exponent,
     staircase_size,
 )
-from detsieve.polynomials import IntegerPolynomial, eval_monomial
+from detsieve.polynomials import IntegerPolynomial, eval_monomial, wronskian
 
 P = IntegerPolynomial
 
@@ -80,6 +80,18 @@ def grid_matrix(entries, cols=None):
     if cols is None:
         cols = tuple((i, 0, 0) for i in range(len(entries[0])))
     return MonomialMatrix(rows, tuple(cols), tuple(tuple(r) for r in entries))
+
+
+def cofactor(rows):
+    """Determinant by cofactor expansion along the first row; the entries may
+    be ints or polynomials."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for i, head in enumerate(rows[0]):
+        rest = [r[:i] + r[i + 1:] for r in rows[1:]]
+        total += (-1) ** i * head * cofactor(rest)
+    return total
 
 
 def cover_matrix():
@@ -317,6 +329,10 @@ class TestIntegerInputs:
                 return self.v
 
         assert integer_determinant([[Index(2), 3], [Index(5), Index(7)]]) == -1
+        assert integer_determinant([]) == 1
+        for grid in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]]):
+            with pytest.raises(ContractViolation, match="non-square grid"):
+                integer_determinant(grid)
 
     # the rows and columns of a hand-built 2 x 2 matrix; a 0.5 cell used to
     # run through Bareiss as a float
@@ -376,6 +392,33 @@ class TestIntegerInputs:
             with pytest.raises(ContractViolation, match="argument n must be an integer"):
                 p_adic_valuation(bad, 2)
 
+    def test_indices_exponents_and_bounds_are_checked(self):
+        # each call used to return or fail otherwise: variable(3, -1) gave x3
+        # and variable(3, True) x2, index -1 read x3, j = 0 divided by zero,
+        # j = "3" raised TypeError and a 2.5 or True modulus gave a scale
+        x = P.variable(3, 0) + P.variable(3, 2)
+        table = [
+            (P.variable, (3, -1), "variable index -1 out of range"),
+            (P.variable, (3, 3), "variable index 3 out of range"),
+            (P.variable, (3, True), "variable index must be an integer"),
+            (x.degree_in, (-1,), "variable index -1 out of range"),
+            (x.depends_on, (-1,), "variable index -1 out of range"),
+            (x.coefficients_in, (-1,), "variable index -1 out of range"),
+            (x.partial_derivative, (True,), "variable index must be an integer"),
+            (x.partial_derivative, (2.0,), "variable index must be an integer"),
+            (prime_power_valuation, (12, 3, 0), "prime exponent j must be at least 1"),
+            (prime_power_valuation, (12, 3, "3"), "prime exponent j must be an integer"),
+            (quadric_cover_scale, (2.5, 5), "modulus q must be an integer"),
+            (quadric_cover_scale, (True, 5), "modulus q must be an integer"),
+            (quadric_cover_scale, (5, 2.5), "box B must be an integer"),
+            (quadric_cover_scale, (0, 5), "positive modulus and box"),
+        ]
+        for fn, args, match in table:
+            with pytest.raises(ContractViolation, match=match):
+                fn(*args)
+        assert P.variable(3, 2) == P(3, {(0, 0, 1): 1})
+        assert (x.degree_in(2), x.depends_on(1), x.partial_derivative(2)) == (1, False, P.constant(3, 1))
+
     def test_extra_subsets_must_be_integers(self):
         f, g, box, pts = rich_instance()
         E = staircase(2, 2)
@@ -419,15 +462,6 @@ class TestRankAndMinors:
             minor_determinant(M, (0, 1))
 
     def test_matches_cofactor_expansion(self):
-        def cofactor(rows):
-            if len(rows) == 1:
-                return rows[0][0]
-            total = 0
-            for i, head in enumerate(rows[0]):
-                rest = [r[:i] + r[i + 1:] for r in rows[1:]]
-                total += (-1) ** i * head * cofactor(rest)
-            return total
-
         rng = random.Random(1009)
         for _ in range(1000):
             n = rng.randrange(1, 6)
@@ -437,6 +471,47 @@ class TestRankAndMinors:
     def test_zero_column_short_circuit(self):
         assert integer_determinant([[0, 3], [0, 7]]) == 0
         assert integer_determinant([[0, 1], [1, 0]]) == -1
+
+
+class TestWronskianDeterminant:
+    """wronskian, read off one integer determinant, against the cofactor
+    expansion of its matrix of polynomials."""
+
+    @staticmethod
+    def expanded(family):
+        rows = [family]
+        for _ in family[1:]:
+            rows.append([p.partial_derivative(0) for p in rows[-1]])
+        return cofactor(rows)
+
+    def test_matches_cofactor_expansion(self):
+        def R(coeffs):
+            return P(1, {(k,): c for k, c in enumerate(coeffs)})
+
+        rng = random.Random(36)
+        t = R([0, 1])
+        families = []
+        for r in range(1, 6):
+            for bound in (9, 10 ** 30):
+                for _ in range(6):
+                    families.append([R([rng.randrange(-bound, bound + 1)
+                                        for _ in range(rng.randrange(1, 7))])
+                                     for _ in range(r)])
+            base = [R([10 ** 30 - rng.randrange(100) for _ in range(r + 1)]) for _ in range(r)]
+            families.append(base)  # coefficients near 10^30
+            families.append(base[:-1] + [base[0] * 3 - base[-2] * (10 ** 30 + 1)]
+                            if r > 1 else [R([0])])  # dependent
+            # every entry of degree below r - 1: the last derivative row is zero
+            families.append([R([rng.randrange(-9, 10) for _ in range(r - 1)] or [7])
+                             for _ in range(r)])
+            families.append([t ** k for k in range(r)])  # W = 0! 1! ... (r-1)!
+        zero = 0
+        for family in families:
+            want = self.expanded(family)
+            assert wronskian(family) == want, family
+            zero += want.is_zero
+        # at least the dependent families and those with a zero derivative row
+        assert zero >= 9
 
 
 class TestValuations:
