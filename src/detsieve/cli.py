@@ -399,10 +399,7 @@ def _run_aux(cfg: dict, seed: int) -> dict:
         floor_const=floor_const, scale_override=scale_override,
     )
     result, certificates, diagnostics = _cover_json(report)
-    E = report.exponent_set
-    if E is None:
-        E = build_exponent_set(report.cutoff, report.params.dominant, box)
-    diagnostics.update(_deviation_json(E))
+    diagnostics.update(_deviation_json(report.exponent_set))
     result["count"] = _count(len(pts))
     return {
         "instance": dict(instance, epsilon=_flt(epsilon)),

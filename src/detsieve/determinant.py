@@ -11,8 +11,10 @@ rows and in columns: it touches a row only when the pivot scan reaches it,
 and it computes a column only when the scan reaches it, so its echelon
 rows cover only the columns the scan reached.  The cover pipeline hands it
 rows that compute monomial values a slice at a time, so a class computes
-only the cells the scan reaches; only a class that takes certificates,
-which check M A = R D on every cell, builds the whole matrix.
+only the cells the scan reaches and walks only the staircase members those
+cells need, a prefix in box order; only a class that takes certificates,
+which check M A = R D on every cell, builds the whole matrix and walks
+every member.
 """
 
 from __future__ import annotations
@@ -89,13 +91,15 @@ class _ValueRow:
     up to the staircase's largest exponent on that axis, so each cell is one
     product of three table entries.  Only slices are read: ``_row_reduce``
     takes ``row[:width]`` and ``row[width:new]``, so a grid of these rows
-    computes only the columns its pivot scan reaches.
+    computes only the columns its pivot scan reaches, and a slice reads the
+    staircase's prefix up to its stop, so the members past the columns the
+    scan reaches are never walked.
     """
 
-    __slots__ = ("cols", "powers")
+    __slots__ = ("E", "powers")
 
     def __init__(self, point: tuple, E: ExponentSet):
-        self.cols = E.members
+        self.E = E
         self.powers = []
         for x, top in zip(point, E.tops):
             run = [1]
@@ -104,11 +108,11 @@ class _ValueRow:
             self.powers.append(run)
 
     def __len__(self) -> int:
-        return len(self.cols)
+        return len(self.E)
 
     def __getitem__(self, s: slice) -> list:
         a, b, c = self.powers
-        return [a[i] * b[j] * c[k] for i, j, k in self.cols[s]]
+        return [a[i] * b[j] * c[k] for i, j, k in self.E.prefix(s.stop)[s]]
 
 
 def build_matrix(points: Sequence, E: ExponentSet) -> MonomialMatrix:
@@ -120,8 +124,6 @@ def build_matrix(points: Sequence, E: ExponentSet) -> MonomialMatrix:
     for p in pts:
         if len(p) != 3:
             raise ContractViolation(f"point {p} is not a triple")
-    if not E.members:
-        raise ContractViolation("matrix needs at least one column")
     entries = tuple(tuple(_ValueRow(p, E)[:]) for p in pts)
     return MonomialMatrix(rows=pts, cols=E.members, entries=entries)
 
@@ -644,23 +646,21 @@ def _kernel_polynomial(
     exactly.  Content divided out, leading sign normalized; vanishing at
     every row point is re-verified exactly; coprimality with f is
     checked and recorded.  Only the columns up to the free one are read,
-    so the echelon rows may end right after it.
+    so the echelon rows may end right after it, and cols need only run that
+    far: the columns before it are the pivot columns 0..free - 1.
     """
-    ncols = len(cols)
-    pivot_set = set(pivot_cols)
-    free = next(c for c in range(ncols) if c not in pivot_set)
-    used = [c for c in pivot_cols if c < free]
-    if any(len(row) <= free for row in echelon[:len(used)]):
+    free = next((k for k, c in enumerate(pivot_cols) if c != k), len(pivot_cols))
+    if any(len(row) <= free for row in echelon[:free]):
         raise SoundnessError(f"an echelon row ends before the first free column {free}")
-    vec = [0] * ncols
-    vec[free] = echelon[len(used) - 1][used[-1]] if used else 1
-    for k in range(len(used) - 1, -1, -1):
+    vec = [0] * (free + 1)
+    vec[free] = echelon[free - 1][free - 1] if free else 1
+    for k in range(free - 1, -1, -1):
         row = echelon[k]
-        num = -sum(row[c] * vec[c] for c in used[k + 1:]) - row[free] * vec[free]
-        val, rem = divmod(num, row[used[k]])
+        num = -sum(row[c] * vec[c] for c in range(k + 1, free + 1))
+        val, rem = divmod(num, row[k])
         if rem:
             raise SoundnessError("kernel back-substitution left a remainder")
-        vec[used[k]] = val
+        vec[k] = val
     content = math.gcd(*vec)
     ints = [v // content for v in vec]
     lead = next(v for v in ints if v)
@@ -722,9 +722,9 @@ class CoverReport(Record):
     """Everything the cover construction produced, exactly as computed.
 
     ``set_size`` is |E(Y)| at the chosen ``cutoff``, as the cutoff search
-    counted it.  The staircase ``exponent_set`` itself is built only when
-    some class builds a matrix; with no class to cover (no points) it is
-    ``None``.
+    counted it.  ``exponent_set`` is the staircase at that cutoff; its
+    members were walked only as far as the classes read them, all of them
+    only for a class that takes certificates.
     """
 
     branch: str
@@ -735,7 +735,7 @@ class CoverReport(Record):
     residue_product: int
     cutoff: ExactLog
     set_size: int
-    exponent_set: ExponentSet | None
+    exponent_set: ExponentSet
     floor_constant: int
     degree_cap: int
     classes: tuple
@@ -836,12 +836,10 @@ def aux_pipeline(
     e_count = sizes[cutoff.height]
     check_columns(e_count)
 
-    # only a class builds a matrix; with none, the size of E(Y) is reported
-    E_set = None
-    if classes:
-        E_set = build_exponent_set(cutoff, params.dominant, box)
-        if len(E_set) != e_count:
-            raise SoundnessError(f"the staircase holds {len(E_set)} columns, not {e_count}")
+    # a class walks only the members its elimination reads
+    E_set = build_exponent_set(cutoff, params.dominant, box)
+    if len(E_set) != e_count:
+        raise SoundnessError(f"the staircase holds {len(E_set)} columns, not {e_count}")
     cap = _ilog(box.bmin, cutoff.height)
     rng = random.Random(seed)
 
@@ -899,7 +897,9 @@ def aux_pipeline(
             )
             leftover.extend(class_points)
         else:
-            aux = _kernel_polynomial(class_points, E_set.members, f, pivot_cols, echelon)
+            # the first free column is at most the rank
+            aux = _kernel_polynomial(class_points, E_set.prefix(rank + 1), f, pivot_cols,
+                                     echelon)
             if aux.poly.total_degree() > cap:
                 raise SoundnessError(
                     "kernel polynomial exceeds the cutoff degree cap"

@@ -20,7 +20,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
-from .errors import CapExceeded, ContractViolation, Record, strict_int, strict_real
+from .errors import (
+    CapExceeded, ContractViolation, Record, SoundnessError, _shown, strict_int, strict_real,
+)
 from .polynomials import ExponentVector, IntegerPolynomial, _as_exponent, eval_monomial
 from .scalars import dot, exp, log, power, rnd, root
 
@@ -141,12 +143,19 @@ class ExactLog(Record):
     @classmethod
     def power(cls, base: int, n: int) -> "ExactLog":
         """log(base^n) held exactly."""
-        if base < 2 or n < 0:
-            raise ContractViolation("power cutoff needs base >= 2 and n >= 0")
+        base, n = _power_args(base, n)
         return cls(base ** n)
 
     def __repr__(self):
         return f"ExactLog(log {self.height})"
+
+
+def _power_args(base, n) -> tuple:
+    """(base, n) as ints with base >= 2 and n >= 0, else ContractViolation."""
+    base, n = strict_int(base, "cutoff base"), strict_int(n, "cutoff power")
+    if base < 2 or n < 0:
+        raise ContractViolation("power cutoff needs base >= 2 and n >= 0")
+    return base, n
 
 
 # -- staircase sets ----------------------------------------------------------
@@ -162,16 +171,35 @@ def _dominant_vector(m) -> ExponentVector:
 class ExponentSet(Record):
     """Staircase set below a cutoff, avoiding the dominant exponent.
 
-    members: every e with log B^e <= cutoff and e_i < dominant_i in at
-    least one coordinate, sorted by the box order.
-    restricted_members: the members with e_1 < dominant_1.
+    Its members are the e with B^e <= T, T the cutoff height, and
+    e_i < dominant_i in at least one coordinate, sorted by the box order;
+    the restricted members are those with e_1 < dominant_1.  The record
+    holds only the box, the dominant exponent and the cutoff.  len() is
+    ``staircase_size`` and ``tops`` a closed form, so neither walks a
+    member.  ``prefix`` walks only as many members as its reader asks for,
+    and ``members`` runs the full walk when first read.  Each walk is
+    checked against ``staircase_size`` at its height.
     """
 
     box: BoxBounds
     dominant: ExponentVector
     cutoff: ExactLog
-    members: tuple
-    restricted_members: tuple
+
+    @cached_property
+    def _size(self) -> int:
+        return staircase_size(self.cutoff, self.dominant, self.box)
+
+    def __len__(self) -> int:
+        return self._size
+
+    @cached_property
+    def members(self) -> tuple:
+        """Every member, in box order: the full walk."""
+        return self._walk(self.cutoff.height, len(self))
+
+    @cached_property
+    def restricted_members(self) -> tuple:
+        return tuple(e for e in self.members if e[0] < self.dominant[0])
 
     @cached_property
     def restricted_set(self) -> frozenset:
@@ -179,11 +207,49 @@ class ExponentSet(Record):
 
     @cached_property
     def tops(self) -> tuple:
-        """The largest exponent of each variable over the members."""
-        return tuple(map(max, zip(*self.members)))
+        """The largest exponent of each variable over the members:
+        floor(log_Bi T), capped at m_i - 1 when the other two m_j are 0.
+        k·unit_i is a member at that k, so the bound is reached."""
+        T, m = self.cutoff.height, self.dominant
+        return tuple(min(_ilog(b, T), mi - 1) if mi == sum(m) else _ilog(b, T)
+                     for b, mi in zip(self.box.bounds, m))
 
-    def __len__(self) -> int:
-        return len(self.members)
+    @cached_property
+    def _walked(self) -> list:
+        """[h, the staircase at height h] of the tallest prefix walked, or
+        [1, ()] before the first."""
+        return [1, ()]
+
+    def prefix(self, n: int | None) -> tuple:
+        """The first n members in box order or more; every member for n None.
+
+        The members with B^e <= h sort before the rest, ties included, and
+        are the staircase at cutoff height h.  So a prefix is the staircase
+        at the first height of bmin, bmin^2, bmin^4, ... past the last
+        prefix walked that holds n members, and the full walk once that
+        height reaches the cutoff.
+        """
+        if n is None or n >= len(self):
+            return self.members
+        walked = self._walked
+        if n > len(walked[1]):
+            h = walked[0]
+            while True:
+                h = h * h if h > 1 else self.box.bmin
+                if h >= self.cutoff.height:
+                    return self.members
+                count = staircase_size(ExactLog(h), self.dominant, self.box)
+                if count >= n:
+                    break
+            walked[:] = h, self._walk(h, count)
+        return walked[1]
+
+    def _walk(self, h: int, count: int) -> tuple:
+        """The staircase at cutoff height h, checked to hold count members."""
+        members = _members_below(h, self.dominant, self.box)
+        if len(members) != count:
+            raise SoundnessError(f"the staircase holds {len(members)} columns, not {count}")
+        return members
 
 
 def _ilog(b: int, T: int) -> int:
@@ -198,16 +264,20 @@ def _ilog(b: int, T: int) -> int:
 
 
 def build_exponent_set(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> ExponentSet:
-    """Enumerate the staircase set below the cutoff for dominant exponent m.
+    """The staircase set below the cutoff for dominant exponent m.
 
-    Members are the e with B^e <= T, the cutoff height, and e_i < m_i in
-    at least one coordinate.  They come out sorted by the box order: by
-    height B^e, ties broken lexicographically.  Only members are visited:
-    once e1 >= m1 and e2 >= m2, a member needs e3 < m3, so each e3 walk
-    ends at its first non-member.
+    Nothing is walked here: the set walks its members when they are read.
     """
-    m = _dominant_vector(m)
-    T = cutoff.height
+    return ExponentSet(box=box, dominant=_dominant_vector(m), cutoff=cutoff)
+
+
+def _members_below(T: int, m: ExponentVector, box: BoxBounds) -> tuple:
+    """The e with B^e <= T and e_i < m_i in at least one coordinate, sorted
+    by the box order: by height B^e, ties broken lexicographically.
+
+    Only members are visited: once e1 >= m1 and e2 >= m2, a member needs
+    e3 < m3, so each e3 walk ends at its first non-member.
+    """
     b1, b2, b3 = box.bounds
     keyed = []
     h1 = 1
@@ -230,53 +300,77 @@ def build_exponent_set(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> Ex
         h1 *= b1
         e1 += 1
     keyed.sort()
-    members = tuple(e for _, e in keyed)
-    restricted = tuple(e for e in members if e[0] < m[0])
-    return ExponentSet(
-        box=box,
-        dominant=m,
-        cutoff=cutoff,
-        members=members,
-        restricted_members=restricted,
-    )
+    return tuple(e for _, e in keyed)
 
 
-def _count_pairs(T: int, b: int, c: int) -> int:
-    """The number of (u, v) >= 0 with b^u * c^v <= T, for T >= 1: C(n + 2, 2)
-    with n = floor(log_b T) when b = c, else one two-pointer walk."""
+def _pair_sums(T: int, b: int, c: int) -> tuple:
+    """(n, Σu, Σv) over the n pairs (u, v) >= 0 with b^u * c^v <= T, for
+    T >= 1: C(k + 2, 2) pairs and both sums C(k + 2, 3), with
+    k = floor(log_b T), when b = c, else one two-pointer walk."""
     if b == c:
-        return math.comb(_ilog(b, T) + 2, 2)
-    total = 0
-    # p = b^u * c^k with k the largest v that fits
+        k = _ilog(b, T)
+        s = math.comb(k + 2, 3)
+        return math.comb(k + 2, 2), s, s
+    # row u holds v = 0..k, k the largest that fits, with p = b^u * c^k and
+    # tri = Σv over the row; over the U = floor(log_b T) + 1 rows, with
+    # running totals N_u, Σu = U·N - Σ N_u
+    total = running = sv = 0
     k = _ilog(c, T)
     p = c ** k
+    tri = k * (k + 1) // 2
     while k >= 0:
         total += k + 1
+        running += total
+        sv += tri
         p *= b
         while k >= 0 and p > T:
             p //= c
+            tri -= k
             k -= 1
-    return total
+    return total, (_ilog(b, T) + 1) * total - running, sv
+
+
+# each slab's bounded coordinate, then the two coordinates of its pairs
+_SLABS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
+def _slab_sums(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> tuple:
+    """(|E(T)|, the three coordinate sums over E(T), (Σe2, Σe3) over its
+    restricted members), with no member built.
+
+    E(T) is the disjoint slabs {e1 < m1}, {e1 >= m1, e2 < m2} and
+    {e1 >= m1, e2 >= m2, e3 < m3}; the first is the restricted members.
+    Each value k of slab i's bounded coordinate e_i, the earlier ones at m,
+    is a height h; it leaves the pairs (u, v) of the other two coordinates
+    under T // h, each offset by m where it is earlier, until h > T.
+    """
+    m = _dominant_vector(m)
+    T = cutoff.height
+    bounds = box.bounds
+    total = 0
+    sums = [0, 0, 0]
+    h = 1
+    for i, j, l in _SLABS:
+        b, bj, bl = bounds[i], bounds[j], bounds[l]
+        mj, ml = (m[j] if j < i else 0), (m[l] if l < i else 0)
+        for k in range(m[i]):
+            if h > T:
+                break
+            n, su, sv = _pair_sums(T // h, bj, bl)
+            total += n
+            sums[i] += k * n
+            sums[j] += su + mj * n
+            sums[l] += sv + ml * n
+            h *= b
+        if not i:
+            restricted = (sums[1], sums[2])
+    return total, tuple(sums), restricted
 
 
 def staircase_size(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> int:
     """|E(T)|, the member count of build_exponent_set(cutoff, m, box),
-    without building a member: the disjoint slabs {e1 < m1},
-    {e1 >= m1, e2 < m2} and {e1 >= m1, e2 >= m2, e3 < m3}.  Each value of a
-    slab's bounded coordinate, the earlier ones at m, is a height h; it
-    leaves the pairs of the other two coordinates under T // h, until h > T."""
-    m = _dominant_vector(m)
-    T = cutoff.height
-    b1, b2, b3 = box.bounds
-    total = 0
-    h = 1
-    for mi, b, pair in zip(m, box.bounds, ((b2, b3), (b1, b3), (b1, b2))):
-        for _ in range(mi):
-            if h > T:
-                return total
-            total += _count_pairs(T // h, *pair)
-            h *= b
-    return total
+    counted by its slabs without building a member (``_slab_sums``)."""
+    return _slab_sums(cutoff, m, box)[0]
 
 
 class SetStatistics(Record):
@@ -289,20 +383,14 @@ class SetStatistics(Record):
 
 
 def set_statistics(E: ExponentSet) -> SetStatistics:
-    """Exact member count, total log-height, and restricted coordinate sums.
+    """Exact member count, total log-height, and restricted coordinate sums,
+    read off the slabs (``_slab_sums``) with no member built.
 
     sum_log runs over all members; sum_e2 and sum_e3 run over the
     restricted members only.
     """
-    sums = [0, 0, 0]
-    for e in E.members:
-        sums[0] += e[0]
-        sums[1] += e[1]
-        sums[2] += e[2]
-    sum_log = dot(sums, E.box.log_heights())
-    se2 = sum(e[1] for e in E.restricted_members)
-    se3 = sum(e[2] for e in E.restricted_members)
-    return SetStatistics(len(E.members), sum_log, se2, se3)
+    count, sums, (se2, se3) = _slab_sums(E.cutoff, E.dominant, E.box)
+    return SetStatistics(count, dot(sums, E.box.log_heights()), se2, se3)
 
 
 def main_term_deviation(E: ExponentSet) -> tuple:
@@ -524,14 +612,13 @@ def power_cutoff(base: int, n: int, m: Sequence[int], box: BoxBounds) -> ExactLo
     decides.
     """
     m = _dominant_vector(m)
-    base, n = strict_int(base, "cutoff base"), strict_int(n, "cutoff power")
-    if base < 2 or n < 0:
-        raise ContractViolation("power cutoff needs base >= 2 and n >= 0")
+    base, n = _power_args(base, n)
     if _sure_columns(n * (base.bit_length() - 1), box, m) <= COLUMN_CAP:
         cutoff = ExactLog.power(base, n)
         if staircase_size(cutoff, m, box) <= COLUMN_CAP:
             return cutoff
-    raise CapExceeded(f"the cutoff {base}^{n} needs over {COLUMN_CAP} staircase columns")
+    raise CapExceeded(f"the cutoff {_shown(base)}^{_shown(n)} needs over {COLUMN_CAP} "
+                      "staircase columns")
 
 
 def check_columns(size: int) -> None:

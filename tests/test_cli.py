@@ -211,9 +211,9 @@ class TestReportSchema:
         assert rv["provenance"] == "main-term-diagnostic"
 
     def test_point_free_aux_report_builds_its_deviation(self, tmp_path, capsys):
-        # 5 x1^2 + x2^2 + x3^2 = 3 has no points in these boxes, so the
-        # pipeline builds no staircase and the CLI builds it for the
-        # main-term deviation alone
+        # 5 x1^2 + x2^2 + x3^2 = 3 has no points in these boxes, so no
+        # member is walked: the report's staircase gives the main-term
+        # deviation from its slab sums
         f = {"nvars": 3, "terms": CONG_F["terms"][:3] + [[[0, 0, 0], -3]]}
         g = {"nvars": 3, "terms": CONG_G["terms"][:2] + [[[0, 0, 0], -3]]}
         for box in ([2, 2, 2], [2, 2, 3]):
@@ -227,9 +227,10 @@ class TestReportSchema:
                 _poly_field(cfg, "f"), detsieve.exponents.SideCondition(_poly_field(cfg, "g"), 5),
                 bounds, None, 0.5, [], floor_const=10,
             )
-            assert rep.exponent_set is None
-            E = build_exponent_set(rep.cutoff, rep.params.dominant, bounds)
+            E = rep.exponent_set
+            assert E == build_exponent_set(rep.cutoff, rep.params.dominant, bounds)
             dev_count, dev_sum = main_term_deviation(E)
+            assert "members" not in vars(E)
             diag = report["diagnostics"]
             assert diag["set_size"]["value"] == len(E) == rep.set_size
             assert diag["cutoff"]["height"]["value"] == str(rep.cutoff.height)

@@ -35,6 +35,7 @@ from detsieve.exponents import (
     ExactLog,
     build_exponent_set,
     max_exponent,
+    power_cutoff,
     staircase_size,
 )
 from detsieve.polynomials import IntegerPolynomial, eval_monomial, wronskian
@@ -412,6 +413,15 @@ class TestIntegerInputs:
             (quadric_cover_scale, (True, 5), "modulus q must be an integer"),
             (quadric_cover_scale, (5, 2.5), "box B must be an integer"),
             (quadric_cover_scale, (0, 5), "positive modulus and box"),
+            # ExactLog.power(5, True) gave log 5 and ("3", 2) raised TypeError;
+            # a cutoff over the cap with a 5 000-digit base or power raised
+            # ValueError while its message formatted the number
+            (ExactLog.power, (5, True), "cutoff power must be an integer, not True"),
+            (ExactLog.power, ("3", 2), "cutoff base must be an integer, not '3'"),
+            (power_cutoff, (10 ** 5000, 2, (2, 0, 0), BoxBounds(3, 3, 3)),
+             r"the cutoff a 16610-bit int\^2 needs over"),
+            (power_cutoff, (3, 10 ** 5000, (2, 0, 0), BoxBounds(3, 3, 3)),
+             r"the cutoff 3\^a 16610-bit int needs over"),
         ]
         for fn, args, match in table:
             with pytest.raises(ContractViolation, match=match):
@@ -840,6 +850,84 @@ class TestNullSpace:
             assert aux.poly.evaluate(pt) == 0
 
 
+class TestKernelPrefix:
+    """The kernel read off the columns up to the first free one, from the
+    staircase's prefix, against the kernel over the whole built matrix."""
+
+    @staticmethod
+    def kernels(pts, E, f):
+        M = build_matrix(pts, E)
+        rank, pivot_cols, _, echelon = _row_reduce(M.entries)
+        whole = _kernel_polynomial(M.rows, M.cols, f, pivot_cols, echelon)
+        # as the pipeline reads it: lazy rows over a fresh set, then its prefix
+        lazy = build_exponent_set(E.cutoff, E.dominant, E.box)
+        rank, pivot_cols, _, echelon = _row_reduce([determinant._ValueRow(p, lazy) for p in pts])
+        prefix = _kernel_polynomial(tuple(pts), lazy.prefix(rank + 1), f, pivot_cols, echelon)
+        return whole, prefix, lazy
+
+    def test_cover_b16(self):
+        quadric = QuadricInstance(3, 1, 1, 1001, 16)
+        rep = count_quadric(quadric, "pipeline").report
+        (cls,) = rep.classes
+        whole, prefix, lazy = self.kernels(cls.points, rep.exponent_set, quadric.surface())
+        assert prefix == whole
+        assert prefix.poly.terms == {(0, 0, 0): 233, (0, 2, 0): -1, (0, 0, 2): -1}
+        assert "members" not in vars(lazy)
+
+    def test_random_wide_grids(self):
+        rng = random.Random(3708)
+        f = P(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -7})
+        seen = 0
+        while seen < 60:
+            box = BoxBounds(*(rng.randint(2, 9) for _ in range(3)))
+            m = rng.choice(((2, 0, 0), (0, 0, 3), (1, 1, 0), (0, 2, 1)))
+            E = build_exponent_set(ExactLog(rng.randint(2, 10 ** 5)), m, box)
+            nrows = rng.randint(1, 12)
+            if nrows >= len(E):
+                continue
+            pts = [tuple(rng.randint(-b, b) for b in box.bounds) for _ in range(nrows)]
+            whole, prefix, _ = self.kernels(pts, E, f)
+            assert prefix == whole, (box, m, E.cutoff, pts)
+            seen += 1
+
+    def test_benchmark_classes_walk_only_a_prefix(self, monkeypatch):
+        # the largest walk of each uncertified benchmark class, never the
+        # full staircase: 59 of 1 443, 81 of 484 and 529, 4 of 121
+        walks = []
+        real = detsieve.exponents._members_below
+
+        def walk(T, m, box):
+            members = real(T, m, box)
+            walks.append(len(members))
+            return members
+
+        monkeypatch.setattr(detsieve.exponents, "_members_below", walk)
+
+        def surface(a1, n, q, box, residues=()):
+            f = P(3, {(2, 0, 0): a1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -n})
+            g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -n})
+            box = BoxBounds(*box)
+            pts = enumerate_points(f, SideCondition(g, q), box)
+            return aux_pipeline(f, SideCondition(g, q), box, ResidueData(residues), 0.5,
+                                list(pts))
+
+        runs = {
+            "cover-B16": (lambda: count_quadric(QuadricInstance(3, 1, 1, 1001, 16),
+                                                "pipeline").report, 484, 100),
+            "cover-B17": (lambda: count_quadric(QuadricInstance(3, 1, 1, 1001, 17),
+                                                "pipeline").report, 529, 100),
+            "aux-B30-p5-p7": (lambda: surface(3, 1001, 3, (30, 30, 30), (5, 7)), 121, 10),
+            "aux-grid-12-20-30": (lambda: surface(5, 6, 5, (12, 20, 30)), 1443, 100),
+        }
+        for name, (go, size, most) in runs.items():
+            del walks[:]
+            rep = go()
+            assert rep.set_size == size
+            assert all(c.certificates == () for c in rep.classes)
+            assert walks and max(walks) < most, (name, walks)
+            assert "members" not in vars(rep.exponent_set)
+
+
 class TestAuxPipeline:
     def test_standard_branch_emits_cover(self):
         f, g, box, pts = quadric_instance()
@@ -1054,18 +1142,25 @@ class TestAuxPipeline:
             aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, [(1, 1, 1)])
 
     def test_builds_the_staircase_once(self, monkeypatch):
-        import detsieve.determinant
-        import detsieve.exponents
-
-        built = []
+        # one set per run, whose members are walked only as far as the
+        # classes read them: an uncertified class walks prefixes, each below
+        # the cutoff, and only a certified class runs the full walk
+        built, walks = [], []
 
         def counting(*args, **kwargs):
             E = build_exponent_set(*args, **kwargs)
             built.append(E)
             return E
 
+        real_walk = detsieve.exponents._members_below
+
+        def walk(T, m, box):
+            walks.append(T)
+            return real_walk(T, m, box)
+
         for module in (detsieve.determinant, detsieve.exponents):
             monkeypatch.setattr(module, "build_exponent_set", counting)
+        monkeypatch.setattr(detsieve.exponents, "_members_below", walk)
         f, g, box, pts = quadric_instance()
         uneven = BoxBounds(2, 2, 3)
         uneven_pts = enumerate_points(f, SideCondition(g, 5), uneven)
@@ -1074,30 +1169,66 @@ class TestAuxPipeline:
                          (uneven, uneven_pts, {"floor_const": 10}),
                          (uneven, uneven_pts, {"floor_const": 10, "scale_override": 40})):
             built.clear()
+            walks.clear()
             rep = aux_pipeline(f, SideCondition(g, 5), b, ResidueData(()), 0.5, p, **kw)
             assert built == [rep.exponent_set]
             assert rep.set_size == staircase_size(rep.cutoff, rep.params.dominant, b)
-        # no points, so no class builds a matrix and nothing is built
+            assert all(c.certificates == () for c in rep.classes)
+            assert walks and all(T < rep.cutoff.height for T in walks)
+            assert "members" not in vars(rep.exponent_set)
+        # a certified class reads every cell, so it runs the one full walk
+        f, g, box, pts = rich_instance()
+        built.clear()
+        walks.clear()
+        rep = aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
+                           scale_override=2, floor_const=2)
+        (cls,) = rep.classes
+        assert cls.certificates
+        assert built == [rep.exponent_set]
+        assert walks.count(rep.cutoff.height) == 1
+        # no points: the report still carries the set, with nothing walked
         f, g, box, pts = point_free_instance()
         assert not pts
         built.clear()
+        walks.clear()
         rep = aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts, floor_const=10)
-        assert built == []
-        assert rep.exponent_set is None
+        assert built == [rep.exponent_set]
+        assert walks == []
         assert rep.classes == ()
         assert rep.set_size == staircase_size(rep.cutoff, rep.params.dominant, box)
-        assert rep.set_size == len(build_exponent_set(rep.cutoff, rep.params.dominant, box))
+        assert rep.set_size == len(rep.exponent_set)
 
     def test_a_staircase_off_the_searched_size_is_a_soundness_error(self, monkeypatch):
-        # |E(Y)| is read from the search's counts; the built set must match
+        # |E(Y)| is read from the search's counts, and every walk from its
+        # count at its height: a set of another size, or a walk that drops a
+        # member, is unsound, whether the walk is a prefix or the full one
         def smaller(cutoff, m, box):
             return build_exponent_set(ExactLog(cutoff.height // 2), m, box)
 
-        monkeypatch.setattr(determinant, "build_exponent_set", smaller)
         f, g, box, pts = quadric_instance()
+        with monkeypatch.context() as patch:
+            patch.setattr(determinant, "build_exponent_set", smaller)
+            with pytest.raises(SoundnessError, match="the staircase holds"):
+                aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
+                             floor_const=10)
+
+        real_walk = detsieve.exponents._members_below
+        monkeypatch.setattr(detsieve.exponents, "_members_below",
+                            lambda T, m, box: real_walk(T, m, box)[:-1])
+        # prefix walks only: the class is uncertified
         with pytest.raises(SoundnessError, match="the staircase holds"):
             aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
                          floor_const=10)
+        # the full walk: a certified class reads every member first
+        f, g, box, pts = rich_instance()
+        with pytest.raises(SoundnessError, match="the staircase holds"):
+            aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
+                         scale_override=2, floor_const=2)
+        E = build_exponent_set(ExactLog.power(13, 4), (2, 0, 0), box)
+        with pytest.raises(SoundnessError, match="the staircase holds"):
+            E.prefix(3)
+        with pytest.raises(SoundnessError, match="the staircase holds"):
+            E.members
 
     def test_deterministic_across_seeds_for_structure(self):
         f, g, box, pts = quadric_instance()

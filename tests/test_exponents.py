@@ -39,6 +39,7 @@ from detsieve.exponents import (
     staircase_size,
 )
 from detsieve.polynomials import IntegerPolynomial
+from detsieve.scalars import dot
 
 P = IntegerPolynomial
 
@@ -963,6 +964,95 @@ class TestBuildVisitsOnlyMembers:
                     got = build_exponent_set(ExactLog(T), m, box)
                     assert got.members == want, (bounds, T, m)
                     assert got.restricted_members == tuple(e for e in want if e[0] < m[0])
+
+
+def old_build(T, m, box):
+    """(members, restricted members) of the staircase at height T, by the
+    full build the set used to run eagerly: every member visited, then
+    sorted by the box order."""
+    keyed = []
+    h1, e1 = 1, 0
+    while h1 <= T:
+        h12, e2 = h1, 0
+        while h12 <= T:
+            stop = m[2] if e1 >= m[0] and e2 >= m[1] else INFINITE
+            if not stop:
+                break
+            h, e3 = h12, 0
+            while h <= T and e3 < stop:
+                keyed.append((h, (e1, e2, e3)))
+                h *= box.b3
+                e3 += 1
+            h12 *= box.b2
+            e2 += 1
+        h1 *= box.b1
+        e1 += 1
+    members = tuple(e for _, e in sorted(keyed))
+    return members, tuple(e for e in members if e[0] < m[0])
+
+
+def lazy_cases():
+    """A seeded sweep of (T, m, box): equal and unequal boxes, dominants with
+    zero coordinates, height 1 and heights at exact powers and products of
+    the bounds, where members tie in height."""
+    rng = random.Random(3707)
+    boxes = [(2, 2, 2), (3, 3, 3), (7, 7, 7), (2, 3, 5), (12, 20, 30), (5, 5, 7), (7, 2, 3)]
+    boxes += [tuple(rng.randint(2, 15) for _ in range(3)) for _ in range(6)]
+    dominants = [(2, 0, 0), (0, 0, 3), (0, 2, 0), (1, 1, 0), (0, 1, 1), (2, 1, 3)]
+    for bounds in boxes:
+        box = BoxBounds(*bounds)
+        heights = {1, rng.randint(2, 10 ** 6)}
+        for b in bounds:
+            heights |= {b ** k for k in range(1, 6)}
+        heights |= {box.height((1, 1, 1)), box.height((2, 0, 1))}
+        for T in sorted(heights):
+            for m in dominants + [tuple(rng.randint(0, 3) for _ in range(2)) + (1,)]:
+                yield T, m, box
+
+
+class TestWalkOnlyWhatIsRead:
+    """The set's closed forms, slab sums and prefixes against the full
+    build it used to run eagerly."""
+
+    def test_slab_sums_are_the_member_sums(self):
+        for T, m, box in lazy_cases():
+            members, restricted = old_build(T, m, box)
+            count, sums, (se2, se3) = detsieve.exponents._slab_sums(ExactLog(T), m, box)
+            assert count == len(members) == staircase_size(ExactLog(T), m, box)
+            assert sums == tuple(sum(e[i] for e in members) for i in range(3)), (T, m, box)
+            assert (se2, se3) == (sum(e[1] for e in restricted), sum(e[2] for e in restricted))
+            stats = set_statistics(build_exponent_set(ExactLog(T), m, box))
+            assert stats == SetStatistics(len(members), dot(sums, box.log_heights()), se2, se3)
+
+    def test_every_prefix_is_a_head_of_the_members(self):
+        for T, m, box in lazy_cases():
+            members, restricted = old_build(T, m, box)
+            rising = build_exponent_set(ExactLog(T), m, box)
+            for n in range(len(members) + 1):
+                got = rising.prefix(n)
+                assert len(got) >= n and got == members[:len(got)], (T, m, box, n)
+                if len(members) <= 60:
+                    fresh = build_exponent_set(ExactLog(T), m, box).prefix(n)
+                    assert len(fresh) >= n and fresh == members[:len(fresh)]
+            assert rising.prefix(None) == rising.members == members
+            assert rising.restricted_members == restricted
+
+    def test_tops_are_the_largest_exponents(self):
+        for T, m, box in lazy_cases():
+            members, _ = old_build(T, m, box)
+            E = build_exponent_set(ExactLog(T), m, box)
+            assert E.tops == tuple(max(e[i] for e in members) for i in range(3)), (T, m, box)
+            assert "members" not in vars(E)
+
+    def test_a_prefix_walks_below_the_cutoff(self):
+        # aux-grid's staircase: 1 443 members, of which its 8-point class
+        # reads 9 and then 18; neither walk reaches the cutoff
+        T = 353265586727888747578466418333164285171073024
+        E = build_exponent_set(ExactLog(T), (0, 0, 2), BoxBounds(12, 20, 30))
+        assert len(E) == 1443
+        assert len(E.prefix(9)) < 100 and len(E.prefix(18)) < 100
+        assert E._walked[0] < T
+        assert "members" not in vars(E)
 
 
 class TestSideConditionContract:
