@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapExceeded, ContractViolation, strict_int
+from .errors import CapExceeded, ContractViolation, _shown, strict_int
 
 # deterministic Miller-Rabin witnesses for n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -22,7 +22,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:
-        raise ContractViolation(f"{n} exceeds the deterministic primality range")
+        raise ContractViolation(f"{_shown(n)} exceeds the deterministic primality range")
     d = n - 1
     r = 0
     while d % 2 == 0:

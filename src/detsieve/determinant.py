@@ -20,6 +20,7 @@ every member.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from itertools import chain
 from typing import Mapping, Sequence
@@ -27,7 +28,8 @@ from typing import Mapping, Sequence
 from .arith import factorize, is_prime, prime_power_decompose
 from .enumeration import ResidueData, residue_split, split_leftover
 from .errors import (
-    ContractViolation, HypothesisViolation, Record, SoundnessError, strict_int, strict_real,
+    ContractViolation, HypothesisViolation, Record, SoundnessError, _shown, strict_int,
+    strict_real,
 )
 from .exponents import (
     INFINITE,
@@ -46,18 +48,18 @@ from .exponents import (
     side_log_height,
     staircase_size,
 )
-from .polynomials import IntegerPolynomial, _as_exponent, eval_monomial, is_coprime
+from .polynomials import IntegerPolynomial, _as_exponent, is_coprime
 from .scalars import rnd, root
 
 
 # -- matrices and exact linear algebra ----------------------------------------
 
 
-def _int_cells(grid):
+def _int_cells(grid, what: str = "matrix entry"):
     """grid as it is when every cell is exactly an int, else its cells read by
     ``strict_int`` into a tuple of tuples; the type scan runs at C level."""
     if set(map(type, chain.from_iterable(grid))) - {int}:
-        return tuple(tuple(x if type(x) is int else strict_int(x, "matrix entry") for x in row)
+        return tuple(tuple(x if type(x) is int else strict_int(x, what) for x in row)
                      for row in grid)
     return grid
 
@@ -291,7 +293,7 @@ def p_adic_valuation(n: int, p: int):
     """Exponent of the prime p in n; infinite for n = 0."""
     p = strict_int(p, "prime p")
     if not is_prime(p):
-        raise ContractViolation(f"{p} is not prime")
+        raise ContractViolation(f"{_shown(p)} is not prime")
     n = strict_int(n, "valuation argument n")
     if n == 0:
         return INFINITE
@@ -306,7 +308,7 @@ def prime_power_valuation(n: int, p: int, j: int):
     """Largest k with (p^j)^k dividing n, for j >= 1; infinite for n = 0."""
     j = strict_int(j, "prime exponent j")
     if j < 1:
-        raise ContractViolation(f"prime exponent j must be at least 1, not {j}")
+        raise ContractViolation(f"prime exponent j must be at least 1, not {_shown(j)}")
     v = p_adic_valuation(n, p)
     return INFINITE if v == INFINITE else v // j
 
@@ -402,6 +404,40 @@ def select_shift(side: SideCondition) -> tuple:
     )
 
 
+class _ValueColumns:
+    """The columns x^e over a list of points, each built once.
+
+    Column x^e is the cached column x^(e - u_k) times coordinate column k,
+    u_k the unit vector of the last axis k on which e is nonzero: one
+    C-level product over the points.  ``evaluate`` sums a polynomial's
+    term columns, so it gives the polynomial's value at every point.
+    """
+
+    __slots__ = ("coords", "cache")
+
+    def __init__(self, points: Sequence[tuple]):
+        for p in points:
+            if len(p) != 3:
+                raise ContractViolation(f"point {p} is not a triple")
+        self.coords = _int_cells(tuple(zip(*points)) or ((),) * 3, "point coordinate")
+        self.cache = {(0, 0, 0): [1] * len(points)}
+
+    def __call__(self, e: tuple) -> list:
+        col = self.cache.get(e)
+        if col is None:
+            k = 2 if e[2] else 1 if e[1] else 0
+            lower = tuple(v - (i == k) for i, v in enumerate(e))
+            col = self.cache[e] = list(map(operator.mul, self(lower), self.coords[k]))
+        return col
+
+    def evaluate(self, poly: IntegerPolynomial) -> list:
+        """poly at every point: the sum of its terms' columns."""
+        acc = [0] * len(self.cache[0, 0, 0])
+        for e, c in poly.terms.items():
+            acc = list(map(operator.add, acc, map(c.__mul__, self(e))))
+        return acc
+
+
 def _column_operations(
     M: MonomialMatrix,
     gq: IntegerPolynomial,
@@ -409,14 +445,18 @@ def _column_operations(
     t: tuple,
     E: ExponentSet,
     mus: tuple,
+    values: _ValueColumns,
 ):
     """Column operations of a certificate and the reduced matrix they give.
 
     Returns (a_cols, divisors, reduced): a_cols[i] lists the nonzero
     entries (row, value) of column i of A, divisors[i] is q^mu of that
-    column, and reduced is R as a list of rows.  Column i of R is read
-    from the points, as x^(e - mu t) * (gq(x)/q)^mu, not from M A, so
-    checking M A = R D compares two independent computations.
+    column, and reduced is R as a list of rows.  values holds the columns
+    x^e over M's points.  Column i of R is read from the points, as
+    x^(e - mu t) * w^mu with w = gq(x)/q, a whole column at a time from
+    those value columns, not from M A, so checking M A = R D compares two
+    independent computations.  Column i of A is gq^mu with its exponents
+    shifted by e - mu t.
     """
     col_pos = {e: i for i, e in enumerate(E.members)}
     restricted = E.restricted_set
@@ -424,31 +464,35 @@ def _column_operations(
     divisors = [1] * len(E.members)
     reduced = [list(row) for row in M.entries]
     quotients = []
-    for pt in M.rows:
-        w, rem = divmod(gq.evaluate(pt), q)
+    for pt, v in zip(M.rows, values.evaluate(gq)):
+        w, rem = divmod(v, q)
         if rem:
             raise SoundnessError(
                 f"reduced side polynomial at {pt} is not divisible by {q}"
             )
         quotients.append(w)
     gq_powers = [IntegerPolynomial.constant(3, 1)]
+    w_powers = [values((0, 0, 0))]
     for e, mu in mus:
         if mu == 0:
             continue
         while len(gq_powers) <= mu:
             gq_powers.append(gq_powers[-1] * gq)
+            w_powers.append(list(map(operator.mul, w_powers[-1], quotients)))
         i = col_pos[e]
         shifted = tuple(a - mu * b for a, b in zip(e, t))
-        replacement = IntegerPolynomial.monomial(3, shifted) * gq_powers[mu]
-        for u in replacement.terms:
+        column = []
+        for u, cu in gq_powers[mu].terms.items():
+            u = (u[0] + shifted[0], u[1] + shifted[1], u[2] + shifted[2])
             if u not in restricted:
                 raise SoundnessError(
                     f"replacement column for {e} leaves the restricted set at {u}"
                 )
-        a_cols[i] = tuple((col_pos[u], cu) for u, cu in replacement.terms.items())
+            column.append((col_pos[u], cu))
+        a_cols[i] = tuple(column)
         divisors[i] = q ** mu
-        for row, pt, w in zip(reduced, M.rows, quotients):
-            row[i] = eval_monomial(pt, shifted) * w ** mu
+        for row, v in zip(reduced, map(operator.mul, values(shifted), w_powers[mu])):
+            row[i] = v
     return a_cols, divisors, reduced
 
 
@@ -456,15 +500,23 @@ def _check_column_identity(entries, a_cols, divisors, reduced) -> None:
     """Raise SoundnessError unless M A = R D holds on every entry.
 
     a_cols[i] lists the nonzero entries (row, value) of column i of A and
-    D = diag(divisors).  Each column of M A is summed from the columns of
-    M that column i of A touches.
+    D = diag(divisors).  The identity is compared a column at a time on
+    the transposed columns of M and R, exactly on every cell: a unit
+    column of A by one equality of M[:, i] and R[:, i], every other column
+    by its sum of a * M[:, r] over the entries against d * R[:, i].
     """
     m_cols = list(zip(*entries))
+    r_cols = list(zip(*reduced))
     for i, (pairs, d) in enumerate(zip(a_cols, divisors)):
-        acc = [0] * len(entries)
-        for r, a in pairs:
-            acc = [x + a * y for x, y in zip(acc, m_cols[r])]
-        if acc != [row[i] * d for row in reduced]:
+        if d == 1 and pairs == ((i, 1),):
+            same = m_cols[i] == r_cols[i]
+        else:
+            acc = [0] * len(entries)
+            for r, a in pairs:
+                col = m_cols[r] if a == 1 else map(a.__mul__, m_cols[r])
+                acc = list(map(operator.add, acc, col))
+            same = acc == list(map(d.__mul__, r_cols[i]))
+        if not same:
             raise SoundnessError(
                 f"column {i} of M A differs from the reduced column times {d}"
             )
@@ -503,8 +555,11 @@ def congruence_reduce(
     column-operation matrix A holds the coefficients of x^(e - mu t)
     times gq^mu, gq being g rescaled to coefficient 1 at the slot, and
     column i of the reduced matrix R holds its values divided by q^mu,
-    read from gq(x)/q at each point.  M A = R D, with D = diag(q^mu), is
-    checked once on every entry, and one pass over A checks that it is
+    read from gq(x)/q at each point.  The congruence check, the quotients
+    and R's replaced columns all come from per-point value columns x^e,
+    each built once over every point (``_ValueColumns``).  M A = R D,
+    with D = diag(q^mu), is checked once, exactly on every entry, a column
+    at a time, and one pass over A checks that it is
     unitriangular in the order the slot fixes, so det A = 1.  Hence
     det M_S = q^lam * det R_S on every row subset S, and each sampled
     subset takes one determinant, det R_S.  Each of extra_subsets must
@@ -529,8 +584,9 @@ def congruence_reduce(
         raise ContractViolation(
             f"coefficient {c_t} of the shift slot {t} is not a unit mod {q}"
         )
-    for pt in M.rows:
-        if g.evaluate(pt) % q != 0:
+    values = _ValueColumns(M.rows)
+    for pt, v in zip(M.rows, values.evaluate(g)):
+        if v % q:
             raise ContractViolation(f"point {pt} violates the congruence mod {q}")
 
     z = pow(c_t, -1, q)
@@ -547,7 +603,8 @@ def congruence_reduce(
     divisor = q ** lam
 
     nrows, ncols = M.shape
-    a_cols, divisors, reduced = _column_operations(M, gq, q, t, E, mus)
+    a_cols, divisors, reduced = _column_operations(M, gq, q, t, E, mus, values)
+    del values  # not read again: freed before the check and the minors
     _check_column_identity(M.entries, a_cols, divisors, reduced)
     _check_unitriangular(a_cols, [slot_order(e) for e in E.members])
     if math.prod(divisors) != divisor:

@@ -40,7 +40,9 @@ _SHOWN_BITS = 14_000
 
 def _shown(v) -> str:
     """repr(v), except that an int or Fraction of over _SHOWN_BITS bits, which
-    repr may refuse, is named by its type and size."""
+    repr may refuse, is named by its type and size, also inside a tuple."""
+    if isinstance(v, tuple):
+        return "(" + ", ".join(map(_shown, v)) + ("," if len(v) == 1 else "") + ")"
     if isinstance(v, (int, Fraction)):
         bits = max(v.numerator.bit_length(), v.denominator.bit_length())
         if bits > _SHOWN_BITS:

@@ -194,7 +194,8 @@ class ExponentSet(Record):
 
     @cached_property
     def members(self) -> tuple:
-        """Every member, in box order: the full walk."""
+        """Every member, in box order: the last prefix walked and the band
+        above it up to the cutoff."""
         return self._walk(self.cutoff.height, len(self))
 
     @cached_property
@@ -217,8 +218,8 @@ class ExponentSet(Record):
     @cached_property
     def _walked(self) -> list:
         """[h, the staircase at height h] of the tallest prefix walked, or
-        [1, ()] before the first."""
-        return [1, ()]
+        [0, ()] before the first."""
+        return [0, ()]
 
     def prefix(self, n: int | None) -> tuple:
         """The first n members in box order or more; every member for n None.
@@ -226,8 +227,9 @@ class ExponentSet(Record):
         The members with B^e <= h sort before the rest, ties included, and
         are the staircase at cutoff height h.  So a prefix is the staircase
         at the first height of bmin, bmin^2, bmin^4, ... past the last
-        prefix walked that holds n members, and the full walk once that
-        height reaches the cutoff.
+        prefix walked that holds n members, and every member once that
+        height reaches the cutoff.  Each prefix is the last one and the
+        band of members above its height, so no member is walked twice.
         """
         if n is None or n >= len(self):
             return self.members
@@ -235,7 +237,7 @@ class ExponentSet(Record):
         if n > len(walked[1]):
             h = walked[0]
             while True:
-                h = h * h if h > 1 else self.box.bmin
+                h = h * h if h else self.box.bmin
                 if h >= self.cutoff.height:
                     return self.members
                 count = staircase_size(ExactLog(h), self.dominant, self.box)
@@ -245,11 +247,15 @@ class ExponentSet(Record):
         return walked[1]
 
     def _walk(self, h: int, count: int) -> tuple:
-        """The staircase at cutoff height h, checked to hold count members."""
-        members = _members_below(h, self.dominant, self.box)
-        if len(members) != count:
-            raise SoundnessError(f"the staircase holds {len(members)} columns, not {count}")
-        return members
+        """The staircase at cutoff height h, checked to hold count members:
+        the last prefix walked, of height h_prev, and the band
+        h_prev < B^e <= h, walked now and checked to hold the rest."""
+        below, head = self._walked
+        band = _members_below(h, self.dominant, self.box, below)
+        if len(band) != count - len(head):
+            raise SoundnessError(
+                f"the staircase holds {len(head) + len(band)} columns, not {count}")
+        return head + band
 
 
 def _ilog(b: int, T: int) -> int:
@@ -271,9 +277,9 @@ def build_exponent_set(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> Ex
     return ExponentSet(box=box, dominant=_dominant_vector(m), cutoff=cutoff)
 
 
-def _members_below(T: int, m: ExponentVector, box: BoxBounds) -> tuple:
-    """The e with B^e <= T and e_i < m_i in at least one coordinate, sorted
-    by the box order: by height B^e, ties broken lexicographically.
+def _members_below(T: int, m: ExponentVector, box: BoxBounds, above: int = 0) -> tuple:
+    """The e with above < B^e <= T and e_i < m_i in at least one coordinate,
+    sorted by the box order: by height B^e, ties broken lexicographically.
 
     Only members are visited: once e1 >= m1 and e2 >= m2, a member needs
     e3 < m3, so each e3 walk ends at its first non-member.
@@ -292,7 +298,8 @@ def _members_below(T: int, m: ExponentVector, box: BoxBounds) -> tuple:
             h = h12
             e3 = 0
             while h <= T and e3 < stop:
-                keyed.append((h, (e1, e2, e3)))
+                if h > above:
+                    keyed.append((h, (e1, e2, e3)))
                 h *= b3
                 e3 += 1
             h12 *= b2
@@ -506,7 +513,7 @@ def compute_params(
 def _chain_start(e: Sequence[int], t: Sequence[int], E: ExponentSet) -> tuple:
     e, t = _as_exponent(3, e), _as_exponent(3, t)
     if e not in E.restricted_set:
-        raise ContractViolation(f"{e} is not a restricted member of the set")
+        raise ContractViolation(f"{_shown(e)} is not a restricted member of the set")
     return e, t
 
 

@@ -34,6 +34,7 @@ from detsieve.exponents import (
     BoxBounds,
     ExactLog,
     build_exponent_set,
+    lambda_single,
     max_exponent,
     power_cutoff,
     staircase_size,
@@ -422,6 +423,13 @@ class TestIntegerInputs:
              r"the cutoff a 16610-bit int\^2 needs over"),
             (power_cutoff, (3, 10 ** 5000, (2, 0, 0), BoxBounds(3, 3, 3)),
              r"the cutoff 3\^a 16610-bit int needs over"),
+            # a 5 000-digit prime, exponent or exponent entry raised
+            # ValueError while the refusal formatted it
+            (p_adic_valuation, (12, 10 ** 5000), "a 16610-bit int is not prime"),
+            (prime_power_valuation, (12, 3, -10 ** 5000),
+             "prime exponent j must be at least 1, not a 16610-bit int"),
+            (lambda_single, ((10 ** 5000, 0, 0), (0, 0, 0), staircase(3, 4)),
+             r"\(a 16610-bit int, 0, 0\) is not a restricted member"),
         ]
         for fn, args, match in table:
             with pytest.raises(ContractViolation, match=match):
@@ -890,14 +898,15 @@ class TestKernelPrefix:
             assert prefix == whole, (box, m, E.cutoff, pts)
             seen += 1
 
-    def test_benchmark_classes_walk_only_a_prefix(self, monkeypatch):
-        # the largest walk of each uncertified benchmark class, never the
-        # full staircase: 59 of 1 443, 81 of 484 and 529, 4 of 121
+    @staticmethod
+    def benchmark_walks(monkeypatch):
+        """Per uncertified benchmark op: its report's set size, the most
+        members its walks may total, and the member counts of its walks."""
         walks = []
         real = detsieve.exponents._members_below
 
-        def walk(T, m, box):
-            members = real(T, m, box)
+        def walk(*args):
+            members = real(*args)
             walks.append(len(members))
             return members
 
@@ -919,13 +928,30 @@ class TestKernelPrefix:
             "aux-B30-p5-p7": (lambda: surface(3, 1001, 3, (30, 30, 30), (5, 7)), 121, 10),
             "aux-grid-12-20-30": (lambda: surface(5, 6, 5, (12, 20, 30)), 1443, 100),
         }
+        out = {}
         for name, (go, size, most) in runs.items():
             del walks[:]
             rep = go()
             assert rep.set_size == size
             assert all(c.certificates == () for c in rep.classes)
-            assert walks and max(walks) < most, (name, walks)
             assert "members" not in vars(rep.exponent_set)
+            out[name] = (most, list(walks))
+        return out
+
+    def test_benchmark_classes_walk_only_a_prefix(self, monkeypatch):
+        # the largest walk of each uncertified benchmark class, never the
+        # full staircase: 59 of 1 443, 81 of 484 and 529, 4 of 121
+        for name, (most, walks) in self.benchmark_walks(monkeypatch).items():
+            assert walks and max(walks) < most, (name, walks)
+
+    def test_a_taller_prefix_walks_only_its_band(self, monkeypatch):
+        # each taller prefix appends the band above the last one, so the
+        # walks total the longest prefix: 81 on cover-B16 (25 then 56, not
+        # 25 + 81) and 59 on aux-grid (17 then 42, not 17 + 59)
+        walks = self.benchmark_walks(monkeypatch)
+        assert sum(walks["cover-B16"][1]) == 81
+        assert sum(walks["aux-grid-12-20-30"][1]) == 59
+        assert len(walks["cover-B16"][1]) == len(walks["aux-grid-12-20-30"][1]) == 2
 
 
 class TestAuxPipeline:
@@ -1154,9 +1180,9 @@ class TestAuxPipeline:
 
         real_walk = detsieve.exponents._members_below
 
-        def walk(T, m, box):
+        def walk(T, *args):
             walks.append(T)
-            return real_walk(T, m, box)
+            return real_walk(T, *args)
 
         for module in (detsieve.determinant, detsieve.exponents):
             monkeypatch.setattr(module, "build_exponent_set", counting)
@@ -1214,7 +1240,7 @@ class TestAuxPipeline:
 
         real_walk = detsieve.exponents._members_below
         monkeypatch.setattr(detsieve.exponents, "_members_below",
-                            lambda T, m, box: real_walk(T, m, box)[:-1])
+                            lambda *args: real_walk(*args)[:-1])
         # prefix walks only: the class is uncertified
         with pytest.raises(SoundnessError, match="the staircase holds"):
             aux_pipeline(f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
@@ -2034,3 +2060,156 @@ class TestCertificateChecks:
         self.corrupt_operations(monkeypatch, corrupt)
         with pytest.raises(SoundnessError, match="column divisors do not multiply"):
             congruence_reduce(*args)
+
+
+def reference_column_operations(M, gq, q, t, E, mus):
+    """The column operations one cell and one point at a time, as they were
+    first written: gq evaluated at each point, each replacement column of A
+    the product x^(e - mu t) * gq^mu, and each replaced cell of R the
+    monomial's value times w^mu."""
+    col_pos = {e: i for i, e in enumerate(E.members)}
+    a_cols = [((i, 1),) for i in range(len(E.members))]
+    divisors = [1] * len(E.members)
+    reduced = [list(row) for row in M.entries]
+    quotients = []
+    for pt in M.rows:
+        w, rem = divmod(gq.evaluate(pt), q)
+        assert rem == 0
+        quotients.append(w)
+    gq_powers = [P.constant(3, 1)]
+    for e, mu in mus:
+        if mu == 0:
+            continue
+        while len(gq_powers) <= mu:
+            gq_powers.append(gq_powers[-1] * gq)
+        i = col_pos[e]
+        shifted = tuple(a - mu * b for a, b in zip(e, t))
+        replacement = P.monomial(3, shifted) * gq_powers[mu]
+        assert set(replacement.terms) <= E.restricted_set
+        a_cols[i] = tuple((col_pos[u], cu) for u, cu in replacement.terms.items())
+        divisors[i] = q ** mu
+        for row, pt, w in zip(reduced, M.rows, quotients):
+            row[i] = eval_monomial(pt, shifted) * w ** mu
+    return a_cols, divisors, reduced
+
+
+def wide_coordinate_certificate():
+    """(M, side, E) with points whose coordinates are zero, negative or
+    beyond 2^64, each on x2^2 + x3^2 = 6 mod 5."""
+    g = P(3, {(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -6})
+    big = 5 * 2 ** 70
+    pts = [(0, 0, 1), (0, -1, 0), (-3, 5, -4), (7, big, big + 1), (-big, -big - 1, 0),
+           (big ** 2, 0, -(big + 4)), (1, -big - 4, big), (2, 10, 1), (-1, 1, -big)]
+    for p in pts:
+        assert g.evaluate(p) % 5 == 0
+    E = staircase(3, 2)
+    return build_matrix(pts, E), SideCondition(g, 5), E
+
+
+class TestColumnOperations:
+    """The certificate's column operations, computed a column at a time,
+    against the one-cell-at-a-time reference they replaced."""
+
+    @staticmethod
+    def capture(monkeypatch):
+        """Record the arguments and the result of every _column_operations call."""
+        calls = []
+        real = determinant._column_operations
+
+        def spy(*args):
+            out = real(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(determinant, "_column_operations", spy)
+        return calls
+
+    @staticmethod
+    def assert_matches_reference(calls):
+        assert calls
+        for args, out in calls:
+            assert out == reference_column_operations(*args[:6])
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CERTIFY))
+    def test_benchmark_configs(self, monkeypatch, name):
+        M, side, E = diagonal_certify(*BENCHMARK_CERTIFY[name])
+        calls = self.capture(monkeypatch)
+        congruence_certificates(M, side, E, samples=0)
+        self.assert_matches_reference(calls)
+        (_, (_, divisors, _)), = calls
+        assert sum(d > 1 for d in divisors) >= 9
+
+    def test_certificate_corpus(self, monkeypatch):
+        calls = self.capture(monkeypatch)
+        assert certificate_corpus()
+        self.assert_matches_reference(calls)
+        assert {args[3] == (0, 0, 0) for args, _ in calls} == {True, False}
+
+    @pytest.mark.parametrize("slot", sorted(WRONG_SIDE))
+    def test_every_shift_slot(self, monkeypatch, slot):
+        M, side, t, E = slot_certificate(slot)
+        calls = self.capture(monkeypatch)
+        congruence_reduce(M, side, t, E, samples=0)
+        self.assert_matches_reference(calls)
+        assert calls[0][0][3] == t
+
+    def test_zero_negative_and_wide_coordinates(self, monkeypatch):
+        M, side, E = wide_coordinate_certificate()
+        values = determinant._ValueColumns(M.rows)
+        for e in E.members:
+            assert values(e) == [eval_monomial(p, e) for p in M.rows]
+        assert values.evaluate(side.g) == [side.g.evaluate(p) for p in M.rows]
+        calls = self.capture(monkeypatch)
+        cert = congruence_reduce(M, side, (0, 0, 0), E, samples=0)
+        self.assert_matches_reference(calls)
+        assert cert.lam >= 1
+        assert max(abs(x) for row in cert.reduced_entries for x in row) > 2 ** 64
+
+    def test_a_point_off_the_congruence_is_named(self):
+        M, side, E = wide_coordinate_certificate()
+        off = (1, 5 * 2 ** 70, 2)
+        bad = build_matrix(M.rows + (off,), E)
+        with pytest.raises(ContractViolation,
+                           match=rf"point \(1, {5 * 2 ** 70}, 2\) violates the congruence mod 5"):
+            congruence_reduce(bad, side, (0, 0, 0), E, samples=0)
+
+    def test_a_quotient_with_a_remainder_is_a_soundness_error(self, monkeypatch):
+        # the congruence check passes, so only gq itself can be off: a
+        # point off the congruence handed to the column operations directly
+        M, side, E = wide_coordinate_certificate()
+        calls = self.capture(monkeypatch)
+        congruence_reduce(M, side, (0, 0, 0), E, samples=0)
+        (args, _), = calls
+        off = (0, 1, 1)
+        bad = build_matrix(M.rows + (off,), E)
+        with pytest.raises(SoundnessError,
+                           match=r"reduced side polynomial at \(0, 1, 1\) is not divisible by 5"):
+            determinant._column_operations(bad, *args[1:6], determinant._ValueColumns(bad.rows))
+
+    def test_hand_built_rows_are_read_as_integer_points(self):
+        M, side, E = wide_coordinate_certificate()
+        for bad, match in ((1.5, "point coordinate must be an integer"),
+                           (True, "point coordinate must be an integer")):
+            rows = ((bad, 0, 1),) + M.rows[1:]
+            with pytest.raises(ContractViolation, match=match):
+                congruence_reduce(MonomialMatrix(rows, M.cols, M.entries), side, (0, 0, 0), E)
+        rows = ((0, 1),) + M.rows[1:]
+        with pytest.raises(ContractViolation, match=r"point \(0, 1\) is not a triple"):
+            congruence_reduce(MonomialMatrix(rows, M.cols, M.entries), side, (0, 0, 0), E)
+
+    @pytest.mark.parametrize("slot", sorted(WRONG_SIDE))
+    def test_the_identity_check_reads_every_cell(self, monkeypatch, slot):
+        # one cell of R off by one, in a replaced or an untouched column,
+        # at any row: M A = R D fails in that column
+        M, side, t, E = slot_certificate(slot)
+        calls = self.capture(monkeypatch)
+        congruence_reduce(M, side, t, E, samples=0)
+        (_, (a_cols, divisors, reduced)), = calls
+        assert {d > 1 for d in divisors} == {True, False}
+        determinant._check_column_identity(M.entries, a_cols, divisors, reduced)
+        for j, row in enumerate(reduced):
+            for i in range(len(row)):
+                bad = [list(r) for r in reduced]
+                bad[j][i] += 1
+                with pytest.raises(SoundnessError, match=f"column {i} of M A"):
+                    determinant._check_column_identity(M.entries, a_cols, divisors, bad)
