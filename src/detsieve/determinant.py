@@ -416,10 +416,12 @@ class _ValueColumns:
     __slots__ = ("coords", "cache")
 
     def __init__(self, points: Sequence[tuple]):
+        if not points:
+            raise ContractViolation("matrix needs at least one point")
         for p in points:
             if len(p) != 3:
                 raise ContractViolation(f"point {p} is not a triple")
-        self.coords = _int_cells(tuple(zip(*points)) or ((),) * 3, "point coordinate")
+        self.coords = _int_cells(tuple(zip(*points)), "point coordinate")
         self.cache = {(0, 0, 0): [1] * len(points)}
 
     def __call__(self, e: tuple) -> list:
@@ -432,7 +434,7 @@ class _ValueColumns:
 
     def evaluate(self, poly: IntegerPolynomial) -> list:
         """poly at every point: the sum of its terms' columns."""
-        acc = [0] * len(self.cache[0, 0, 0])
+        acc = [0] * len(self.coords[0])
         for e, c in poly.terms.items():
             acc = list(map(operator.add, acc, map(c.__mul__, self(e))))
         return acc

@@ -277,7 +277,7 @@ def build_exponent_set(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> Ex
     return ExponentSet(box=box, dominant=_dominant_vector(m), cutoff=cutoff)
 
 
-def _members_below(T: int, m: ExponentVector, box: BoxBounds, above: int = 0) -> tuple:
+def _members_below(T: int, m: ExponentVector, box: BoxBounds, above: int) -> tuple:
     """The e with above < B^e <= T and e_i < m_i in at least one coordinate,
     sorted by the box order: by height B^e, ties broken lexicographically.
 

@@ -2196,6 +2196,9 @@ class TestColumnOperations:
         rows = ((0, 1),) + M.rows[1:]
         with pytest.raises(ContractViolation, match=r"point \(0, 1\) is not a triple"):
             congruence_reduce(MonomialMatrix(rows, M.cols, M.entries), side, (0, 0, 0), E)
+        # no rows used to reach the identity check and raise IndexError
+        with pytest.raises(ContractViolation, match="matrix needs at least one point"):
+            congruence_reduce(MonomialMatrix((), M.cols, ()), side, (0, 0, 0), E)
 
     @pytest.mark.parametrize("slot", sorted(WRONG_SIDE))
     def test_the_identity_check_reads_every_cell(self, monkeypatch, slot):
