@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from itertools import chain
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 from .arith import factorize, is_prime, prime_power_decompose
@@ -407,10 +407,12 @@ def select_shift(side: SideCondition) -> tuple:
 class _ValueColumns:
     """The columns x^e over a list of points, each built once.
 
-    Column x^e is the cached column x^(e - u_k) times coordinate column k,
-    u_k the unit vector of the last axis k on which e is nonzero: one
-    C-level product over the points.  ``evaluate`` sums a polynomial's
-    term columns, so it gives the polynomial's value at every point.
+    Column x^e is the cached column of e with its last nonzero entry e_k
+    set to 0, times the powers x_k^(e_k) of coordinate column k: two
+    C-level passes over the points, and at most three columns deep, so a
+    term of degree up to the cap builds no chain of lower columns.
+    ``evaluate`` sums a polynomial's term columns, so it gives the
+    polynomial's value at every point.
     """
 
     __slots__ = ("coords", "cache")
@@ -428,8 +430,8 @@ class _ValueColumns:
         col = self.cache.get(e)
         if col is None:
             k = 2 if e[2] else 1 if e[1] else 0
-            lower = tuple(v - (i == k) for i, v in enumerate(e))
-            col = self.cache[e] = list(map(operator.mul, self(lower), self.coords[k]))
+            powers = map(pow, self.coords[k], repeat(e[k]))
+            col = self.cache[e] = list(map(operator.mul, self(e[:k] + (0,) * (3 - k)), powers))
         return col
 
     def evaluate(self, poly: IntegerPolynomial) -> list:
@@ -502,23 +504,17 @@ def _check_column_identity(entries, a_cols, divisors, reduced) -> None:
     """Raise SoundnessError unless M A = R D holds on every entry.
 
     a_cols[i] lists the nonzero entries (row, value) of column i of A and
-    D = diag(divisors).  The identity is compared a column at a time on
-    the transposed columns of M and R, exactly on every cell: a unit
-    column of A by one equality of M[:, i] and R[:, i], every other column
-    by its sum of a * M[:, r] over the entries against d * R[:, i].
+    D = diag(divisors).  The identity is compared a column at a time,
+    exactly on every cell: each column of M A is summed from the columns
+    of M that column i of A touches and compared with column i of R times
+    its divisor.
     """
     m_cols = list(zip(*entries))
-    r_cols = list(zip(*reduced))
     for i, (pairs, d) in enumerate(zip(a_cols, divisors)):
-        if d == 1 and pairs == ((i, 1),):
-            same = m_cols[i] == r_cols[i]
-        else:
-            acc = [0] * len(entries)
-            for r, a in pairs:
-                col = m_cols[r] if a == 1 else map(a.__mul__, m_cols[r])
-                acc = list(map(operator.add, acc, col))
-            same = acc == list(map(d.__mul__, r_cols[i]))
-        if not same:
+        acc = [0] * len(entries)
+        for r, a in pairs:
+            acc = [x + a * y for x, y in zip(acc, m_cols[r])]
+        if acc != [row[i] * d for row in reduced]:
             raise SoundnessError(
                 f"column {i} of M A differs from the reduced column times {d}"
             )

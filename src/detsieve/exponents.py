@@ -281,7 +281,8 @@ def _members_below(T: int, m: ExponentVector, box: BoxBounds, above: int) -> tup
     """The e with above < B^e <= T and e_i < m_i in at least one coordinate,
     sorted by the box order: by height B^e, ties broken lexicographically.
 
-    Only members are visited: once e1 >= m1 and e2 >= m2, a member needs
+    Only members of the band are visited: each e3 walk starts at the first
+    e3 with B^e > above, and once e1 >= m1 and e2 >= m2 a member needs
     e3 < m3, so each e3 walk ends at its first non-member.
     """
     b1, b2, b3 = box.bounds
@@ -295,11 +296,11 @@ def _members_below(T: int, m: ExponentVector, box: BoxBounds, above: int) -> tup
             stop = m[2] if e1 >= m[0] and e2 >= m[1] else INFINITE
             if not stop:
                 break
-            h = h12
-            e3 = 0
+            # the smallest e3 with h12 * b3^e3 > above
+            e3 = _ilog(b3, above // h12) + 1 if h12 <= above else 0
+            h = h12 * b3 ** e3
             while h <= T and e3 < stop:
-                if h > above:
-                    keyed.append((h, (e1, e2, e3)))
+                keyed.append((h, (e1, e2, e3)))
                 h *= b3
                 e3 += 1
             h12 *= b2

@@ -1,7 +1,9 @@
 """Monomial matrices, exact minors, divisibility certificates, kernel covers."""
 
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from detsieve.determinant import (
     rank_over_rationals,
     select_shift,
 )
-from detsieve.enumeration import ResidueData, SideCondition, enumerate_points
+from detsieve.enumeration import DEGREE_CAP, ResidueData, SideCondition, enumerate_points
 from detsieve.errors import CapExceeded, ContractViolation, HypothesisViolation, SoundnessError
 from detsieve.exponents import (
     INFINITE,
@@ -900,14 +902,29 @@ class TestKernelPrefix:
 
     @staticmethod
     def benchmark_walks(monkeypatch):
-        """Per uncertified benchmark op: its report's set size, the most
-        members its walks may total, and the member counts of its walks."""
+        """Per uncertified benchmark op: the most members one of its walks
+        may visit, and the members each of its walks visits, counted as the
+        steps of _members_below's e3 loop, not as the members it returns."""
         walks = []
         real = detsieve.exponents._members_below
+        lines, first = inspect.getsourcelines(real)
+        (step,) = [first + i for i, text in enumerate(lines) if "h *= b3" in text]
+
+        def count_steps(frame, event, arg):
+            if event == "line" and frame.f_lineno == step:
+                walks[-1] += 1
+            return count_steps
 
         def walk(*args):
-            members = real(*args)
-            walks.append(len(members))
+            walks.append(0)
+            outer = sys.gettrace()
+            sys.settrace(lambda frame, event, arg:
+                         count_steps if frame.f_code is real.__code__ else None)
+            try:
+                members = real(*args)
+            finally:
+                sys.settrace(outer)
+            assert len(members) == walks[-1]
             return members
 
         monkeypatch.setattr(detsieve.exponents, "_members_below", walk)
@@ -945,8 +962,8 @@ class TestKernelPrefix:
             assert walks and max(walks) < most, (name, walks)
 
     def test_a_taller_prefix_walks_only_its_band(self, monkeypatch):
-        # each taller prefix appends the band above the last one, so the
-        # walks total the longest prefix: 81 on cover-B16 (25 then 56, not
+        # each taller prefix visits only the band above the last one, so the
+        # visits total the longest prefix: 81 on cover-B16 (25 then 56, not
         # 25 + 81) and 59 on aux-grid (17 then 42, not 17 + 59)
         walks = self.benchmark_walks(monkeypatch)
         assert sum(walks["cover-B16"][1]) == 81
@@ -2164,6 +2181,22 @@ class TestColumnOperations:
         self.assert_matches_reference(calls)
         assert cert.lam >= 1
         assert max(abs(x) for row in cert.reduced_entries for x in row) > 2 ** 64
+
+    @pytest.mark.parametrize("t", [(0, 0, 0), (0, DEGREE_CAP - 1, 0)])
+    def test_a_side_polynomial_near_the_degree_cap(self, monkeypatch, t):
+        # g = x2^999 - 1 mod 2, on the points with x2 odd: its tall term's
+        # column is built from coordinate powers, not a chain of 999 columns
+        g = P(3, {(0, DEGREE_CAP - 1, 0): 1, (0, 0, 0): -1})
+        f = P(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -51})
+        side = SideCondition(g, 2)
+        E = staircase(8, 2)
+        M = build_matrix(enumerate_points(f, side, BoxBounds(8, 8, 8)), E)
+        assert M.shape == (48, 9)
+        assert determinant._ValueColumns(M.rows).evaluate(g) == [g.evaluate(p) for p in M.rows]
+        calls = self.capture(monkeypatch)
+        cert = congruence_reduce(M, side, t, E, samples=0)
+        self.assert_matches_reference(calls)
+        assert cert.shift == t
 
     def test_a_point_off_the_congruence_is_named(self):
         M, side, E = wide_coordinate_certificate()
