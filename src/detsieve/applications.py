@@ -18,7 +18,7 @@ from .arith import divisors, is_prime
 from .determinant import CoverReport, _sample_count, aux_pipeline
 from .enumeration import DEGREE_CAP, SideCondition, enumerate_points
 from .errors import (
-    CapExceeded, ContractViolation, Record, SoundnessError, strict_int, strict_real,
+    CapExceeded, ContractViolation, Record, SoundnessError, _shown, strict_int, strict_real,
 )
 from .exponents import BoxBounds, check_epsilon
 from .polynomials import (
@@ -180,7 +180,7 @@ class UnlikePowersInstance(Record):
         if min(self.k, self.l, self.m) < 2:
             raise ContractViolation("all exponents must be at least 2")
         if max(self.k, self.l, self.m) > DEGREE_CAP:
-            raise CapExceeded(f"exponent {max(self.k, self.l, self.m)} is over "
+            raise CapExceeded(f"exponent {_shown(max(self.k, self.l, self.m))} is over "
                               f"the degree cap {DEGREE_CAP}")
         if self.N == 0:
             raise ContractViolation("target must be nonzero")
@@ -503,9 +503,10 @@ def gcd_power_sum(alpha, X: int, n: int) -> GcdPowerSum:
     X = strict_int(X, "range X")
     n = strict_int(n, "twist n")
     if X < 1 or n < 1:
-        raise ContractViolation(f"range X = {X} and twist n = {n} must be positive")
+        raise ContractViolation(
+            f"range X = {_shown(X)} and twist n = {_shown(n)} must be positive")
     if X > POWER_SUM_RANGE_CAP:
-        raise CapExceeded(f"range X = {X} is over the cap {POWER_SUM_RANGE_CAP}")
+        raise CapExceeded(f"range X = {_shown(X)} is over the cap {POWER_SUM_RANGE_CAP}")
     total, majorant, terms = _power_sums(a, X, n)
     if total > majorant:
         raise SoundnessError(f"power sum exceeds its majorant for {(alpha, X, n)}")

@@ -9,9 +9,11 @@ rows and kernel vectors come from one fraction-free (Bareiss) integer
 elimination; there is no rational arithmetic.  The elimination is lazy in
 rows and in columns: it touches a row only when the pivot scan reaches it,
 and it computes a column only when the scan reaches it, so its echelon
-rows cover only the columns the scan reached.  The cover pipeline hands it
-rows that compute monomial values a slice at a time, so a class computes
-only the cells the scan reaches and walks only the staircase members those
+rows cover only the columns the scan reached.  Every monomial value x^e at
+a class's points comes from one place, the class's value columns, each
+built once over all its points.  The cover pipeline hands the elimination
+rows that read those columns a slice at a time, so a class computes only
+the cells the scan reaches and walks only the staircase members those
 cells need, a prefix in box order; only a class that takes certificates,
 which check M A = R D on every cell, builds the whole matrix and walks
 every member.
@@ -86,48 +88,83 @@ class MonomialMatrix(Record):
         return self.entries[j][i]
 
 
-class _ValueRow:
-    """One point's row of monomial values, computed a slice at a time.
+class _ValueColumns:
+    """The columns x^e over a list of points, each built once.
 
-    The powers x^0..x^top of each coordinate (0^0 = 1) are tabulated once,
-    up to the staircase's largest exponent on that axis, so each cell is one
-    product of three table entries.  Only slices are read: ``_row_reduce``
-    takes ``row[:width]`` and ``row[width:new]``, so a grid of these rows
-    computes only the columns its pivot scan reaches, and a slice reads the
-    staircase's prefix up to its stop, so the members past the columns the
-    scan reaches are never walked.
+    Column x^e is the cached column of e with its last nonzero entry e_k
+    set to 0, times the powers x_k^(e_k) of coordinate column k: two
+    C-level passes over the points, and at most three columns deep, so a
+    term of degree up to the cap builds no chain of lower columns.
+    ``evaluate`` sums a polynomial's term columns, so it gives the
+    polynomial's value at every point.  This is the one place that computes
+    x^e at points: ``build_matrix``, the lazy rows and the certificate all
+    read it.  ``block`` keeps the last slice of columns a ``_ValueRow``
+    read, transposed into rows, with its slice.
     """
 
-    __slots__ = ("E", "powers")
+    __slots__ = ("coords", "cache", "block")
 
-    def __init__(self, point: tuple, E: ExponentSet):
-        self.E = E
-        self.powers = []
-        for x, top in zip(point, E.tops):
-            run = [1]
-            for _ in range(top):
-                run.append(run[-1] * x)
-            self.powers.append(run)
+    def __init__(self, points: Sequence[tuple]):
+        if not points:
+            raise ContractViolation("matrix needs at least one point")
+        for p in points:
+            if len(p) != 3:
+                raise ContractViolation(f"point {_shown(tuple(p))} is not a triple")
+        self.coords = _int_cells(tuple(zip(*points)), "point coordinate")
+        self.cache = {(0, 0, 0): [1] * len(points)}
+        self.block = None, ()
+
+    def __call__(self, e: tuple) -> list:
+        col = self.cache.get(e)
+        if col is None:
+            k = 2 if e[2] else 1 if e[1] else 0
+            powers = map(pow, self.coords[k], repeat(e[k]))
+            col = self.cache[e] = list(map(operator.mul, self(e[:k] + (0,) * (3 - k)), powers))
+        return col
+
+    def evaluate(self, poly: IntegerPolynomial) -> list:
+        """poly at every point: the sum of its terms' columns."""
+        acc = [0] * len(self.coords[0])
+        for e, c in poly.terms.items():
+            acc = list(map(operator.add, acc, map(c.__mul__, self(e))))
+        return acc
+
+
+class _ValueRow:
+    """Row j of a class's monomial values, read from the class's value
+    columns a slice at a time.
+
+    Only slices are read: ``_row_reduce`` takes ``row[:width]`` and
+    ``row[width:new]`` of every row in turn, so the first row to read a
+    slice builds its columns, over the staircase's prefix up to its stop,
+    and transposes them once; the rest of the rows copy their entry of that
+    block.  A grid of these rows computes only the columns its pivot scan
+    reaches, and the members past them are never walked.
+    """
+
+    __slots__ = ("values", "E", "j")
+
+    def __init__(self, values: _ValueColumns, E: ExponentSet, j: int):
+        self.values, self.E, self.j = values, E, j
 
     def __len__(self) -> int:
         return len(self.E)
 
     def __getitem__(self, s: slice) -> list:
-        a, b, c = self.powers
-        return [a[i] * b[j] * c[k] for i, j, k in self.E.prefix(s.stop)[s]]
+        values = self.values
+        key, rows = values.block
+        if key != s:
+            rows = list(zip(*map(values, self.E.prefix(s.stop)[s])))
+            values.block = s, rows
+        return list(rows[self.j]) if rows else []
 
 
 def build_matrix(points: Sequence, E: ExponentSet) -> MonomialMatrix:
     """Monomial-value matrix with one row per point, one column per member:
-    every cell of each point's ``_ValueRow``."""
-    pts = tuple(tuple(strict_int(x, "point coordinate") for x in p) for p in points)
-    if not pts:
-        raise ContractViolation("matrix needs at least one point")
-    for p in pts:
-        if len(p) != 3:
-            raise ContractViolation(f"point {p} is not a triple")
-    entries = tuple(tuple(_ValueRow(p, E)[:]) for p in pts)
-    return MonomialMatrix(rows=pts, cols=E.members, entries=entries)
+    the value columns of every member, transposed."""
+    values = _ValueColumns(tuple(points))
+    entries = tuple(zip(*map(values, E.members)))
+    return MonomialMatrix(rows=tuple(zip(*values.coords)), cols=E.members, entries=entries)
 
 
 def integer_determinant(grid: Sequence[Sequence[int]]) -> int:
@@ -402,44 +439,6 @@ def select_shift(side: SideCondition) -> tuple:
         f"no admissible shift for modulus {q}: neither the constant term "
         "nor a pure top-degree coefficient is a unit"
     )
-
-
-class _ValueColumns:
-    """The columns x^e over a list of points, each built once.
-
-    Column x^e is the cached column of e with its last nonzero entry e_k
-    set to 0, times the powers x_k^(e_k) of coordinate column k: two
-    C-level passes over the points, and at most three columns deep, so a
-    term of degree up to the cap builds no chain of lower columns.
-    ``evaluate`` sums a polynomial's term columns, so it gives the
-    polynomial's value at every point.
-    """
-
-    __slots__ = ("coords", "cache")
-
-    def __init__(self, points: Sequence[tuple]):
-        if not points:
-            raise ContractViolation("matrix needs at least one point")
-        for p in points:
-            if len(p) != 3:
-                raise ContractViolation(f"point {p} is not a triple")
-        self.coords = _int_cells(tuple(zip(*points)), "point coordinate")
-        self.cache = {(0, 0, 0): [1] * len(points)}
-
-    def __call__(self, e: tuple) -> list:
-        col = self.cache.get(e)
-        if col is None:
-            k = 2 if e[2] else 1 if e[1] else 0
-            powers = map(pow, self.coords[k], repeat(e[k]))
-            col = self.cache[e] = list(map(operator.mul, self(e[:k] + (0,) * (3 - k)), powers))
-        return col
-
-    def evaluate(self, poly: IntegerPolynomial) -> list:
-        """poly at every point: the sum of its terms' columns."""
-        acc = [0] * len(self.coords[0])
-        for e, c in poly.terms.items():
-            acc = list(map(operator.add, acc, map(c.__mul__, self(e))))
-        return acc
 
 
 def _column_operations(
@@ -917,7 +916,8 @@ def aux_pipeline(
             M = build_matrix(class_points, E_set)
             grid = M.entries
         else:
-            grid = [_ValueRow(pt, E_set) for pt in class_points]
+            values = _ValueColumns(class_points)
+            grid = [_ValueRow(values, E_set, j) for j in range(len(class_points))]
         counts["matrices_built"] += 1
         rank, pivot_cols, pivot_rows, echelon = _row_reduce(grid)
         counts["rank_computations"] += 1

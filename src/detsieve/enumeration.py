@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .arith import is_prime
-from .errors import CapExceeded, ContractViolation, Record, strict_int, strict_real
+from .errors import CapExceeded, ContractViolation, Record, _shown, strict_int, strict_real
 from .exponents import BoxBounds, SideCondition
 from .polynomials import IntegerPolynomial
 
@@ -302,7 +302,7 @@ class ResidueData(Record):
             raise ContractViolation("residue primes must be distinct")
         for p in ps:
             if not is_prime(p):
-                raise ContractViolation(f"residue modulus {p} is not prime")
+                raise ContractViolation(f"residue modulus {_shown(p)} is not prime")
         object.__setattr__(self, "primes", tuple(sorted(ps)))
 
     @property

@@ -175,10 +175,10 @@ class ExponentSet(Record):
     e_i < dominant_i in at least one coordinate, sorted by the box order;
     the restricted members are those with e_1 < dominant_1.  The record
     holds only the box, the dominant exponent and the cutoff.  len() is
-    ``staircase_size`` and ``tops`` a closed form, so neither walks a
-    member.  ``prefix`` walks only as many members as its reader asks for,
-    and ``members`` runs the full walk when first read.  Each walk is
-    checked against ``staircase_size`` at its height.
+    ``staircase_size``, so it walks no member.  ``prefix`` walks only as
+    many members as its reader asks for, and ``members`` runs the full walk
+    when first read.  Each walk is checked against ``staircase_size`` at
+    its height.
     """
 
     box: BoxBounds
@@ -205,15 +205,6 @@ class ExponentSet(Record):
     @cached_property
     def restricted_set(self) -> frozenset:
         return frozenset(self.restricted_members)
-
-    @cached_property
-    def tops(self) -> tuple:
-        """The largest exponent of each variable over the members:
-        floor(log_Bi T), capped at m_i - 1 when the other two m_j are 0.
-        k·unit_i is a member at that k, so the bound is reached."""
-        T, m = self.cutoff.height, self.dominant
-        return tuple(min(_ilog(b, T), mi - 1) if mi == sum(m) else _ilog(b, T)
-                     for b, mi in zip(self.box.bounds, m))
 
     @cached_property
     def _walked(self) -> list:
@@ -671,7 +662,7 @@ def choose_Y(
 
     if box.equal:
         size, blocks, first, gallop = 1, POWER_CAP - floor_const + 1, 0, 2
-        tried = f"n*log({box.b1}) with n in [{floor_const}, {POWER_CAP}]"
+        tried = f"n*log({box.b1}) with n in [{_shown(floor_const)}, {POWER_CAP}]"
 
         def candidate(i: int) -> ExactLog:
             return ExactLog.power(box.b1, floor_const + i)

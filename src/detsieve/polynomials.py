@@ -12,7 +12,7 @@ import math
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ContractViolation, SoundnessError, strict_int
+from .errors import ContractViolation, SoundnessError, _shown, strict_int
 
 ExponentVector = tuple[int, ...]
 
@@ -31,7 +31,7 @@ def _variable_index(nvars: int, i) -> int:
     if type(i) is not int:
         i = strict_int(i, "variable index")
     if not 0 <= i < nvars:
-        raise ContractViolation(f"variable index {i} out of range for {nvars} variables")
+        raise ContractViolation(f"variable index {_shown(i)} out of range for {nvars} variables")
     return i
 
 

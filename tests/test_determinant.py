@@ -10,7 +10,9 @@ import pytest
 
 import detsieve.determinant as determinant
 import detsieve.exponents
-from detsieve.applications import QuadricInstance, count_quadric, quadric_cover_scale
+from detsieve.applications import (
+    QuadricInstance, UnlikePowersInstance, count_quadric, gcd_power_sum, quadric_cover_scale,
+)
 from detsieve.determinant import (
     MINOR_SAMPLE_CAP,
     AuxiliaryPolynomial,
@@ -36,6 +38,7 @@ from detsieve.exponents import (
     BoxBounds,
     ExactLog,
     build_exponent_set,
+    choose_Y,
     lambda_single,
     max_exponent,
     power_cutoff,
@@ -162,18 +165,31 @@ def frontier_slices(nrows, ncols):
     return out
 
 
-def spy_cells(monkeypatch):
-    """Count the cells every _ValueRow computes, build_matrix's included."""
-    cells = [0]
-    real = determinant._ValueRow.__getitem__
+def lazy_rows(pts, E):
+    """The pipeline's lazy rows of a class: one _ValueRow per point over
+    the class's value columns."""
+    values = determinant._ValueColumns(tuple(pts))
+    return [determinant._ValueRow(values, E, j) for j in range(len(values.coords[0]))]
 
-    def spy(row, s):
-        out = real(row, s)
-        cells[0] += len(out)
-        return out
 
-    monkeypatch.setattr(determinant._ValueRow, "__getitem__", spy)
-    return cells
+def spy_columns(monkeypatch):
+    """{each _ValueColumns made: the columns it builds, in order}, in the
+    order they were made; the unit column each starts from comes first."""
+    built = {}
+    real_init, real_call = determinant._ValueColumns.__init__, determinant._ValueColumns.__call__
+
+    def init(values, points):
+        real_init(values, points)
+        built[values] = list(values.cache)
+
+    def call(values, e):
+        if e not in values.cache:
+            built[values].append(e)
+        return real_call(values, e)
+
+    monkeypatch.setattr(determinant._ValueColumns, "__init__", init)
+    monkeypatch.setattr(determinant._ValueColumns, "__call__", call)
+    return built
 
 
 def spy_builds(monkeypatch):
@@ -203,8 +219,7 @@ class TestValueRows:
     ), ids=("equal-3", "dominant-310", "unequal", "wide"))
     def test_every_slice_shape_matches_eager_entries(self, E):
         ncols = len(E)
-        for p in self.POINTS:
-            row = determinant._ValueRow(p, E)
+        for p, row in zip(self.POINTS, lazy_rows(self.POINTS, E)):
             want = [eval_monomial(p, e) for e in E.members]
             assert len(row) == ncols
             assert row[:] == want
@@ -227,26 +242,27 @@ class TestValueRows:
                  (rich, staircase(13, 3)), (rich[:10], staircase(13, 3)),
                  (cover.classes[0].points, cover.exponent_set)]
         for pts, E in cases:
-            lazy = [determinant._ValueRow(p, E) for p in pts]
-            assert _row_reduce(lazy) == _row_reduce(build_matrix(pts, E).entries)
+            assert _row_reduce(lazy_rows(pts, E)) == _row_reduce(build_matrix(pts, E).entries)
 
     def test_cover_b16_computes_only_the_cells_the_scan_reaches(self, monkeypatch):
         # 16 points under 484 columns: the frontier starts at 17 columns and
-        # doubles once, so at most 16 x 34 of the 7 744 cells are computed
-        cells = spy_cells(monkeypatch)
+        # doubles once, so at most 34 of the 484 columns are built, each once
+        columns = spy_columns(monkeypatch)
         built = spy_builds(monkeypatch)
         report = count_quadric(QuadricInstance(3, 1, 1, 1001, 16), "pipeline").report
         (cls,) = report.classes
         assert (len(cls.points), report.set_size) == (16, 484)
         assert cls.outcome == "aux" and cls.certificates == ()
         assert built == []
-        assert 0 < cells[0] <= 16 * 34
+        (cols,) = columns.values()
+        assert 0 < len(cols) <= 34 and len(set(cols)) == len(cols)
+        assert set(cols) <= set(report.exponent_set.members)
 
     def test_certified_class_builds_the_full_matrix(self, monkeypatch):
         # q = 5 and 32 points against 9 columns: the class takes a
         # certificate, so its whole matrix is built and checked
         f, g, box, pts = rich_instance()
-        cells = spy_cells(monkeypatch)
+        columns = spy_columns(monkeypatch)
         built = spy_builds(monkeypatch)
         rep = aux_pipeline(
             f, SideCondition(g, 5), box, ResidueData(()), 0.5, pts,
@@ -259,7 +275,11 @@ class TestValueRows:
         assert M.entries == tuple(
             tuple(eval_monomial(p, e) for e in rep.exponent_set.members) for p in cls.points
         )
-        assert cells[0] == 32 * 9
+        # build_matrix builds each member's column once; each certificate
+        # reads R from the points through value columns of its own
+        cols = next(iter(columns.values()))
+        assert sorted(cols) == sorted(rep.exponent_set.members)
+        assert len(columns) == 1 + len(cls.certificates)
         for cert in cls.certificates:
             assert_two_determinant_relation(M, cert)
         assert cls.falsification.determinant == minor_determinant(M, cls.falsification.rows)
@@ -425,13 +445,25 @@ class TestIntegerInputs:
              r"the cutoff a 16610-bit int\^2 needs over"),
             (power_cutoff, (3, 10 ** 5000, (2, 0, 0), BoxBounds(3, 3, 3)),
              r"the cutoff 3\^a 16610-bit int needs over"),
-            # a 5 000-digit prime, exponent or exponent entry raised
-            # ValueError while the refusal formatted it
+            # a 5 000-digit prime, exponent, exponent entry, range, twist,
+            # variable index, floor constant or coordinate raised ValueError
+            # while the refusal formatted it
             (p_adic_valuation, (12, 10 ** 5000), "a 16610-bit int is not prime"),
             (prime_power_valuation, (12, 3, -10 ** 5000),
              "prime exponent j must be at least 1, not a 16610-bit int"),
             (lambda_single, ((10 ** 5000, 0, 0), (0, 0, 0), staircase(3, 4)),
              r"\(a 16610-bit int, 0, 0\) is not a restricted member"),
+            (ResidueData, ((10 ** 5000,),), "residue modulus a 16610-bit int is not prime"),
+            (UnlikePowersInstance, (10 ** 5000, 5, 3, 2, 5),
+             "exponent a 16610-bit int is over the degree cap"),
+            (gcd_power_sum, (-0.5, 10 ** 5000, 3), "range X = a 16610-bit int is over the cap"),
+            (gcd_power_sum, (-0.5, 10, -10 ** 5000),
+             "twist n = a 16610-bit int must be positive"),
+            (x.partial_derivative, (10 ** 5000,), "variable index a 16610-bit int out of range"),
+            (lambda c: choose_Y(lambda _: True, box=BoxBounds(3, 3, 3), floor_const=c, log_top=1),
+             (10 ** 5000,), r"no cutoff n\*log\(3\) with n in \[a 16610-bit int,"),
+            (build_matrix, ([(10 ** 5000, 1)], staircase(3, 4)),
+             r"point \(a 16610-bit int, 1\) is not a triple"),
         ]
         for fn, args, match in table:
             with pytest.raises(ContractViolation, match=match):
@@ -871,7 +903,7 @@ class TestKernelPrefix:
         whole = _kernel_polynomial(M.rows, M.cols, f, pivot_cols, echelon)
         # as the pipeline reads it: lazy rows over a fresh set, then its prefix
         lazy = build_exponent_set(E.cutoff, E.dominant, E.box)
-        rank, pivot_cols, _, echelon = _row_reduce([determinant._ValueRow(p, lazy) for p in pts])
+        rank, pivot_cols, _, echelon = _row_reduce(lazy_rows(pts, lazy))
         prefix = _kernel_polynomial(tuple(pts), lazy.prefix(rank + 1), f, pivot_cols, echelon)
         return whole, prefix, lazy
 
@@ -1804,6 +1836,25 @@ def diagonal_certify(a, n, q, B, power):
     side = SideCondition(g, q)
     pts = enumerate_points(f, side, box)
     return build_matrix(list(pts), E), side, E
+
+
+class TestBenchmarkCertifyMatrices:
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_CERTIFY))
+    def test_cells_and_lazy_slices_match_eval_monomial(self, name, monkeypatch):
+        # 16 x 169, 330 x 25 and 480 x 25: the transpose at full size, and
+        # every slice the elimination takes of the lazy rows over it
+        M, _, E = diagonal_certify(*BENCHMARK_CERTIFY[name])
+        assert M.entries == tuple(tuple(eval_monomial(p, e) for e in E.members) for p in M.rows)
+        calls = []
+        real = determinant._ValueColumns.__call__
+        monkeypatch.setattr(determinant._ValueColumns, "__call__",
+                            lambda values, e: calls.append(e) or real(values, e))
+        rows = lazy_rows(M.rows, E)
+        for s in frontier_slices(*M.shape):
+            assert [row[s] for row in rows] == [list(entries[s]) for entries in M.entries]
+        # the first row to read a slice reads its columns, the rest copy
+        # their entry: one read per column, one more for each lower column
+        assert len(calls) <= 2 * M.shape[1]
 
 
 def certificate_corpus():

@@ -1037,13 +1037,6 @@ class TestWalkOnlyWhatIsRead:
             assert rising.prefix(None) == rising.members == members
             assert rising.restricted_members == restricted
 
-    def test_tops_are_the_largest_exponents(self):
-        for T, m, box in lazy_cases():
-            members, _ = old_build(T, m, box)
-            E = build_exponent_set(ExactLog(T), m, box)
-            assert E.tops == tuple(max(e[i] for e in members) for i in range(3)), (T, m, box)
-            assert "members" not in vars(E)
-
     def test_a_prefix_walks_below_the_cutoff(self):
         # aux-grid's staircase: 1 443 members, of which its 8-point class
         # reads 9 and then 18; neither walk reaches the cutoff
