@@ -27,7 +27,7 @@ from .polynomials import (
     _require_univariate,
     wronskian,
 )
-from .scalars import power, rnd, root
+from .scalars import _div, _fit, _mul, _pair, _power, _root, _scaled
 
 
 def _is_perfect_square(v: int) -> bool:
@@ -97,7 +97,7 @@ def quadric_cover_scale(q: int, B: int):
     if q < 1 or B < 1:
         raise ContractViolation("cover scale needs positive modulus and box")
     # integer powers first so perfect-power inputs stay exact
-    return rnd(root(power(B, 2), 3) / root(rnd(q), 6))
+    return _scaled(*_div(_root(_power((B, 0), (2, 0)), 3), _root(_fit(q, 0), 6)))
 
 
 class QuadricCount(Record):
@@ -151,7 +151,8 @@ def count_quadric(
     side = SideCondition(g, q)
     box = BoxBounds(inst.B, inst.B, inst.B)
     pts = enumerate_points(f, side, box)
-    scale = rnd(quadric_cover_scale(q, inst.B) * power(inst.B, epsilon))
+    scale = _scaled(*_mul(_pair(quadric_cover_scale(q, inst.B)),
+                          _power((inst.B, 0), _pair(epsilon))))
     report = aux_pipeline(
         f, side, box, None, epsilon, pts,
         seed=seed, minor_samples=minor_samples,

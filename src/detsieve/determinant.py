@@ -31,7 +31,7 @@ from .arith import factorize, is_prime, prime_power_decompose
 from .enumeration import ResidueData, residue_split, split_leftover
 from .errors import (
     ContractViolation, HypothesisViolation, Record, SoundnessError, _shown, strict_int,
-    strict_real,
+    strict_point, strict_real,
 )
 from .exponents import (
     INFINITE,
@@ -51,7 +51,7 @@ from .exponents import (
     staircase_size,
 )
 from .polynomials import IntegerPolynomial, _as_exponent, is_coprime
-from .scalars import rnd, root
+from .scalars import _fit, _mul, _pair, _root, _scaled, _sub, rnd
 
 
 # -- matrices and exact linear algebra ----------------------------------------
@@ -108,8 +108,8 @@ class _ValueColumns:
         if not points:
             raise ContractViolation("matrix needs at least one point")
         for p in points:
-            if len(p) != 3:
-                raise ContractViolation(f"point {_shown(tuple(p))} is not a triple")
+            if type(p) is not tuple or len(p) != 3:
+                strict_point(p)  # refuses all but a sequence of three integers
         self.coords = _int_cells(tuple(zip(*points)), "point coordinate")
         self.cache = {(0, 0, 0): [1] * len(points)}
         self.block = None, ()
@@ -847,7 +847,7 @@ def aux_pipeline(
 
     route = _hypothesis_route(side, box)
 
-    pts = tuple(tuple(strict_int(x, "point coordinate") for x in p) for p in points)
+    pts = tuple(map(strict_point, points))
     for pt in pts:
         if f.evaluate(pt) != 0:
             raise ContractViolation(f"point {pt} is not on the surface")
@@ -875,12 +875,13 @@ def aux_pipeline(
     r = split_by.product
     classes = residue_split(pts, split_by, f)
 
-    squared = rnd(threshold * threshold)
+    t = _pair(threshold)
+    squared = _mul(t, t)
     sizes = {}  # |E(Y)| at each cutoff height the search tries
 
     def constraint(cutoff: ExactLog) -> bool:
         count = sizes[cutoff.height] = staircase_size(cutoff, params.dominant, box)
-        return rnd(rnd(rnd(count) * r) * r) > squared
+        return _sub(_mul(_mul(_fit(count, 0), (r, 0)), (r, 0)), squared)[0] > 0
 
     c_floor = floor_const if floor_const is not None else default_floor_constant(epsilon)
     cutoff = choose_Y(
@@ -946,7 +947,7 @@ def aux_pipeline(
             rec = FalsificationRecord(
                 rows=tuple(pivot_rows[:e_count]),
                 determinant=delta,
-                sqrt_e_times_r=float(rnd(root(e_count) * r)),
+                sqrt_e_times_r=float(_scaled(*_mul(_root((e_count, 0)), (r, 0)))),
                 valuations=vals,
                 residue_valuations=rvals,
             )

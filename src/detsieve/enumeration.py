@@ -19,7 +19,9 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from .arith import is_prime
-from .errors import CapExceeded, ContractViolation, Record, _shown, strict_int, strict_real
+from .errors import (
+    CapExceeded, ContractViolation, Record, _shown, strict_int, strict_point, strict_real,
+)
 from .exponents import BoxBounds, SideCondition
 from .polynomials import IntegerPolynomial
 
@@ -325,7 +327,7 @@ def residue_split(
         raise ContractViolation("surface polynomial must use arity 3")
     grads = [f.partial_derivative(i) for i in range(3)]
     classes: dict[tuple, list] = {}
-    for pt in points:
+    for pt in map(strict_point, points):
         labels = []
         keep = True
         for p in residues.primes:

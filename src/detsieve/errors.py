@@ -61,6 +61,18 @@ def strict_int(v, what: str) -> int:
     raise ContractViolation(f"{what} must be an integer, not {_shown(v)}")
 
 
+def strict_point(p) -> tuple:
+    """p as a tuple of three ints, if it is a sequence of three integers
+    (``strict_int``), else ContractViolation naming p."""
+    try:
+        n = len(p)
+    except TypeError:
+        raise ContractViolation(f"point {_shown(p)} is not a triple") from None
+    if n != 3:
+        raise ContractViolation(f"point {_shown(tuple(p))} is not a triple")
+    return tuple(x if type(x) is int else strict_int(x, "point coordinate") for x in p)
+
+
 def strict_real(v, what: str, sign: str = ""):
     """v, if it is an int, a float or a Fraction but not a bool, and finite;
     sign "nonnegative" or "positive" also bounds it below.  Else

@@ -24,7 +24,10 @@ from .errors import (
     CapExceeded, ContractViolation, Record, SoundnessError, _shown, strict_int, strict_real,
 )
 from .polynomials import ExponentVector, IntegerPolynomial, _as_exponent, eval_monomial
-from .scalars import dot, exp, log, power, rnd, root
+from .scalars import (
+    _ONE, _add, _div, _dot, _exp, _fit, _log, _mul, _pair, _power, _root, _round, _scaled, _sub,
+    exp, log,
+)
 
 INFINITE = math.inf
 
@@ -329,13 +332,31 @@ def _pair_sums(T: int, b: int, c: int) -> tuple:
     return total, (_ilog(b, T) + 1) * total - running, sv
 
 
+def _pair_count(T: int, b: int, c: int) -> tuple:
+    """(n, 0, 0): ``_pair_sums``' count n alone, by the same two-pointer
+    walk with no sums kept."""
+    if b == c:
+        return math.comb(_ilog(b, T) + 2, 2), 0, 0
+    total = 0
+    k = _ilog(c, T)
+    p = c ** k
+    while k >= 0:
+        total += k + 1
+        p *= b
+        while k >= 0 and p > T:
+            p //= c
+            k -= 1
+    return total, 0, 0
+
+
 # each slab's bounded coordinate, then the two coordinates of its pairs
 _SLABS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
-def _slab_sums(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> tuple:
+def _slab_sums(cutoff: ExactLog, m: Sequence[int], box: BoxBounds, pairs=_pair_sums) -> tuple:
     """(|E(T)|, the three coordinate sums over E(T), (Σe2, Σe3) over its
-    restricted members), with no member built.
+    restricted members), with no member built.  With pairs ``_pair_count``
+    the pair walks keep no sums, and only the count is right.
 
     E(T) is the disjoint slabs {e1 < m1}, {e1 >= m1, e2 < m2} and
     {e1 >= m1, e2 >= m2, e3 < m3}; the first is the restricted members.
@@ -355,7 +376,7 @@ def _slab_sums(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> tuple:
         for k in range(m[i]):
             if h > T:
                 break
-            n, su, sv = _pair_sums(T // h, bj, bl)
+            n, su, sv = pairs(T // h, bj, bl)
             total += n
             sums[i] += k * n
             sums[j] += su + mj * n
@@ -368,8 +389,9 @@ def _slab_sums(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> tuple:
 
 def staircase_size(cutoff: ExactLog, m: Sequence[int], box: BoxBounds) -> int:
     """|E(T)|, the member count of build_exponent_set(cutoff, m, box),
-    counted by its slabs without building a member (``_slab_sums``)."""
-    return _slab_sums(cutoff, m, box)[0]
+    counted by its slabs without building a member or a sum (``_slab_sums``
+    on ``_pair_count``)."""
+    return _slab_sums(cutoff, m, box, _pair_count)[0]
 
 
 class SetStatistics(Record):
@@ -389,7 +411,7 @@ def set_statistics(E: ExponentSet) -> SetStatistics:
     restricted members only.
     """
     count, sums, (se2, se3) = _slab_sums(E.cutoff, E.dominant, E.box)
-    return SetStatistics(count, dot(sums, E.box.log_heights()), se2, se3)
+    return SetStatistics(count, _scaled(*_dot(sums, map(_log, E.box.bounds))), se2, se3)
 
 
 def main_term_deviation(E: ExponentSet) -> tuple:
@@ -403,14 +425,15 @@ def main_term_deviation(E: ExponentSet) -> tuple:
     if E.cutoff.height == 1:
         raise ContractViolation("main terms vanish at cutoff height 1")
     stats = set_statistics(E)
-    logs = E.box.log_heights()
-    ratio = rnd(dot(E.dominant, logs) / rnd(rnd(logs[0] * logs[1]) * logs[2]))
-    y = E.cutoff.value
-    main_count = rnd(ratio * rnd(y ** 2)) / 2
-    main_sum = rnd(rnd(ratio * rnd(y ** 3)) / 3)
-    dev_count = abs(rnd(rnd(stats.count / main_count) - 1))
-    dev_sum = abs(rnd(rnd(stats.sum_log / main_sum) - 1))
-    return dev_count, dev_sum
+    logs = tuple(map(_log, E.box.bounds))
+    ratio = _div(_dot(E.dominant, logs), _mul(_mul(logs[0], logs[1]), logs[2]))
+    y = _log(E.cutoff.height)
+    m, e = _mul(ratio, _mul(y, y))
+    main_count = m, e - 1
+    main_sum = _div(_mul(ratio, _power(y, (3, 0))), (3, 0))
+    dev_count = _sub(_div((stats.count, 0), main_count), _ONE)
+    dev_sum = _sub(_div(_pair(stats.sum_log), main_sum), _ONE)
+    return _scaled(abs(dev_count[0]), dev_count[1]), _scaled(abs(dev_sum[0]), dev_sum[1])
 
 
 # -- growth parameters -------------------------------------------------------
@@ -476,15 +499,21 @@ def compute_params(
         raise ContractViolation("dominant exponent of f is zero")
 
     s_star, S = side_log_height(g, box)
-    logs = box.log_heights()
-    log_top = dot(m, logs)
-    prod_logs = rnd(rnd(logs[0] * logs[1]) * logs[2])
-    shrink = rnd(rnd(rnd(m[0] * logs[0]) * log(q)) / rnd(2 * S.value * log_top))
-    log_k = rnd(root(rnd(prod_logs / log_top)) * rnd(1 - shrink))
-    slack = rnd(Fraction(epsilon) * log(box.bmax))
-    gain = rnd(
-        rnd(rnd(m[0] * power(logs[0], 1.5)) * root(rnd(logs[1] * logs[2])))
-        / rnd(2 * S.value * power(log_top, 1.5))
+    logs = tuple(map(_log, box.bounds))
+    log_top = _dot(m, logs)
+    prod_logs = _mul(_mul(logs[0], logs[1]), logs[2])
+    sm, se = _log(S.height)
+    twice_side = 2 * sm, se
+    shrink = _div(_mul(_mul((m[0], 0), logs[0]), _log(q)), _mul(twice_side, log_top))
+    log_k = _mul(_root(_div(prod_logs, log_top)), _sub(_ONE, shrink))
+    # epsilon (an int, float or Fraction) times log Bmax, one rounding
+    n, d = epsilon.as_integer_ratio()
+    lm, le = _log(box.bmax)
+    slack = _div((n * lm, le), (d, 0))
+    three_halves = 3, -1  # 3·2^-1
+    gain = _div(
+        _mul(_mul((m[0], 0), _power(logs[0], three_halves)), _root(_mul(logs[1], logs[2]))),
+        _mul(twice_side, _power(log_top, three_halves)),
     )
     return MethodParams(
         modulus=q,
@@ -492,10 +521,10 @@ def compute_params(
         dominant=m,
         side_exponent=s_star,
         side=S,
-        log_top_height=log_top,
-        cover_scale=exp(log_k),
-        cover_scale_eps=exp(rnd(log_k + slack)),
-        modulus_gain=gain,
+        log_top_height=_scaled(*log_top),
+        cover_scale=_scaled(*_exp(log_k)),
+        cover_scale_eps=_scaled(*_exp(_add(log_k, slack))),
+        modulus_gain=_scaled(*gain),
     )
 
 
@@ -580,9 +609,11 @@ GRID_COUNT = 24
 COLUMN_CAP = 10 ** 6
 
 
-def _log_bits(x: Fraction) -> int:
-    """a = floor(1.44 x) - 1, so that floor(e^x) >= 2^a, as e > 2^1.44."""
-    return math.floor(x * Fraction(144, 100)) - 1
+def _log_bits(x) -> int:
+    """a = floor(1.44 x) - 1 for an int, float or Fraction x, so that
+    floor(e^x) >= 2^a, as e > 2^1.44."""
+    n, d = x.as_integer_ratio()
+    return 144 * n // (100 * d) - 1
 
 
 def _sure_columns(a: int, box: BoxBounds, m: Sequence[int] = (1, 1, 1)) -> int:
@@ -670,12 +701,13 @@ def choose_Y(
     else:
         size, blocks, gallop = GRID_POINTS, GRID_COUNT, 1
         tried = f"on {GRID_COUNT} log grids from Z above the floor"
-        floor_value = rnd(floor_const * log(box.bmax))
-        z = max(rnd(log_top), floor_value)
+        lm, le = _log(box.bmax)
+        floor_value = _fit(floor_const * lm, le)
+        z = _round(*log_top.as_integer_ratio())
+        z = _scaled(*(floor_value if _sub(floor_value, z)[0] > 0 else z))
 
         @cache
-        def candidate(i: int) -> ExactLog:
-            g, k = divmod(i, GRID_POINTS)
+        def grid(g: int) -> Fraction:
             start = _grid_start(z, g)
             # the grid tops out at log height 2·start
             if _sure_columns(_log_bits(2 * start), box) > COLUMN_CAP:
@@ -683,11 +715,17 @@ def choose_Y(
                     f"cutoff search reaches log grid {g}, whose top height "
                     f"holds over {COLUMN_CAP} staircase columns"
                 )
-            return ExactLog(_grid_height(start, k))
+            return start
+
+        @cache
+        def candidate(i: int) -> ExactLog:
+            g, k = divmod(i, GRID_POINTS)
+            return ExactLog(_grid_height(grid(g), k))
 
         # heights rise along the grid, and its last point, near exp(2Z),
         # always reaches the floor; later grids lie wholly above it
-        first = _first_holding(lambda i: candidate(i).value >= floor_value, 0, GRID_POINTS - 1)
+        first = _first_holding(
+            lambda i: _sub(_log(candidate(i).height), floor_value)[0] >= 0, 0, GRID_POINTS - 1)
 
     def holds(i: int) -> bool:
         return constraint(candidate(i))
@@ -703,21 +741,31 @@ def choose_Y(
 
 
 def _grid_start(z: Fraction, g: int) -> Fraction:
-    """2^g·Z, the log height grid g starts from.  For g > 0 it is rounded to
-    53 bits, not 96: the recorded cutoffs were chosen on this grid, and box
-    (12, 20, 30) picks another at 96."""
-    return rnd(z, 53) * 2 ** g if g else z
+    """2^g·Z, the log height grid g starts from, for a binary Z.  For g > 0
+    it is rounded to 53 bits, not 96: the recorded cutoffs were chosen on
+    this grid, and box (12, 20, 30) picks another at 96."""
+    if not g:
+        return z
+    m, e = _fit(*_pair(z), 53)
+    return _scaled(m, e + g)
 
 
 def _grid_height(start: Fraction, k: int) -> int:
-    """The height at point k of the grid from log height start:
+    """The height at point k of the grid from the binary log height start:
     h = exp(start·(1 + k/(GRID_POINTS - 1))), snapped to the nearest
     integer when within 2^-60 of it relative, else floored."""
-    h = exp(rnd(start * rnd(1 + rnd(Fraction(k, GRID_POINTS - 1)))))
-    near = round(h)
-    if near >= 1 and abs(h - near) < Fraction(near, 1 << 60):
+    x = _mul(_pair(start), _add(_ONE, _round(k, GRID_POINTS - 1)))
+    # the public exp: one call per height formed, so wrapping it counts them
+    m, e = _pair(exp(_scaled(*x)))
+    if e >= 0:
+        return m << e
+    # h = m / 2^s = floor + rem / 2^s; near is h rounded half to even
+    s = -e
+    floor, rem = m >> s, m & ((1 << s) - 1)
+    near = floor + (2 * rem > 1 << s or (2 * rem == 1 << s and floor & 1))
+    if near >= 1 and abs(m - (near << s)) << 60 < near << s:
         return near
-    return math.floor(h)
+    return floor
 
 
 def _first_holding(holds: Callable[[int], bool], lo: int, hi: int) -> int:

@@ -1,13 +1,23 @@
-"""Binary scalars at a fixed 96-bit mantissa, over Python ints and Fractions.
+"""Binary scalars at a fixed 96-bit mantissa, on (mantissa, exponent) int pairs.
 
 The smooth parameters (log heights, the cover scale and its B^epsilon
 slack) and the log grid that proposes cutoff heights are the only values
-in the package that are not integers.  Each is a ``Fraction`` equal to a
-binary number with a PRECISION_BITS mantissa, formed one operation at a
-time: the exact result of a sum, product, quotient or root, or a log known
-to 64 bits past the last kept bit, rounded to nearest with ties to even.
-That is what an mpmath computation at 96 bits gives.  mpmath's exp is not
-correctly rounded, so ``exp`` here takes mpmath's own fixed-point steps.
+in the package that are not integers.  Each is a binary number m 2^e, held
+as the int pair (m, e) with m of at most PRECISION_BITS bits, and formed
+one operation at a time: the exact result of a sum, product, quotient or
+root, or a log known to 64 bits past the last kept bit, rounded to nearest
+with ties to even.  That is what an mpmath computation at 96 bits gives.
+mpmath's exp is not correctly rounded, so ``_exp`` takes mpmath's own
+fixed-point steps.
+
+The pair operations are the one implementation: ``_round`` (an exact
+rational n/d) and ``_fit`` (a pair of too long a mantissa), ``_mul``,
+``_add``, ``_sub``, ``_div``, ``_root``, ``_exp``, ``_log``, ``_power``
+and ``_dot``, each rounding once.  The formula chains of ``exponents``,
+``determinant`` and ``applications`` run on them, and a value becomes a
+``Fraction`` (``_scaled``) only where it leaves them: in a record, in a
+public result, or through the Fraction-in, Fraction-out wrappers ``rnd``,
+``log``, ``root``, ``exp``, ``power`` and ``dot``.
 
 One exception to the 96 bits: ``exponents.choose_Y`` starts each log grid
 after the first on an unequal box from the doubled grid start rounded to
@@ -21,36 +31,99 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from .arith import iroot
-from .errors import ContractViolation, strict_int
+from .errors import ContractViolation, _shown, strict_int
 
 #: mantissa bits of every scalar the package rounds
 PRECISION_BITS = 96
 
+_ONE = (1, 0)
+
 
 def _scaled(m: int, e: int) -> Fraction:
-    """m 2^e, exactly."""
+    """m 2^e, exactly: the Fraction of the pair (m, e)."""
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def rnd(x, bits: int = PRECISION_BITS) -> Fraction:
-    """x (an int, float or Fraction) rounded to a bits-bit mantissa, ties
-    to even; an x that has one already is returned as it is."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+def _pair(x) -> tuple:
+    """The pair of a binary int, float or Fraction, exactly; any other
+    value is refused."""
     n, d = x.as_integer_ratio()
-    if not d & (d - 1) and abs(n).bit_length() <= bits:
-        return x
-    a = abs(n)
-    # q = floor(|x| 2^s) has bits or bits + 1 bits; keep bits of them
-    s = bits - a.bit_length() + d.bit_length()
-    for s in (s, s - 1):
-        num, den = (a << s, d) if s >= 0 else (a, d << -s)
-        q, r = divmod(num, den)
-        if q.bit_length() == bits:
-            break
-    if 2 * r > den or (2 * r == den and q & 1):
+    if d & (d - 1):
+        raise ContractViolation(f"{_shown(x)} is not a binary number")
+    return n, 1 - d.bit_length()
+
+
+# -- the pair operations ------------------------------------------------------
+
+
+def _fit(m: int, e: int, bits: int = PRECISION_BITS) -> tuple:
+    """m 2^e rounded to a bits-bit mantissa, ties to even."""
+    a = abs(m)
+    s = a.bit_length() - bits
+    if s <= 0:
+        return m, e
+    q = a >> s
+    half = 1 << (s - 1)
+    r = a & (2 * half - 1)
+    if r > half or (r == half and q & 1):
         q += 1
-    return _scaled(-q if n < 0 else q, -s)
+        if q >> bits:  # the carry reached 2^bits
+            q >>= 1
+            s += 1
+    return (-q if m < 0 else q), e + s
+
+
+def _round(n: int, d: int, bits: int = PRECISION_BITS) -> tuple:
+    """The rational n/d, for ints n and d != 0, rounded to a bits-bit
+    mantissa, ties to even."""
+    if d < 0:
+        n, d = -n, -d
+    if d and not d & (d - 1):
+        return _fit(n, 1 - d.bit_length(), bits)
+    a = abs(n)
+    # q = floor(|n/d| 2^s) has at least bits + 1 bits, so a nonzero
+    # remainder only decides a tie: (2q + 1) 2^(-s-1) rounds as |n/d| does
+    s = bits + 1 - a.bit_length() + d.bit_length()
+    q, r = divmod(a << s, d) if s >= 0 else divmod(a, d << -s)
+    q = 2 * q + (r > 0)
+    return _fit(-q if n < 0 else q, -s - 1, bits)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    return _fit(x[0] * y[0], x[1] + y[1])
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    (m, e), (n, f) = x, y
+    if e < f:
+        (m, e), (n, f) = y, x
+    return _fit((m << e - f) + n, f)
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    """x - y, rounded: its mantissa's sign is the sign of the exact
+    difference, so it also compares x with y."""
+    return _add(x, (-y[0], y[1]))
+
+
+def _div(x: tuple, y: tuple) -> tuple:
+    m, e = _round(x[0], y[0])
+    return m, e + x[1] - y[1]
+
+
+def _root(x: tuple, k: int = 2, bits: int = PRECISION_BITS, over: int = 1) -> tuple:
+    """The k-th root of x / over, for a positive pair x and an int over > 0,
+    correctly rounded to bits."""
+    m, e = x
+    # r = floor((x / over)^(1/k) 2^s) has at least bits + 2 bits, so a root
+    # strictly between r and r + 1 rounds as r + 1/2 does
+    s = bits + 2 - (m.bit_length() + e - over.bit_length() - 1) // k
+    t = e + k * s
+    y, rem = divmod(m << t, over) if t >= 0 else divmod(m, over << -t)
+    r = iroot(y, k)
+    if rem or r ** k != y:
+        return _fit(2 * r + 1, -s - 1, bits)
+    return _fit(r, -s, bits)
 
 
 def _atanh(a: int, b: int, p: int) -> int:
@@ -75,10 +148,12 @@ def _ln2(p: int) -> int:
 def log(n: int, bits: int = PRECISION_BITS) -> Fraction:
     """ln n for a positive int n, first rounded to PRECISION_BITS as an
     mpf takes an int, then the log rounded to bits.  The same few bounds
-    and moduli recur in every call of a run, so results are kept."""
-    n = rnd(strict_int(n, "log argument")).numerator
-    if n < 1:
+    and moduli recur in every call of a run, so results are kept; ``_log``
+    reads a kept result as a pair."""
+    m, e = _fit(strict_int(n, "log argument"), 0)
+    if m < 1:
         raise ContractViolation("log needs a positive integer")
+    n = m << e
     if n == 1:
         return Fraction(0)
     # n = 2^k y with y in [1, 2): ln n = k ln 2 + 2 atanh((y - 1)/(y + 1)),
@@ -88,46 +163,32 @@ def log(n: int, bits: int = PRECISION_BITS) -> Fraction:
     y = n << p >> k
     one = 1 << p
     fixed = k * _ln2(p) + 2 * _atanh(y - one, y + one, p)
-    return rnd(_scaled(fixed, -p), bits)
+    return _scaled(*_fit(fixed, -p, bits))
 
 
-def root(x, k: int = 2, bits: int = PRECISION_BITS) -> Fraction:
-    """The k-th root of a positive int or Fraction x, correctly rounded to
-    bits."""
-    x = Fraction(x)
-    n, d = x.numerator, x.denominator
-    # r = floor(x^(1/k) 2^s) has at least bits + 2 bits, so a root strictly
-    # between r and r + 1 rounds as r + 1/2 does
-    s = bits + 2 - (n.bit_length() - d.bit_length() - 1) // k
-    y, rem = divmod(n << k * s, d) if s >= 0 else divmod(n, d << -k * s)
-    r = iroot(y, k)
-    if rem or r ** k != y:
-        return rnd(_scaled(2 * r + 1, -s - 1), bits)
-    return rnd(_scaled(r, -s), bits)
+def _log(n: int, bits: int = PRECISION_BITS) -> tuple:
+    """log(n, bits) as a pair."""
+    return _pair(log(n, bits))
 
 
-def exp(x: Fraction) -> Fraction:
-    """e^x for a binary x, rounded to PRECISION_BITS as mpmath's exp does.
+def _exp(x: tuple) -> tuple:
+    """e^x for a pair x, rounded to PRECISION_BITS as mpmath's exp does.
 
     mpmath's exp is not correctly rounded, so these are its steps at this
     precision: wp = PRECISION_BITS + 14 working bits, x reduced by
     floor(2^(wp + mag) ln 2) when its magnitude mag exceeds 1, the series
     for e^(t / 2^r) with r = floor(sqrt(wp)), r squarings, one rounding.
     """
-    x = Fraction(x)
-    man, den = x.numerator, x.denominator
+    man, e = x
     if not man:
-        return Fraction(1)
-    if den & (den - 1):
-        raise ContractViolation("exp needs a binary argument")
-    e = 1 - den.bit_length()
+        return _ONE
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
     e += zeros
     mag = abs(man).bit_length() + e
     wp = PRECISION_BITS + 14
     if mag < -wp:
-        return Fraction(1)
+        return _ONE
     if mag > 1:
         offset = e + wp + mag
         t = man << offset if offset >= 0 else man >> -offset
@@ -154,30 +215,79 @@ def exp(x: Fraction) -> Fraction:
     for _ in range(r):
         s = s * s >> p
     s >>= r
-    return rnd(_scaled(s, n - wp))
+    return _fit(s, n - wp)
+
+
+def _power(x: tuple, t: tuple) -> tuple:
+    """x ** t for a positive pair x and a binary t > 0 (a pair), as mpmath
+    takes it at PRECISION_BITS: x rounded, then an integer t exactly and
+    rounded once, t = 1/2 as a square root, another half-integer t as a
+    power of the square root at 10 more bits, and any other t, for an
+    integer x, as exp(t log x) with log x at 10 more bits."""
+    tm, te = t
+    if tm:
+        zeros = (tm & -tm).bit_length() - 1
+        tm >>= zeros
+        te += zeros
+    m, e = _fit(*x)
+    if te < -1:
+        if e < 0 and m & ((1 << -e) - 1):
+            raise ContractViolation("log needs a positive integer")
+        lm, le = _log(m << e if e >= 0 else m >> -e, PRECISION_BITS + 10)
+        return _exp((tm * lm, te + le))
+    if te >= 0:
+        n = tm << te
+    elif tm == 1:
+        return _root((m, e))
+    else:
+        (m, e), n = _root((m, e), 2, PRECISION_BITS + 10), tm
+    if n < 0:
+        q, f = _round(1, m ** -n)
+        return q, f + e * n
+    return _fit(m ** n, e * n)
+
+
+def _dot(ks, xs) -> tuple:
+    """sum of k * x over the ints k and pairs x, each product and each
+    partial sum rounded, as a left-to-right sum of mpfs is."""
+    total = 0, 0
+    for k, (m, e) in zip(ks, xs):
+        total = _add(total, _fit(k * m, e))
+    return total
+
+
+# -- Fraction in, Fraction out -------------------------------------------------
+
+
+def rnd(x, bits: int = PRECISION_BITS) -> Fraction:
+    """x (an int, float or Fraction) rounded to a bits-bit mantissa, ties
+    to even; an x that has one already is returned as it is."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    n, d = x.as_integer_ratio()
+    if not d & (d - 1) and abs(n).bit_length() <= bits:
+        return x
+    return _scaled(*_round(n, d, bits))
+
+
+def root(x, k: int = 2, bits: int = PRECISION_BITS) -> Fraction:
+    """The k-th root of a positive int or Fraction x, correctly rounded to
+    bits."""
+    n, d = x.as_integer_ratio()
+    return _scaled(*_root((n, 0), k, bits, d))
+
+
+def exp(x) -> Fraction:
+    """e^x for a binary int, float or Fraction x: ``_exp``."""
+    return _scaled(*_exp(_pair(x)))
 
 
 def power(x, t) -> Fraction:
-    """x ** t for a positive x and a binary t > 0, as mpmath takes it at
-    PRECISION_BITS: x rounded, then an integer t exactly and rounded once,
-    t = 1/2 as a square root, another half-integer t as a power of the
-    square root at 10 more bits, and any other t, for an integer x, as
-    exp(t log x) with log x at 10 more bits."""
-    t = Fraction(t)
-    if t.denominator > 2:
-        return exp(t * log(x, PRECISION_BITS + 10))
-    x = rnd(x)
-    if t.denominator == 1:
-        return rnd(x ** t.numerator)
-    if t.numerator == 1:
-        return root(x)
-    return rnd(root(x, 2, PRECISION_BITS + 10) ** t.numerator)
+    """x ** t for a positive int, float or Fraction x and a binary t > 0:
+    ``_power``."""
+    return _scaled(*_power(_round(*x.as_integer_ratio()), _pair(t)))
 
 
 def dot(ks, xs) -> Fraction:
-    """sum of k * x over the pairs, each product and each partial sum
-    rounded, as a left-to-right sum of mpfs is."""
-    total = Fraction(0)
-    for k, x in zip(ks, xs):
-        total = rnd(total + rnd(k * x))
-    return total
+    """sum of k * x over the ints k and binary x: ``_dot``."""
+    return _scaled(*_dot(ks, map(_pair, xs)))

@@ -152,7 +152,7 @@ class TestCountQuadric:
             raise Started
 
         monkeypatch.setattr(applications, "enumerate_points", stand_in)
-        monkeypatch.setattr(applications, "power", stand_in)
+        monkeypatch.setattr(applications, "_power", stand_in)
         with pytest.raises(ContractViolation, match="epsilon must be at most 10"):
             count_quadric(QuadricInstance(3, 1, 1, 1001, 10), "pipeline", epsilon=epsilon)
 

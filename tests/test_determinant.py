@@ -31,7 +31,9 @@ from detsieve.determinant import (
     rank_over_rationals,
     select_shift,
 )
-from detsieve.enumeration import DEGREE_CAP, ResidueData, SideCondition, enumerate_points
+from detsieve.enumeration import (
+    DEGREE_CAP, ResidueData, SideCondition, enumerate_points, residue_split,
+)
 from detsieve.errors import CapExceeded, ContractViolation, HypothesisViolation, SoundnessError
 from detsieve.exponents import (
     INFINITE,
@@ -464,6 +466,14 @@ class TestIntegerInputs:
              (10 ** 5000,), r"no cutoff n\*log\(3\) with n in \[a 16610-bit int,"),
             (build_matrix, ([(10 ** 5000, 1)], staircase(3, 4)),
              r"point \(a 16610-bit int, 1\) is not a triple"),
+            # a point that is no sequence raised TypeError from len() or iter()
+            (build_matrix, ([5], staircase(3, 4)), "point 5 is not a triple"),
+            (build_matrix, ([None], staircase(3, 4)), "point None is not a triple"),
+            (lambda pts: aux_pipeline(P(3, {(2, 0, 0): 1, (0, 0, 0): -1}),
+                                      SideCondition(P.variable(3, 1), 5),
+                                      BoxBounds(3, 3, 3), None, 0.5, pts),
+             ([5],), "point 5 is not a triple"),
+            (residue_split, ([5], ResidueData((5,)), x), "point 5 is not a triple"),
         ]
         for fn, args, match in table:
             with pytest.raises(ContractViolation, match=match):
