@@ -9,8 +9,8 @@ Exactness policy: box bounds are integers and every cutoff is the log
 of a known integer height T, so every membership test and every floor is
 decided by integer comparisons of the form B1^e1 * B2^e2 * B3^e3 <= T.
 Only the smooth parameters and the log-scale grid that proposes cutoff
-heights are not integers: they are 96-bit binary Fractions, rounded one
-operation at a time as ``scalars`` sets out.
+heights are not integers: they are 96-bit binary numbers, formed on the
+int pairs of ``scalars`` one rounding at a time, that leave as Fractions.
 """
 
 from __future__ import annotations

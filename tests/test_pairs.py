@@ -334,9 +334,11 @@ class TestGridHeights:
                 [frac_grid_height(start, k) for k in range(64)], start
 
     def test_snapped_heights(self):
-        # a start of log 2^40 puts e^start within 2^-60 of the integer 2^40
-        start = frac_log(1 << 40)
-        assert _grid_height(start, 0) == frac_grid_height(start, 0) == 1 << 40
+        # e^(log n) lands just below n for these n: the snap, not the floor, gives n
+        for n in (1 << 40, 3 ** 20, 10 ** 12, 7 ** 15, 1000003):
+            start = frac_log(n)
+            assert frac_exp(start) < n
+            assert _grid_height(start, 0) == frac_grid_height(start, 0) == n
 
 
 # -- frozen method parameters ----------------------------------------------------
