@@ -27,7 +27,7 @@ from .polynomials import (
     _require_univariate,
     wronskian,
 )
-from .scalars import _div, _fit, _mul, _pair, _power, _root, _scaled
+from .scalars import _div, _fit, _mul, _pair, _power, _root, _round, _scaled
 
 
 def _is_perfect_square(v: int) -> bool:
@@ -152,7 +152,7 @@ def count_quadric(
     box = BoxBounds(inst.B, inst.B, inst.B)
     pts = enumerate_points(f, side, box)
     scale = _scaled(*_mul(_pair(quadric_cover_scale(q, inst.B)),
-                          _power((inst.B, 0), _pair(epsilon))))
+                          _power((inst.B, 0), _round(*epsilon.as_integer_ratio()))))
     report = aux_pipeline(
         f, side, box, None, epsilon, pts,
         seed=seed, minor_samples=minor_samples,

@@ -51,7 +51,7 @@ from .exponents import (
     staircase_size,
 )
 from .polynomials import IntegerPolynomial, _as_exponent, is_coprime
-from .scalars import _fit, _mul, _pair, _root, _scaled, _sub, rnd
+from .scalars import _fit, _mul, _root, _round, _scaled, _sub
 
 
 # -- matrices and exact linear algebra ----------------------------------------
@@ -867,7 +867,10 @@ def aux_pipeline(
     if scale_override is not None:
         strict_real(scale_override, "scale override")
     params = compute_params(f, side, box, epsilon)
-    threshold = params.cover_scale_eps if scale_override is None else rnd(scale_override)
+    # the threshold: the scale read once, rounded to 96 bits
+    x = params.cover_scale_eps if scale_override is None else scale_override
+    t = _round(*x.as_integer_ratio())
+    threshold = _scaled(*t)
 
     # at threshold <= 1 one class covers every point, so none is split off
     split_by = residues if threshold > 1 else ResidueData(())
@@ -875,7 +878,6 @@ def aux_pipeline(
     r = split_by.product
     classes = residue_split(pts, split_by, f)
 
-    t = _pair(threshold)
     squared = _mul(t, t)
     sizes = {}  # |E(Y)| at each cutoff height the search tries
 

@@ -26,7 +26,6 @@ from .errors import (
 from .polynomials import ExponentVector, IntegerPolynomial, _as_exponent, eval_monomial
 from .scalars import (
     _ONE, _add, _div, _dot, _exp, _fit, _log, _mul, _pair, _power, _root, _round, _scaled, _sub,
-    exp, log,
 )
 
 INFINITE = math.inf
@@ -68,9 +67,6 @@ class BoxBounds(Record):
     @property
     def equal(self) -> bool:
         return self.b1 == self.b2 == self.b3
-
-    def log_heights(self) -> tuple:
-        return tuple(map(log, self.bounds))
 
     def height(self, e: Sequence[int]) -> int:
         """Exact integer B^e."""
@@ -141,7 +137,7 @@ class ExactLog(Record):
 
     @cached_property
     def value(self) -> Fraction:
-        return log(self.height)
+        return _scaled(*_log(self.height))
 
     @classmethod
     def power(cls, base: int, n: int) -> "ExactLog":
@@ -755,8 +751,7 @@ def _grid_height(start: Fraction, k: int) -> int:
     h = exp(start·(1 + k/(GRID_POINTS - 1))), snapped to the nearest
     integer when within 2^-60 of it relative, else floored."""
     x = _mul(_pair(start), _add(_ONE, _round(k, GRID_POINTS - 1)))
-    # the public exp: one call per height formed, so wrapping it counts them
-    m, e = _pair(exp(_scaled(*x)))
+    m, e = _exp(x)
     if e >= 0:
         return m << e
     # h = m / 2^s = floor + rem / 2^s; near is h rounded half to even

@@ -10,14 +10,15 @@ with ties to even.  That is what an mpmath computation at 96 bits gives.
 mpmath's exp is not correctly rounded, so ``_exp`` takes mpmath's own
 fixed-point steps.
 
-The pair operations are the one implementation: ``_round`` (an exact
+The pair operations are the only scalar API: ``_round`` (an exact
 rational n/d) and ``_fit`` (a pair of too long a mantissa), ``_mul``,
-``_add``, ``_sub``, ``_div``, ``_root``, ``_exp``, ``_log``, ``_power``
-and ``_dot``, each rounding once.  The formula chains of ``exponents``,
-``determinant`` and ``applications`` run on them, and a value becomes a
-``Fraction`` (``_scaled``) only where it leaves them: in a record, in a
-public result, or through the Fraction-in, Fraction-out wrappers ``rnd``,
-``log``, ``root``, ``exp``, ``power`` and ``dot``.
+``_add``, ``_sub``, ``_div``, ``_root``, ``_exp``, ``_log`` (whose results
+are kept), ``_power`` and ``_dot``, each rounding once.  The formula chains
+of ``exponents``, ``determinant`` and ``applications`` run on them.  A
+value from outside enters as ``_pair`` (a binary number, exactly) or as
+``_round`` of its integer ratio (any rational, rounded once, as mpmath's
+``mpf(n) / d`` is).  A value becomes a ``Fraction`` (``_scaled``) only
+where it leaves: in a record or a public result.
 
 One exception to the 96 bits: ``exponents.choose_Y`` starts each log grid
 after the first on an unequal box from the doubled grid start rounded to
@@ -111,15 +112,14 @@ def _div(x: tuple, y: tuple) -> tuple:
     return m, e + x[1] - y[1]
 
 
-def _root(x: tuple, k: int = 2, bits: int = PRECISION_BITS, over: int = 1) -> tuple:
-    """The k-th root of x / over, for a positive pair x and an int over > 0,
-    correctly rounded to bits."""
+def _root(x: tuple, k: int = 2, bits: int = PRECISION_BITS) -> tuple:
+    """The k-th root of a positive pair x, correctly rounded to bits."""
     m, e = x
-    # r = floor((x / over)^(1/k) 2^s) has at least bits + 2 bits, so a root
-    # strictly between r and r + 1 rounds as r + 1/2 does
-    s = bits + 2 - (m.bit_length() + e - over.bit_length() - 1) // k
+    # r = floor(x^(1/k) 2^s) has at least bits + 2 bits, so a root strictly
+    # between r and r + 1 rounds as r + 1/2 does
+    s = bits + 2 - (m.bit_length() + e - 2) // k
     t = e + k * s
-    y, rem = divmod(m << t, over) if t >= 0 else divmod(m, over << -t)
+    y, rem = (m << t, 0) if t >= 0 else divmod(m, 1 << -t)
     r = iroot(y, k)
     if rem or r ** k != y:
         return _fit(2 * r + 1, -s - 1, bits)
@@ -145,17 +145,16 @@ def _ln2(p: int) -> int:
 
 
 @lru_cache(maxsize=1024, typed=True)
-def log(n: int, bits: int = PRECISION_BITS) -> Fraction:
+def _log(n: int, bits: int = PRECISION_BITS) -> tuple:
     """ln n for a positive int n, first rounded to PRECISION_BITS as an
     mpf takes an int, then the log rounded to bits.  The same few bounds
-    and moduli recur in every call of a run, so results are kept; ``_log``
-    reads a kept result as a pair."""
+    and moduli recur in every call of a run, so results are kept."""
     m, e = _fit(strict_int(n, "log argument"), 0)
     if m < 1:
         raise ContractViolation("log needs a positive integer")
     n = m << e
     if n == 1:
-        return Fraction(0)
+        return 0, 0
     # n = 2^k y with y in [1, 2): ln n = k ln 2 + 2 atanh((y - 1)/(y + 1)),
     # at 64 bits past the last kept bit of a value of at least ln 2
     k = n.bit_length() - 1
@@ -163,12 +162,7 @@ def log(n: int, bits: int = PRECISION_BITS) -> Fraction:
     y = n << p >> k
     one = 1 << p
     fixed = k * _ln2(p) + 2 * _atanh(y - one, y + one, p)
-    return _scaled(*_fit(fixed, -p, bits))
-
-
-def _log(n: int, bits: int = PRECISION_BITS) -> tuple:
-    """log(n, bits) as a pair."""
-    return _pair(log(n, bits))
+    return _fit(fixed, -p, bits)
 
 
 def _exp(x: tuple) -> tuple:
@@ -254,40 +248,3 @@ def _dot(ks, xs) -> tuple:
     for k, (m, e) in zip(ks, xs):
         total = _add(total, _fit(k * m, e))
     return total
-
-
-# -- Fraction in, Fraction out -------------------------------------------------
-
-
-def rnd(x, bits: int = PRECISION_BITS) -> Fraction:
-    """x (an int, float or Fraction) rounded to a bits-bit mantissa, ties
-    to even; an x that has one already is returned as it is."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    n, d = x.as_integer_ratio()
-    if not d & (d - 1) and abs(n).bit_length() <= bits:
-        return x
-    return _scaled(*_round(n, d, bits))
-
-
-def root(x, k: int = 2, bits: int = PRECISION_BITS) -> Fraction:
-    """The k-th root of a positive int or Fraction x, correctly rounded to
-    bits."""
-    n, d = x.as_integer_ratio()
-    return _scaled(*_root((n, 0), k, bits, d))
-
-
-def exp(x) -> Fraction:
-    """e^x for a binary int, float or Fraction x: ``_exp``."""
-    return _scaled(*_exp(_pair(x)))
-
-
-def power(x, t) -> Fraction:
-    """x ** t for a positive int, float or Fraction x and a binary t > 0:
-    ``_power``."""
-    return _scaled(*_power(_round(*x.as_integer_ratio()), _pair(t)))
-
-
-def dot(ks, xs) -> Fraction:
-    """sum of k * x over the ints k and binary x: ``_dot``."""
-    return _scaled(*_dot(ks, map(_pair, xs)))

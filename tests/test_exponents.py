@@ -11,7 +11,6 @@ from mpmath import mp
 
 import detsieve.determinant
 import detsieve.exponents
-import detsieve.scalars
 
 from detsieve.applications import QuadricInstance, count_quadric
 from detsieve.determinant import aux_pipeline
@@ -39,7 +38,7 @@ from detsieve.exponents import (
     staircase_size,
 )
 from detsieve.polynomials import IntegerPolynomial
-from detsieve.scalars import dot
+from detsieve.scalars import _dot, _log, _scaled
 
 P = IntegerPolynomial
 
@@ -717,7 +716,7 @@ class TestChooseY:
         def never(n, bits=96):
             raise AssertionError(f"formed log {n}")
 
-        monkeypatch.setattr(detsieve.exponents, "log", never)
+        monkeypatch.setattr(detsieve.exponents, "_log", never)
         got = choose_Y(lambda c: c.height >= 10 ** 40, box=cube(10), floor_const=10, log_top=0)
         assert got.height == 10 ** 40
 
@@ -876,11 +875,13 @@ class TestChooseYSearch:
         # grid answer builds at most 7 + 7 cutoffs where the scan builds 64
         built = []
 
-        def counting(x):
-            built.append(x)
-            return detsieve.scalars.exp(x)
+        real = detsieve.exponents._grid_height
 
-        monkeypatch.setattr(detsieve.exponents, "exp", counting)
+        def counting(start, k):
+            built.append(k)
+            return real(start, k)
+
+        monkeypatch.setattr(detsieve.exponents, "_grid_height", counting)
         rng = random.Random(13)
         for _ in range(40):
             box = rng.choice((BoxBounds(4, 8, 16), BoxBounds(12, 20, 30)))
@@ -1022,7 +1023,8 @@ class TestWalkOnlyWhatIsRead:
             assert sums == tuple(sum(e[i] for e in members) for i in range(3)), (T, m, box)
             assert (se2, se3) == (sum(e[1] for e in restricted), sum(e[2] for e in restricted))
             stats = set_statistics(build_exponent_set(ExactLog(T), m, box))
-            assert stats == SetStatistics(len(members), dot(sums, box.log_heights()), se2, se3)
+            sum_log = _scaled(*_dot(sums, map(_log, box.bounds)))
+            assert stats == SetStatistics(len(members), sum_log, se2, se3)
 
     def test_every_prefix_is_a_head_of_the_members(self):
         for T, m, box in lazy_cases():

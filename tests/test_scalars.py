@@ -27,6 +27,8 @@ from detsieve.exponents import (
     set_statistics,
 )
 from detsieve.polynomials import IntegerPolynomial as P
+from detsieve.scalars import _ONE, _add, _exp, _log, _mul, _pair, _power, _root, _round
+from test_pairs import value
 
 
 def exact(v) -> Fraction:
@@ -50,14 +52,14 @@ class TestAgainstMpmath:
             for bits in (53, 96):
                 with mp.workprec(bits):
                     want = exact(mp.fdiv(n, d))  # exact arguments, one rounding
-                assert scalars.rnd(Fraction(n, d), bits) == want, (n, d, bits)
+                assert value(_round(n, d, bits)) == want, (n, d, bits)
 
     def test_ties_go_to_even(self):
         for q in (1 << 95, (1 << 95) + 1, (1 << 96) - 1):
-            tie = Fraction(2 * q + 1, 2)
-            assert scalars.rnd(tie) == q + (q & 1)
-            assert scalars.rnd(-tie) == -(q + (q & 1))
-        assert scalars.rnd(0) == 0 and scalars.rnd(0.1) == Fraction(0.1)
+            assert value(_round(2 * q + 1, 2)) == q + (q & 1)
+            assert value(_round(-(2 * q + 1), 2)) == -(q + (q & 1))
+        assert value(_round(0, 1)) == 0
+        assert value(_round(*(0.1).as_integer_ratio())) == Fraction(0.1)
 
     def test_ln2_is_mpmaths_fixed_point_constant(self):
         for p in range(60, 700):
@@ -69,22 +71,21 @@ class TestAgainstMpmath:
         ns += [rng.randint(2, 1 << rng.randint(2, 4000)) for _ in range(800)]
         with mp.workprec(96):
             for n in ns:
-                assert scalars.log(n) == exact(mp.log(n)), n
+                assert value(_log(n)) == exact(mp.log(n)), n
         with mp.workprec(106):
             for n in ns[:300]:
-                assert scalars.log(n, 106) == exact(mp.log(n)), n
+                assert value(_log(n, 106)) == exact(mp.log(n)), n
 
     def test_roots(self):
         rng = random.Random(3)
         with mp.workprec(96):
             for _ in range(1500):
-                x = scalars.rnd(Fraction(rng.randint(1, 10 ** 30),
-                                         1 << rng.randint(0, 120)))
-                assert scalars.root(x) == exact(mp.sqrt(mpf(x))), x
+                x = _round(rng.randint(1, 10 ** 30), 1 << rng.randint(0, 120))
+                assert value(_root(x)) == exact(mp.sqrt(mpf(value(x)))), x
                 for k in (3, 6):
-                    assert scalars.root(x, k) == exact(mp.root(mpf(x), k)), (x, k)
+                    assert value(_root(x, k)) == exact(mp.root(mpf(value(x)), k)), (x, k)
         for r in (1, 2, 7, 10 ** 6):
-            assert scalars.root(r ** 6, 6) == r and scalars.root(r ** 2) == r
+            assert value(_root((r ** 6, 0), 6)) == r and value(_root((r ** 2, 0))) == r
 
     def test_exp_takes_mpmaths_steps(self):
         rng = random.Random(4)
@@ -93,10 +94,10 @@ class TestAgainstMpmath:
         args += [rng.uniform(-5, 3000) * Fraction(1, 3) for _ in range(1500)]
         with mp.workprec(96):
             for x in args:
-                x = scalars.rnd(x)
-                assert scalars.exp(x) == exact(mp.exp(mpf(x))), x
+                x = _round(*x.as_integer_ratio())
+                assert value(_exp(x)) == exact(mp.exp(mpf(value(x)))), x
         with pytest.raises(ContractViolation, match="binary"):
-            scalars.exp(Fraction(1, 3))
+            _pair(Fraction(1, 3))
 
     def test_power_takes_mpmaths_branches(self):
         rng = random.Random(5)
@@ -104,14 +105,14 @@ class TestAgainstMpmath:
             for _ in range(800):
                 B = rng.randint(1, 10 ** 6)
                 t = rng.choice((rng.uniform(0.01, 4), 0.5, 1.5, 2.5, 1.0, 2.0, 3.0))
-                assert scalars.power(B, t) == exact(mp.mpf(B) ** mp.mpf(t)), (B, t)
-                x = scalars.rnd(Fraction(rng.randint(1, 10 ** 20), rng.randint(1, 10 ** 6)))
-                assert scalars.power(x, 1.5) == exact(mpf(x) ** mp.mpf(1.5)), x
+                assert value(_power((B, 0), _pair(t))) == exact(mp.mpf(B) ** mp.mpf(t)), (B, t)
+                x = _round(rng.randint(1, 10 ** 20), rng.randint(1, 10 ** 6))
+                assert value(_power(x, _pair(1.5))) == exact(mpf(value(x)) ** mp.mpf(1.5)), x
 
 
 def rnd_by_division(x, bits: int = scalars.PRECISION_BITS) -> Fraction:
-    """scalars.rnd as it was before exact inputs returned early: every input
-    takes the shifted division and comes back through _scaled."""
+    """The oracle of ``_round``: every input takes the shifted division and
+    comes back through _scaled."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
     n, d = x.as_integer_ratio()
@@ -130,7 +131,7 @@ def rnd_by_division(x, bits: int = scalars.PRECISION_BITS) -> Fraction:
 
 
 class TestExactInputs:
-    def test_rnd_is_unchanged_on_exact_and_inexact_inputs(self):
+    def test_round_is_unchanged_on_exact_and_inexact_inputs(self):
         rng = random.Random(22)
         xs = [0, 1, -1, 0.0, -0.0, 0.1, 1e300, 5e-324, Fraction(0), Fraction(-3, 8)]
         for _ in range(3000):
@@ -142,16 +143,15 @@ class TestExactInputs:
         exact_inputs = 0
         for x in xs:
             for bits in (53, 96):
-                got, want = scalars.rnd(x, bits), rnd_by_division(x, bits)
-                assert type(got) is Fraction and got == want, (x, bits)
+                got = value(_round(*x.as_integer_ratio(), bits))
+                assert got == rnd_by_division(x, bits), (x, bits)
                 n, d = Fraction(x).as_integer_ratio()
                 exact_inputs += not d & (d - 1) and abs(n).bit_length() <= bits
         assert exact_inputs > 2000
 
     def test_an_exact_fraction_comes_back_as_it_is(self):
-        x = Fraction((1 << 96) - 1, 1 << 40)
-        assert scalars.rnd(x) is x
-        assert scalars.rnd(Fraction((1 << 97) - 1, 1 << 40)) != Fraction((1 << 97) - 1, 1 << 40)
+        assert value(_round((1 << 96) - 1, 1 << 40)) == Fraction((1 << 96) - 1, 1 << 40)
+        assert value(_round((1 << 97) - 1, 1 << 40)) != Fraction((1 << 97) - 1, 1 << 40)
 
 
 # -- the code the scalars replaced, kept as the oracle ------------------------
@@ -249,10 +249,10 @@ class TestOracleSweep:
         got = choose_Y(lambda c: c.height >= want, box=box, floor_const=0, log_top=log_top)
         assert got.height == want
         # the exp argument's true exponential, rounded once, floors elsewhere
-        arg = scalars.rnd(_grid_start(z, g) * scalars.rnd(1 + scalars.rnd(Fraction(k, 63))))
+        arg = _mul(_pair(_grid_start(z, g)), _add(_ONE, _round(k, 63)))
         with mp.workprec(400):
-            true_exp = exact(mp.exp(mpf(arg)))
-        assert math.floor(scalars.rnd(true_exp)) != want
+            true_exp = exact(mp.exp(mpf(value(arg))))
+        assert math.floor(value(_round(*true_exp.as_integer_ratio()))) != want
 
     def test_parameters_match_mpmath(self):
         rng = random.Random(21)
